@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embed_2d, experiment
-from .datasets import load_dataset, matrix_dataset, split_dataset
+from .datasets import load_dataset
 from .errors import (
     ContractError,
     DataError,
@@ -165,19 +165,21 @@ def build_config(args: argparse.Namespace) -> tuple[experiment.ExperimentConfig,
     return cfg, Path(out)
 
 
+def _or_raise(cell: experiment.Cell) -> experiment.Cell:
+    if cell.failure is not None:
+        raise cell.failure
+    return cell
+
+
 def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
     ds = load_dataset(cfg.dataset, cfg.resize)
-    train_idx, _ = split_dataset(ds, cfg.train_per_class, cfg.seed, 0)
-    train = matrix_dataset(ds, train_idx)
     method = cfg.methods[0]
     if method not in embed_2d.METHOD_NAMES_2D:
         raise ParameterError(f"fit saves matrix-method projectors; got {method!r}")
-    spec = embed_2d.method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
     d = cfg.dims[0]
-    if cfg.mode == "unilateral":
-        pair, trace = embed_2d.fit_unilateral(train.tensor, spec, "right", d)
-    else:
-        pair, trace = embed_2d.fit_method(train.tensor, spec, d, d, cfg.max_iter)
+    unit = experiment.fit_unit(cfg, ds, method, 0, (d,))
+    cell = _or_raise(unit.cells[0])
+    pair, trace = cell.projector, cell.trace
     out.mkdir(parents=True, exist_ok=True)
     np.savez(out / "projector.npz", row_basis=pair.row_basis, col_basis=pair.col_basis)
     (out / "projector.json").write_text(
@@ -191,8 +193,8 @@ def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
                 "iterations": trace.iterations,
                 "converged": trace.converged,
                 "objectives": trace.objectives,
-                "bandwidth": spec.bandwidth,
-                "beta": spec.beta,
+                "bandwidth": unit.spec.bandwidth,
+                "beta": unit.spec.beta,
             },
             indent=2,
         )
@@ -206,8 +208,8 @@ def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
 def _cmd_eval(cfg: experiment.ExperimentConfig, out: Path) -> int:
     ds = load_dataset(cfg.dataset, cfg.resize)
     method = cfg.methods[0]
-    err, secs = experiment.run_cell(cfg, ds, method, cfg.dims[0], 0)
-    print(f"{method} {cfg.mode} d={cfg.dims[0]} error={err:.6g} fit_seconds={secs:.6g}")
+    cell = _or_raise(experiment.run_cell(cfg, ds, method, 0, cfg.dims[:1])[0])
+    print(f"{method} {cfg.mode} d={cell.dim} error={cell.error:.6g} fit_seconds={cell.seconds:.6g}")
     return 0
 
 

@@ -21,8 +21,11 @@ from .spectral import EigenSelection, fix_signs, gen_sym_eig, sym_eig
 __all__ = [
     "VectorDataset",
     "Projector1D",
+    "VectorPencil",
     "METHOD_NAMES_1D",
     "scatter_matrices",
+    "vector_pencil",
+    "solve_1d",
     "fit_1d",
     "default_predim",
 ]
@@ -102,26 +105,52 @@ def default_predim(ds: VectorDataset) -> int:
     return min(ds.n - ds.class_count(), ds.m)
 
 
-def _pca_basis(x: np.ndarray, d: int) -> np.ndarray:
-    """Top-d eigenvectors of the column covariance of ``x`` (unscaled).
+@dataclass(frozen=True)
+class VectorPencil:
+    """A vector method's eigenproblem on one training set.
 
-    Uses the m x m eigenproblem when rows are few, otherwise the n x n
+    It does not depend on the target dimension, so it is assembled once
+    and solved for every dimension.  The basis comes from the ``which``
+    eigenvectors of ``lhs``, generalized against ``rhs`` when there is
+    one, and is mapped back through the PCA pre-basis ``pre`` if any.
+    ``order`` is the feature count the basis lives in before that map.
+    PCA with more features than samples solves the Gram matrix instead
+    and lifts its eigenvectors through the centered data ``lift``.
+    """
+
+    method: str
+    lhs: np.ndarray
+    rhs: np.ndarray | None
+    which: str
+    order: int
+    pre: np.ndarray | None = None
+    lift: np.ndarray | None = None
+
+
+def _pca_pencil(x: np.ndarray) -> VectorPencil:
+    """Covariance of the columns of ``x`` (unscaled), as an eigenproblem.
+
+    Uses the m x m covariance when rows are few, otherwise the n x n
     Gram trick, so vectorized images never force a huge dense solve.
     """
     m, n = x.shape
-    if not 1 <= d <= m:
-        raise ParameterError(f"PCA dimension must be in [1, {m}], got {d}")
     centered = x - x.mean(axis=1, keepdims=True)
     if m <= n:
-        _, vectors = sym_eig(centered @ centered.T, EigenSelection(d, "top"))
-        return vectors
-    gram = centered.T @ centered
-    values, vectors = sym_eig(gram, EigenSelection(min(d, n), "top"))
+        return VectorPencil("PCA", centered @ centered.T, None, "top", m)
+    return VectorPencil("PCA", centered.T @ centered, None, "top", m, lift=centered)
+
+
+def _pca_solve(pencil: VectorPencil, d: int) -> np.ndarray:
+    """Top-d principal directions from a :func:`_pca_pencil`."""
+    if not 1 <= d <= pencil.order:
+        raise ParameterError(f"PCA dimension must be in [1, {pencil.order}], got {d}")
+    if pencil.lift is None:
+        return sym_eig(pencil.lhs, EigenSelection(d, "top"))[1]
+    values, vectors = sym_eig(pencil.lhs, EigenSelection(min(d, pencil.lhs.shape[0]), "top"))
     keep = values > max(values[0], 0.0) * 1e-12
     if np.count_nonzero(keep) < d:
         raise ParameterError(f"data rank too low for {d} principal components")
-    basis = centered @ vectors[:, :d] / np.sqrt(values[:d])
-    return fix_signs(basis)
+    return fix_signs(pencil.lift @ vectors[:, :d] / np.sqrt(values[:d]))
 
 
 def _repulsion_laplacian(ds: VectorDataset, knn: int, bandwidth: float | None) -> tuple[np.ndarray, float]:
@@ -144,6 +173,93 @@ def _spd_or_shifted(m: np.ndarray) -> np.ndarray:
         return m
     shift = abs(smallest) + 1e-8 * float(np.linalg.norm(m))
     return m + shift * np.eye(m.shape[0])
+
+
+def vector_pencil(
+    ds: VectorDataset,
+    method: str,
+    *,
+    knn: int = 6,
+    bandwidth: float | None = None,
+    beta: float | None = None,
+    pca_predim: int | str | None = None,
+) -> VectorPencil:
+    """Assemble a vector method's eigenproblem: the PCA pre-basis, the
+    graphs and the ``X C X^T`` side matrices (parameters as in
+    :func:`fit_1d`)."""
+    if method not in METHOD_NAMES_1D:
+        raise ParameterError(f"unknown method name {method!r}")
+    if method == "PCA":
+        return _pca_pencil(ds.data)
+
+    pre = None
+    if pca_predim is not None:
+        p = default_predim(ds) if pca_predim == "auto" else int(pca_predim)
+        if not 1 <= p <= ds.m:
+            raise ParameterError(f"PCA pre-dimension {p} must lie in [1, {ds.m}]")
+        pre = _pca_solve(_pca_pencil(ds.data), p)
+        ds = VectorDataset(pre.T @ ds.data, ds.labels)
+
+    x = ds.data
+    if method == "LDA":
+        sw, sb = scatter_matrices(ds)
+        return VectorPencil(method, sb, sw, "top", ds.m, pre)
+
+    if method == "LDA-R":
+        if beta is None:
+            beta = 0.2
+        sw, sb = scatter_matrices(ds)
+        rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
+        penalized = _spd_or_shifted(sw - beta * (x @ rep @ x.T))
+        return VectorPencil(method, sb, penalized, "top", ds.m, pre)
+
+    label_graph = graphs.build_label_graph(ds.labels)
+    points = x.T
+    if bandwidth is None:
+        bandwidth = graphs.default_bandwidth(label_graph, points)
+
+    if method in ("LPP", "OLPP", "OLPP-R"):
+        weighted = graphs.gaussian_weights(label_graph, points, bandwidth)
+        bundle = graphs.laplacian(weighted)
+        middle = bundle.laplacian
+        if method == "OLPP-R":
+            if beta is None:
+                beta = 0.5
+            rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
+            middle = middle - beta * rep
+        rhs = x @ bundle.degree @ x.T if method == "LPP" else None
+        return VectorPencil(method, x @ middle @ x.T, rhs, "bottom", ds.m, pre)
+
+    # NPP / ONPP / ONPP-R
+    recon = graphs.lle_weights(label_graph, points)
+    middle = graphs.reconstruction_penalty(recon.weights)
+    if method == "ONPP-R":
+        if beta is None:
+            beta = 0.5
+        rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
+        middle = middle - beta * rep
+    rhs = x @ x.T if method == "NPP" else None
+    return VectorPencil(method, x @ middle @ x.T, rhs, "bottom", ds.m, pre)
+
+
+def solve_1d(pencil: VectorPencil, d: int) -> Projector1D:
+    """Solve an assembled vector eigenproblem at dimension ``d``.
+
+    Each call runs its own eigensolve and contract checks, so a failure
+    at one dimension does not touch the others.
+    """
+    if d < 1:
+        raise ParameterError(f"dimension must be >= 1, got {d}")
+    if pencil.method == "PCA":
+        return Projector1D(_pca_solve(pencil, d), "orthonormal")
+    if d >= pencil.order:
+        raise ParameterError(f"dimension must be < {pencil.order}, got {d}")
+    sel = EigenSelection(d, pencil.which)
+    if pencil.rhs is None:
+        basis, constraint = sym_eig(pencil.lhs, sel)[1], "orthonormal"
+    else:
+        basis, constraint = gen_sym_eig(pencil.lhs, pencil.rhs, sel)[1], "b_orthonormal"
+    return Projector1D(basis if pencil.pre is None else pencil.pre @ basis, constraint)
 
 
 def fit_1d(
@@ -175,71 +291,5 @@ def fit_1d(
         (``"auto"`` selects ``min(n - c, m)``) and return the composed
         basis.  Ignored for plain PCA.
     """
-    if method not in METHOD_NAMES_1D:
-        raise ParameterError(f"unknown method name {method!r}")
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
-
-    if method != "PCA" and pca_predim is not None:
-        p = default_predim(ds) if pca_predim == "auto" else int(pca_predim)
-        if not d <= p <= ds.m:
-            raise ParameterError(f"PCA pre-dimension {p} must lie in [{d}, {ds.m}]")
-        pre = _pca_basis(ds.data, p)
-        reduced = VectorDataset(pre.T @ ds.data, ds.labels)
-        inner = fit_1d(reduced, method, d, knn=knn, bandwidth=bandwidth, beta=beta)
-        return Projector1D(pre @ inner.basis, inner.constraint)
-
-    if method == "PCA":
-        return Projector1D(_pca_basis(ds.data, d), "orthonormal")
-
-    x = ds.data
-    if d >= ds.m:
-        raise ParameterError(f"dimension must be < {ds.m}, got {d}")
-
-    if method == "LDA":
-        sw, sb = scatter_matrices(ds)
-        _, basis = gen_sym_eig(sb, sw, EigenSelection(d, "top"))
-        return Projector1D(basis, "b_orthonormal")
-
-    if method == "LDA-R":
-        if beta is None:
-            beta = 0.2
-        sw, sb = scatter_matrices(ds)
-        rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
-        penalized = _spd_or_shifted(sw - beta * (x @ rep @ x.T))
-        _, basis = gen_sym_eig(sb, penalized, EigenSelection(d, "top"))
-        return Projector1D(basis, "b_orthonormal")
-
-    label_graph = graphs.build_label_graph(ds.labels)
-    points = x.T
-    if bandwidth is None:
-        bandwidth = graphs.default_bandwidth(label_graph, points)
-
-    if method in ("LPP", "OLPP", "OLPP-R"):
-        weighted = graphs.gaussian_weights(label_graph, points, bandwidth)
-        bundle = graphs.laplacian(weighted)
-        middle = bundle.laplacian
-        if method == "OLPP-R":
-            if beta is None:
-                beta = 0.5
-            rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
-            middle = middle - beta * rep
-        if method == "LPP":
-            _, basis = gen_sym_eig(x @ middle @ x.T, x @ bundle.degree @ x.T, EigenSelection(d, "bottom"))
-            return Projector1D(basis, "b_orthonormal")
-        _, basis = sym_eig(x @ middle @ x.T, EigenSelection(d, "bottom"))
-        return Projector1D(basis, "orthonormal")
-
-    # NPP / ONPP / ONPP-R
-    recon = graphs.lle_weights(label_graph, points)
-    middle = graphs.reconstruction_penalty(recon.weights)
-    if method == "ONPP-R":
-        if beta is None:
-            beta = 0.5
-        rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
-        middle = middle - beta * rep
-    if method == "NPP":
-        _, basis = gen_sym_eig(x @ middle @ x.T, x @ x.T, EigenSelection(d, "bottom"))
-        return Projector1D(basis, "b_orthonormal")
-    _, basis = sym_eig(x @ middle @ x.T, EigenSelection(d, "bottom"))
-    return Projector1D(basis, "orthonormal")
+    pencil = vector_pencil(ds, method, knn=knn, bandwidth=bandwidth, beta=beta, pca_predim=pca_predim)
+    return solve_1d(pencil, d)

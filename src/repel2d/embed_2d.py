@@ -34,6 +34,7 @@ __all__ = [
     "MethodSpec",
     "ProjectorPair",
     "FitTrace",
+    "UnilateralPencil",
     "METHOD_NAMES_2D",
     "centering_matrix",
     "lda_weight_matrix",
@@ -45,6 +46,8 @@ __all__ = [
     "fit_orthonormal",
     "fit_generalized",
     "fit_discriminant",
+    "unilateral_pencil",
+    "solve_unilateral",
     "fit_unilateral",
     "fit_method",
     "pre_process_2dpca",
@@ -277,13 +280,16 @@ def method_matrices(
     )
 
 
-def _t3(x) -> np.ndarray:
-    if isinstance(x, Tensor3):
-        return x.data
-    arr = np.asarray(x, dtype=np.float64)
+def _stack(x) -> np.ndarray:
+    """A tensor's frontal slices as a C-contiguous ``(n, m1, m2)`` stack.
+
+    Tensors built from image stacks already keep their samples outermost
+    in memory, so for them this is a view, not a copy.
+    """
+    arr = x.data if isinstance(x, Tensor3) else np.asarray(x, dtype=np.float64)
     if arr.ndim != 3:
         raise ShapeError(f"expected a third-order tensor, got shape {arr.shape}")
-    return arr
+    return np.ascontiguousarray(np.moveaxis(arr, 2, 0))
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -301,49 +307,56 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
     return _sym(arr)
 
 
-def _compress_rows(arr: np.ndarray, row_basis: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,ih->hjk", arr, row_basis)
+# The side matrices work on reshaped views of a C-contiguous (n, p, q)
+# stack and never copy it: mixing the samples, G_k = sum_l C[k, l] Z_l, is
+# one (n x n) @ (n x pq) GEMM; the column side then contracts G with Z over
+# their adjacent (n, p) axes in a second GEMM, and the row side sums the
+# batched slice products Z_k G_k^T.
 
 
-def _compress_cols(arr: np.ndarray, col_basis: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,jh->ihk", arr, col_basis)
+def _mix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    n = z.shape[0]
+    return (coupling @ z.reshape(n, -1)).reshape(z.shape)
 
 
 def _col_matrix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    # sum_i Z(i,:,:) C Z(i,:,:)^T over horizontal slices
-    t = np.einsum("ipk,kl->ipl", z, coupling)
-    return _sym(np.einsum("ipl,iql->pq", t, z))
+    # sum_{k,l} C[k, l] Z_k^T Z_l
+    n, p, q = z.shape
+    return _sym(z.reshape(n * p, q).T @ _mix(z, coupling).reshape(n * p, q))
 
 
 def _row_matrix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    # sum_j Z(:,j,:) C Z(:,j,:)^T over lateral slices
-    t = np.einsum("pjk,kl->pjl", z, coupling)
-    return _sym(np.einsum("pjl,qjl->pq", t, z))
+    # sum_{k,l} C[k, l] Z_k Z_l^T
+    return _sym(np.matmul(z, _mix(z, coupling).transpose(0, 2, 1)).sum(axis=0))
 
 
 def col_subproblem_matrix(x, row_basis, coupling) -> np.ndarray:
     """The ``m2 x m2`` matrix whose eigenvectors update the column factor.
 
-    With the rows compressed by ``row_basis``, accumulates
-    ``sum_i Z(i,:,:) C Z(i,:,:)^T`` over the horizontal slices of the
-    compressed tensor; the result is symmetrized before use.
+    With the rows compressed by ``row_basis`` (``None`` leaves them as
+    they are), accumulates ``sum_i Z(i,:,:) C Z(i,:,:)^T`` over the
+    horizontal slices of the compressed tensor; the result is symmetrized
+    before use.
     """
-    arr = _t3(x)
-    basis = np.asarray(row_basis, dtype=np.float64)
-    if basis.ndim != 2 or basis.shape[0] != arr.shape[0]:
-        raise ShapeError(f"row basis shape {basis.shape} does not fit tensor {arr.shape}")
-    c = _check_coupling(coupling, arr.shape[2], "sample")
-    return _col_matrix(_compress_rows(arr, basis), c)
+    s = _stack(x)
+    if row_basis is not None:
+        basis = np.asarray(row_basis, dtype=np.float64)
+        if basis.ndim != 2 or basis.shape[0] != s.shape[1]:
+            raise ShapeError(f"row basis shape {basis.shape} does not fit tensor {s.shape[1:]}")
+        s = np.matmul(basis.T, s)
+    return _col_matrix(s, _check_coupling(coupling, s.shape[0], "sample"))
 
 
 def row_subproblem_matrix(x, col_basis, coupling) -> np.ndarray:
-    """The ``m1 x m1`` matrix whose eigenvectors update the row factor."""
-    arr = _t3(x)
-    basis = np.asarray(col_basis, dtype=np.float64)
-    if basis.ndim != 2 or basis.shape[0] != arr.shape[1]:
-        raise ShapeError(f"column basis shape {basis.shape} does not fit tensor {arr.shape}")
-    c = _check_coupling(coupling, arr.shape[2], "sample")
-    return _row_matrix(_compress_cols(arr, basis), c)
+    """The ``m1 x m1`` matrix whose eigenvectors update the row factor
+    (columns compressed by ``col_basis``, or left as they are for ``None``)."""
+    s = _stack(x)
+    if col_basis is not None:
+        basis = np.asarray(col_basis, dtype=np.float64)
+        if basis.ndim != 2 or basis.shape[0] != s.shape[2]:
+            raise ShapeError(f"column basis shape {basis.shape} does not fit tensor {s.shape[1:]}")
+        s = np.matmul(s, basis)
+    return _row_matrix(s, _check_coupling(coupling, s.shape[0], "sample"))
 
 
 def trace_objective(y, coupling) -> float:
@@ -355,8 +368,8 @@ def trace_objective(y, coupling) -> float:
     return tensor_trace(contracted_product_33(mode_product(yt, c, 3), yt))
 
 
-def _validate_dims(arr: np.ndarray, d1: int, d2: int):
-    m1, m2, _ = arr.shape
+def _validate_dims(s: np.ndarray, d1: int, d2: int):
+    _, m1, m2 = s.shape
     if not 1 <= d1 <= m1:
         raise ParameterError(f"d1 must be in [1, {m1}], got {d1}")
     if not 1 <= d2 <= m2:
@@ -391,27 +404,27 @@ def fit_orthonormal(
     stops when the relative objective change between full iterations
     drops below ``tol`` or ``max_iter`` is reached.
     """
-    arr = _t3(x)
-    _validate_dims(arr, d1, d2)
+    s = _stack(x)
+    _validate_dims(s, d1, d2)
     if spec.solver == SOLVER_ORTH_MIN:
         coupling, which = spec.min_coupling, "bottom"
     elif spec.solver == SOLVER_ORTH_MAX:
         coupling, which = spec.max_coupling, "top"
     else:
         raise ParameterError(f"fit_orthonormal cannot run solver {spec.solver!r}")
-    c = _check_coupling(coupling, arr.shape[2], "sample")
+    c = _check_coupling(coupling, s.shape[0], "sample")
 
-    u = np.eye(arr.shape[0], d1)
-    v = np.eye(arr.shape[1], d2)
+    u = np.eye(s.shape[1], d1)
+    v = np.eye(s.shape[2], d2)
     trace = FitTrace()
     prev_full = None
     for it in range(1, max_iter + 1):
-        vals_v, v = sym_eig(_col_matrix(_compress_rows(arr, u), c), EigenSelection(d2, which))
+        vals_v, v = sym_eig(_col_matrix(np.matmul(u.T, s), c), EigenSelection(d2, which))
         obj_half = float(np.sum(vals_v))
         trace.objectives.append(obj_half)
         trace.max_constraint_defect = max(trace.max_constraint_defect, _orth_defect(v), _orth_defect(u))
 
-        vals_u, u = sym_eig(_row_matrix(_compress_cols(arr, v), c), EigenSelection(d1, which))
+        vals_u, u = sym_eig(_row_matrix(np.matmul(s, v), c), EigenSelection(d1, which))
         obj_full = float(np.sum(vals_u))
         trace.objectives.append(obj_full)
         trace.max_constraint_defect = max(trace.max_constraint_defect, _orth_defect(u), _orth_defect(v))
@@ -466,17 +479,17 @@ def fit_generalized(
     matrix that fails the definiteness check is ridge-shifted once and the
     solve retried; a second failure aborts the fit.
     """
-    arr = _t3(x)
-    _validate_dims(arr, d1, d2)
-    a = _check_coupling(spec.min_coupling, arr.shape[2], "minimized")
-    b = _check_coupling(spec.max_coupling, arr.shape[2], "maximized")
+    s = _stack(x)
+    _validate_dims(s, d1, d2)
+    a = _check_coupling(spec.min_coupling, s.shape[0], "minimized")
+    b = _check_coupling(spec.max_coupling, s.shape[0], "maximized")
 
-    u = np.eye(arr.shape[0], d1)
-    v = np.eye(arr.shape[1], d2)
+    u = np.eye(s.shape[1], d1)
+    v = np.eye(s.shape[2], d2)
     trace = FitTrace()
     prev_full = None
     for it in range(1, max_iter + 1):
-        z1 = _compress_rows(arr, u)
+        z1 = np.matmul(u.T, s)
         vals_v, v, used = _gen_solve_with_ridge(
             _col_matrix(z1, a), _col_matrix(z1, b), EigenSelection(d2, "bottom")
         )
@@ -484,7 +497,7 @@ def fit_generalized(
         trace.objectives.append(obj_half)
         defect_v = float(np.linalg.norm(v.T @ used @ v - np.eye(d2)))
 
-        z2 = _compress_cols(arr, v)
+        z2 = np.matmul(s, v)
         vals_u, u, used_u = _gen_solve_with_ridge(
             _row_matrix(z2, a), _row_matrix(z2, b), EigenSelection(d1, "bottom")
         )
@@ -518,44 +531,32 @@ def fit_discriminant(
     repulsion it alternates like the other fits.  With repulsion active
     (``beta > 0``) the within-class side can lose definiteness under
     iteration, so a single pass computes the row and column factors
-    independently from the uncompressed tensor, each like a one-sided fit.
+    independently from the uncompressed tensor, each as a one-sided fit.
     """
-    arr = _t3(x)
-    _validate_dims(arr, d1, d2)
-    a = _check_coupling(spec.min_coupling, arr.shape[2], "minimized")
-    b = _check_coupling(spec.max_coupling, arr.shape[2], "maximized")
+    s = _stack(x)
+    _validate_dims(s, d1, d2)
+    a = _check_coupling(spec.min_coupling, s.shape[0], "minimized")
+    b = _check_coupling(spec.max_coupling, s.shape[0], "maximized")
     if np.linalg.norm(b) == 0.0:
         raise RankError("between-class coupling is identically zero (single class?)")
 
-    m1, m2, _ = arr.shape
-    trace = FitTrace()
     if spec.beta > 0.0:
-        z1 = _compress_rows(arr, np.eye(m1))
-        b1, a1 = _col_matrix(z1, b), _col_matrix(z1, a)
-        _require_nonzero(b1)
-        vals_v, v, used_v = _gen_solve_with_ridge(b1, a1, EigenSelection(d2, "top"))
-        trace.objectives.append(float(np.sum(vals_v)))
-
-        z2 = _compress_cols(arr, np.eye(m2))
-        b2, a2 = _row_matrix(z2, b), _row_matrix(z2, a)
-        _require_nonzero(b2)
-        vals_u, u, used_u = _gen_solve_with_ridge(b2, a2, EigenSelection(d1, "top"))
-        trace.objectives.append(float(np.sum(vals_u)))
-
-        trace.iterations = 1
-        trace.converged = True
-        trace.max_constraint_defect = max(
-            float(np.linalg.norm(v.T @ used_v @ v - np.eye(d2))),
-            float(np.linalg.norm(u.T @ used_u @ u - np.eye(d1))),
+        col_pair, col_trace = fit_unilateral(x, spec, "right", d2)
+        row_pair, row_trace = fit_unilateral(x, spec, "left", d1)
+        trace = FitTrace(
+            col_trace.objectives + row_trace.objectives,
+            1,
+            True,
+            max(col_trace.max_constraint_defect, row_trace.max_constraint_defect),
         )
-        pair = ProjectorPair(u, v, "bilateral", ("coupled", "coupled"))
-        return pair, trace
+        return ProjectorPair(row_pair.row_basis, col_pair.col_basis, "bilateral", ("coupled", "coupled")), trace
 
-    u = np.eye(m1, d1)
-    v = np.eye(m2, d2)
+    u = np.eye(s.shape[1], d1)
+    v = np.eye(s.shape[2], d2)
+    trace = FitTrace()
     prev_full = None
     for it in range(1, max_iter + 1):
-        z1 = _compress_rows(arr, u)
+        z1 = np.matmul(u.T, s)
         b1 = _col_matrix(z1, b)
         _require_nonzero(b1)
         vals_v, v, used_v = _gen_solve_with_ridge(b1, _col_matrix(z1, a), EigenSelection(d2, "top"))
@@ -563,7 +564,7 @@ def fit_discriminant(
         trace.objectives.append(obj_half)
         defect_v = float(np.linalg.norm(v.T @ used_v @ v - np.eye(d2)))
 
-        z2 = _compress_cols(arr, v)
+        z2 = np.matmul(s, v)
         b2 = _row_matrix(z2, b)
         _require_nonzero(b2)
         vals_u, u, used_u = _gen_solve_with_ridge(b2, _row_matrix(z2, a), EigenSelection(d1, "top"))
@@ -586,57 +587,85 @@ def _require_nonzero(side: np.ndarray):
         raise RankError("maximized-side subproblem matrix is identically zero")
 
 
-def fit_unilateral(x, spec: MethodSpec, side: str, d: int) -> tuple[ProjectorPair, FitTrace]:
-    """One-sided fit: solve a single eigenproblem for the chosen factor
-    and pin the other factor to an exact identity.
+@dataclass(frozen=True)
+class UnilateralPencil:
+    """The one-sided subproblem of a method on one training stack.
+
+    It does not depend on the target dimension, so it is assembled once
+    and solved for every dimension.  The solved factor comes from the
+    ``which`` eigenvectors of ``lhs``, generalized against the constraint
+    side ``rhs`` when there is one; the other factor is the identity of
+    order ``pinned``.
+    """
+
+    side: str
+    lhs: np.ndarray
+    rhs: np.ndarray | None
+    which: str
+    pinned: int
+
+
+def unilateral_pencil(x, spec: MethodSpec, side: str) -> UnilateralPencil:
+    """Assemble the side matrices of a one-sided fit from the raw stack.
 
     ``side="left"`` solves the row factor (column factor = identity);
-    ``side="right"`` solves the column factor.  One iteration is always
-    optimal here, so the trace reports a converged single step.
+    ``side="right"`` solves the column factor.
     """
-    arr = _t3(x)
-    m1, m2, n = arr.shape
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
+    s = _stack(x)
+    n, m1, m2 = s.shape
+    tensor = np.moveaxis(s, 0, 2)  # a view, so the builders below copy nothing
     if side == "left":
-        _validate_dims(arr, d, m2)
-        build = lambda c: _row_matrix(_compress_cols(arr, np.eye(m2)), c)
+        build, pinned = (lambda c: row_subproblem_matrix(tensor, None, c)), m2
     else:
-        _validate_dims(arr, m1, d)
-        build = lambda c: _col_matrix(_compress_rows(arr, np.eye(m1)), c)
-
-    defect = 0.0
+        build, pinned = (lambda c: col_subproblem_matrix(tensor, None, c)), m1
     if spec.solver in (SOLVER_ORTH_MIN, SOLVER_ORTH_MAX):
         coupling = spec.min_coupling if spec.solver == SOLVER_ORTH_MIN else spec.max_coupling
         which = "bottom" if spec.solver == SOLVER_ORTH_MIN else "top"
-        c = _check_coupling(coupling, n, "sample")
-        values, basis = sym_eig(build(c), EigenSelection(d, which))
-        constraint = "orthonormal"
-        defect = _orth_defect(basis)
-    elif spec.solver == SOLVER_GEN_MIN:
-        a = _check_coupling(spec.min_coupling, n, "minimized")
-        b = _check_coupling(spec.max_coupling, n, "maximized")
-        values, basis, used = _gen_solve_with_ridge(build(a), build(b), EigenSelection(d, "bottom"))
-        constraint = "coupled"
-        defect = float(np.linalg.norm(basis.T @ used @ basis - np.eye(d)))
-    elif spec.solver == SOLVER_GEN_MAX:
-        a = _check_coupling(spec.min_coupling, n, "minimized")
+        return UnilateralPencil(side, build(coupling), None, which, pinned)
+    if spec.solver == SOLVER_GEN_MIN:
+        return UnilateralPencil(side, build(spec.min_coupling), build(spec.max_coupling), "bottom", pinned)
+    if spec.solver == SOLVER_GEN_MAX:
         b = _check_coupling(spec.max_coupling, n, "maximized")
         if np.linalg.norm(b) == 0.0:
             raise RankError("between-class coupling is identically zero (single class?)")
         bmat = build(b)
         _require_nonzero(bmat)
-        values, basis, used = _gen_solve_with_ridge(bmat, build(a), EigenSelection(d, "top"))
-        constraint = "coupled"
-        defect = float(np.linalg.norm(basis.T @ used @ basis - np.eye(d)))
-    else:
-        raise ParameterError(f"unknown solver {spec.solver!r}")
+        return UnilateralPencil(side, bmat, build(spec.min_coupling), "top", pinned)
+    raise ParameterError(f"unknown solver {spec.solver!r}")
 
-    if side == "left":
-        pair = ProjectorPair(basis, np.eye(m2), "left_only", (constraint, "identity"))
+
+def solve_unilateral(pencil: UnilateralPencil, d: int) -> tuple[ProjectorPair, FitTrace]:
+    """Solve an assembled one-sided subproblem at dimension ``d``.
+
+    Each call runs its own eigensolve, contract checks and (generalized
+    solvers) ridge repair, so a failure at one dimension does not touch
+    the others.  One step is always optimal here, so the trace reports a
+    converged single step.
+    """
+    order = pencil.lhs.shape[0]
+    if not 1 <= d <= order:
+        raise ParameterError(f"{'d1' if pencil.side == 'left' else 'd2'} must be in [1, {order}], got {d}")
+    sel = EigenSelection(d, pencil.which)
+    if pencil.rhs is None:
+        values, basis = sym_eig(pencil.lhs, sel)
+        constraint, defect = "orthonormal", _orth_defect(basis)
     else:
-        pair = ProjectorPair(np.eye(m1), basis, "right_only", ("identity", constraint))
+        values, basis, used = _gen_solve_with_ridge(pencil.lhs, pencil.rhs, sel)
+        constraint, defect = "coupled", float(np.linalg.norm(basis.T @ used @ basis - np.eye(d)))
+    if pencil.side == "left":
+        pair = ProjectorPair(basis, np.eye(pencil.pinned), "left_only", (constraint, "identity"))
+    else:
+        pair = ProjectorPair(np.eye(pencil.pinned), basis, "right_only", ("identity", constraint))
     return pair, FitTrace([float(np.sum(values))], 1, True, defect)
+
+
+def fit_unilateral(x, spec: MethodSpec, side: str, d: int) -> tuple[ProjectorPair, FitTrace]:
+    """One-sided fit: solve a single eigenproblem for the chosen factor
+    and pin the other factor to an exact identity (see
+    :func:`unilateral_pencil` and :func:`solve_unilateral`)."""
+    return solve_unilateral(unilateral_pencil(x, spec, side), d)
 
 
 def fit_method(
@@ -665,14 +694,13 @@ def pre_process_2dpca(x, dims: tuple[int, int], max_iter: int = DEFAULT_MAX_ITER
     Useful when small target dimensions would otherwise make the
     subproblem matrices singular.
     """
-    arr = _t3(x)
+    s = _stack(x)
     p1, p2 = dims
-    _validate_dims(arr, p1, p2)
-    n = arr.shape[2]
-    spec = MethodSpec("2D-PCA", None, centering_matrix(n), SOLVER_ORTH_MAX)
-    pair, _ = fit_orthonormal(arr, spec, p1, p2, max_iter)
-    reduced = np.einsum("ijk,ih,jl->hlk", arr, pair.row_basis, pair.col_basis)
-    return Tensor3(reduced), pair
+    _validate_dims(s, p1, p2)
+    spec = MethodSpec("2D-PCA", None, centering_matrix(s.shape[0]), SOLVER_ORTH_MAX)
+    pair, _ = fit_orthonormal(x, spec, p1, p2, max_iter)
+    reduced = np.matmul(np.matmul(pair.row_basis.T, s), pair.col_basis)
+    return Tensor3(np.moveaxis(reduced, 0, 2)), pair
 
 
 def compose_pairs(outer: ProjectorPair, inner: ProjectorPair) -> ProjectorPair:

@@ -3,8 +3,13 @@
 For every (method, dimension, realization) cell the harness fits on a
 fresh per-realization train split, projects gallery and queries, scores a
 1-NN classifier, and aggregates mean/standard deviation over realizations.
-Cells are independent and deterministic given the config, so they may run
-concurrently; results are reduced in sorted key order either way.
+
+The unit of work is a (method, realization) pair: its split, training
+and query stacks, couplings and -- when the fit allows -- its assembled
+eigenproblem are built once, and each dimension then runs only its own
+eigensolve, projection and scoring.  Units are independent and
+deterministic given the config, so they may run concurrently; results are
+reduced in sorted key order either way.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import numpy as np
 from . import __version__
 from . import embed_1d, embed_2d, recognize
 from .datasets import ImageDataset, load_dataset, matrix_dataset, split_dataset, vector_dataset
+from .embed_1d import Projector1D, VectorDataset
+from .embed_2d import FitTrace, MatrixDataset, MethodSpec, ProjectorPair
 from .errors import ParameterError, Repel2dError
 from .tensor_core import Tensor3
 
@@ -28,7 +35,10 @@ __all__ = [
     "ExperimentConfig",
     "ResultRow",
     "ResultTable",
+    "Cell",
+    "UnitFit",
     "run_experiment",
+    "fit_unit",
     "run_cell",
     "emit_csv",
     "emit_plotdata",
@@ -73,6 +83,14 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
+    """One CSV row: errors over the surviving realizations of a cell.
+
+    ``mean_fit_seconds`` is amortized: each realization's fit time is its
+    unit's shared work (split view, pre-processing, couplings, assembly)
+    divided by the number of dimensions the unit covers, plus that
+    cell's own eigensolve.
+    """
+
     method: str
     mode: str
     dimension: int
@@ -112,98 +130,210 @@ def _is_2d(name: str) -> bool:
     return name in embed_2d.METHOD_NAMES_2D
 
 
-def run_cell(
-    cfg: ExperimentConfig,
-    ds: ImageDataset,
-    method: str,
-    dim: int,
-    realization: int,
-) -> tuple[float, float]:
-    """Fit, project, classify one cell; returns (error, fit_seconds)."""
-    train_idx, test_idx = split_dataset(ds, cfg.train_per_class, cfg.seed, realization)
-    started = time.perf_counter()
-    if _is_2d(method):
-        train = matrix_dataset(ds, train_idx)
-        x = train.tensor
-        pre_pair = None
-        if cfg.pre_dims is not None and method not in ("GLRAM", "2D-PCA"):
-            x, pre_pair = embed_2d.pre_process_2dpca(x, cfg.pre_dims, cfg.max_iter)
-        reduced_ds = embed_2d.MatrixDataset(x, train.labels)
-        spec = embed_2d.method_matrices(
-            method, reduced_ds, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth
-        )
-        if cfg.mode == "unilateral":
-            pair, _ = embed_2d.fit_unilateral(x, spec, "right", dim)
-        else:
-            pair, _ = embed_2d.fit_method(x, spec, dim, dim, cfg.max_iter)
-        if pre_pair is not None:
-            pair = embed_2d.compose_pairs(pre_pair, pair)
-        elapsed = time.perf_counter() - started
-        full_train = matrix_dataset(ds, train_idx)
-        gallery = recognize.build_gallery(full_train.tensor, pair, full_train.labels)
-        queries = matrix_dataset(ds, test_idx)
-        predictions = recognize.classify_batch(recognize.project_tensor(queries.tensor, pair), gallery)
-        return recognize.error_rate(predictions, queries.labels), elapsed
+# Failures recorded against a cell instead of aborting the run.
+_CELL_FAILURES = (Repel2dError, np.linalg.LinAlgError)
 
-    train = vector_dataset(ds, train_idx)
+
+@dataclass
+class Cell:
+    """One dimension of a unit: its fitted projector and fit trace, or the
+    exception that aborted its fit or scoring (``failure``).
+
+    ``seconds`` is the amortized fit time described on :class:`ResultRow`;
+    ``error`` is the 1-NN error rate once :func:`run_cell` has scored it.
+    """
+
+    dim: int
+    projector: ProjectorPair | Projector1D | None = None
+    trace: FitTrace | None = None
+    seconds: float = math.nan
+    error: float = math.nan
+    failure: Exception | None = None
+
+
+@dataclass
+class UnitFit:
+    """What one (method, realization) unit trained: the training view,
+    the held-out indices, the resolved couplings (matrix methods) and one
+    :class:`Cell` per dimension."""
+
+    train: MatrixDataset | VectorDataset | None
+    test_idx: np.ndarray | None
+    spec: MethodSpec | None
+    cells: list[Cell]
+
+
+def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset):
+    """Couplings and, unilaterally, the assembled pencil; returns the spec
+    and the per-dimension solve."""
+    x, pre_pair = train.tensor, None
+    if cfg.pre_dims is not None and method not in ("GLRAM", "2D-PCA"):
+        x, pre_pair = embed_2d.pre_process_2dpca(x, cfg.pre_dims, cfg.max_iter)
+    spec = embed_2d.method_matrices(
+        method, MatrixDataset(x, train.labels), knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth
+    )
+    if cfg.mode == "unilateral":
+        pencil = embed_2d.unilateral_pencil(x, spec, "right")
+        fit = lambda d: embed_2d.solve_unilateral(pencil, d)
+    else:
+        fit = lambda d: embed_2d.fit_method(x, spec, d, d, cfg.max_iter)
+
+    def solve(d):
+        pair, trace = fit(d)
+        return (pair if pre_pair is None else embed_2d.compose_pairs(pre_pair, pair)), trace
+
+    return spec, solve
+
+
+def _prepare_1d(cfg: ExperimentConfig, method: str, train: VectorDataset):
+    """PCA pre-basis, graphs and side matrices; returns the per-dimension solve."""
     predim = cfg.pca_predim if cfg.pca_predim is not None else "auto"
-    projector = embed_1d.fit_1d(
+    pencil = embed_1d.vector_pencil(
         train,
         method,
-        dim,
         knn=cfg.knn,
         bandwidth=cfg.bandwidth,
         beta=cfg.beta,
         pca_predim=None if method == "PCA" else predim,
     )
-    elapsed = time.perf_counter() - started
-    projected_train = projector.transform(train.data)
-    test = vector_dataset(ds, test_idx)
-    projected_test = projector.transform(test.data)
-    gallery = recognize.GallerySet(
-        Tensor3(projected_train[:, None, :]), train.labels
-    )
-    predictions = np.asarray(
-        [recognize.classify_1nn(projected_test[:, [k]], gallery) for k in range(test.labels.size)]
-    )
-    return recognize.error_rate(predictions, test.labels), elapsed
+    return lambda d: (embed_1d.solve_1d(pencil, d), None)
+
+
+def fit_unit(
+    cfg: ExperimentConfig,
+    ds: ImageDataset,
+    method: str,
+    realization: int,
+    dims: tuple[int, ...] | None = None,
+) -> UnitFit:
+    """Train one (method, realization) unit at each of ``dims`` (default
+    ``cfg.dims``).
+
+    The split, the training view, the couplings and -- for unilateral and
+    vector fits -- the assembled eigenproblem are built once; each
+    dimension then runs its own solve.  Bilateral fits alternate from a
+    start that depends on the dimension, so they share only the
+    couplings.  A failure in the shared part fails every dimension, a
+    failure in one dimension's solve fails that cell only.  ``fit``,
+    ``eval`` and ``bench`` all train through this function.
+    """
+    dims = tuple(cfg.dims if dims is None else dims)
+    train = test_idx = spec = None
+    try:
+        train_idx, test_idx = split_dataset(ds, cfg.train_per_class, cfg.seed, realization)
+        started = time.perf_counter()
+        if _is_2d(method):
+            train = matrix_dataset(ds, train_idx)
+            spec, solve = _prepare_2d(cfg, method, train)
+        else:
+            train = vector_dataset(ds, train_idx)
+            solve = _prepare_1d(cfg, method, train)
+    except _CELL_FAILURES as exc:
+        return UnitFit(train, test_idx, spec, [Cell(d, failure=exc) for d in dims])
+    shared = (time.perf_counter() - started) / len(dims)
+
+    cells = []
+    for d in dims:
+        solve_started = time.perf_counter()
+        try:
+            projector, trace = solve(d)
+        except _CELL_FAILURES as exc:
+            cells.append(Cell(d, failure=exc))
+            continue
+        cells.append(Cell(d, projector, trace, shared + time.perf_counter() - solve_started))
+    return UnitFit(train, test_idx, spec, cells)
+
+
+def _as_stack(columns: np.ndarray) -> Tensor3:
+    """Projected vector samples (one per column) as a stack of d x 1 slices."""
+    return Tensor3(columns[:, None, :])
+
+
+def run_cell(
+    cfg: ExperimentConfig,
+    ds: ImageDataset,
+    method: str,
+    realization: int,
+    dims: tuple[int, ...] | None = None,
+) -> list[Cell]:
+    """Fit one unit (see :func:`fit_unit`) and score each fitted dimension
+    by 1-NN on the held-out images; the query stack is built once."""
+    unit = fit_unit(cfg, ds, method, realization, dims)
+    fitted = [cell for cell in unit.cells if cell.failure is None]
+    if not fitted:
+        return unit.cells
+    train = unit.train
+    if _is_2d(method):
+        queries = matrix_dataset(ds, unit.test_idx)
+
+        def predict(pair):
+            gallery = recognize.build_gallery(train.tensor, pair, train.labels)
+            return recognize.classify_batch(recognize.project_tensor(queries.tensor, pair), gallery)
+
+    else:
+        queries = vector_dataset(ds, unit.test_idx)
+
+        def predict(projector):
+            gallery = recognize.GallerySet(_as_stack(projector.transform(train.data)), train.labels)
+            return recognize.classify_batch(_as_stack(projector.transform(queries.data)), gallery)
+
+    for cell in fitted:
+        try:
+            cell.error = recognize.error_rate(predict(cell.projector), queries.labels)
+        except _CELL_FAILURES as exc:
+            cell.failure = exc
+    return unit.cells
+
+
+def _failure_reason(exc: Exception | None) -> str | None:
+    return None if exc is None else f"{type(exc).__name__}: {exc}"
+
+
+def _task_dims(cfg: ExperimentConfig, method: str) -> list[tuple[int, ...]]:
+    """The dimensions each task of a method covers: all of them when the
+    fit shares its assembly across dimensions (unilateral and vector
+    fits), one per task for bilateral fits, which share nothing."""
+    if _is_2d(method) and cfg.mode == "bilateral":
+        return [(d,) for d in cfg.dims]
+    return [tuple(cfg.dims)]
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -> ResultTable:
     """Run the full protocol and aggregate per-cell errors.
 
-    A cell whose fit aborts with a package error is recorded as a failure
-    and the run continues; aggregates are over the surviving
-    realizations (NaN if none survive).
+    Each task is one :func:`run_cell` unit.  A cell whose fit or scoring
+    aborts with a package error is recorded as a failure and the run
+    continues; aggregates are over the surviving realizations (NaN if
+    none survive).  ``mean_fit_seconds`` is amortized over the unit's
+    dimensions (see :class:`ResultRow`).
     """
     ds = dataset if dataset is not None else load_dataset(cfg.dataset, cfg.resize)
     _validate_config(cfg, ds)
 
-    cells = [
-        (method, dim, r)
+    tasks = [
+        (method, r, dims)
         for method in cfg.methods
-        for dim in cfg.dims
         for r in range(cfg.realizations)
+        for dims in _task_dims(cfg, method)
     ]
 
-    def task(cell):
-        method, dim, r = cell
-        try:
-            err, secs = run_cell(cfg, ds, method, dim, r)
-            return cell, err, secs, None
-        except (Repel2dError, np.linalg.LinAlgError) as exc:
-            return cell, None, None, f"{type(exc).__name__}: {exc}"
+    def task(unit):
+        # keep only what the table needs, so no fitted unit (or the frames
+        # a failure's traceback holds) outlives its task
+        method, r, dims = unit
+        return [
+            (method, cell.dim, r, cell.error, cell.seconds, _failure_reason(cell.failure))
+            for cell in run_cell(cfg, ds, method, r, dims)
+        ]
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(task, cells))
+            outcomes = [cell for cells in pool.map(task, tasks) for cell in cells]
     else:
-        outcomes = [task(c) for c in cells]
+        outcomes = [cell for unit in tasks for cell in task(unit)]
 
     logs: dict[tuple[str, str, int], dict] = {}
-    for (method, dim, r), err, secs, failure in sorted(
-        outcomes, key=lambda o: (o[0][0], o[0][1], o[0][2])
-    ):
+    for method, dim, r, err, secs, failure in sorted(outcomes, key=lambda o: o[:3]):
         mode = _mode_label(cfg, method)
         record = logs.setdefault(
             (method, mode, dim), {"errors": [], "seconds": [], "failures": []}

@@ -37,17 +37,32 @@ class GallerySet:
         return self.projected.dims[2]
 
 
+def _is_identity(basis: np.ndarray) -> bool:
+    return basis.shape[0] == basis.shape[1] and np.array_equal(basis, np.eye(basis.shape[0]))
+
+
+def _project_stack(stack: np.ndarray, pair: ProjectorPair) -> np.ndarray:
+    """``row_basis^T @ X_k @ col_basis`` for every slice of an ``(n, m1, m2)``
+    stack, one batched ``matmul`` per side.  An identity side is skipped;
+    multiplying by it would be exact anyway."""
+    if stack.shape[1:] != (pair.row_basis.shape[0], pair.col_basis.shape[0]):
+        raise ShapeError(
+            f"image shape {stack.shape[1:]} does not match projector "
+            f"({pair.row_basis.shape[0]}, {pair.col_basis.shape[0]})"
+        )
+    if not _is_identity(pair.row_basis):
+        stack = np.matmul(pair.row_basis.T, stack)
+    if not _is_identity(pair.col_basis):
+        stack = np.matmul(stack, pair.col_basis)
+    return stack
+
+
 def project(x, pair: ProjectorPair) -> np.ndarray:
     """Project one image matrix: ``row_basis^T @ x @ col_basis``."""
     mat = np.asarray(x, dtype=np.float64)
     if mat.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {mat.shape}")
-    if mat.shape != (pair.row_basis.shape[0], pair.col_basis.shape[0]):
-        raise ShapeError(
-            f"image shape {mat.shape} does not match projector "
-            f"({pair.row_basis.shape[0]}, {pair.col_basis.shape[0]})"
-        )
-    return pair.row_basis.T @ mat @ pair.col_basis
+    return _project_stack(mat[None], pair)[0]
 
 
 def project_tensor(x: Tensor3, pair: ProjectorPair) -> Tensor3:
@@ -56,29 +71,62 @@ def project_tensor(x: Tensor3, pair: ProjectorPair) -> Tensor3:
     Slice k of the result is bit-identical to ``project`` applied to
     slice k of the input.
     """
-    out = np.empty((pair.row_basis.shape[1], pair.col_basis.shape[1], x.dims[2]))
-    for k in range(x.dims[2]):
-        out[:, :, k] = project(x.frontal_slice(k), pair)
-    return Tensor3(out)
+    return Tensor3(np.moveaxis(_project_stack(np.moveaxis(x.data, 2, 0), pair), 0, 2))
 
 
 def build_gallery(x: Tensor3, pair: ProjectorPair, labels) -> GallerySet:
     return GallerySet(project_tensor(x, pair), np.asarray(labels))
 
 
+def _rows(t: Tensor3) -> np.ndarray:
+    """Frontal slices of a stack flattened row-major, one per row."""
+    return np.moveaxis(t.data, 2, 0).reshape(t.dims[2], -1)
+
+
+def _squared_distances(items: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from ``query`` to each row of ``items``,
+    summed from the differences.  A row's value does not depend on which
+    other rows are present."""
+    return np.square(items - query).sum(axis=1)
+
+
 def classify_1nn(y, gallery: GallerySet):
     """Label of the gallery item nearest to ``y`` in Frobenius distance."""
     mat = np.asarray(y, dtype=np.float64)
-    stack = gallery.projected.data
-    if mat.shape != stack.shape[:2]:
-        raise ShapeError(f"query shape {mat.shape} does not match gallery {stack.shape[:2]}")
-    d2 = np.einsum("ijk->k", (stack - mat[:, :, None]) ** 2)
-    return gallery.labels[int(np.argmin(d2))]
+    if mat.shape != gallery.projected.dims[:2]:
+        raise ShapeError(f"query shape {mat.shape} does not match gallery {gallery.projected.dims[:2]}")
+    return gallery.labels[int(np.argmin(_squared_distances(_rows(gallery.projected), mat.reshape(-1))))]
 
 
 def classify_batch(queries: Tensor3, gallery: GallerySet) -> np.ndarray:
-    """Classify every frontal slice of a projected query stack."""
-    return np.asarray([classify_1nn(queries.frontal_slice(k), gallery) for k in range(queries.dims[2])])
+    """Classify every frontal slice of a projected query stack.
+
+    Returns exactly the labels of :func:`classify_1nn` applied to each
+    query.  One Gram product ``|q|^2 + |g|^2 - 2 q.g`` screens the
+    gallery; the items it cannot rule out are then compared by direct
+    differences, as :func:`classify_1nn` does, so ties still go to the
+    lowest gallery index.  The screening margin covers the rounding error
+    of both distance forms: each is within ``(p + 2) eps (|q| + |g|)^2``
+    of the exact value for ``p`` features (dot-product error bound).
+    """
+    if queries.dims[:2] != gallery.projected.dims[:2]:
+        raise ShapeError(f"query shape {queries.dims[:2]} does not match gallery {gallery.projected.dims[:2]}")
+    items = _rows(gallery.projected)
+    q = _rows(queries)
+    item_sq = np.einsum("ij,ij->i", items, items)
+    q_sq = np.einsum("ij,ij->i", q, q)
+    screened = q_sq[:, None] + item_sq[None, :] - 2.0 * (q @ items.T)
+    bound = (items.shape[1] + 2) * np.finfo(np.float64).eps * (np.sqrt(q_sq) + np.sqrt(item_sq.max())) ** 2
+    # The direct winner's screened distance lies within four bounds (both
+    # forms, at the winner and at the screened minimum) of that minimum;
+    # the margin doubles that.  NaN distances stay candidates, as they
+    # would in classify_1nn's argmin.
+    candidates = ~(screened > (screened.min(axis=1) + 8.0 * bound)[:, None])
+    nearest = np.argmin(screened, axis=1)
+    for k in np.flatnonzero(candidates.sum(axis=1) > 1):
+        idx = np.flatnonzero(candidates[k])
+        nearest[k] = idx[int(np.argmin(_squared_distances(items[idx], q[k])))]
+    return gallery.labels[nearest]
 
 
 def error_rate(predictions, truth) -> float:

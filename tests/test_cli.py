@@ -135,6 +135,37 @@ class TestFitEval:
         assert meta["method"] == "2D-OLPP" and meta["dimension"] == 3
 
 
+    def test_fit_honours_pre_dims_and_matches_eval(self, tmp_path, synthetic_dir, monkeypatch):
+        from repel2d import recognize
+
+        common = (
+            "--dataset", str(synthetic_dir),
+            "--method", "2D-OLPP-R",
+            "--mode", "uni",
+            "--dims", "3",
+            "--pre-dims", "6,5",
+            "--train-per-class", "4",
+        )
+        out = tmp_path / "fit"
+        assert run_cli("fit", *common, "--out", str(out)) == 0
+        saved = np.load(out / "projector.npz")
+        assert saved["row_basis"].shape == (8, 6)
+        assert saved["col_basis"].shape == (8, 3)
+
+        scored = []
+        build_gallery = recognize.build_gallery
+
+        def spy(x, pair, labels):
+            scored.append(pair)
+            return build_gallery(x, pair, labels)
+
+        monkeypatch.setattr(recognize, "build_gallery", spy)
+        assert run_cli("eval", *common) == 0
+        assert len(scored) == 1
+        np.testing.assert_array_equal(saved["row_basis"], scored[0].row_basis)
+        np.testing.assert_array_equal(saved["col_basis"], scored[0].col_basis)
+
+
 class TestExitCodes:
     def test_usage_error_unknown_method(self, synthetic_dir, capsys):
         assert run_cli("bench", "--dataset", str(synthetic_dir), "--method", "3D-PCA") == 1

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from repel2d.errors import ParameterError
+from repel2d import embed_2d
+from repel2d.datasets import ImageDataset, matrix_dataset, split_dataset, vector_dataset
+from repel2d.embed_1d import fit_1d
+from repel2d.embed_2d import fit_unilateral, method_matrices, unilateral_pencil
+from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError
 from repel2d.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -11,10 +15,12 @@ from repel2d.experiment import (
     ResultTable,
     emit_csv,
     emit_plotdata,
+    fit_unit,
     parse_result_csv,
     run_experiment,
     write_metadata,
 )
+from repel2d.spectral import EigenSelection, gen_sym_eig
 
 
 def small_cfg(**overrides):
@@ -114,6 +120,99 @@ class TestRunExperiment:
             run_experiment(small_cfg(dims=(50,)), dataset=synthetic_ds)
         with pytest.raises(ParameterError):
             run_experiment(small_cfg(mode="diagonal"), dataset=synthetic_ds)
+
+
+def independent_fit(cfg, ds, method, realization, d):
+    """Fit one cell on its own, without any state shared across dimensions."""
+    train_idx, _ = split_dataset(ds, cfg.train_per_class, cfg.seed, realization)
+    if method in embed_2d.METHOD_NAMES_2D:
+        train = matrix_dataset(ds, train_idx)
+        spec = method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
+        pair, _ = fit_unilateral(train.tensor, spec, "right", d)
+        return pair
+    return fit_1d(vector_dataset(ds, train_idx), method, d, knn=cfg.knn, beta=cfg.beta, pca_predim="auto")
+
+
+def assert_same_projector(got, expected):
+    if hasattr(expected, "basis"):
+        np.testing.assert_array_equal(got.basis, expected.basis)
+        assert got.constraint == expected.constraint
+    else:
+        np.testing.assert_array_equal(got.row_basis, expected.row_basis)
+        np.testing.assert_array_equal(got.col_basis, expected.col_basis)
+        assert (got.sides, got.constraints) == (expected.sides, expected.constraints)
+
+
+@pytest.fixture(scope="module")
+def blank_column_ds(synthetic_ds):
+    """The synthetic set with its last image column zeroed: every column-side
+    constraint matrix is then exactly singular, so generalized solves need
+    the ridge repair."""
+    images = synthetic_ds.images.copy()
+    images[:, :, -1] = 0.0
+    return ImageDataset("blank-column", images, synthetic_ds.labels, synthetic_ds.class_names)
+
+
+class TestUnitReuse:
+    @pytest.mark.parametrize(
+        "method, solver",
+        [("2D-PCA", "orth_max"), ("2D-OLPP-R", "orth_min"), ("2D-LPP", "gen_min"), ("OLPP-R", None)],
+    )
+    def test_shared_pencil_matches_independent_fits(self, synthetic_ds, method, solver):
+        cfg = small_cfg(methods=(method,), dims=(2, 3, 5), train_per_class=8)
+        if solver is not None:
+            train = matrix_dataset(synthetic_ds, split_dataset(synthetic_ds, 8, cfg.seed, 1)[0])
+            assert method_matrices(method, train).solver == solver
+        unit = fit_unit(cfg, synthetic_ds, method, 1)
+        assert [cell.dim for cell in unit.cells] == [2, 3, 5]
+        for cell in unit.cells:
+            assert cell.failure is None
+            assert_same_projector(cell.projector, independent_fit(cfg, synthetic_ds, method, 1, cell.dim))
+
+    def test_generalized_top_with_ridge_retry(self, blank_column_ds):
+        cfg = small_cfg(methods=("2D-LDA-R",), dims=(1, 3, 6), train_per_class=8)
+        train = matrix_dataset(blank_column_ds, split_dataset(blank_column_ds, 8, cfg.seed, 0)[0])
+        spec = method_matrices("2D-LDA-R", train)
+        assert spec.solver == "gen_max"
+        pencil = unilateral_pencil(train.tensor, spec, "right")
+        with pytest.raises(DefinitenessError):  # so every solve below takes the ridge retry
+            gen_sym_eig(pencil.lhs, pencil.rhs, EigenSelection(1, "top"))
+        unit = fit_unit(cfg, blank_column_ds, "2D-LDA-R", 0)
+        for cell in unit.cells:
+            assert cell.failure is None
+            assert_same_projector(cell.projector, independent_fit(cfg, blank_column_ds, "2D-LDA-R", 0, cell.dim))
+
+    def test_failing_solve_fails_only_its_cell(self, synthetic_ds, monkeypatch):
+        cfg = small_cfg(methods=("2D-OLPP-R",), dims=(2, 3, 5), realizations=2)
+        clean = run_experiment(cfg, dataset=synthetic_ds)
+        solve = embed_2d.solve_unilateral
+
+        def failing_at_3(pencil, d):
+            if d == 3:
+                raise NumericalQualityError("injected failure")
+            return solve(pencil, d)
+
+        monkeypatch.setattr(embed_2d, "solve_unilateral", failing_at_3)
+        broken = run_experiment(cfg, dataset=synthetic_ds)
+        for before, after in zip(clean.rows, broken.rows):
+            log = broken.metadata["per_cell"][f"2D-OLPP-R|unilateral|{after.dimension}"]
+            if after.dimension == 3:
+                assert math.isnan(after.mean_error)
+                assert [f["realization"] for f in log["failures"]] == [0, 1]
+                assert all(f["reason"] == "NumericalQualityError: injected failure" for f in log["failures"])
+            else:
+                assert (after.mean_error, after.std_error) == (before.mean_error, before.std_error)
+                assert log["failures"] == []
+
+    def test_vector_dimension_beyond_predim_fails_only_its_cell(self, synthetic_ds):
+        # 8 training images per class of 4 classes: the PCA pre-dimension is 32 - 4 = 28
+        cfg = small_cfg(methods=("OLPP-R",), dims=(2, 28), train_per_class=8)
+        table = run_experiment(cfg, dataset=synthetic_ds)
+        alone = run_experiment(small_cfg(methods=("OLPP-R",), dims=(2,), train_per_class=8), dataset=synthetic_ds)
+        assert table.rows[0].mean_error == alone.rows[0].mean_error
+        assert math.isnan(table.rows[1].mean_error)
+        failures = table.metadata["per_cell"]["OLPP-R|vector|28"]["failures"]
+        assert len(failures) == 2 and all(f["reason"].startswith("ParameterError") for f in failures)
 
 
 class TestEmit:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repel2d.embed_2d import MatrixDataset, ProjectorPair, method_matrices, fit_orthonormal
 from repel2d.errors import ParameterError, ShapeError
@@ -102,6 +103,76 @@ class TestClassify:
         stack = Tensor3.stack_frontal(items)
         predictions = classify_batch(stack, g)
         assert error_rate(predictions, labels) == 0.0
+
+
+def stack(items) -> Tensor3:
+    """Tensor3 whose frontal slices are ``items`` (an (n, d1, d2) array)."""
+    return Tensor3(np.moveaxis(np.asarray(items, dtype=np.float64), 0, 2))
+
+
+def confusable_gallery(rng, n_items, shape, on_grid):
+    """Gallery items plus exact duplicates under new labels and 1-ulp
+    near-duplicates, which no Gram-form screen can tell apart."""
+    if on_grid:  # half-integers: many distances tie exactly
+        base = rng.integers(-2, 3, size=(n_items, *shape)) * 0.5
+    else:
+        base = rng.normal(size=(n_items, *shape))
+    picks = rng.integers(0, n_items, size=2)
+    duplicates = base[picks]
+    near = np.nextafter(base[picks], np.inf)
+    items = np.concatenate([base, duplicates, near])
+    labels = np.concatenate([rng.integers(0, 3, size=n_items), [5, 6], [7, 8]])
+    order = rng.permutation(items.shape[0])
+    return items[order], labels[order]
+
+
+def probing_queries(rng, items, n_random):
+    """Random queries plus copies of items, 1-ulp nudges of them and
+    midpoints between two items (equidistant in exact arithmetic)."""
+    shape = items.shape[1:]
+    random = rng.normal(size=(n_random, *shape))
+    i, j = rng.integers(0, items.shape[0], size=2)
+    copies = items[[i, j]]
+    nudged = np.nextafter(items[[i]], -np.inf)
+    midpoint = 0.5 * (items[[i]] + items[[j]])
+    return np.concatenate([random, copies, nudged, midpoint])
+
+
+class TestClassifyBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2 ** 31 - 1),
+        st.integers(1, 10),
+        st.tuples(st.integers(1, 4), st.integers(1, 3)),
+        st.integers(0, 6),
+        st.booleans(),
+    )
+    def test_matches_per_query_loop(self, seed, n_items, shape, n_random, on_grid):
+        rng = np.random.default_rng(seed)
+        items, labels = confusable_gallery(rng, n_items, shape, on_grid)
+        queries = probing_queries(rng, items, n_random)
+        gallery = GallerySet(stack(items), labels)
+        expected = [classify_1nn(q, gallery) for q in queries]
+        np.testing.assert_array_equal(classify_batch(stack(queries), gallery), expected)
+
+    def test_exact_duplicate_goes_to_lowest_index(self):
+        rng = np.random.default_rng(7)
+        item = rng.normal(size=(3, 2))
+        other = rng.normal(size=(3, 2))
+        g = GallerySet(stack([other, item, item]), np.array([1, 4, 2]))
+        np.testing.assert_array_equal(classify_batch(stack([item, item + 1e-3]), g), [4, 4])
+
+    def test_near_duplicates_resolved_by_direct_differences(self):
+        rng = np.random.default_rng(8)
+        item = rng.normal(size=(4, 4)) * 100.0
+        nudged = np.nextafter(item, np.inf)
+        g = GallerySet(stack([item, nudged]), np.array([0, 1]))
+        np.testing.assert_array_equal(classify_batch(stack([nudged, item]), g), [1, 0])
+
+    def test_shape_mismatch(self):
+        g = GallerySet(stack(np.zeros((3, 2, 2))), np.arange(3))
+        with pytest.raises(ShapeError):
+            classify_batch(stack(np.zeros((2, 2, 3))), g)
 
 
 class TestErrorRate:
