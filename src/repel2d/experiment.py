@@ -289,19 +289,28 @@ def _failure_reason(exc: Exception | None) -> str | None:
     return None if exc is None else f"{type(exc).__name__}: {exc}"
 
 
-def _task_dims(cfg: ExperimentConfig, method: str) -> list[tuple[int, ...]]:
-    """The dimensions each task of a method covers: all of them when the
-    fit shares its assembly across dimensions (unilateral and vector
-    fits), one per task for bilateral fits, which share nothing."""
+def _task_dims(cfg: ExperimentConfig, method: str, chunks: int) -> list[tuple[int, ...]]:
+    """The dimensions each task of a method covers.
+
+    Bilateral fits share nothing across dimensions, so each of their
+    tasks covers one.  Unilateral and vector fits share their assembly, so
+    a task covers all of them -- unless there are fewer (method,
+    realization) units than workers: then the dimensions are cut into
+    ``chunks`` contiguous runs, each of which rebuilds the shared part, so
+    that no worker idles.  Every cell's result is the same either way.
+    """
+    dims = tuple(cfg.dims)
     if _is_2d(method) and cfg.mode == "bilateral":
-        return [(d,) for d in cfg.dims]
-    return [tuple(cfg.dims)]
+        return [(d,) for d in dims]
+    k = min(chunks, len(dims))
+    return [dims[i * len(dims) // k : (i + 1) * len(dims) // k] for i in range(k)]
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -> ResultTable:
     """Run the full protocol and aggregate per-cell errors.
 
-    Each task is one :func:`run_cell` unit.  A cell whose fit or scoring
+    Each task is one :func:`run_cell` unit (split by dimension as
+    :func:`_task_dims` describes).  A cell whose fit or scoring
     aborts with a package error is recorded as a failure and the run
     continues; aggregates are over the surviving realizations (NaN if
     none survive).  ``mean_fit_seconds`` is amortized over the unit's
@@ -310,11 +319,12 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
     ds = dataset if dataset is not None else load_dataset(cfg.dataset, cfg.resize)
     _validate_config(cfg, ds)
 
+    chunks = -(-cfg.jobs // (len(cfg.methods) * cfg.realizations))
     tasks = [
         (method, r, dims)
         for method in cfg.methods
         for r in range(cfg.realizations)
-        for dims in _task_dims(cfg, method)
+        for dims in _task_dims(cfg, method, chunks)
     ]
 
     def task(unit):

@@ -37,22 +37,20 @@ class GallerySet:
         return self.projected.dims[2]
 
 
-def _is_identity(basis: np.ndarray) -> bool:
-    return basis.shape[0] == basis.shape[1] and np.array_equal(basis, np.eye(basis.shape[0]))
-
-
 def _project_stack(stack: np.ndarray, pair: ProjectorPair) -> np.ndarray:
     """``row_basis^T @ X_k @ col_basis`` for every slice of an ``(n, m1, m2)``
-    stack, one batched ``matmul`` per side.  An identity side is skipped;
-    multiplying by it would be exact anyway."""
+    stack, one batched ``matmul`` per side.  A side pinned to the identity
+    (constraint ``"identity"``) is skipped; multiplying by it would be
+    exact anyway."""
     if stack.shape[1:] != (pair.row_basis.shape[0], pair.col_basis.shape[0]):
         raise ShapeError(
             f"image shape {stack.shape[1:]} does not match projector "
             f"({pair.row_basis.shape[0]}, {pair.col_basis.shape[0]})"
         )
-    if not _is_identity(pair.row_basis):
+    row_constraint, col_constraint = pair.constraints
+    if row_constraint != "identity":
         stack = np.matmul(pair.row_basis.T, stack)
-    if not _is_identity(pair.col_basis):
+    if col_constraint != "identity":
         stack = np.matmul(stack, pair.col_basis)
     return stack
 

@@ -167,6 +167,23 @@ class TestSubproblemMatrices:
         got2 = row_subproblem_matrix(Tensor3(arr), v, coupling)
         np.testing.assert_allclose(got2, 0.5 * (expected2 + expected2.T), rtol=1e-12)
 
+    @pytest.mark.parametrize("layout", ["stacked", "c_order"])
+    def test_no_basis_is_bitwise_identity_compression(self, layout):
+        # one-sided pencils skip the identity compression; it must not move a bit
+        x = toy_dataset(3).tensor
+        if layout == "c_order":
+            x = Tensor3(np.ascontiguousarray(x.data))
+        m1, m2, n = x.dims
+        rng = np.random.default_rng(4)
+        coupling = rng.normal(size=(n, n))
+        coupling = coupling + coupling.T
+        np.testing.assert_array_equal(
+            col_subproblem_matrix(x, None, coupling), col_subproblem_matrix(x, np.eye(m1), coupling)
+        )
+        np.testing.assert_array_equal(
+            row_subproblem_matrix(x, None, coupling), row_subproblem_matrix(x, np.eye(m2), coupling)
+        )
+
     def test_psd_coupling_gives_psd_side(self):
         rng = np.random.default_rng(8)
         for _ in range(5):

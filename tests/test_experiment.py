@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repel2d import embed_2d
+from repel2d import embed_2d, experiment
 from repel2d.datasets import ImageDataset, matrix_dataset, split_dataset, vector_dataset
 from repel2d.embed_1d import fit_1d
 from repel2d.embed_2d import fit_unilateral, method_matrices, unilateral_pencil
@@ -102,6 +103,22 @@ class TestRunExperiment:
                 b.mean_error,
                 b.std_error,
             )
+
+    def test_fewer_units_than_jobs_split_dimensions(self, synthetic_ds, monkeypatch):
+        cfg = small_cfg(methods=("2D-OLPP-R",), dims=(2, 3, 5), realizations=1)
+        serial = run_experiment(cfg, dataset=synthetic_ds)
+        seen = []
+        run_cell = experiment.run_cell
+
+        def recording(cfg, ds, method, realization, dims=None):
+            seen.append(dims)
+            return run_cell(cfg, ds, method, realization, dims)
+
+        monkeypatch.setattr(experiment, "run_cell", recording)
+        parallel = run_experiment(replace(cfg, jobs=2), dataset=synthetic_ds)
+        assert sorted(seen) == [(2,), (3, 5)]
+        for a, b in zip(serial.rows, parallel.rows):
+            assert (a.dimension, a.mean_error, a.std_error) == (b.dimension, b.mean_error, b.std_error)
 
     def test_aggregates_match_per_cell_logs(self, synthetic_ds):
         cfg = small_cfg(methods=("2D-PCA",), dims=(2, 3), realizations=3)
