@@ -117,12 +117,13 @@ def build_config(args: argparse.Namespace) -> tuple[experiment.ExperimentConfig,
     """Merge defaults, config file, and flags (flags win)."""
     file_values = read_config(args.config) if args.config else {}
 
-    def pick(flag, key, convert):
+    def pick(flag, key, convert, default=None):
+        # only an absent value is unset: an explicit 0 reaches validation
         if flag is not None:
             return flag
         if key in file_values:
             return convert(file_values[key])
-        return None
+        return default
 
     methods: tuple[str, ...] | None = None
     if args.method:
@@ -134,9 +135,9 @@ def build_config(args: argparse.Namespace) -> tuple[experiment.ExperimentConfig,
     dataset = pick(args.dataset, "dataset", Path)
     if dataset is None:
         raise ParameterError("a dataset path is required (--dataset or config)")
-    mode = pick(args.mode, "mode", str) or "unilateral"
+    mode = pick(args.mode, "mode", str, "unilateral")
     mode = _MODE_ALIASES.get(mode, mode)
-    dims = pick(_int_list(args.dims) if args.dims else None, "dims", _int_list)
+    dims = pick(_int_list(args.dims) if args.dims else None, "dims", _int_list, (2, 4, 6, 8, 10))
     pre = pick(_int_list(args.pre_dims) if args.pre_dims else None, "pre_dims", _int_list)
     resize = pick(_int_list(args.resize) if args.resize else None, "resize", _int_list)
     if pre is not None and len(pre) != 2:
@@ -144,24 +145,23 @@ def build_config(args: argparse.Namespace) -> tuple[experiment.ExperimentConfig,
     if resize is not None and len(resize) != 2:
         raise ParameterError(f"resize needs exactly two integers, got {resize}")
 
-    seed = pick(args.seed, "seed", int)
     cfg = experiment.ExperimentConfig(
         dataset=str(dataset),
         methods=methods or ("2D-PCA",),
         mode=mode,
-        dims=dims or (2, 4, 6, 8, 10),
-        train_per_class=pick(args.train_per_class, "train_per_class", int) or 5,
-        realizations=pick(args.realizations, "realizations", int) or 20,
-        seed=0 if seed is None else seed,
-        knn=pick(args.knn, "knn", int) or 6,
+        dims=dims,
+        train_per_class=pick(args.train_per_class, "train_per_class", int, 5),
+        realizations=pick(args.realizations, "realizations", int, 20),
+        seed=pick(args.seed, "seed", int, 0),
+        knn=pick(args.knn, "knn", int, 6),
         beta=pick(args.beta, "beta", float),
         bandwidth=pick(args.bandwidth, "bandwidth", float),
         pre_dims=pre,
-        max_iter=pick(args.max_iter, "max_iter", int) or 5,
-        jobs=pick(args.jobs, "jobs", int) or 1,
+        max_iter=pick(args.max_iter, "max_iter", int, 5),
+        jobs=pick(args.jobs, "jobs", int, 1),
         resize=resize,
     )
-    out = pick(args.out, "out", Path) or Path("results")
+    out = pick(args.out, "out", Path, Path("results"))
     return cfg, Path(out)
 
 
@@ -193,6 +193,7 @@ def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
                 "iterations": trace.iterations,
                 "converged": trace.converged,
                 "objectives": trace.objectives,
+                "ridge_shift": trace.ridge_shift,
                 "bandwidth": unit.spec.bandwidth,
                 "beta": unit.spec.beta,
             },

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
+from .embed_2d import _half_step, _solver_sides, default_beta, method_matrices
 from .errors import ParameterError, ShapeError
-from .spectral import EigenSelection, fix_signs, gen_sym_eig, sym_eig
+from .spectral import EigenSelection, fix_signs, sym_eig
 
 __all__ = [
     "VectorDataset",
@@ -60,6 +61,10 @@ class VectorDataset:
 
     def class_count(self) -> int:
         return np.unique(self.labels).size
+
+    def vectorized_points(self) -> np.ndarray:
+        """The samples as the rows of an (n, m) array (a view of ``data``)."""
+        return self.data.T
 
 
 @dataclass(frozen=True)
@@ -164,17 +169,6 @@ def _repulsion_laplacian(ds: VectorDataset, knn: int, bandwidth: float | None) -
     return bundle.laplacian, bandwidth
 
 
-def _spd_or_shifted(m: np.ndarray) -> np.ndarray:
-    """Ridge-shift a symmetric matrix up to positive definiteness when needed."""
-    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-    smallest = float(eigs[0])
-    radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    if smallest > 1e-10 * max(radius, 1e-300):
-        return m
-    shift = abs(smallest) + 1e-8 * float(np.linalg.norm(m))
-    return m + shift * np.eye(m.shape[0])
-
-
 def vector_pencil(
     ds: VectorDataset,
     method: str,
@@ -201,52 +195,26 @@ def vector_pencil(
         ds = VectorDataset(pre.T @ ds.data, ds.labels)
 
     x = ds.data
-    if method == "LDA":
+    if method in ("LDA", "LDA-R"):
+        # the scatter sums stand in for x S x^T and x (J - S) x^T: the same
+        # matrices, summed in an order whose rounding the results rest on
         sw, sb = scatter_matrices(ds)
+        if method == "LDA-R":
+            rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
+            sw = sw - (default_beta("2D-LDA-R") if beta is None else beta) * (x @ rep @ x.T)
         return VectorPencil(method, sb, sw, "top", ds.m, pre)
 
-    if method == "LDA-R":
-        if beta is None:
-            beta = 0.2
-        sw, sb = scatter_matrices(ds)
-        rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
-        penalized = _spd_or_shifted(sw - beta * (x @ rep @ x.T))
-        return VectorPencil(method, sb, penalized, "top", ds.m, pre)
-
-    label_graph = graphs.build_label_graph(ds.labels)
-    points = x.T
-    if bandwidth is None:
-        bandwidth = graphs.default_bandwidth(label_graph, points)
-
-    if method in ("LPP", "OLPP", "OLPP-R"):
-        weighted = graphs.gaussian_weights(label_graph, points, bandwidth)
-        bundle = graphs.laplacian(weighted)
-        middle = bundle.laplacian
-        if method == "OLPP-R":
-            if beta is None:
-                beta = 0.5
-            rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
-            middle = middle - beta * rep
-        rhs = x @ bundle.degree @ x.T if method == "LPP" else None
-        return VectorPencil(method, x @ middle @ x.T, rhs, "bottom", ds.m, pre)
-
-    # NPP / ONPP / ONPP-R
-    recon = graphs.lle_weights(label_graph, points)
-    middle = graphs.reconstruction_penalty(recon.weights)
-    if method == "ONPP-R":
-        if beta is None:
-            beta = 0.5
-        rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
-        middle = middle - beta * rep
-    rhs = x @ x.T if method == "NPP" else None
-    return VectorPencil(method, x @ middle @ x.T, rhs, "bottom", ds.m, pre)
+    spec = method_matrices("2D-" + method, ds, knn=knn, beta=beta, bandwidth=bandwidth)
+    lhs, rhs, which = _solver_sides(spec, ds.n)
+    return VectorPencil(method, x @ lhs @ x.T, None if rhs is None else x @ rhs @ x.T, which, ds.m, pre)
 
 
 def solve_1d(pencil: VectorPencil, d: int) -> Projector1D:
     """Solve an assembled vector eigenproblem at dimension ``d``.
 
-    Each call runs its own eigensolve and contract checks, so a failure
-    at one dimension does not touch the others.
+    Each call runs its own eigensolve, contract checks and (generalized
+    solvers) ridge repair, the same half-step as the matrix methods' fits,
+    so a failure at one dimension does not touch the others.
     """
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
@@ -254,11 +222,8 @@ def solve_1d(pencil: VectorPencil, d: int) -> Projector1D:
         return Projector1D(_pca_solve(pencil, d), "orthonormal")
     if d >= pencil.order:
         raise ParameterError(f"dimension must be < {pencil.order}, got {d}")
-    sel = EigenSelection(d, pencil.which)
-    if pencil.rhs is None:
-        basis, constraint = sym_eig(pencil.lhs, sel)[1], "orthonormal"
-    else:
-        basis, constraint = gen_sym_eig(pencil.lhs, pencil.rhs, sel)[1], "b_orthonormal"
+    basis = _half_step(pencil.lhs, pencil.rhs, pencil.which, d)[1]
+    constraint = "orthonormal" if pencil.rhs is None else "b_orthonormal"
     return Projector1D(basis if pencil.pre is None else pencil.pre @ basis, constraint)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import graphs
 from .errors import DefinitenessError, ParameterError, RankError, ShapeError
 from .spectral import EigenSelection, gen_sym_eig, sym_eig
-from .tensor_core import Tensor3, contracted_product_33, mode_product, tensor_trace
+from .tensor_core import Tensor3
 
 __all__ = [
     "MatrixDataset",
@@ -42,10 +42,6 @@ __all__ = [
     "method_matrices",
     "col_subproblem_matrix",
     "row_subproblem_matrix",
-    "trace_objective",
-    "fit_orthonormal",
-    "fit_generalized",
-    "fit_discriminant",
     "unilateral_pencil",
     "solve_unilateral",
     "fit_unilateral",
@@ -150,13 +146,15 @@ class ProjectorPair:
 @dataclass
 class FitTrace:
     """Objective values after each half-step of an alternating fit, the
-    number of full iterations run, whether the stopping test fired, and
-    the largest constraint defect seen at any iterate."""
+    number of full iterations run, whether the stopping test fired, the
+    largest constraint defect seen at any iterate, and the largest ridge
+    shift any half-step applied to its constraint side (0.0 if none)."""
 
     objectives: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     max_constraint_defect: float = 0.0
+    ridge_shift: float = 0.0
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -286,10 +284,7 @@ def _stack(x) -> np.ndarray:
     Tensors built from image stacks already keep their samples outermost
     in memory, so for them this is a view, not a copy.
     """
-    arr = x.data if isinstance(x, Tensor3) else np.asarray(x, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ShapeError(f"expected a third-order tensor, got shape {arr.shape}")
-    return np.ascontiguousarray(np.moveaxis(arr, 2, 0))
+    return np.ascontiguousarray(np.moveaxis(_t3(x), 2, 0))
 
 
 def _t3(x) -> np.ndarray:
@@ -380,15 +375,6 @@ def row_subproblem_matrix(x, col_basis, coupling) -> np.ndarray:
     return _sym(np.einsum("pjl,qjl->pq", np.einsum("pjk,kl->pjl", arr, c), arr))
 
 
-def trace_objective(y, coupling) -> float:
-    """Trace objective of a projected tensor against a sample coupling,
-    computed along the tensor route (third-mode product, contraction over
-    the sample mode, paired trace)."""
-    yt = y if isinstance(y, Tensor3) else Tensor3(y)
-    c = np.asarray(coupling, dtype=np.float64)
-    return tensor_trace(contracted_product_33(mode_product(yt, c, 3), yt))
-
-
 def _validate_dims(s: np.ndarray, d1: int, d2: int):
     _, m1, m2 = s.shape
     if not 1 <= d1 <= m1:
@@ -397,215 +383,62 @@ def _validate_dims(s: np.ndarray, d1: int, d2: int):
         raise ParameterError(f"d2 must be in [1, {m2}], got {d2}")
 
 
-def _orth_defect(basis: np.ndarray) -> float:
-    return float(np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])))
+def _solver_sides(spec: MethodSpec, n: int) -> tuple[np.ndarray, np.ndarray | None, str]:
+    """A method's solver kind as ``(lhs coupling, rhs coupling or None, which)``.
 
-
-def _converged(it: int, obj_half: float, obj_full: float, prev_full: float | None, tol: float) -> bool:
-    if it == 1:
-        return abs(obj_full - obj_half) <= tol * max(1.0, abs(obj_half))
-    return abs(obj_full - prev_full) <= tol * max(1.0, abs(prev_full))
-
-
-def fit_orthonormal(
-    x,
-    spec: MethodSpec,
-    d1: int,
-    d2: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> tuple[ProjectorPair, FitTrace]:
-    """Alternating eigensolver for the single-coupling methods.
-
-    Starting from the first ``d1`` identity columns as the row factor, it
-    alternately recomputes the column factor from the bottom (or, for
-    maximizing methods, top) eigenvectors of the column subproblem matrix
-    and then the row factor likewise.  Each half-step solves its
-    subproblem exactly, so the objective sequence is monotone; iteration
-    stops when the relative objective change between full iterations
-    drops below ``tol`` or ``max_iter`` is reached.
+    Every solve of the method takes the ``which`` eigenvectors of the side
+    matrix built from ``lhs``, generalized against the one built from
+    ``rhs`` when there is one.  The orthonormal solvers keep the bottom of
+    the minimized or the top of the maximized coupling; the generalized
+    ones minimize against the maximized coupling or, for the discriminant
+    methods, maximize against the minimized one.
     """
-    s = _stack(x)
-    _validate_dims(s, d1, d2)
     if spec.solver == SOLVER_ORTH_MIN:
-        coupling, which = spec.min_coupling, "bottom"
-    elif spec.solver == SOLVER_ORTH_MAX:
-        coupling, which = spec.max_coupling, "top"
-    else:
-        raise ParameterError(f"fit_orthonormal cannot run solver {spec.solver!r}")
-    c = _check_coupling(coupling, s.shape[0], "sample")
-
-    u = np.eye(s.shape[1], d1)
-    v = np.eye(s.shape[2], d2)
-    trace = FitTrace()
-    prev_full = None
-    for it in range(1, max_iter + 1):
-        vals_v, v = sym_eig(_col_matrix(np.matmul(u.T, s), c), EigenSelection(d2, which))
-        obj_half = float(np.sum(vals_v))
-        trace.objectives.append(obj_half)
-        trace.max_constraint_defect = max(trace.max_constraint_defect, _orth_defect(v), _orth_defect(u))
-
-        vals_u, u = sym_eig(_row_matrix(np.matmul(s, v), c), EigenSelection(d1, which))
-        obj_full = float(np.sum(vals_u))
-        trace.objectives.append(obj_full)
-        trace.max_constraint_defect = max(trace.max_constraint_defect, _orth_defect(u), _orth_defect(v))
-
-        trace.iterations = it
-        trace.converged = _converged(it, obj_half, obj_full, prev_full, tol)
-        prev_full = obj_full
-        if trace.converged:
-            break
-    pair = ProjectorPair(u, v, "bilateral", ("orthonormal", "orthonormal"))
-    return pair, trace
+        return _check_coupling(spec.min_coupling, n, "sample"), None, "bottom"
+    if spec.solver == SOLVER_ORTH_MAX:
+        return _check_coupling(spec.max_coupling, n, "sample"), None, "top"
+    if spec.solver not in (SOLVER_GEN_MIN, SOLVER_GEN_MAX):
+        raise ParameterError(f"unknown solver {spec.solver!r}")
+    a = _check_coupling(spec.min_coupling, n, "minimized")
+    b = _check_coupling(spec.max_coupling, n, "maximized")
+    if spec.solver == SOLVER_GEN_MIN:
+        return a, b, "bottom"
+    if np.linalg.norm(b) == 0.0:
+        raise RankError("between-class coupling is identically zero (single class?)")
+    return b, a, "top"
 
 
-def _gen_solve_with_ridge(
-    m: np.ndarray, constraint: np.ndarray, sel: EigenSelection
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Generalized solve with a one-shot ridge repair of the constraint side.
+def _half_step(
+    lhs: np.ndarray, rhs: np.ndarray | None, which: str, d: int
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Solve one side-matrix pair for its ``which`` ``d`` eigenpairs.
 
-    Returns ``(values, vectors, constraint_used)``; a second definiteness
-    failure propagates with the diagnostics chained.
+    Returns ``(values, basis, constraint defect, ridge shift)``.  Without a
+    constraint side the basis is orthonormal.  With one, a constraint that
+    fails the definiteness check is ridge-shifted once and the solve
+    retried (the shift is 0.0 when none was needed); a second failure
+    propagates with the diagnostics chained.
     """
+    sel = EigenSelection(d, which)
+    if rhs is None:
+        values, basis = sym_eig(lhs, sel)
+        return values, basis, float(np.linalg.norm(basis.T @ basis - np.eye(d))), 0.0
+    if which == "top" and np.linalg.norm(lhs) == 0.0:
+        raise RankError("maximized-side subproblem matrix is identically zero")
+    shift = 0.0
     try:
-        values, vectors = gen_sym_eig(m, constraint, sel)
-        return values, vectors, constraint
+        values, basis = gen_sym_eig(lhs, rhs, sel)
     except DefinitenessError as first:
-        shift = abs(first.smallest_eigenvalue) + 1e-8 * float(np.linalg.norm(constraint))
-        repaired = constraint + shift * np.eye(constraint.shape[0])
+        shift = abs(first.smallest_eigenvalue) + 1e-8 * float(np.linalg.norm(rhs))
+        rhs = rhs + shift * np.eye(rhs.shape[0])
         try:
-            values, vectors = gen_sym_eig(m, repaired, sel)
-            return values, vectors, repaired
+            values, basis = gen_sym_eig(lhs, rhs, sel)
         except DefinitenessError as second:
             raise DefinitenessError(
                 f"constraint side not positive definite even after ridge shift {shift:.3e}: {second}",
                 second.smallest_eigenvalue,
             ) from first
-
-
-def fit_generalized(
-    x,
-    spec: MethodSpec,
-    d1: int,
-    d2: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> tuple[ProjectorPair, FitTrace]:
-    """Alternating solver for methods that minimize one coupling while the
-    maximized one acts as a normalization constraint.
-
-    Each half-step solves the bottom generalized eigenproblem of the pair
-    of subproblem matrices; factors come out normalized against the
-    constraint-side matrix of the step that produced them.  A constraint
-    matrix that fails the definiteness check is ridge-shifted once and the
-    solve retried; a second failure aborts the fit.
-    """
-    s = _stack(x)
-    _validate_dims(s, d1, d2)
-    a = _check_coupling(spec.min_coupling, s.shape[0], "minimized")
-    b = _check_coupling(spec.max_coupling, s.shape[0], "maximized")
-
-    u = np.eye(s.shape[1], d1)
-    v = np.eye(s.shape[2], d2)
-    trace = FitTrace()
-    prev_full = None
-    for it in range(1, max_iter + 1):
-        z1 = np.matmul(u.T, s)
-        vals_v, v, used = _gen_solve_with_ridge(
-            _col_matrix(z1, a), _col_matrix(z1, b), EigenSelection(d2, "bottom")
-        )
-        obj_half = float(np.sum(vals_v))
-        trace.objectives.append(obj_half)
-        defect_v = float(np.linalg.norm(v.T @ used @ v - np.eye(d2)))
-
-        z2 = np.matmul(s, v)
-        vals_u, u, used_u = _gen_solve_with_ridge(
-            _row_matrix(z2, a), _row_matrix(z2, b), EigenSelection(d1, "bottom")
-        )
-        obj_full = float(np.sum(vals_u))
-        trace.objectives.append(obj_full)
-        defect_u = float(np.linalg.norm(u.T @ used_u @ u - np.eye(d1)))
-        trace.max_constraint_defect = max(trace.max_constraint_defect, defect_v, defect_u)
-
-        trace.iterations = it
-        trace.converged = _converged(it, obj_half, obj_full, prev_full, tol)
-        prev_full = obj_full
-        if trace.converged:
-            break
-    pair = ProjectorPair(u, v, "bilateral", ("coupled", "coupled"))
-    return pair, trace
-
-
-def fit_discriminant(
-    x,
-    spec: MethodSpec,
-    d1: int,
-    d2: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> tuple[ProjectorPair, FitTrace]:
-    """Discriminant solver: maximize the between-class coupling subject to
-    normalization against the within-class side.
-
-    Solves the top generalized eigenproblem with the roles of the two side
-    matrices swapped relative to :func:`fit_generalized`.  Without
-    repulsion it alternates like the other fits.  With repulsion active
-    (``beta > 0``) the within-class side can lose definiteness under
-    iteration, so a single pass computes the row and column factors
-    independently from the uncompressed tensor, each as a one-sided fit.
-    """
-    s = _stack(x)
-    _validate_dims(s, d1, d2)
-    a = _check_coupling(spec.min_coupling, s.shape[0], "minimized")
-    b = _check_coupling(spec.max_coupling, s.shape[0], "maximized")
-    if np.linalg.norm(b) == 0.0:
-        raise RankError("between-class coupling is identically zero (single class?)")
-
-    if spec.beta > 0.0:
-        col_pair, col_trace = fit_unilateral(x, spec, "right", d2)
-        row_pair, row_trace = fit_unilateral(x, spec, "left", d1)
-        trace = FitTrace(
-            col_trace.objectives + row_trace.objectives,
-            1,
-            True,
-            max(col_trace.max_constraint_defect, row_trace.max_constraint_defect),
-        )
-        return ProjectorPair(row_pair.row_basis, col_pair.col_basis, "bilateral", ("coupled", "coupled")), trace
-
-    u = np.eye(s.shape[1], d1)
-    v = np.eye(s.shape[2], d2)
-    trace = FitTrace()
-    prev_full = None
-    for it in range(1, max_iter + 1):
-        z1 = np.matmul(u.T, s)
-        b1 = _col_matrix(z1, b)
-        _require_nonzero(b1)
-        vals_v, v, used_v = _gen_solve_with_ridge(b1, _col_matrix(z1, a), EigenSelection(d2, "top"))
-        obj_half = float(np.sum(vals_v))
-        trace.objectives.append(obj_half)
-        defect_v = float(np.linalg.norm(v.T @ used_v @ v - np.eye(d2)))
-
-        z2 = np.matmul(s, v)
-        b2 = _row_matrix(z2, b)
-        _require_nonzero(b2)
-        vals_u, u, used_u = _gen_solve_with_ridge(b2, _row_matrix(z2, a), EigenSelection(d1, "top"))
-        obj_full = float(np.sum(vals_u))
-        trace.objectives.append(obj_full)
-        defect_u = float(np.linalg.norm(u.T @ used_u @ u - np.eye(d1)))
-        trace.max_constraint_defect = max(trace.max_constraint_defect, defect_v, defect_u)
-
-        trace.iterations = it
-        trace.converged = _converged(it, obj_half, obj_full, prev_full, tol)
-        prev_full = obj_full
-        if trace.converged:
-            break
-    pair = ProjectorPair(u, v, "bilateral", ("coupled", "coupled"))
-    return pair, trace
-
-
-def _require_nonzero(side: np.ndarray):
-    if np.linalg.norm(side) == 0.0:
-        raise RankError("maximized-side subproblem matrix is identically zero")
+    return values, basis, float(np.linalg.norm(basis.T @ rhs @ basis - np.eye(d))), shift
 
 
 @dataclass(frozen=True)
@@ -635,25 +468,12 @@ def unilateral_pencil(x, spec: MethodSpec, side: str) -> UnilateralPencil:
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
     arr = _t3(x)
-    m1, m2, n = arr.shape
+    lhs, rhs, which = _solver_sides(spec, arr.shape[2])
     if side == "left":
-        build, pinned = (lambda c: row_subproblem_matrix(arr, None, c)), m2
+        build, pinned = (lambda c: row_subproblem_matrix(arr, None, c)), arr.shape[1]
     else:
-        build, pinned = (lambda c: col_subproblem_matrix(arr, None, c)), m1
-    if spec.solver in (SOLVER_ORTH_MIN, SOLVER_ORTH_MAX):
-        coupling = spec.min_coupling if spec.solver == SOLVER_ORTH_MIN else spec.max_coupling
-        which = "bottom" if spec.solver == SOLVER_ORTH_MIN else "top"
-        return UnilateralPencil(side, build(coupling), None, which, pinned)
-    if spec.solver == SOLVER_GEN_MIN:
-        return UnilateralPencil(side, build(spec.min_coupling), build(spec.max_coupling), "bottom", pinned)
-    if spec.solver == SOLVER_GEN_MAX:
-        b = _check_coupling(spec.max_coupling, n, "maximized")
-        if np.linalg.norm(b) == 0.0:
-            raise RankError("between-class coupling is identically zero (single class?)")
-        bmat = build(b)
-        _require_nonzero(bmat)
-        return UnilateralPencil(side, bmat, build(spec.min_coupling), "top", pinned)
-    raise ParameterError(f"unknown solver {spec.solver!r}")
+        build, pinned = (lambda c: col_subproblem_matrix(arr, None, c)), arr.shape[0]
+    return UnilateralPencil(side, build(lhs), None if rhs is None else build(rhs), which, pinned)
 
 
 def solve_unilateral(pencil: UnilateralPencil, d: int) -> tuple[ProjectorPair, FitTrace]:
@@ -667,18 +487,13 @@ def solve_unilateral(pencil: UnilateralPencil, d: int) -> tuple[ProjectorPair, F
     order = pencil.lhs.shape[0]
     if not 1 <= d <= order:
         raise ParameterError(f"{'d1' if pencil.side == 'left' else 'd2'} must be in [1, {order}], got {d}")
-    sel = EigenSelection(d, pencil.which)
-    if pencil.rhs is None:
-        values, basis = sym_eig(pencil.lhs, sel)
-        constraint, defect = "orthonormal", _orth_defect(basis)
-    else:
-        values, basis, used = _gen_solve_with_ridge(pencil.lhs, pencil.rhs, sel)
-        constraint, defect = "coupled", float(np.linalg.norm(basis.T @ used @ basis - np.eye(d)))
+    values, basis, defect, shift = _half_step(pencil.lhs, pencil.rhs, pencil.which, d)
+    constraint = "orthonormal" if pencil.rhs is None else "coupled"
     if pencil.side == "left":
         pair = ProjectorPair(basis, np.eye(pencil.pinned), "left_only", (constraint, "identity"))
     else:
         pair = ProjectorPair(np.eye(pencil.pinned), basis, "right_only", ("identity", constraint))
-    return pair, FitTrace([float(np.sum(values))], 1, True, defect)
+    return pair, FitTrace([float(np.sum(values))], 1, True, defect, shift)
 
 
 def fit_unilateral(x, spec: MethodSpec, side: str, d: int) -> tuple[ProjectorPair, FitTrace]:
@@ -686,6 +501,13 @@ def fit_unilateral(x, spec: MethodSpec, side: str, d: int) -> tuple[ProjectorPai
     and pin the other factor to an exact identity (see
     :func:`unilateral_pencil` and :func:`solve_unilateral`)."""
     return solve_unilateral(unilateral_pencil(x, spec, side), d)
+
+
+def _converged(objectives: list[float], tol: float) -> bool:
+    # the first full step is compared with the half-step before it, every
+    # later one with the previous full step
+    new, old = objectives[-1], objectives[-2 if len(objectives) == 2 else -3]
+    return abs(new - old) <= tol * max(1.0, abs(old))
 
 
 def fit_method(
@@ -696,14 +518,60 @@ def fit_method(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> tuple[ProjectorPair, FitTrace]:
-    """Dispatch a bilateral fit to the solver named by the method spec."""
-    if spec.solver in (SOLVER_ORTH_MIN, SOLVER_ORTH_MAX):
-        return fit_orthonormal(x, spec, d1, d2, max_iter, tol)
-    if spec.solver == SOLVER_GEN_MIN:
-        return fit_generalized(x, spec, d1, d2, max_iter, tol)
-    if spec.solver == SOLVER_GEN_MAX:
-        return fit_discriminant(x, spec, d1, d2, max_iter, tol)
-    raise ParameterError(f"unknown solver {spec.solver!r}")
+    """Bilateral fit: alternate between the two factors.
+
+    Starting from the first ``d1`` identity columns as the row factor, it
+    alternately recomputes the column factor from the column side matrices
+    and then the row factor from the row side matrices, each a half-step
+    of the method's solver kind: the bottom or top eigenvectors of one
+    side matrix, orthonormal, or generalized against the constraint side
+    (ridge-shifted once if it is not definite).  Each half-step solves its
+    subproblem exactly, so the orthonormal fits' objective sequence is
+    monotone; iteration stops when the relative objective change between
+    full iterations drops below ``tol`` or ``max_iter`` is reached.
+
+    The discriminant methods with repulsion active (``beta > 0``) do not
+    alternate: their within-class side can lose definiteness under
+    iteration, so a single pass computes the row and column factors
+    independently from the uncompressed tensor, each as a one-sided fit.
+    """
+    s = _stack(x)
+    _validate_dims(s, d1, d2)
+    lhs, rhs, which = _solver_sides(spec, s.shape[0])
+    if spec.solver == SOLVER_GEN_MAX and spec.beta > 0.0:
+        col_pair, col_trace = fit_unilateral(x, spec, "right", d2)
+        row_pair, row_trace = fit_unilateral(x, spec, "left", d1)
+        trace = FitTrace(
+            col_trace.objectives + row_trace.objectives,
+            1,
+            True,
+            max(col_trace.max_constraint_defect, row_trace.max_constraint_defect),
+            max(col_trace.ridge_shift, row_trace.ridge_shift),
+        )
+        return ProjectorPair(row_pair.row_basis, col_pair.col_basis, "bilateral", ("coupled", "coupled")), trace
+
+    trace = FitTrace()
+
+    def half_step(side_matrix, z, d):
+        values, basis, defect, shift = _half_step(
+            side_matrix(z, lhs), None if rhs is None else side_matrix(z, rhs), which, d
+        )
+        trace.objectives.append(float(np.sum(values)))
+        trace.max_constraint_defect = max(trace.max_constraint_defect, defect)
+        trace.ridge_shift = max(trace.ridge_shift, shift)
+        return basis
+
+    u = np.eye(s.shape[1], d1)
+    v = np.eye(s.shape[2], d2)
+    for it in range(1, max_iter + 1):
+        v = half_step(_col_matrix, np.matmul(u.T, s), d2)
+        u = half_step(_row_matrix, np.matmul(s, v), d1)
+        trace.iterations = it
+        trace.converged = _converged(trace.objectives, tol)
+        if trace.converged:
+            break
+    constraint = "orthonormal" if rhs is None else "coupled"
+    return ProjectorPair(u, v, "bilateral", (constraint, constraint)), trace
 
 
 def pre_process_2dpca(x, dims: tuple[int, int], max_iter: int = DEFAULT_MAX_ITER) -> tuple[Tensor3, ProjectorPair]:
@@ -718,7 +586,7 @@ def pre_process_2dpca(x, dims: tuple[int, int], max_iter: int = DEFAULT_MAX_ITER
     p1, p2 = dims
     _validate_dims(s, p1, p2)
     spec = MethodSpec("2D-PCA", None, centering_matrix(s.shape[0]), SOLVER_ORTH_MAX)
-    pair, _ = fit_orthonormal(x, spec, p1, p2, max_iter)
+    pair, _ = fit_method(x, spec, p1, p2, max_iter)
     reduced = np.matmul(np.matmul(pair.row_basis.T, s), pair.col_basis)
     return Tensor3(np.moveaxis(reduced, 0, 2)), pair
 

@@ -61,7 +61,8 @@ class ExperimentConfig:
     ``"bilateral"`` solves both factors at the same dimension.  Vector
     methods ignore it.  ``pre_dims`` optionally compresses the data by a
     bilateral 2D-PCA before fitting any matrix method other than
-    GLRAM/2D-PCA themselves.
+    GLRAM/2D-PCA themselves.  Counts below 1 and an empty ``dims`` are
+    rejected when the config is built.
     """
 
     dataset: str = ""
@@ -79,6 +80,13 @@ class ExperimentConfig:
     max_iter: int = 5
     jobs: int = 1
     resize: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        for name in ("train_per_class", "realizations", "knn", "max_iter", "jobs"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.dims:
+            raise ParameterError("dims must name at least one dimension")
 
 
 @dataclass
@@ -108,8 +116,6 @@ class ResultTable:
 def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
     if cfg.mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.realizations < 1:
-        raise ParameterError("realizations must be >= 1")
     known = set(embed_2d.METHOD_NAMES_2D) | set(embed_1d.METHOD_NAMES_1D)
     for name in cfg.methods:
         if name not in known:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from repel2d.tensor_core import Tensor3, contracted_product_33, mode_product, tensor_trace
+
 PERMS3 = [
     ((0, 1, 2), 1),
     ((1, 2, 0), 1),
@@ -36,3 +38,12 @@ def subspace_angle(a, b):
     qb, _ = np.linalg.qr(b)
     sv = np.clip(np.linalg.svd(qa.T @ qb, compute_uv=False), -1.0, 1.0)
     return float(np.arccos(sv.min()))
+
+
+def trace_objective(y, coupling) -> float:
+    """Trace objective of a projected tensor against a sample coupling,
+    computed along the tensor route (third-mode product, contraction over
+    the sample mode, paired trace)."""
+    yt = y if isinstance(y, Tensor3) else Tensor3(y)
+    c = np.asarray(coupling, dtype=np.float64)
+    return tensor_trace(contracted_product_33(mode_product(yt, c, 3), yt))

@@ -27,7 +27,6 @@ from repel2d.embed_2d import (
     MethodSpec,
     centering_matrix,
     fit_method,
-    fit_orthonormal,
     fit_unilateral,
     lda_weight_matrix,
     method_matrices,
@@ -186,7 +185,7 @@ def test_criterion_3_alternating_monotone_orthonormal():
         coupling = rng.normal(size=(n, n))
         coupling = 0.5 * (coupling + coupling.T)
         spec = MethodSpec("2D-OLPP", coupling, None, "orth_min")
-        _, trace = fit_orthonormal(arr, spec, d1, d2, max_iter=5, tol=0.0)
+        _, trace = fit_method(arr, spec, d1, d2, max_iter=5, tol=0.0)
         objs = trace.objectives
         for i in range(len(objs) - 1):
             slack = 1e-10 * max(1.0, abs(objs[i]))
@@ -265,7 +264,7 @@ def test_criterion_6_glram_identity_and_recovery():
         d2 = int(rng.integers(1, m2))
         x = Tensor3(rng.normal(size=(m1, m2, n)))
         spec = MethodSpec("GLRAM", None, np.eye(n), "orth_max")
-        pair, _ = fit_orthonormal(x, spec, d1, d2)
+        pair, _ = fit_method(x, spec, d1, d2)
         u, v = pair.row_basis, pair.col_basis
         direct = sum(
             np.linalg.norm(x.frontal_slice(k) - u @ u.T @ x.frontal_slice(k) @ v @ v.T) ** 2
@@ -280,7 +279,7 @@ def test_criterion_6_glram_identity_and_recovery():
         v0 = np.linalg.qr(rng.normal(size=(m2, d2)))[0]
         cores = rng.normal(size=(d1, d2, n))
         exact = Tensor3.stack_frontal([u0 @ cores[:, :, k] @ v0.T for k in range(n)])
-        pair2, trace2 = fit_orthonormal(exact, spec, d1, d2, max_iter=3)
+        pair2, trace2 = fit_method(exact, spec, d1, d2, max_iter=3)
         y2 = mode_product(mode_product(exact, pair2.row_basis.T, 1), pair2.col_basis.T, 2)
         residual = frobenius_norm(exact) ** 2 - frobenius_norm(y2) ** 2
         if residual > 1e-8 * frobenius_norm(exact) ** 2 or trace2.iterations > 3:

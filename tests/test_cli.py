@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repel2d.cli import main, read_config
+from repel2d.datasets import ImageDataset, write_dataset_pgm
 from repel2d.experiment import CSV_HEADER, parse_result_csv
 
 
@@ -189,3 +190,50 @@ class TestExitCodes:
             "--train-per-class", "1",
         )
         assert code == 3
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "flag", ["--realizations", "--jobs", "--max-iter", "--train-per-class", "--knn"]
+    )
+    def test_count_below_one_is_a_usage_error(self, tmp_path, synthetic_dir, capsys, flag, value):
+        settings = {"--realizations": "1", "--train-per-class": "4", flag: value}
+        argv = [tok for item in settings.items() for tok in item]
+        out = tmp_path / "res"
+        code = run_cli("bench", "--dataset", str(synthetic_dir), "--dims", "2", *argv, "--out", str(out))
+        assert code == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_zero_in_config_file_is_not_replaced_by_default(self, tmp_path, synthetic_dir):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {synthetic_dir}\ndims = 2\nrealizations = 1\njobs = 0\n")
+        assert run_cli("bench", "--config", str(cfg), "--out", str(tmp_path / "res")) == 1
+
+
+@pytest.fixture(scope="module")
+def blank_column_dir(tmp_path_factory, synthetic_ds):
+    """The synthetic set with its last image column zeroed, on disk: its
+    column-side constraint matrices are singular."""
+    images = synthetic_ds.images.copy()
+    images[:, :, -1] = 0.0
+    root = tmp_path_factory.mktemp("data") / "blank"
+    write_dataset_pgm(ImageDataset("blank", images, synthetic_ds.labels, synthetic_ds.class_names), root)
+    return root
+
+
+@pytest.mark.parametrize("method, repaired", [("2D-LDA-R", True), ("2D-PCA", False)])
+def test_fit_records_ridge_shift(tmp_path, blank_column_dir, method, repaired):
+    out = tmp_path / "fit"
+    code = run_cli(
+        "fit",
+        "--dataset", str(blank_column_dir),
+        "--method", method,
+        "--dims", "3",
+        "--train-per-class", "8",
+        "--out", str(out),
+    )
+    assert code == 0
+    shift = json.loads((out / "projector.json").read_text())["ridge_shift"]
+    assert shift > 0.0 if repaired else shift == 0.0

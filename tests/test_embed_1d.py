@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repel2d import graphs
+from repel2d.datasets import split_dataset, synthetic_confusable, vector_dataset
 from repel2d.embed_1d import (
     METHOD_NAMES_1D,
     Projector1D,
@@ -10,8 +11,11 @@ from repel2d.embed_1d import (
     default_predim,
     fit_1d,
     scatter_matrices,
+    solve_1d,
+    vector_pencil,
 )
-from repel2d.errors import ParameterError
+from repel2d.errors import DefinitenessError, ParameterError
+from repel2d.spectral import EigenSelection, gen_sym_eig
 
 
 def make_ds(seed=0, m=6, n=18, classes=3):
@@ -221,3 +225,40 @@ def test_d1_optimality_against_random_directions(method, sense):
             assert ours <= other + 1e-9
         else:
             assert ours >= other - 1e-9
+
+
+def pre_shifted(m):
+    """The ridge policy vector LDA-R once applied while assembling its
+    pencil: shift a symmetric matrix up to positive definiteness when the
+    definiteness floor rejects it."""
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+    smallest = float(eigs[0])
+    radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    if smallest > 1e-10 * max(radius, 1e-300):
+        return m
+    shift = abs(smallest) + 1e-8 * float(np.linalg.norm(m))
+    return m + shift * np.eye(m.shape[0])
+
+
+class TestOneRidgePolicy:
+    def test_lda_r_solve_time_ridge_matches_pre_shift(self):
+        ds = synthetic_confusable(300)
+        train = vector_dataset(ds, split_dataset(ds, 150, 0, 0)[0])
+        pencil = vector_pencil(train, "LDA-R", pca_predim="auto")
+        shifted = pre_shifted(pencil.rhs)
+        assert shifted is not pencil.rhs  # the repair fires on this split
+        for d in (2, 4, 6):
+            expected = pencil.pre @ gen_sym_eig(pencil.lhs, shifted, EigenSelection(d, "top"))[1]
+            np.testing.assert_array_equal(solve_1d(pencil, d).basis, expected)
+
+    def test_lpp_singular_constraint_fits_through_ridge_retry(self):
+        base = make_ds(8)
+        data = base.data.copy()
+        data[-1] = 0.0  # a blank feature leaves x D x^T singular
+        ds = VectorDataset(data, base.labels)
+        pencil = vector_pencil(ds, "LPP")
+        with pytest.raises(DefinitenessError):
+            gen_sym_eig(pencil.lhs, pencil.rhs, EigenSelection(2, "bottom"))
+        proj = fit_1d(ds, "LPP", 2)
+        assert proj.constraint == "b_orthonormal"
+        assert proj.basis.shape == (6, 2) and np.all(np.isfinite(proj.basis))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import trace_objective
 from repel2d import graphs
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
@@ -10,16 +11,12 @@ from repel2d.embed_2d import (
     col_subproblem_matrix,
     compose_pairs,
     default_beta,
-    fit_discriminant,
-    fit_generalized,
     fit_method,
-    fit_orthonormal,
     fit_unilateral,
     lda_weight_matrix,
     method_matrices,
     pre_process_2dpca,
     row_subproblem_matrix,
-    trace_objective,
 )
 from repel2d.embed_1d import VectorDataset, fit_1d
 from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError
@@ -213,7 +210,7 @@ class TestTraceObjective:
     def test_matches_eigenvalue_sum_reported_in_trace(self):
         ds = toy_dataset(10)
         spec = method_matrices("2D-OLPP", ds)
-        pair, trace = fit_orthonormal(ds.tensor, spec, 2, 2)
+        pair, trace = fit_method(ds.tensor, spec, 2, 2)
         y = mode_product(mode_product(ds.tensor, pair.row_basis.T, 1), pair.col_basis.T, 2)
         assert trace.objectives[-1] == pytest.approx(
             trace_objective(y, spec.min_coupling), rel=1e-10
@@ -224,7 +221,7 @@ class TestFitOrthonormal:
     def test_zero_coupling_converges_first_iteration(self):
         ds = toy_dataset(11)
         spec = MethodSpec("2D-OLPP", np.zeros((ds.n, ds.n)), None, "orth_min")
-        pair, trace = fit_orthonormal(ds.tensor, spec, 2, 2)
+        pair, trace = fit_method(ds.tensor, spec, 2, 2)
         assert trace.converged and trace.iterations == 1
         assert all(obj == 0.0 for obj in trace.objectives)
 
@@ -235,7 +232,7 @@ class TestFitOrthonormal:
             coupling = rng.normal(size=(10, 10))
             coupling = 0.5 * (coupling + coupling.T)
             spec = MethodSpec("2D-OLPP", coupling, None, "orth_min")
-            pair, trace = fit_orthonormal(arr, spec, 3, 2, max_iter=6, tol=0.0)
+            pair, trace = fit_method(arr, spec, 3, 2, max_iter=6, tol=0.0)
             objs = trace.objectives
             scale = max(1.0, max(abs(o) for o in objs))
             assert all(objs[i + 1] <= objs[i] + 1e-10 * scale for i in range(len(objs) - 1))
@@ -248,7 +245,7 @@ class TestFitOrthonormal:
             coupling = rng.normal(size=(9, 9))
             coupling = 0.5 * (coupling + coupling.T)
             spec = MethodSpec("GLRAM", None, coupling, "orth_max")
-            _, trace = fit_orthonormal(arr, spec, 2, 2, max_iter=6, tol=0.0)
+            _, trace = fit_method(arr, spec, 2, 2, max_iter=6, tol=0.0)
             objs = trace.objectives
             scale = max(1.0, max(abs(o) for o in objs))
             assert all(objs[i + 1] >= objs[i] - 1e-10 * scale for i in range(len(objs) - 1))
@@ -256,7 +253,7 @@ class TestFitOrthonormal:
     def test_vector_shaped_matches_direct_eigensolve(self):
         ds = toy_dataset(13, m1=7, m2=1, n=12, classes=3)
         spec = method_matrices("2D-OLPP", ds)
-        pair, _ = fit_orthonormal(ds.tensor, spec, 3, 1)
+        pair, _ = fit_method(ds.tensor, spec, 3, 1)
         x_mat = ds.tensor.data[:, 0, :]
         middle = x_mat @ spec.min_coupling @ x_mat.T
         values, expected = sym_eig(middle, EigenSelection(3, "bottom"))
@@ -273,7 +270,7 @@ class TestFitOrthonormal:
         slices = [u0 @ cores[:, :, k] @ v0.T for k in range(9)]
         x = Tensor3.stack_frontal(slices)
         spec = MethodSpec("GLRAM", None, np.eye(9), "orth_max")
-        pair, trace = fit_orthonormal(x, spec, 2, 3, max_iter=3)
+        pair, trace = fit_method(x, spec, 2, 3, max_iter=3)
         y = mode_product(mode_product(x, pair.row_basis.T, 1), pair.col_basis.T, 2)
         recon_error = frobenius_norm(x) ** 2 - frobenius_norm(y) ** 2
         assert trace.iterations <= 3
@@ -282,7 +279,7 @@ class TestFitOrthonormal:
     def test_glram_reconstruction_identity(self):
         ds = toy_dataset(15)
         spec = method_matrices("GLRAM", ds)
-        pair, _ = fit_orthonormal(ds.tensor, spec, 2, 2)
+        pair, _ = fit_method(ds.tensor, spec, 2, 2)
         u, v = pair.row_basis, pair.col_basis
         direct = sum(
             np.linalg.norm(
@@ -298,7 +295,7 @@ class TestFitOrthonormal:
     def test_termination_and_flag_accuracy(self):
         ds = toy_dataset(16)
         spec = method_matrices("2D-OLPP", ds)
-        pair, trace = fit_orthonormal(ds.tensor, spec, 2, 2, max_iter=4, tol=1e-6)
+        pair, trace = fit_method(ds.tensor, spec, 2, 2, max_iter=4, tol=1e-6)
         assert trace.iterations <= 4
         if trace.converged and trace.iterations >= 2:
             full = trace.objectives[1::2]
@@ -326,7 +323,7 @@ class TestFitGeneralized:
     def test_vector_shaped_matches_1d_generalized(self):
         ds = toy_dataset(18, m1=7, m2=1, n=12, classes=3)
         spec = method_matrices("2D-LPP", ds)
-        pair, trace = fit_generalized(ds.tensor, spec, 3, 1)
+        pair, trace = fit_method(ds.tensor, spec, 3, 1)
         vds = VectorDataset(ds.tensor.data[:, 0, :], ds.labels)
         proj = fit_1d(vds, "LPP", 3, bandwidth=spec.bandwidth)
         # the 1D basis is degree-normalized, so its trace equals the sum of
@@ -341,12 +338,12 @@ class TestFitGeneralized:
         ds = toy_dataset(19)
         spec = MethodSpec("2D-LPP", np.eye(ds.n), np.zeros((ds.n, ds.n)), "gen_min")
         with pytest.raises(DefinitenessError):
-            fit_generalized(ds.tensor, spec, 2, 2)
+            fit_method(ds.tensor, spec, 2, 2)
 
     def test_constraint_normalization_recorded(self):
         ds = toy_dataset(20)
         spec = method_matrices("2D-NPP", ds)
-        pair, trace = fit_generalized(ds.tensor, spec, 2, 2)
+        pair, trace = fit_method(ds.tensor, spec, 2, 2)
         assert pair.constraints == ("coupled", "coupled")
         assert trace.max_constraint_defect <= 1e-8
 
@@ -356,7 +353,7 @@ class TestFitDiscriminant:
         ds = toy_dataset(21, classes=1)
         spec = method_matrices("2D-LDA", ds)
         with pytest.raises(RankError):
-            fit_discriminant(ds.tensor, spec, 2, 2)
+            fit_method(ds.tensor, spec, 2, 2)
 
     def test_left_separable_two_class(self):
         rng = np.random.default_rng(22)
@@ -373,7 +370,7 @@ class TestFitDiscriminant:
             slices.append(base + 0.05 * rng.normal(size=(m1, m2)))
         ds = MatrixDataset(Tensor3.stack_frontal(slices), labels)
         spec = method_matrices("2D-LDA", ds)
-        pair, trace = fit_discriminant(ds.tensor, spec, 1, 1)
+        pair, trace = fit_method(ds.tensor, spec, 1, 1)
         assert trace.objectives[-1] > 10.0
         projected = [(pair.row_basis.T @ s @ pair.col_basis).item() for s in slices]
         # 1-NN on the training data separates perfectly
@@ -398,7 +395,7 @@ class TestFitDiscriminant:
     def test_repulsion_single_independent_iteration(self):
         ds = toy_dataset(24, n=18, noise=1.0)
         spec = method_matrices("2D-LDA-R", ds, knn=4, beta=0.2)
-        pair, trace = fit_discriminant(ds.tensor, spec, 2, 2)
+        pair, trace = fit_method(ds.tensor, spec, 2, 2)
         assert trace.iterations == 1 and trace.converged
         assert np.all(np.isfinite(pair.row_basis))
 
@@ -409,10 +406,10 @@ class TestFitDiscriminant:
         ds = toy_dataset(0, m1=3, m2=7, n=4, classes=2)
         spec = method_matrices("2D-LDA", ds)
         with pytest.raises((DefinitenessError, NumericalQualityError)):
-            fit_discriminant(ds.tensor, spec, 1, 1)
+            fit_method(ds.tensor, spec, 1, 1)
         reduced, _ = pre_process_2dpca(ds.tensor, (2, 2))
         red_spec = method_matrices("2D-LDA", MatrixDataset(reduced, ds.labels))
-        pair, _ = fit_discriminant(reduced, red_spec, 1, 1)
+        pair, _ = fit_method(reduced, red_spec, 1, 1)
         assert np.all(np.isfinite(pair.row_basis))
 
 
@@ -484,15 +481,15 @@ class TestPreProcess:
         # which are basis-independent; run it to tight tolerance
         spec_pca_raw = method_matrices("2D-PCA", ds)
         spec_pca_red = method_matrices("2D-PCA", MatrixDataset(reduced, ds.labels))
-        _, bi_raw = fit_orthonormal(ds.tensor, spec_pca_raw, 2, 2, max_iter=60, tol=1e-13)
-        _, bi_red = fit_orthonormal(reduced, spec_pca_red, 2, 2, max_iter=60, tol=1e-13)
+        _, bi_raw = fit_method(ds.tensor, spec_pca_raw, 2, 2, max_iter=60, tol=1e-13)
+        _, bi_red = fit_method(reduced, spec_pca_red, 2, 2, max_iter=60, tol=1e-13)
         assert bi_red.objectives[-1] == pytest.approx(bi_raw.objectives[-1], rel=1e-8)
 
     def test_composed_projector_orthonormal(self):
         ds = toy_dataset(32, m1=6, m2=6, n=12)
         reduced, pre_pair = pre_process_2dpca(ds.tensor, (4, 4))
         spec = method_matrices("2D-OLPP", MatrixDataset(reduced, ds.labels))
-        pair, _ = fit_orthonormal(reduced, spec, 2, 2)
+        pair, _ = fit_method(reduced, spec, 2, 2)
         composed = compose_pairs(pre_pair, pair)
         assert np.linalg.norm(composed.row_basis.T @ composed.row_basis - np.eye(2)) <= 1e-10
         assert np.linalg.norm(composed.col_basis.T @ composed.col_basis - np.eye(2)) <= 1e-10

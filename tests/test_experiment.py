@@ -38,6 +38,12 @@ def small_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
+def test_config_without_dimensions_rejected():
+    # an explicit empty list is not replaced by the default dimensions
+    with pytest.raises(ParameterError):
+        small_cfg(dims=())
+
+
 class TestRunExperiment:
     def test_separable_dataset_zero_error(self, separable_ds):
         cfg = small_cfg(methods=("2D-PCA",), dims=(2,), realizations=1)
@@ -230,6 +236,28 @@ class TestUnitReuse:
         assert math.isnan(table.rows[1].mean_error)
         failures = table.metadata["per_cell"]["OLPP-R|vector|28"]["failures"]
         assert len(failures) == 2 and all(f["reason"].startswith("ParameterError") for f in failures)
+
+
+class TestRidgeShift:
+    # 2D-LDA-R's unilateral solve and 2D-LDA's alternating fit both take the
+    # ridge retry on this set; 2D-PCA has no constraint side to repair
+    @pytest.mark.parametrize(
+        "mode, method, repaired",
+        [
+            ("unilateral", "2D-LDA-R", True),
+            ("bilateral", "2D-LDA", True),
+            ("unilateral", "2D-PCA", False),
+            ("bilateral", "2D-PCA", False),
+        ],
+    )
+    def test_reported_per_cell(self, blank_column_ds, mode, method, repaired):
+        cfg = small_cfg(methods=(method,), mode=mode, dims=(1, 3), train_per_class=8)
+        for cell in fit_unit(cfg, blank_column_ds, method, 0).cells:
+            assert cell.failure is None
+            if repaired:
+                assert cell.trace.ridge_shift > 0.0
+            else:
+                assert cell.trace.ridge_shift == 0.0
 
 
 class TestEmit:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repel2d.embed_2d import MatrixDataset, ProjectorPair, method_matrices, fit_orthonormal
+from repel2d.embed_2d import MatrixDataset, ProjectorPair, method_matrices, fit_method
 from repel2d.errors import ParameterError, ShapeError
 from repel2d.recognize import (
     GallerySet,
@@ -31,7 +31,7 @@ class TestProject:
         labels = np.repeat([0, 1], 5)
         ds = MatrixDataset(Tensor3(rng.normal(size=(5, 4, 10))), labels)
         spec = method_matrices("2D-PCA", ds)
-        pair, _ = fit_orthonormal(ds.tensor, spec, 2, 2)
+        pair, _ = fit_method(ds.tensor, spec, 2, 2)
         stack = project_tensor(ds.tensor, pair)
         for k in (0, 3, 9):
             np.testing.assert_array_equal(
