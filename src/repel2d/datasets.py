@@ -17,7 +17,6 @@ import numpy as np
 from .embed_2d import MatrixDataset
 from .errors import DataError, ParameterError
 from .pgm import block_resize, read_pgm, write_pgm
-from .tensor_core import Tensor3
 
 __all__ = [
     "ImageDataset",
@@ -135,20 +134,19 @@ def split_dataset(
 
 
 def matrix_dataset(ds: ImageDataset, indices=None) -> MatrixDataset:
-    """View (a subset of) an image dataset as a matrix-data training set."""
+    """(A subset of) an image dataset as a matrix-data training set: its
+    ``(n, m1, m2)`` image stack and labels."""
     idx = np.arange(ds.n) if indices is None else np.asarray(indices)
-    stack = np.transpose(ds.images[idx], (1, 2, 0))
-    return MatrixDataset(Tensor3(stack), ds.labels[idx])
+    return MatrixDataset(ds.images[idx], ds.labels[idx])
 
 
 def vector_dataset(ds: ImageDataset, indices=None):
-    """Vectorized (column-major flattened) view for the 1D methods."""
+    """Vectorized view for the 1D methods: each image flattened
+    column-major, one column per sample."""
     from .embed_1d import VectorDataset
 
     idx = np.arange(ds.n) if indices is None else np.asarray(indices)
-    # flatten each image column-major, one column per sample
-    flat = np.stack([ds.images[i].reshape(-1, order="F") for i in idx], axis=1)
-    return VectorDataset(flat, ds.labels[idx])
+    return VectorDataset(ds.images[idx].reshape(len(idx), -1, order="F").T, ds.labels[idx])
 
 
 def synthetic_confusable(

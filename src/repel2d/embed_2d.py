@@ -2,7 +2,7 @@
 
 Every method here projects a stack of matrices ``X_k`` to ``Y_k = U^T X_k V``
 and differs only in an ``n x n`` sample-coupling matrix (or a pair of them)
-placed along the sample mode of the data tensor:
+placed along the sample axis of the ``(n, m1, m2)`` image stack:
 
 * single minimized coupling, orthonormal factors  (2D-OLPP, 2D-ONPP),
 * single maximized coupling, orthonormal factors  (GLRAM, 2D-PCA),
@@ -27,7 +27,6 @@ import numpy as np
 from . import graphs
 from .errors import DefinitenessError, ParameterError, RankError, ShapeError
 from .spectral import EigenSelection, gen_sym_eig, sym_eig
-from .tensor_core import Tensor3
 
 __all__ = [
     "MatrixDataset",
@@ -58,44 +57,52 @@ SOLVER_GEN_MAX = "gen_max"
 DEFAULT_MAX_ITER = 5
 DEFAULT_TOL = 1e-6
 
-# method name -> (has min coupling, has max coupling, solver)
+# method name -> solver
 _METHOD_TABLE = {
-    "GLRAM": (False, True, SOLVER_ORTH_MAX),
-    "2D-PCA": (False, True, SOLVER_ORTH_MAX),
-    "2D-OLPP": (True, False, SOLVER_ORTH_MIN),
-    "2D-LPP": (True, True, SOLVER_GEN_MIN),
-    "2D-ONPP": (True, False, SOLVER_ORTH_MIN),
-    "2D-NPP": (True, True, SOLVER_GEN_MIN),
-    "2D-LDA": (True, True, SOLVER_GEN_MAX),
+    "GLRAM": SOLVER_ORTH_MAX,
+    "2D-PCA": SOLVER_ORTH_MAX,
+    "2D-OLPP": SOLVER_ORTH_MIN,
+    "2D-LPP": SOLVER_GEN_MIN,
+    "2D-ONPP": SOLVER_ORTH_MIN,
+    "2D-NPP": SOLVER_GEN_MIN,
+    "2D-LDA": SOLVER_GEN_MAX,
 }
 
 METHOD_NAMES_2D = tuple(_METHOD_TABLE) + tuple(f"{m}-R" for m in _METHOD_TABLE if m not in ("GLRAM", "2D-PCA"))
 
 
+def _image_stack(x) -> np.ndarray:
+    """``x`` as a C-contiguous float64 ``(n, m1, m2)`` stack, image k at
+    ``[k]``; no copy when it already is one."""
+    arr = np.ascontiguousarray(x, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ShapeError(f"expected an (n, m1, m2) image stack, got shape {arr.shape}")
+    return arr
+
+
 @dataclass(frozen=True)
 class MatrixDataset:
-    """A stack of equally sized matrices with one class label per slice."""
+    """An ``(n, m1, m2)`` stack of equally sized matrices with one class
+    label per matrix."""
 
-    tensor: Tensor3
+    images: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
+        images = _image_stack(self.images)
         lab = np.asarray(self.labels)
-        if lab.ndim != 1 or lab.size != self.tensor.dims[2]:
-            raise ShapeError(
-                f"need one label per frontal slice: {lab.shape} labels for dims {self.tensor.dims}"
-            )
+        if lab.ndim != 1 or lab.size != images.shape[0]:
+            raise ShapeError(f"need one label per image: {lab.shape} labels for a stack of {images.shape}")
+        object.__setattr__(self, "images", images)
         object.__setattr__(self, "labels", lab)
 
     @property
     def n(self) -> int:
-        return self.tensor.dims[2]
+        return self.images.shape[0]
 
     def vectorized_points(self) -> np.ndarray:
-        """Each slice flattened column-major into a row of an (n, m1*m2) array."""
-        from .tensor_core import matricize
-
-        return matricize(self.tensor, 3)
+        """Each image flattened column-major into a row of an (n, m1*m2) array."""
+        return self.images.reshape(self.n, -1, order="F")
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,7 @@ def method_matrices(
     graph: Gaussian weights for the locality-preserving family,
     reconstruction weights for the neighborhood-preserving family.  The
     repulsion variants additionally build a ``knn`` affinity graph on the
-    vectorized slices, take the edges that join different classes, weight
+    vectorized images, take the edges that join different classes, weight
     them with the same Gaussian bandwidth, and subtract ``beta`` times the
     resulting Laplacian from the minimized coupling.  A single bandwidth
     (given, or the mean squared label-edge distance) is used throughout.
@@ -215,29 +222,14 @@ def method_matrices(
         beta = default_beta(name)
     labels = dataset.labels
     n = dataset.n
-    has_min, has_max, solver = _METHOD_TABLE[base]
-
-    points = None
-    label_graph = None
-    resolved_t = bandwidth
-
-    def _points():
-        nonlocal points
-        if points is None:
-            points = dataset.vectorized_points()
-        return points
-
-    def _label_graph():
-        nonlocal label_graph
-        if label_graph is None:
-            label_graph = graphs.build_label_graph(labels)
-        return label_graph
-
-    def _bandwidth():
-        nonlocal resolved_t
-        if resolved_t is None:
-            resolved_t = graphs.default_bandwidth(_label_graph(), _points())
-        return resolved_t
+    repel = repulsion and beta != 0.0
+    # only the graph methods and active repulsion need the label graph, and
+    # only Gaussian weights need the bandwidth
+    if base not in ("GLRAM", "2D-PCA", "2D-LDA") or repel:
+        points = dataset.vectorized_points()
+        label_graph = graphs.build_label_graph(labels)
+        if bandwidth is None and (base in ("2D-OLPP", "2D-LPP") or repel):
+            bandwidth = graphs.default_bandwidth(label_graph, points)
 
     min_coupling: np.ndarray | None = None
     max_coupling: np.ndarray | None = None
@@ -246,13 +238,13 @@ def method_matrices(
     elif base == "2D-PCA":
         max_coupling = centering_matrix(n)
     elif base in ("2D-OLPP", "2D-LPP"):
-        weighted = graphs.gaussian_weights(_label_graph(), _points(), _bandwidth())
+        weighted = graphs.gaussian_weights(label_graph, points, bandwidth)
         bundle = graphs.laplacian(weighted)
         min_coupling = bundle.laplacian
         if base == "2D-LPP":
             max_coupling = bundle.degree
     elif base in ("2D-ONPP", "2D-NPP"):
-        recon = graphs.lle_weights(_label_graph(), _points())
+        recon = graphs.lle_weights(label_graph, points)
         min_coupling = graphs.reconstruction_penalty(recon.weights)
         if base == "2D-NPP":
             max_coupling = np.eye(n)
@@ -261,40 +253,21 @@ def method_matrices(
         min_coupling = s
         max_coupling = centering_matrix(n) - s
 
-    if repulsion and beta != 0.0:
-        affinity = graphs.build_knn_graph(_points(), knn)
-        rep_graph = graphs.build_repulsion_graph(_label_graph(), affinity)
-        rep = graphs.repulsion_laplacian(rep_graph, _points(), _bandwidth())
+    if repel:
+        affinity = graphs.build_knn_graph(points, knn)
+        rep_graph = graphs.build_repulsion_graph(label_graph, affinity)
+        rep = graphs.repulsion_laplacian(rep_graph, points, bandwidth)
         min_coupling = min_coupling - beta * rep.laplacian
 
     return MethodSpec(
         name=name,
         min_coupling=min_coupling,
         max_coupling=max_coupling,
-        solver=solver,
+        solver=_METHOD_TABLE[base],
         beta=float(beta),
         knn=int(knn) if repulsion else 0,
-        bandwidth=resolved_t,
+        bandwidth=bandwidth,
     )
-
-
-def _stack(x) -> np.ndarray:
-    """A tensor's frontal slices as a C-contiguous ``(n, m1, m2)`` stack.
-
-    Tensors built from image stacks already keep their samples outermost
-    in memory, so for them this is a view, not a copy.
-    """
-    return np.ascontiguousarray(np.moveaxis(_t3(x), 2, 0))
-
-
-def _t3(x) -> np.ndarray:
-    """A tensor's ``(m1, m2, n)`` data in the memory layout it has."""
-    if isinstance(x, Tensor3):
-        return x.data
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ShapeError(f"expected a third-order tensor, got shape {arr.shape}")
-    return arr
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -313,16 +286,17 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
 
 
 # The alternating fits rebuild their side matrices at every half-step, so
-# they use GEMM forms that work on reshaped views of a C-contiguous
+# they use GEMM forms that work on reshaped views of the C-contiguous
 # (n, p, q) stack and never copy it: mixing the samples,
 # G_k = sum_l C[k, l] Z_l, is one (n x n) @ (n x pq) GEMM; the column side
 # then contracts G with Z over their adjacent (n, p) axes in a second GEMM,
 # and the row side sums the batched slice products Z_k G_k^T.
 #
 # The public builders below, which also assemble the one-sided pencils,
-# keep the einsum contraction on the tensor as it is laid out.  A pencil
-# is built once per training set, so their cost hardly shows, and its
-# rounding matters: 2D-LDA-R's ridge-repaired pencil can sit at the edge
+# keep the einsum contraction over the stack's (m1, m2, n) view
+# np.moveaxis(stack, 0, 2), whose samples stay outermost in memory.  A
+# pencil is built once per training set, so their cost hardly shows, and
+# its rounding matters: 2D-LDA-R's ridge-repaired pencil can sit at the edge
 # of its residual contract (on one ORL-shaped split the top eigenpair's
 # residual is 1.57x the tolerance with the einsum sums and 0.96x with the
 # GEMM ones), so re-associating the sums would change which fits fail.
@@ -347,16 +321,17 @@ def _row_matrix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
 def col_subproblem_matrix(x, row_basis, coupling) -> np.ndarray:
     """The ``m2 x m2`` matrix whose eigenvectors update the column factor.
 
-    With the rows compressed by ``row_basis`` (``None`` leaves them as
-    they are, which is what compressing with an identity would give),
-    accumulates ``sum_i Z(i,:,:) C Z(i,:,:)^T`` over the horizontal slices
-    of the compressed tensor; the result is symmetrized before use.
+    With the rows of every image in the ``(n, m1, m2)`` stack ``x``
+    compressed by ``row_basis`` (``None`` leaves them as they are, which
+    is what compressing with an identity would give), accumulates
+    ``sum_i Z(i,:,:) C Z(i,:,:)^T`` over the rows ``i`` of the compressed
+    ``(m1, m2, n)`` view; the result is symmetrized before use.
     """
-    arr = _t3(x)
+    arr = np.moveaxis(_image_stack(x), 0, 2)
     if row_basis is not None:
         basis = np.asarray(row_basis, dtype=np.float64)
         if basis.ndim != 2 or basis.shape[0] != arr.shape[0]:
-            raise ShapeError(f"row basis shape {basis.shape} does not fit tensor {arr.shape}")
+            raise ShapeError(f"row basis shape {basis.shape} does not fit images {arr.shape[:2]}")
         arr = np.einsum("ijk,ih->hjk", arr, basis)
     c = _check_coupling(coupling, arr.shape[2], "sample")
     return _sym(np.einsum("ipl,iql->pq", np.einsum("ipk,kl->ipl", arr, c), arr))
@@ -365,11 +340,11 @@ def col_subproblem_matrix(x, row_basis, coupling) -> np.ndarray:
 def row_subproblem_matrix(x, col_basis, coupling) -> np.ndarray:
     """The ``m1 x m1`` matrix whose eigenvectors update the row factor
     (columns compressed by ``col_basis``, or left as they are for ``None``)."""
-    arr = _t3(x)
+    arr = np.moveaxis(_image_stack(x), 0, 2)
     if col_basis is not None:
         basis = np.asarray(col_basis, dtype=np.float64)
         if basis.ndim != 2 or basis.shape[0] != arr.shape[1]:
-            raise ShapeError(f"column basis shape {basis.shape} does not fit tensor {arr.shape}")
+            raise ShapeError(f"column basis shape {basis.shape} does not fit images {arr.shape[:2]}")
         arr = np.einsum("ijk,jh->ihk", arr, basis)
     c = _check_coupling(coupling, arr.shape[2], "sample")
     return _sym(np.einsum("pjl,qjl->pq", np.einsum("pjk,kl->pjl", arr, c), arr))
@@ -417,7 +392,8 @@ def _half_step(
     constraint side the basis is orthonormal.  With one, a constraint that
     fails the definiteness check is ridge-shifted once and the solve
     retried (the shift is 0.0 when none was needed); a second failure
-    propagates with the diagnostics chained.
+    propagates with the diagnostics chained.  An identically zero
+    constraint is rejected before any solve.
     """
     sel = EigenSelection(d, which)
     if rhs is None:
@@ -425,6 +401,8 @@ def _half_step(
         return values, basis, float(np.linalg.norm(basis.T @ basis - np.eye(d))), 0.0
     if which == "top" and np.linalg.norm(lhs) == 0.0:
         raise RankError("maximized-side subproblem matrix is identically zero")
+    if np.linalg.norm(rhs) == 0.0:  # a ridge shift would be 0.0 and repair nothing
+        raise DefinitenessError("constraint-side subproblem matrix is identically zero", 0.0)
     shift = 0.0
     try:
         values, basis = gen_sym_eig(lhs, rhs, sel)
@@ -460,20 +438,19 @@ class UnilateralPencil:
 
 
 def unilateral_pencil(x, spec: MethodSpec, side: str) -> UnilateralPencil:
-    """Assemble the side matrices of a one-sided fit from the raw stack.
+    """Assemble the side matrices of a one-sided fit from the raw
+    ``(n, m1, m2)`` stack.
 
     ``side="left"`` solves the row factor (column factor = identity);
     ``side="right"`` solves the column factor.
     """
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
-    arr = _t3(x)
-    lhs, rhs, which = _solver_sides(spec, arr.shape[2])
-    if side == "left":
-        build, pinned = (lambda c: row_subproblem_matrix(arr, None, c)), arr.shape[1]
-    else:
-        build, pinned = (lambda c: col_subproblem_matrix(arr, None, c)), arr.shape[0]
-    return UnilateralPencil(side, build(lhs), None if rhs is None else build(rhs), which, pinned)
+    s = _image_stack(x)
+    lhs, rhs, which = _solver_sides(spec, s.shape[0])
+    build = row_subproblem_matrix if side == "left" else col_subproblem_matrix
+    pinned = s.shape[2] if side == "left" else s.shape[1]
+    return UnilateralPencil(side, build(s, None, lhs), None if rhs is None else build(s, None, rhs), which, pinned)
 
 
 def solve_unilateral(pencil: UnilateralPencil, d: int) -> tuple[ProjectorPair, FitTrace]:
@@ -518,7 +495,8 @@ def fit_method(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> tuple[ProjectorPair, FitTrace]:
-    """Bilateral fit: alternate between the two factors.
+    """Bilateral fit of an ``(n, m1, m2)`` stack: alternate between the
+    two factors.
 
     Starting from the first ``d1`` identity columns as the row factor, it
     alternately recomputes the column factor from the column side matrices
@@ -533,14 +511,14 @@ def fit_method(
     The discriminant methods with repulsion active (``beta > 0``) do not
     alternate: their within-class side can lose definiteness under
     iteration, so a single pass computes the row and column factors
-    independently from the uncompressed tensor, each as a one-sided fit.
+    independently from the uncompressed stack, each as a one-sided fit.
     """
-    s = _stack(x)
+    s = _image_stack(x)
     _validate_dims(s, d1, d2)
     lhs, rhs, which = _solver_sides(spec, s.shape[0])
     if spec.solver == SOLVER_GEN_MAX and spec.beta > 0.0:
-        col_pair, col_trace = fit_unilateral(x, spec, "right", d2)
-        row_pair, row_trace = fit_unilateral(x, spec, "left", d1)
+        col_pair, col_trace = fit_unilateral(s, spec, "right", d2)
+        row_pair, row_trace = fit_unilateral(s, spec, "left", d1)
         trace = FitTrace(
             col_trace.objectives + row_trace.objectives,
             1,
@@ -574,21 +552,21 @@ def fit_method(
     return ProjectorPair(u, v, "bilateral", (constraint, constraint)), trace
 
 
-def pre_process_2dpca(x, dims: tuple[int, int], max_iter: int = DEFAULT_MAX_ITER) -> tuple[Tensor3, ProjectorPair]:
-    """Compress a tensor with a bilateral 2D-PCA fit to intermediate dims.
+def pre_process_2dpca(x, dims: tuple[int, int], max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, ProjectorPair]:
+    """Compress an ``(n, m1, m2)`` stack with a bilateral 2D-PCA fit to
+    intermediate dims.
 
-    Returns the reduced tensor and the fitted pair; compose the pair with
-    a downstream fit's projectors to map back to the original space.
-    Useful when small target dimensions would otherwise make the
-    subproblem matrices singular.
+    Returns the reduced ``(n, p1, p2)`` stack and the fitted pair; compose
+    the pair with a downstream fit's projectors to map back to the
+    original space.  Useful when small target dimensions would otherwise
+    make the subproblem matrices singular.
     """
-    s = _stack(x)
+    s = _image_stack(x)
     p1, p2 = dims
     _validate_dims(s, p1, p2)
     spec = MethodSpec("2D-PCA", None, centering_matrix(s.shape[0]), SOLVER_ORTH_MAX)
-    pair, _ = fit_method(x, spec, p1, p2, max_iter)
-    reduced = np.matmul(np.matmul(pair.row_basis.T, s), pair.col_basis)
-    return Tensor3(np.moveaxis(reduced, 0, 2)), pair
+    pair, _ = fit_method(s, spec, p1, p2, max_iter)
+    return np.matmul(np.matmul(pair.row_basis.T, s), pair.col_basis), pair
 
 
 def compose_pairs(outer: ProjectorPair, inner: ProjectorPair) -> ProjectorPair:

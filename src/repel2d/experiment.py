@@ -29,7 +29,6 @@ from .datasets import ImageDataset, load_dataset, matrix_dataset, split_dataset,
 from .embed_1d import Projector1D, VectorDataset
 from .embed_2d import FitTrace, MatrixDataset, MethodSpec, ProjectorPair
 from .errors import ParameterError, Repel2dError
-from .tensor_core import Tensor3
 
 __all__ = [
     "ExperimentConfig",
@@ -172,17 +171,16 @@ class UnitFit:
 def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset):
     """Couplings and, unilaterally, the assembled pencil; returns the spec
     and the per-dimension solve."""
-    x, pre_pair = train.tensor, None
+    pre_pair = None
     if cfg.pre_dims is not None and method not in ("GLRAM", "2D-PCA"):
-        x, pre_pair = embed_2d.pre_process_2dpca(x, cfg.pre_dims, cfg.max_iter)
-    spec = embed_2d.method_matrices(
-        method, MatrixDataset(x, train.labels), knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth
-    )
+        reduced, pre_pair = embed_2d.pre_process_2dpca(train.images, cfg.pre_dims, cfg.max_iter)
+        train = MatrixDataset(reduced, train.labels)
+    spec = embed_2d.method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
     if cfg.mode == "unilateral":
-        pencil = embed_2d.unilateral_pencil(x, spec, "right")
+        pencil = embed_2d.unilateral_pencil(train.images, spec, "right")
         fit = lambda d: embed_2d.solve_unilateral(pencil, d)
     else:
-        fit = lambda d: embed_2d.fit_method(x, spec, d, d, cfg.max_iter)
+        fit = lambda d: embed_2d.fit_method(train.images, spec, d, d, cfg.max_iter)
 
     def solve(d):
         pair, trace = fit(d)
@@ -250,11 +248,6 @@ def fit_unit(
     return UnitFit(train, test_idx, spec, cells)
 
 
-def _as_stack(columns: np.ndarray) -> Tensor3:
-    """Projected vector samples (one per column) as a stack of d x 1 slices."""
-    return Tensor3(columns[:, None, :])
-
-
 def run_cell(
     cfg: ExperimentConfig,
     ds: ImageDataset,
@@ -273,15 +266,16 @@ def run_cell(
         queries = matrix_dataset(ds, unit.test_idx)
 
         def predict(pair):
-            gallery = recognize.build_gallery(train.tensor, pair, train.labels)
-            return recognize.classify_batch(recognize.project_tensor(queries.tensor, pair), gallery)
+            gallery = recognize.build_gallery(train.images, pair, train.labels)
+            return recognize.classify_batch(recognize.project_tensor(queries.images, pair), gallery)
 
     else:
         queries = vector_dataset(ds, unit.test_idx)
 
+        # projected samples (one per column) as a stack of d x 1 images
         def predict(projector):
-            gallery = recognize.GallerySet(_as_stack(projector.transform(train.data)), train.labels)
-            return recognize.classify_batch(_as_stack(projector.transform(queries.data)), gallery)
+            gallery = recognize.GallerySet(projector.transform(train.data).T[:, :, None], train.labels)
+            return recognize.classify_batch(projector.transform(queries.data).T[:, :, None], gallery)
 
     for cell in fitted:
         try:

@@ -10,38 +10,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_2d import ProjectorPair
+from .embed_2d import ProjectorPair, _image_stack
 from .errors import ParameterError, ShapeError
-from .tensor_core import Tensor3
 
 __all__ = ["GallerySet", "project", "project_tensor", "build_gallery", "classify_1nn", "classify_batch", "error_rate"]
 
 
 @dataclass(frozen=True)
 class GallerySet:
-    """Projected training stack plus its labels."""
+    """Projected ``(n, d1, d2)`` training stack plus its labels."""
 
-    projected: Tensor3
+    projected: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
+        projected = _image_stack(self.projected)
         lab = np.asarray(self.labels)
-        if lab.ndim != 1 or lab.size != self.projected.dims[2]:
-            raise ShapeError("need one label per projected gallery slice")
+        if lab.ndim != 1 or lab.size != projected.shape[0]:
+            raise ShapeError("need one label per projected gallery item")
         if lab.size == 0:
             raise ParameterError("gallery must be non-empty")
+        object.__setattr__(self, "projected", projected)
         object.__setattr__(self, "labels", lab)
 
     @property
     def n(self) -> int:
-        return self.projected.dims[2]
+        return self.projected.shape[0]
 
 
-def _project_stack(stack: np.ndarray, pair: ProjectorPair) -> np.ndarray:
-    """``row_basis^T @ X_k @ col_basis`` for every slice of an ``(n, m1, m2)``
-    stack, one batched ``matmul`` per side.  A side pinned to the identity
-    (constraint ``"identity"``) is skipped; multiplying by it would be
-    exact anyway."""
+def project(x, pair: ProjectorPair) -> np.ndarray:
+    """Project one image matrix: ``row_basis^T @ x @ col_basis``."""
+    mat = np.asarray(x, dtype=np.float64)
+    if mat.ndim != 2:
+        raise ShapeError(f"expected a matrix, got shape {mat.shape}")
+    return project_tensor(mat[None], pair)[0]
+
+
+def project_tensor(x, pair: ProjectorPair) -> np.ndarray:
+    """``row_basis^T @ X_k @ col_basis`` for every image of an
+    ``(n, m1, m2)`` stack, one batched ``matmul`` per side, so image k of
+    the result is bit-identical to :func:`project` of image k.  A side
+    pinned to the identity (constraint ``"identity"``) is skipped;
+    multiplying by it would be exact anyway."""
+    stack = _image_stack(x)
     if stack.shape[1:] != (pair.row_basis.shape[0], pair.col_basis.shape[0]):
         raise ShapeError(
             f"image shape {stack.shape[1:]} does not match projector "
@@ -55,30 +66,8 @@ def _project_stack(stack: np.ndarray, pair: ProjectorPair) -> np.ndarray:
     return stack
 
 
-def project(x, pair: ProjectorPair) -> np.ndarray:
-    """Project one image matrix: ``row_basis^T @ x @ col_basis``."""
-    mat = np.asarray(x, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {mat.shape}")
-    return _project_stack(mat[None], pair)[0]
-
-
-def project_tensor(x: Tensor3, pair: ProjectorPair) -> Tensor3:
-    """Project every frontal slice of a stack.
-
-    Slice k of the result is bit-identical to ``project`` applied to
-    slice k of the input.
-    """
-    return Tensor3(np.moveaxis(_project_stack(np.moveaxis(x.data, 2, 0), pair), 0, 2))
-
-
-def build_gallery(x: Tensor3, pair: ProjectorPair, labels) -> GallerySet:
+def build_gallery(x, pair: ProjectorPair, labels) -> GallerySet:
     return GallerySet(project_tensor(x, pair), np.asarray(labels))
-
-
-def _rows(t: Tensor3) -> np.ndarray:
-    """Frontal slices of a stack flattened row-major, one per row."""
-    return np.moveaxis(t.data, 2, 0).reshape(t.dims[2], -1)
 
 
 def _squared_distances(items: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -91,13 +80,14 @@ def _squared_distances(items: np.ndarray, query: np.ndarray) -> np.ndarray:
 def classify_1nn(y, gallery: GallerySet):
     """Label of the gallery item nearest to ``y`` in Frobenius distance."""
     mat = np.asarray(y, dtype=np.float64)
-    if mat.shape != gallery.projected.dims[:2]:
-        raise ShapeError(f"query shape {mat.shape} does not match gallery {gallery.projected.dims[:2]}")
-    return gallery.labels[int(np.argmin(_squared_distances(_rows(gallery.projected), mat.reshape(-1))))]
+    if mat.shape != gallery.projected.shape[1:]:
+        raise ShapeError(f"query shape {mat.shape} does not match gallery {gallery.projected.shape[1:]}")
+    items = gallery.projected.reshape(gallery.n, -1)
+    return gallery.labels[int(np.argmin(_squared_distances(items, mat.reshape(-1))))]
 
 
-def classify_batch(queries: Tensor3, gallery: GallerySet) -> np.ndarray:
-    """Classify every frontal slice of a projected query stack.
+def classify_batch(queries, gallery: GallerySet) -> np.ndarray:
+    """Classify every item of a projected ``(n, d1, d2)`` query stack.
 
     Returns exactly the labels of :func:`classify_1nn` applied to each
     query.  One Gram product ``|q|^2 + |g|^2 - 2 q.g`` screens the
@@ -107,10 +97,11 @@ def classify_batch(queries: Tensor3, gallery: GallerySet) -> np.ndarray:
     of both distance forms: each is within ``(p + 2) eps (|q| + |g|)^2``
     of the exact value for ``p`` features (dot-product error bound).
     """
-    if queries.dims[:2] != gallery.projected.dims[:2]:
-        raise ShapeError(f"query shape {queries.dims[:2]} does not match gallery {gallery.projected.dims[:2]}")
-    items = _rows(gallery.projected)
-    q = _rows(queries)
+    queries = _image_stack(queries)
+    if queries.shape[1:] != gallery.projected.shape[1:]:
+        raise ShapeError(f"query shape {queries.shape[1:]} does not match gallery {gallery.projected.shape[1:]}")
+    items = gallery.projected.reshape(gallery.n, -1)
+    q = queries.reshape(len(queries), -1)
     item_sq = np.einsum("ij,ij->i", items, items)
     q_sq = np.einsum("ij,ij->i", q, q)
     screened = q_sq[:, None] + item_sq[None, :] - 2.0 * (q @ items.T)

@@ -1,8 +1,240 @@
-"""Small independent oracles shared between test modules."""
+"""Small independent oracles shared between test modules.
+
+The first part is the tensor route: dense third- and fourth-order
+tensors and the multilinear operations the trace objectives are defined
+by.  The package works on plain ``(n, m1, m2)`` image stacks instead;
+these independent implementations check it (criterion 1, the trace
+objectives, the reconstruction identities).
+
+Storage convention
+------------------
+A tensor with extents ``(I, J, K)`` keeps its entries in a float64 numpy
+array of the same shape.  The canonical linear element order is
+column-major (first index fastest); every matricization below is defined
+against that order so the index maps are reproducible bit for bit.  All
+index maps in docstrings are stated one-based to match the usual tensor
+literature, while the code itself is zero-based.
+
+Tensor values are immutable after construction: the backing array is
+copied in and marked read-only, and every operation returns a new value.
+"""
 
 import numpy as np
 
-from repel2d.tensor_core import Tensor3, contracted_product_33, mode_product, tensor_trace
+from repel2d.errors import ShapeError
+
+
+def _frozen_f64(data, ndim: int, what: str) -> np.ndarray:
+    arr = np.array(data, dtype=np.float64, copy=True)
+    if arr.ndim != ndim:
+        raise ShapeError(f"{what} needs a {ndim}-dimensional array, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ShapeError(f"{what} must have positive extents, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
+class Tensor3:
+    """Immutable dense third-order tensor with extents ``(I, J, K)``."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        self.data = _frozen_f64(data, 3, "Tensor3")
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.data.shape
+
+    @classmethod
+    def stack_frontal(cls, matrices) -> "Tensor3":
+        """Build an ``(I, J, K)`` tensor whose k-th frontal slice is ``matrices[k]``."""
+        mats = [np.asarray(m, dtype=np.float64) for m in matrices]
+        if not mats:
+            raise ShapeError("stack_frontal needs at least one matrix")
+        if any(m.shape != mats[0].shape or m.ndim != 2 for m in mats):
+            raise ShapeError("stack_frontal needs matrices of one common 2-d shape")
+        return cls(np.stack(mats, axis=2))
+
+    def horizontal_slice(self, i: int) -> np.ndarray:
+        """The ``(J, K)`` matrix of entries with first index fixed to ``i``."""
+        return self.data[i, :, :]
+
+    def lateral_slice(self, j: int) -> np.ndarray:
+        """The ``(I, K)`` matrix of entries with second index fixed to ``j``."""
+        return self.data[:, j, :]
+
+    def frontal_slice(self, k: int) -> np.ndarray:
+        """The ``(I, J)`` matrix of entries with third index fixed to ``k``."""
+        return self.data[:, :, k]
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"Tensor3(dims={self.dims})"
+
+
+class Tensor4:
+    """Immutable dense fourth-order tensor with extents ``(I, J, K, H)``."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        self.data = _frozen_f64(data, 4, "Tensor4")
+
+    @property
+    def dims(self) -> tuple[int, int, int, int]:
+        return self.data.shape
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"Tensor4(dims={self.dims})"
+
+
+def _t3(a) -> np.ndarray:
+    """Accept a Tensor3 or a raw 3-d array and return the ndarray view."""
+    if isinstance(a, Tensor3):
+        return a.data
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ShapeError(f"expected a third-order tensor, got shape {arr.shape}")
+    return arr
+
+
+def inner_product(a: Tensor3, b: Tensor3) -> float:
+    """Entrywise inner product of two tensors with identical extents."""
+    da, db = _t3(a), _t3(b)
+    if da.shape != db.shape:
+        raise ShapeError(f"inner_product dims differ: {da.shape} vs {db.shape}")
+    return float(np.einsum("ijk,ijk->", da, db))
+
+
+def frobenius_norm(a: Tensor3) -> float:
+    """Square root of the tensor's inner product with itself."""
+    return float(np.sqrt(inner_product(a, a)))
+
+
+def mode_product(a: Tensor3, m, mode: int) -> Tensor3:
+    """Multiply tensor ``a`` by matrix ``m`` along ``mode`` (1, 2 or 3).
+
+    The result's extent along ``mode`` equals the row count of ``m``; for
+    mode 3 the entry formula is ``out[i,j,h] = sum_k a[i,j,k] * m[h,k]``
+    and modes 1 and 2 are analogous.
+    """
+    da = _t3(a)
+    mm = np.asarray(m, dtype=np.float64)
+    if mm.ndim != 2:
+        raise ShapeError(f"mode_product needs a matrix, got shape {mm.shape}")
+    if mode not in (1, 2, 3):
+        raise ShapeError(f"mode must be 1, 2 or 3, got {mode}")
+    if mm.shape[1] != da.shape[mode - 1]:
+        raise ShapeError(
+            f"mode-{mode} product needs matrix columns {da.shape[mode - 1]}, got {mm.shape[1]}"
+        )
+    if mode == 1:
+        out = np.einsum("ijk,hi->hjk", da, mm)
+    elif mode == 2:
+        out = np.einsum("ijk,hj->ihk", da, mm)
+    else:
+        out = np.einsum("ijk,hk->ijh", da, mm)
+    return Tensor3(out)
+
+
+def contracted_product_33(a: Tensor3, b: Tensor3) -> Tensor4:
+    """Contract two third-order tensors over their third modes.
+
+    For ``a`` with extents (I1, J1, K) and ``b`` with (I2, J2, K) the
+    result has extents (I1, J1, I2, J2) and entries
+    ``out[i1,j1,i2,j2] = sum_k a[i1,j1,k] * b[i2,j2,k]``.
+    """
+    da, db = _t3(a), _t3(b)
+    if da.shape[2] != db.shape[2]:
+        raise ShapeError(
+            f"third-mode extents differ: {da.shape[2]} vs {db.shape[2]}"
+        )
+    return Tensor4(np.einsum("abk,cdk->abcd", da, db))
+
+
+def tensor_trace(b: Tensor4) -> float:
+    """Sum of the paired diagonal entries ``b[i,j,i,j]``.
+
+    Requires extents of the form (I, J, I, J); generalizes the matrix
+    trace to fourth-order tensors with two paired mode groups.
+    """
+    if isinstance(b, Tensor4):
+        db = b.data
+    else:
+        db = np.asarray(b, dtype=np.float64)
+        if db.ndim != 4:
+            raise ShapeError(f"expected a fourth-order tensor, got shape {db.shape}")
+    i, j, k, h = db.shape
+    if (i, j) != (k, h):
+        raise ShapeError(f"tensor_trace needs dims (I, J, I, J), got {db.shape}")
+    return float(np.einsum("ijij->", db))
+
+
+# Axis permutations realizing each unfolding: after transposing by the
+# listed axes, a column-major reshape produces exactly the documented
+# one-based index map p = s + (t - 1) * S for trailing indices (s, t).
+_FORWARD_PERM = {1: (0, 1, 2), 2: (1, 2, 0), 3: (2, 0, 1)}
+_BACKWARD_PERM = {1: (0, 2, 1), 2: (1, 0, 2), 3: (2, 1, 0)}
+
+
+def _perm_for(mode: int, ordering: str) -> tuple[int, int, int]:
+    if mode not in (1, 2, 3):
+        raise ShapeError(f"mode must be 1, 2 or 3, got {mode}")
+    if ordering == "forward":
+        return _FORWARD_PERM[mode]
+    if ordering == "backward":
+        return _BACKWARD_PERM[mode]
+    raise ShapeError(f"ordering must be 'forward' or 'backward', got {ordering!r}")
+
+
+def matricize(a: Tensor3, mode: int, ordering: str = "forward") -> np.ndarray:
+    """Unfold a third-order tensor into a matrix along ``mode``.
+
+    Forward cyclic ordering gives, e.g. for mode 1, a matrix of shape
+    (I, J*K) with ``a[i,j,k]`` at column ``p = j + (k-1)*J`` (one-based);
+    mode 2 maps to ``p = k + (i-1)*K`` and mode 3 to ``p = i + (j-1)*I``.
+    Backward cyclic ordering swaps the roles of the two trailing modes.
+    """
+    da = _t3(a)
+    perm = _perm_for(mode, ordering)
+    moved = np.transpose(da, perm)
+    return moved.reshape(moved.shape[0], moved.shape[1] * moved.shape[2], order="F")
+
+
+def dematricize(mat, dims: tuple[int, int, int], mode: int, ordering: str = "forward") -> Tensor3:
+    """Inverse of :func:`matricize` for the given original extents."""
+    m = np.asarray(mat, dtype=np.float64)
+    perm = _perm_for(mode, ordering)
+    shape = tuple(dims[p] for p in perm)
+    if m.shape != (shape[0], shape[1] * shape[2]):
+        raise ShapeError(
+            f"matrix shape {m.shape} does not match dims {dims} for mode {mode}"
+        )
+    cube = m.reshape(shape, order="F")
+    inv = np.argsort(perm)
+    return Tensor3(np.transpose(cube, inv))
+
+
+def matricize4_paired(b: Tensor4) -> np.ndarray:
+    """Unfold a fourth-order tensor pairing modes (1,2) as rows, (3,4) as columns.
+
+    The result has shape (I*J, K*H) with ``b[i,j,k,h]`` at row
+    ``p = i + (j-1)*I`` and column ``q = k + (h-1)*K`` (one-based).  For
+    extents (I, J, I, J) the matrix trace of the unfolding equals
+    :func:`tensor_trace`.
+    """
+    db = b.data if isinstance(b, Tensor4) else np.asarray(b, dtype=np.float64)
+    if db.ndim != 4:
+        raise ShapeError(f"expected a fourth-order tensor, got shape {db.shape}")
+    i, j, k, h = db.shape
+    return db.reshape(i * j, k * h, order="F")
+
+
+def as_tensor(stack) -> Tensor3:
+    """The ``(m1, m2, n)`` tensor whose k-th frontal slice is image k of an
+    ``(n, m1, m2)`` stack."""
+    return Tensor3(np.moveaxis(np.asarray(stack, dtype=np.float64), 0, 2))
+
 
 PERMS3 = [
     ((0, 1, 2), 1),

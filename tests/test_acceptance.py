@@ -32,8 +32,9 @@ from repel2d.embed_2d import (
     method_matrices,
 )
 from repel2d.spectral import EigenSelection, gen_sym_eig, sym_eig
-from repel2d.tensor_core import (
+from _oracles import (
     Tensor3,
+    as_tensor,
     contracted_product_33,
     frobenius_norm,
     mode_product,
@@ -138,7 +139,7 @@ def test_criterion_2_method_matrix_fidelity():
         beta = float(rng.uniform(0.2, 1.0))
         knn = int(rng.integers(2, 6))
         slices = [points[k].reshape(17, 2, order="F") for k in range(n)]
-        ds = MatrixDataset(Tensor3.stack_frontal(slices), labels)
+        ds = MatrixDataset(np.stack(slices), labels)
         expected = _closed_form_couplings(points, labels, t, knn, beta)
         for name, (want_min, want_max) in expected.items():
             spec = method_matrices(name, ds, knn=knn, beta=beta, bandwidth=t)
@@ -185,7 +186,7 @@ def test_criterion_3_alternating_monotone_orthonormal():
         coupling = rng.normal(size=(n, n))
         coupling = 0.5 * (coupling + coupling.T)
         spec = MethodSpec("2D-OLPP", coupling, None, "orth_min")
-        _, trace = fit_method(arr, spec, d1, d2, max_iter=5, tol=0.0)
+        _, trace = fit_method(np.moveaxis(arr, 2, 0), spec, d1, d2, max_iter=5, tol=0.0)
         objs = trace.objectives
         for i in range(len(objs) - 1):
             slack = 1e-10 * max(1.0, abs(objs[i]))
@@ -213,11 +214,11 @@ def test_criterion_4_vector_shaped_reduction():
         centers = rng.normal(scale=2.0, size=(classes, m))
         x = centers[labels].T + rng.normal(scale=0.6, size=(m, n))
         d = int(rng.integers(1, 4))
-        ds2 = MatrixDataset(Tensor3(x[:, None, :]), labels)
+        ds2 = MatrixDataset(np.moveaxis(x[:, None, :], 2, 0), labels)
         vds = VectorDataset(x, labels)
         for name2, name1 in pairs:
             spec = method_matrices(name2, ds2)
-            pair, trace = fit_unilateral(ds2.tensor, spec, "left", d)
+            pair, trace = fit_unilateral(ds2.images, spec, "left", d)
             proj = fit_1d(vds, name1, d, bandwidth=spec.bandwidth)
             a = x @ spec.min_coupling @ x.T
             a = 0.5 * (a + a.T)
@@ -262,27 +263,27 @@ def test_criterion_6_glram_identity_and_recovery():
         m1, m2, n = (int(v) for v in rng.integers(4, 9, size=3))
         d1 = int(rng.integers(1, m1))
         d2 = int(rng.integers(1, m2))
-        x = Tensor3(rng.normal(size=(m1, m2, n)))
+        x = np.moveaxis(rng.normal(size=(m1, m2, n)), 2, 0)
         spec = MethodSpec("GLRAM", None, np.eye(n), "orth_max")
         pair, _ = fit_method(x, spec, d1, d2)
         u, v = pair.row_basis, pair.col_basis
         direct = sum(
-            np.linalg.norm(x.frontal_slice(k) - u @ u.T @ x.frontal_slice(k) @ v @ v.T) ** 2
+            np.linalg.norm(x[k] - u @ u.T @ x[k] @ v @ v.T) ** 2
             for k in range(n)
         )
-        y = mode_product(mode_product(x, u.T, 1), v.T, 2)
-        via_norms = frobenius_norm(x) ** 2 - frobenius_norm(y) ** 2
+        y = mode_product(mode_product(as_tensor(x), u.T, 1), v.T, 2)
+        via_norms = frobenius_norm(as_tensor(x)) ** 2 - frobenius_norm(y) ** 2
         if abs(direct - via_norms) > 1e-8 * max(direct, 1e-12):
             violations.append((trial, "identity", direct, via_norms))
 
         u0 = np.linalg.qr(rng.normal(size=(m1, d1)))[0]
         v0 = np.linalg.qr(rng.normal(size=(m2, d2)))[0]
         cores = rng.normal(size=(d1, d2, n))
-        exact = Tensor3.stack_frontal([u0 @ cores[:, :, k] @ v0.T for k in range(n)])
+        exact = np.stack([u0 @ cores[:, :, k] @ v0.T for k in range(n)])
         pair2, trace2 = fit_method(exact, spec, d1, d2, max_iter=3)
-        y2 = mode_product(mode_product(exact, pair2.row_basis.T, 1), pair2.col_basis.T, 2)
-        residual = frobenius_norm(exact) ** 2 - frobenius_norm(y2) ** 2
-        if residual > 1e-8 * frobenius_norm(exact) ** 2 or trace2.iterations > 3:
+        y2 = mode_product(mode_product(as_tensor(exact), pair2.row_basis.T, 1), pair2.col_basis.T, 2)
+        residual = frobenius_norm(as_tensor(exact)) ** 2 - frobenius_norm(y2) ** 2
+        if residual > 1e-8 * frobenius_norm(as_tensor(exact)) ** 2 or trace2.iterations > 3:
             violations.append((trial, "recovery", residual, trace2.iterations))
     report(6, "low-rank reconstruction identity and exact recovery", violations, started, 20.0)
 
@@ -297,10 +298,10 @@ def test_criterion_7_repulsion_beats_attraction_on_confusable_classes():
         test = matrix_dataset(ds, test_idx)
         for name in errors:
             spec = method_matrices(name, train, knn=6, beta=0.5)
-            pair, _ = fit_method(train.tensor, spec, 4, 4)
-            gallery = recognize.build_gallery(train.tensor, pair, train.labels)
+            pair, _ = fit_method(train.images, spec, 4, 4)
+            gallery = recognize.build_gallery(train.images, pair, train.labels)
             predictions = recognize.classify_batch(
-                recognize.project_tensor(test.tensor, pair), gallery
+                recognize.project_tensor(test.images, pair), gallery
             )
             errors[name].append(recognize.error_rate(predictions, test.labels))
     lpp = np.asarray(errors["2D-LPP"])
@@ -397,10 +398,10 @@ def test_criterion_10_orl_regression():
             train = matrix_dataset(ds, train_idx)
             test = matrix_dataset(ds, test_idx)
             spec = method_matrices(name, train, knn=6, beta=beta or None)
-            pair, _ = fit_unilateral(train.tensor, spec, "right", dim)
-            gallery = recognize.build_gallery(train.tensor, pair, train.labels)
+            pair, _ = fit_unilateral(train.images, spec, "right", dim)
+            gallery = recognize.build_gallery(train.images, pair, train.labels)
             predictions = recognize.classify_batch(
-                recognize.project_tensor(test.tensor, pair), gallery
+                recognize.project_tensor(test.images, pair), gallery
             )
             cell_errors.append(recognize.error_rate(predictions, test.labels))
         mean = float(np.mean(cell_errors))

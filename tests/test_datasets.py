@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import as_tensor, matricize
 from repel2d.datasets import (
     ImageDataset,
     load_dataset,
@@ -204,14 +205,45 @@ class TestConversions:
     def test_matrix_dataset_shapes(self):
         ds = synthetic_confusable(6, seed=1)
         md = matrix_dataset(ds, np.arange(8))
-        assert md.tensor.dims == (8, 8, 8)
+        assert md.images.shape == (8, 8, 8)
         np.testing.assert_array_equal(md.labels, ds.labels[:8])
-        np.testing.assert_array_equal(md.tensor.frontal_slice(2), ds.images[2])
+        np.testing.assert_array_equal(md.images[2], ds.images[2])
 
     def test_vector_dataset_column_major(self):
         ds = synthetic_confusable(6, seed=1)
         vd = vector_dataset(ds, [0])
         np.testing.assert_array_equal(vd.data[:, 0], ds.images[0].reshape(-1, order="F"))
+
+
+class TestStackLayout:
+    """Image stacks are C-contiguous (n, m1, m2) float64 arrays from load to
+    score; the flattened views are column-major per image."""
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        ds = synthetic_confusable(300, seed=0)
+        return ds, split_dataset(ds, 30, 0, 0)[0]
+
+    def test_matrix_dataset_is_the_indexed_stack(self, split):
+        ds, idx = split
+        images = matrix_dataset(ds, idx).images
+        assert images.shape == (idx.size, 8, 8) and images.dtype == np.float64
+        assert images.flags.c_contiguous
+        np.testing.assert_array_equal(images, ds.images[idx])
+
+    def test_vectorized_points_match_the_mode_3_unfolding(self, split):
+        ds, idx = split
+        points = matrix_dataset(ds, idx).vectorized_points()
+        oracle = matricize(as_tensor(ds.images[idx]), 3)
+        np.testing.assert_array_equal(points, oracle)
+        assert points.strides == oracle.strides
+
+    def test_vector_dataset_is_the_column_major_flatten(self, split):
+        ds, idx = split
+        data = vector_dataset(ds, idx).data
+        loop = np.stack([ds.images[i].reshape(-1, order="F") for i in idx], axis=1)
+        np.testing.assert_array_equal(data, loop)
+        assert data.strides == loop.strides
 
 
 class TestSynthetic:

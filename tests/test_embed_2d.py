@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import trace_objective
+from _oracles import Tensor3, as_tensor, frobenius_norm, mode_product, trace_objective
 from repel2d import graphs
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
@@ -21,7 +21,6 @@ from repel2d.embed_2d import (
 from repel2d.embed_1d import VectorDataset, fit_1d
 from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError
 from repel2d.spectral import EigenSelection, sym_eig
-from repel2d.tensor_core import Tensor3, frobenius_norm, mode_product
 
 
 def toy_dataset(seed=0, m1=5, m2=4, n=12, classes=3, spread=2.0, noise=0.5):
@@ -29,7 +28,7 @@ def toy_dataset(seed=0, m1=5, m2=4, n=12, classes=3, spread=2.0, noise=0.5):
     labels = np.repeat(np.arange(classes), n // classes)
     templates = rng.normal(scale=spread, size=(classes, m1, m2))
     slices = [templates[c] + rng.normal(scale=noise, size=(m1, m2)) for c in labels]
-    return MatrixDataset(Tensor3.stack_frontal(slices), labels)
+    return MatrixDataset(np.stack(slices), labels)
 
 
 def subspace_angle(a, b):
@@ -138,10 +137,10 @@ class TestMethodMatrices:
 class TestSubproblemMatrices:
     def test_identity_coupling_full_basis(self):
         ds = toy_dataset(6)
-        x = ds.tensor
-        m1, m2, n = x.dims
+        x = ds.images
+        n, m1, m2 = x.shape
         got = col_subproblem_matrix(x, np.eye(m1), np.eye(n))
-        expected = sum(x.frontal_slice(k).T @ x.frontal_slice(k) for k in range(n))
+        expected = sum(x[k].T @ x[k] for k in range(n))
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_slice_loop_oracle(self):
@@ -154,23 +153,23 @@ class TestSubproblemMatrices:
         expected = np.zeros((2, 2))
         for i in range(z.shape[0]):
             expected += z[i] @ coupling @ z[i].T
-        got = col_subproblem_matrix(Tensor3(arr), u, coupling)
+        got = col_subproblem_matrix(np.moveaxis(arr, 2, 0), u, coupling)
         np.testing.assert_allclose(got, 0.5 * (expected + expected.T), rtol=1e-12)
         v = rng.normal(size=(2, 2))
         z2 = np.einsum("ijk,jh->ihk", arr, v)
         expected2 = np.zeros((3, 3))
         for j in range(z2.shape[1]):
             expected2 += z2[:, j, :] @ coupling @ z2[:, j, :].T
-        got2 = row_subproblem_matrix(Tensor3(arr), v, coupling)
+        got2 = row_subproblem_matrix(np.moveaxis(arr, 2, 0), v, coupling)
         np.testing.assert_allclose(got2, 0.5 * (expected2 + expected2.T), rtol=1e-12)
 
     @pytest.mark.parametrize("layout", ["stacked", "c_order"])
     def test_no_basis_is_bitwise_identity_compression(self, layout):
         # one-sided pencils skip the identity compression; it must not move a bit
-        x = toy_dataset(3).tensor
+        x = toy_dataset(3).images
         if layout == "c_order":
-            x = Tensor3(np.ascontiguousarray(x.data))
-        m1, m2, n = x.dims
+            x = np.ascontiguousarray(x)
+        n, m1, m2 = x.shape
         rng = np.random.default_rng(4)
         coupling = rng.normal(size=(n, n))
         coupling = coupling + coupling.T
@@ -188,7 +187,7 @@ class TestSubproblemMatrices:
             half = rng.normal(size=(6, 6))
             coupling = half @ half.T
             u = rng.normal(size=(4, 2))
-            side = col_subproblem_matrix(Tensor3(arr), u, coupling)
+            side = col_subproblem_matrix(np.moveaxis(arr, 2, 0), u, coupling)
             assert np.linalg.eigvalsh(side).min() >= -1e-8
 
 
@@ -210,8 +209,8 @@ class TestTraceObjective:
     def test_matches_eigenvalue_sum_reported_in_trace(self):
         ds = toy_dataset(10)
         spec = method_matrices("2D-OLPP", ds)
-        pair, trace = fit_method(ds.tensor, spec, 2, 2)
-        y = mode_product(mode_product(ds.tensor, pair.row_basis.T, 1), pair.col_basis.T, 2)
+        pair, trace = fit_method(ds.images, spec, 2, 2)
+        y = mode_product(mode_product(as_tensor(ds.images), pair.row_basis.T, 1), pair.col_basis.T, 2)
         assert trace.objectives[-1] == pytest.approx(
             trace_objective(y, spec.min_coupling), rel=1e-10
         )
@@ -221,7 +220,7 @@ class TestFitOrthonormal:
     def test_zero_coupling_converges_first_iteration(self):
         ds = toy_dataset(11)
         spec = MethodSpec("2D-OLPP", np.zeros((ds.n, ds.n)), None, "orth_min")
-        pair, trace = fit_method(ds.tensor, spec, 2, 2)
+        pair, trace = fit_method(ds.images, spec, 2, 2)
         assert trace.converged and trace.iterations == 1
         assert all(obj == 0.0 for obj in trace.objectives)
 
@@ -232,7 +231,7 @@ class TestFitOrthonormal:
             coupling = rng.normal(size=(10, 10))
             coupling = 0.5 * (coupling + coupling.T)
             spec = MethodSpec("2D-OLPP", coupling, None, "orth_min")
-            pair, trace = fit_method(arr, spec, 3, 2, max_iter=6, tol=0.0)
+            pair, trace = fit_method(np.moveaxis(arr, 2, 0), spec, 3, 2, max_iter=6, tol=0.0)
             objs = trace.objectives
             scale = max(1.0, max(abs(o) for o in objs))
             assert all(objs[i + 1] <= objs[i] + 1e-10 * scale for i in range(len(objs) - 1))
@@ -245,7 +244,7 @@ class TestFitOrthonormal:
             coupling = rng.normal(size=(9, 9))
             coupling = 0.5 * (coupling + coupling.T)
             spec = MethodSpec("GLRAM", None, coupling, "orth_max")
-            _, trace = fit_method(arr, spec, 2, 2, max_iter=6, tol=0.0)
+            _, trace = fit_method(np.moveaxis(arr, 2, 0), spec, 2, 2, max_iter=6, tol=0.0)
             objs = trace.objectives
             scale = max(1.0, max(abs(o) for o in objs))
             assert all(objs[i + 1] >= objs[i] - 1e-10 * scale for i in range(len(objs) - 1))
@@ -253,8 +252,8 @@ class TestFitOrthonormal:
     def test_vector_shaped_matches_direct_eigensolve(self):
         ds = toy_dataset(13, m1=7, m2=1, n=12, classes=3)
         spec = method_matrices("2D-OLPP", ds)
-        pair, _ = fit_method(ds.tensor, spec, 3, 1)
-        x_mat = ds.tensor.data[:, 0, :]
+        pair, _ = fit_method(ds.images, spec, 3, 1)
+        x_mat = ds.images[:, :, 0].T
         middle = x_mat @ spec.min_coupling @ x_mat.T
         values, expected = sym_eig(middle, EigenSelection(3, "bottom"))
         all_values = np.linalg.eigvalsh(0.5 * (middle + middle.T))
@@ -268,34 +267,34 @@ class TestFitOrthonormal:
         v0 = np.linalg.qr(rng.normal(size=(5, 3)))[0]
         cores = rng.normal(size=(2, 3, 9))
         slices = [u0 @ cores[:, :, k] @ v0.T for k in range(9)]
-        x = Tensor3.stack_frontal(slices)
+        x = np.stack(slices)
         spec = MethodSpec("GLRAM", None, np.eye(9), "orth_max")
         pair, trace = fit_method(x, spec, 2, 3, max_iter=3)
-        y = mode_product(mode_product(x, pair.row_basis.T, 1), pair.col_basis.T, 2)
-        recon_error = frobenius_norm(x) ** 2 - frobenius_norm(y) ** 2
+        y = mode_product(mode_product(as_tensor(x), pair.row_basis.T, 1), pair.col_basis.T, 2)
+        recon_error = frobenius_norm(as_tensor(x)) ** 2 - frobenius_norm(y) ** 2
         assert trace.iterations <= 3
-        assert recon_error <= 1e-8 * frobenius_norm(x) ** 2
+        assert recon_error <= 1e-8 * frobenius_norm(as_tensor(x)) ** 2
 
     def test_glram_reconstruction_identity(self):
         ds = toy_dataset(15)
         spec = method_matrices("GLRAM", ds)
-        pair, _ = fit_method(ds.tensor, spec, 2, 2)
+        pair, _ = fit_method(ds.images, spec, 2, 2)
         u, v = pair.row_basis, pair.col_basis
         direct = sum(
             np.linalg.norm(
-                ds.tensor.frontal_slice(k) - u @ u.T @ ds.tensor.frontal_slice(k) @ v @ v.T
+                ds.images[k] - u @ u.T @ ds.images[k] @ v @ v.T
             )
             ** 2
             for k in range(ds.n)
         )
-        y = mode_product(mode_product(ds.tensor, u.T, 1), v.T, 2)
-        via_norms = frobenius_norm(ds.tensor) ** 2 - frobenius_norm(y) ** 2
+        y = mode_product(mode_product(as_tensor(ds.images), u.T, 1), v.T, 2)
+        via_norms = frobenius_norm(as_tensor(ds.images)) ** 2 - frobenius_norm(y) ** 2
         assert direct == pytest.approx(via_norms, rel=1e-8)
 
     def test_termination_and_flag_accuracy(self):
         ds = toy_dataset(16)
         spec = method_matrices("2D-OLPP", ds)
-        pair, trace = fit_method(ds.tensor, spec, 2, 2, max_iter=4, tol=1e-6)
+        pair, trace = fit_method(ds.images, spec, 2, 2, max_iter=4, tol=1e-6)
         assert trace.iterations <= 4
         if trace.converged and trace.iterations >= 2:
             full = trace.objectives[1::2]
@@ -311,7 +310,7 @@ class TestFitGeneralized:
         rng = np.random.default_rng(17)
         n, m1, m2 = 8, 5, 3
         slices = [np.linalg.qr(rng.normal(size=(m1, m2)))[0] / np.sqrt(n) for _ in range(n)]
-        x = Tensor3.stack_frontal(slices)
+        x = np.stack(slices)
         coupling = rng.normal(size=(n, n))
         coupling = 0.5 * (coupling + coupling.T)
         gen_spec = MethodSpec("2D-NPP", coupling, np.eye(n), "gen_min")
@@ -323,8 +322,8 @@ class TestFitGeneralized:
     def test_vector_shaped_matches_1d_generalized(self):
         ds = toy_dataset(18, m1=7, m2=1, n=12, classes=3)
         spec = method_matrices("2D-LPP", ds)
-        pair, trace = fit_method(ds.tensor, spec, 3, 1)
-        vds = VectorDataset(ds.tensor.data[:, 0, :], ds.labels)
+        pair, trace = fit_method(ds.images, spec, 3, 1)
+        vds = VectorDataset(ds.images[:, :, 0].T, ds.labels)
         proj = fit_1d(vds, "LPP", 3, bandwidth=spec.bandwidth)
         # the 1D basis is degree-normalized, so its trace equals the sum of
         # generalized eigenvalues the 2D fit reports as its objective
@@ -338,12 +337,29 @@ class TestFitGeneralized:
         ds = toy_dataset(19)
         spec = MethodSpec("2D-LPP", np.eye(ds.n), np.zeros((ds.n, ds.n)), "gen_min")
         with pytest.raises(DefinitenessError):
-            fit_method(ds.tensor, spec, 2, 2)
+            fit_method(ds.images, spec, 2, 2)
+
+    @pytest.mark.parametrize("name", ["2D-LPP", "2D-NPP"])
+    def test_identically_zero_constraint_side_is_named(self, name):
+        # with the last image column blank the first column half-step's ridge
+        # repair picks that column, so the row side's constraint is exactly 0:
+        # no shift can repair it, and the error must say so instead of
+        # reporting a failed retry with a shift of 0
+        from repel2d.datasets import ImageDataset, matrix_dataset, split_dataset, synthetic_confusable
+
+        base = synthetic_confusable(12, seed=0)
+        images = base.images.copy()
+        images[:, :, -1] = 0.0
+        ds = ImageDataset("blank-column", images, base.labels, base.class_names)
+        train = matrix_dataset(ds, split_dataset(ds, 8, 0, 0)[0])
+        spec = method_matrices(name, train)
+        with pytest.raises(DefinitenessError, match="constraint-side subproblem matrix is identically zero"):
+            fit_method(train.images, spec, 1, 1)
 
     def test_constraint_normalization_recorded(self):
         ds = toy_dataset(20)
         spec = method_matrices("2D-NPP", ds)
-        pair, trace = fit_method(ds.tensor, spec, 2, 2)
+        pair, trace = fit_method(ds.images, spec, 2, 2)
         assert pair.constraints == ("coupled", "coupled")
         assert trace.max_constraint_defect <= 1e-8
 
@@ -353,7 +369,7 @@ class TestFitDiscriminant:
         ds = toy_dataset(21, classes=1)
         spec = method_matrices("2D-LDA", ds)
         with pytest.raises(RankError):
-            fit_method(ds.tensor, spec, 2, 2)
+            fit_method(ds.images, spec, 2, 2)
 
     def test_left_separable_two_class(self):
         rng = np.random.default_rng(22)
@@ -368,16 +384,15 @@ class TestFitDiscriminant:
         for c in labels:
             base = (u0 if c == 0 else u1) @ profile * 4.0
             slices.append(base + 0.05 * rng.normal(size=(m1, m2)))
-        ds = MatrixDataset(Tensor3.stack_frontal(slices), labels)
+        ds = MatrixDataset(np.stack(slices), labels)
         spec = method_matrices("2D-LDA", ds)
-        pair, trace = fit_method(ds.tensor, spec, 1, 1)
+        pair, trace = fit_method(ds.images, spec, 1, 1)
         assert trace.objectives[-1] > 10.0
         projected = [(pair.row_basis.T @ s @ pair.col_basis).item() for s in slices]
         # 1-NN on the training data separates perfectly
         from repel2d.recognize import GallerySet, classify_1nn
-        from repel2d.tensor_core import Tensor3 as T3
 
-        gallery = GallerySet(T3(np.array(projected).reshape(1, 1, -1)), labels)
+        gallery = GallerySet(np.moveaxis(np.array(projected).reshape(1, 1, -1), 2, 0), labels)
         predictions = [classify_1nn(np.array([[p]]), gallery) for p in projected]
         assert list(predictions) == list(labels)
 
@@ -387,15 +402,15 @@ class TestFitDiscriminant:
         spec = method_matrices("2D-LDA", ds)
         np.testing.assert_array_equal(spec_r.min_coupling, spec.min_coupling)
         np.testing.assert_array_equal(spec_r.max_coupling, spec.max_coupling)
-        pair_r, trace_r = fit_method(ds.tensor, spec_r, 2, 2)
-        pair, _ = fit_method(ds.tensor, spec, 2, 2)
+        pair_r, trace_r = fit_method(ds.images, spec_r, 2, 2)
+        pair, _ = fit_method(ds.images, spec, 2, 2)
         np.testing.assert_array_equal(pair_r.row_basis, pair.row_basis)
         np.testing.assert_array_equal(pair_r.col_basis, pair.col_basis)
 
     def test_repulsion_single_independent_iteration(self):
         ds = toy_dataset(24, n=18, noise=1.0)
         spec = method_matrices("2D-LDA-R", ds, knn=4, beta=0.2)
-        pair, trace = fit_method(ds.tensor, spec, 2, 2)
+        pair, trace = fit_method(ds.images, spec, 2, 2)
         assert trace.iterations == 1 and trace.converged
         assert np.all(np.isfinite(pair.row_basis))
 
@@ -406,8 +421,8 @@ class TestFitDiscriminant:
         ds = toy_dataset(0, m1=3, m2=7, n=4, classes=2)
         spec = method_matrices("2D-LDA", ds)
         with pytest.raises((DefinitenessError, NumericalQualityError)):
-            fit_method(ds.tensor, spec, 1, 1)
-        reduced, _ = pre_process_2dpca(ds.tensor, (2, 2))
+            fit_method(ds.images, spec, 1, 1)
+        reduced, _ = pre_process_2dpca(ds.images, (2, 2))
         red_spec = method_matrices("2D-LDA", MatrixDataset(reduced, ds.labels))
         pair, _ = fit_method(reduced, red_spec, 1, 1)
         assert np.all(np.isfinite(pair.row_basis))
@@ -417,33 +432,33 @@ class TestFitUnilateral:
     def test_left_solved_matches_column_covariance_oracle(self):
         ds = toy_dataset(26)
         spec = method_matrices("2D-PCA", ds)
-        pair, _ = fit_unilateral(ds.tensor, spec, "left", 3)
-        np.testing.assert_array_equal(pair.col_basis, np.eye(ds.tensor.dims[1]))
-        mean = ds.tensor.data.mean(axis=2)
-        cov = np.zeros((ds.tensor.dims[0],) * 2)
+        pair, _ = fit_unilateral(ds.images, spec, "left", 3)
+        np.testing.assert_array_equal(pair.col_basis, np.eye(ds.images.shape[2]))
+        mean = ds.images.mean(axis=0)
+        cov = np.zeros((ds.images.shape[1],) * 2)
         for k in range(ds.n):
-            diff = ds.tensor.frontal_slice(k) - mean
+            diff = ds.images[k] - mean
             cov += diff @ diff.T
         values = np.linalg.eigvalsh(cov)[::-1]
         _, expected = sym_eig(cov, EigenSelection(3, "top"))
         if values[2] - values[3] > 1e-8:
             assert subspace_angle(pair.row_basis, expected) < 1e-6
         # the solved side matrix is exactly the column covariance
-        built = row_subproblem_matrix(ds.tensor, np.eye(ds.tensor.dims[1]), spec.max_coupling)
+        built = row_subproblem_matrix(ds.images, np.eye(ds.images.shape[2]), spec.max_coupling)
         np.testing.assert_allclose(built, cov, rtol=1e-10)
 
     def test_full_dimension_lossless(self):
         ds = toy_dataset(27)
         spec = method_matrices("2D-PCA", ds)
-        pair, _ = fit_unilateral(ds.tensor, spec, "left", ds.tensor.dims[0])
-        y = mode_product(mode_product(ds.tensor, pair.row_basis.T, 1), pair.col_basis.T, 2)
-        assert frobenius_norm(y) == pytest.approx(frobenius_norm(ds.tensor), rel=1e-10)
+        pair, _ = fit_unilateral(ds.images, spec, "left", ds.images.shape[1])
+        y = mode_product(mode_product(as_tensor(ds.images), pair.row_basis.T, 1), pair.col_basis.T, 2)
+        assert frobenius_norm(y) == pytest.approx(frobenius_norm(as_tensor(ds.images)), rel=1e-10)
 
     def test_repeat_calls_identical(self):
         ds = toy_dataset(28)
         spec = method_matrices("2D-LPP", ds)
-        pair_a, trace_a = fit_unilateral(ds.tensor, spec, "right", 2)
-        pair_b, trace_b = fit_unilateral(ds.tensor, spec, "right", 2)
+        pair_a, trace_a = fit_unilateral(ds.images, spec, "right", 2)
+        pair_b, trace_b = fit_unilateral(ds.images, spec, "right", 2)
         np.testing.assert_array_equal(pair_a.col_basis, pair_b.col_basis)
         assert trace_a.iterations == trace_b.iterations == 1
 
@@ -451,16 +466,16 @@ class TestFitUnilateral:
         ds = toy_dataset(29, n=15)
         for name in METHOD_NAMES_2D:
             spec = method_matrices(name, ds, knn=4)
-            pair, trace = fit_unilateral(ds.tensor, spec, "right", 2)
+            pair, trace = fit_unilateral(ds.images, spec, "right", 2)
             assert pair.sides == "right_only"
-            np.testing.assert_array_equal(pair.row_basis, np.eye(ds.tensor.dims[0]))
+            np.testing.assert_array_equal(pair.row_basis, np.eye(ds.images.shape[1]))
             assert trace.converged
 
     def test_bad_side(self):
         ds = toy_dataset(30)
         spec = method_matrices("2D-PCA", ds)
         with pytest.raises(ParameterError):
-            fit_unilateral(ds.tensor, spec, "middle", 2)
+            fit_unilateral(ds.images, spec, "middle", 2)
 
 
 class TestPreProcess:
@@ -469,25 +484,25 @@ class TestPreProcess:
         # pairwise distances survive, so the couplings are identical, and any
         # fit that solves a single eigenproblem gives the same objective
         ds = toy_dataset(31)
-        m1, m2, _ = ds.tensor.dims
-        reduced, pre_pair = pre_process_2dpca(ds.tensor, (m1, m2))
+        _, m1, m2 = ds.images.shape
+        reduced, pre_pair = pre_process_2dpca(ds.images, (m1, m2))
         spec_raw = method_matrices("2D-OLPP", ds)
         spec_red = method_matrices("2D-OLPP", MatrixDataset(reduced, ds.labels))
         np.testing.assert_allclose(spec_red.min_coupling, spec_raw.min_coupling, atol=1e-10)
-        _, uni_raw = fit_unilateral(ds.tensor, spec_raw, "right", 2)
+        _, uni_raw = fit_unilateral(ds.images, spec_raw, "right", 2)
         _, uni_red = fit_unilateral(reduced, spec_red, "right", 2)
         assert uni_red.objectives[-1] == pytest.approx(uni_raw.objectives[-1], rel=1e-8)
         # the maximizing bilateral fit converges to the dominant subspaces,
         # which are basis-independent; run it to tight tolerance
         spec_pca_raw = method_matrices("2D-PCA", ds)
         spec_pca_red = method_matrices("2D-PCA", MatrixDataset(reduced, ds.labels))
-        _, bi_raw = fit_method(ds.tensor, spec_pca_raw, 2, 2, max_iter=60, tol=1e-13)
+        _, bi_raw = fit_method(ds.images, spec_pca_raw, 2, 2, max_iter=60, tol=1e-13)
         _, bi_red = fit_method(reduced, spec_pca_red, 2, 2, max_iter=60, tol=1e-13)
         assert bi_red.objectives[-1] == pytest.approx(bi_raw.objectives[-1], rel=1e-8)
 
     def test_composed_projector_orthonormal(self):
         ds = toy_dataset(32, m1=6, m2=6, n=12)
-        reduced, pre_pair = pre_process_2dpca(ds.tensor, (4, 4))
+        reduced, pre_pair = pre_process_2dpca(ds.images, (4, 4))
         spec = method_matrices("2D-OLPP", MatrixDataset(reduced, ds.labels))
         pair, _ = fit_method(reduced, spec, 2, 2)
         composed = compose_pairs(pre_pair, pair)
@@ -500,9 +515,9 @@ class TestPreProcess:
         ds = toy_dataset(33, m1=3, m2=5, n=4, classes=2)
         spec = method_matrices("2D-LDA", ds)
         d1 = 1
-        raw_side = col_subproblem_matrix(ds.tensor, np.eye(3, d1), spec.min_coupling)
+        raw_side = col_subproblem_matrix(ds.images, np.eye(3, d1), spec.min_coupling)
         assert np.linalg.matrix_rank(raw_side, tol=1e-10) < 5
-        reduced, _ = pre_process_2dpca(ds.tensor, (3, 2))
+        reduced, _ = pre_process_2dpca(ds.images, (3, 2))
         red_spec = method_matrices("2D-LDA", MatrixDataset(reduced, ds.labels))
         red_side = col_subproblem_matrix(reduced, np.eye(3, d1), red_spec.min_coupling)
         assert np.linalg.matrix_rank(red_side, tol=1e-10) == 2
@@ -515,13 +530,13 @@ def test_lda_couplings_give_scatter_matrices_on_vectors():
 
     ds = toy_dataset(35, m1=6, m2=1, n=15, classes=3)
     spec = method_matrices("2D-LDA", ds)
-    x_mat = ds.tensor.data[:, 0, :]
+    x_mat = ds.images[:, :, 0].T
     sw, sb = scatter_matrices(VectorDataset(x_mat, ds.labels))
     np.testing.assert_allclose(
-        row_subproblem_matrix(ds.tensor, np.eye(1), spec.min_coupling), sw, rtol=1e-8, atol=1e-10
+        row_subproblem_matrix(ds.images, np.eye(1), spec.min_coupling), sw, rtol=1e-8, atol=1e-10
     )
     np.testing.assert_allclose(
-        row_subproblem_matrix(ds.tensor, np.eye(1), spec.max_coupling), sb, rtol=1e-8, atol=1e-10
+        row_subproblem_matrix(ds.images, np.eye(1), spec.max_coupling), sb, rtol=1e-8, atol=1e-10
     )
 
 
@@ -529,7 +544,7 @@ def test_fit_method_dispatch_covers_all():
     ds = toy_dataset(34, n=15)
     for name in METHOD_NAMES_2D:
         spec = method_matrices(name, ds, knn=4)
-        pair, trace = fit_method(ds.tensor, spec, 2, 2)
+        pair, trace = fit_method(ds.images, spec, 2, 2)
         assert pair.row_basis.shape == (5, 2)
         assert pair.col_basis.shape == (4, 2)
         assert trace.iterations >= 1

@@ -151,7 +151,7 @@ def independent_fit(cfg, ds, method, realization, d):
     if method in embed_2d.METHOD_NAMES_2D:
         train = matrix_dataset(ds, train_idx)
         spec = method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
-        pair, _ = fit_unilateral(train.tensor, spec, "right", d)
+        pair, _ = fit_unilateral(train.images, spec, "right", d)
         return pair
     return fit_1d(vector_dataset(ds, train_idx), method, d, knn=cfg.knn, beta=cfg.beta, pca_predim="auto")
 
@@ -197,7 +197,7 @@ class TestUnitReuse:
         train = matrix_dataset(blank_column_ds, split_dataset(blank_column_ds, 8, cfg.seed, 0)[0])
         spec = method_matrices("2D-LDA-R", train)
         assert spec.solver == "gen_max"
-        pencil = unilateral_pencil(train.tensor, spec, "right")
+        pencil = unilateral_pencil(train.images, spec, "right")
         with pytest.raises(DefinitenessError):  # so every solve below takes the ridge retry
             gen_sym_eig(pencil.lhs, pencil.rhs, EigenSelection(1, "top"))
         unit = fit_unit(cfg, blank_column_ds, "2D-LDA-R", 0)

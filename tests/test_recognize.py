@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repel2d.embed_2d import MatrixDataset, ProjectorPair, method_matrices, fit_method
+from repel2d.embed_2d import (
+    MatrixDataset,
+    MethodSpec,
+    ProjectorPair,
+    centering_matrix,
+    fit_method,
+    method_matrices,
+    unilateral_pencil,
+)
 from repel2d.errors import ParameterError, ShapeError
 from repel2d.recognize import (
     GallerySet,
@@ -13,7 +21,6 @@ from repel2d.recognize import (
     project,
     project_tensor,
 )
-from repel2d.tensor_core import Tensor3
 
 
 def identity_pair(m1, m2):
@@ -29,13 +36,13 @@ class TestProject:
     def test_training_slice_reproduced(self):
         rng = np.random.default_rng(1)
         labels = np.repeat([0, 1], 5)
-        ds = MatrixDataset(Tensor3(rng.normal(size=(5, 4, 10))), labels)
+        ds = MatrixDataset(np.moveaxis(rng.normal(size=(5, 4, 10)), 2, 0), labels)
         spec = method_matrices("2D-PCA", ds)
-        pair, _ = fit_method(ds.tensor, spec, 2, 2)
-        stack = project_tensor(ds.tensor, pair)
+        pair, _ = fit_method(ds.images, spec, 2, 2)
+        stack = project_tensor(ds.images, pair)
         for k in (0, 3, 9):
             np.testing.assert_array_equal(
-                project(ds.tensor.frontal_slice(k), pair), stack.frontal_slice(k)
+                project(ds.images[k], pair), stack[k]
             )
 
     def test_rank_one_in_span_keeps_norm(self):
@@ -54,7 +61,7 @@ class TestProject:
 
 class TestClassify:
     def gallery(self, items, labels):
-        return GallerySet(Tensor3.stack_frontal(items), np.asarray(labels))
+        return GallerySet(np.stack(items), np.asarray(labels))
 
     def test_exact_match(self):
         items = [np.eye(2), np.ones((2, 2))]
@@ -82,7 +89,7 @@ class TestClassify:
 
     def test_empty_gallery_rejected(self):
         with pytest.raises((ParameterError, ShapeError)):
-            GallerySet(Tensor3(np.zeros((2, 2, 1))), np.array([], dtype=int))
+            GallerySet(np.moveaxis(np.zeros((2, 2, 1)), 2, 0), np.array([], dtype=int))
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(4)
@@ -100,14 +107,14 @@ class TestClassify:
         items = [rng.normal(size=(2, 2)) for _ in range(8)]
         labels = rng.integers(0, 3, size=8)
         g = self.gallery(items, labels)
-        stack = Tensor3.stack_frontal(items)
+        stack = np.stack(items)
         predictions = classify_batch(stack, g)
         assert error_rate(predictions, labels) == 0.0
 
 
-def stack(items) -> Tensor3:
-    """Tensor3 whose frontal slices are ``items`` (an (n, d1, d2) array)."""
-    return Tensor3(np.moveaxis(np.asarray(items, dtype=np.float64), 0, 2))
+def stack(items) -> np.ndarray:
+    """The (n, d1, d2) stack of ``items``."""
+    return np.asarray(items, dtype=np.float64)
 
 
 def confusable_gallery(rng, n_items, shape, on_grid):
@@ -193,11 +200,28 @@ class TestErrorRate:
             error_rate([1, 2], [1, 2, 3])
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3, 1)])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda a: fit_method(a, MethodSpec("2D-PCA", None, centering_matrix(2), "orth_max"), 1, 1),
+        lambda a: unilateral_pencil(a, MethodSpec("2D-PCA", None, centering_matrix(2), "orth_max"), "right"),
+        lambda a: project_tensor(a, identity_pair(4, 3)),
+        lambda a: GallerySet(a, np.arange(2)),
+    ],
+    ids=["fit_method", "unilateral_pencil", "project_tensor", "GallerySet"],
+)
+def test_only_image_stacks_accepted(entry, shape):
+    # ShapeError is a data error: exit code 2 on the command line
+    with pytest.raises(ShapeError):
+        entry(np.ones(shape))
+
+
 def test_build_gallery_roundtrip():
     rng = np.random.default_rng(6)
     labels = np.repeat([0, 1], 4)
-    x = Tensor3(rng.normal(size=(4, 4, 8)))
+    x = np.moveaxis(rng.normal(size=(4, 4, 8)), 2, 0)
     pair = identity_pair(4, 4)
     g = build_gallery(x, pair, labels)
     assert g.n == 8
-    np.testing.assert_array_equal(g.projected.data, x.data)
+    np.testing.assert_array_equal(g.projected, x)

