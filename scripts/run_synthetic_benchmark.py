@@ -4,7 +4,7 @@
 Materializes the generator output as a PGM tree, sweeps a handful of
 methods over dimensions in both projection modes, and writes CSV +
 plot-series files under --out.  Exercises the same code path as
-``repel2d sweep``.
+``repel2d sweep``, with one worker per usable CPU.
 """
 
 import argparse
@@ -17,6 +17,7 @@ from repel2d.experiment import (
     emit_csv,
     emit_plotdata,
     run_experiment,
+    usable_cpus,
     write_metadata,
 )
 
@@ -46,6 +47,7 @@ def main():
                 train_per_class=args.train_per_class,
                 realizations=args.realizations,
                 seed=args.seed,
+                jobs=usable_cpus(),
             )
             table = run_experiment(cfg)
             out = args.out / mode

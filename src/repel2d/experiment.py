@@ -14,10 +14,13 @@ reduced in sorted key order either way.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -37,6 +40,7 @@ __all__ = [
     "Cell",
     "UnitFit",
     "run_experiment",
+    "usable_cpus",
     "fit_unit",
     "run_cell",
     "emit_csv",
@@ -306,6 +310,75 @@ def _task_dims(cfg: ExperimentConfig, method: str, chunks: int) -> list[tuple[in
     return [dims[i * len(dims) // k : (i + 1) * len(dims) // k] for i in range(k)]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds in use: numpy's
+# scipy_openblas64_ (which runs the GEMMs), scipy's scipy_openblas (which
+# runs eigh) and a system libopenblas in either integer width.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> dict[str, tuple]:
+    """``{library file name: (get, set)}`` for every OpenBLAS library
+    mapped into this process; empty when none is, or when
+    ``/proc/self/maps`` cannot be read."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return {}
+    paths = sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line and "/" in line})
+    controls = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls[Path(path).name] = (get, set_)
+                break
+    return controls
+
+
+@contextmanager
+def _blas_threads_capped(limit: int | None):
+    """Lower every loaded OpenBLAS library's thread count to ``limit``
+    for the block (``None``: leave them as they are) and restore the
+    lowered ones on the way out, also after an exception.  A count
+    already at or below the limit is left alone.
+
+    The counts are process-wide: every thread's BLAS calls inside the
+    block see the cap, and blocks that overlap in time with different
+    limits can leave a count lowered after both exit.  Yields ``{library: {"before": n, "during": m}}``,
+    empty when no OpenBLAS is loaded.
+    """
+    controls = _openblas_thread_controls()
+    saved = {name: get() for name, (get, _) in controls.items()}
+    lowered = {name: n for name, n in saved.items() if limit is not None and n > limit}
+    try:
+        for name in lowered:
+            controls[name][1](limit)
+        yield {name: {"before": saved[name], "during": get()} for name, (get, _) in controls.items()}
+    finally:
+        for name, n in lowered.items():
+            controls[name][1](n)
+
+
 def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -> ResultTable:
     """Run the full protocol and aggregate per-cell errors.
 
@@ -336,11 +409,13 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
             for cell in run_cell(cfg, ds, method, r, dims)
         ]
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = [cell for cells in pool.map(task, tasks) for cell in cells]
-    else:
-        outcomes = [cell for unit in tasks for cell in task(unit)]
+    cpus = usable_cpus()
+    with _blas_threads_capped(max(1, cpus // cfg.jobs) if cfg.jobs > 1 else None) as blas_threads:
+        if cfg.jobs > 1:
+            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+                outcomes = [cell for cells in pool.map(task, tasks) for cell in cells]
+        else:
+            outcomes = [cell for unit in tasks for cell in task(unit)]
 
     logs: dict[tuple[str, str, int], dict] = {}
     for method, dim, r, err, secs, failure in sorted(outcomes, key=lambda o: o[:3]):
@@ -377,6 +452,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
         "classes": len(ds.class_names),
         "config": _jsonable_config(cfg),
         "bandwidth_rule": "mean squared label-edge distance, shared with repulsion weights",
+        "execution": {"jobs": cfg.jobs, "usable_cpus": cpus, "blas_threads": blas_threads},
         "per_cell": {
             f"{m}|{mo}|{d}": rec for (m, mo, d), rec in sorted(logs.items())
         },

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from repel2d import experiment
 from repel2d.cli import main, read_config
 from repel2d.datasets import ImageDataset, write_dataset_pgm
-from repel2d.experiment import CSV_HEADER, parse_result_csv
+from repel2d.experiment import CSV_HEADER, parse_result_csv, usable_cpus
 
 
 def run_cli(*argv):
@@ -63,6 +64,30 @@ class TestBenchAndSweep:
         meta = json.loads((out / "results.meta.json").read_text())
         assert meta["config"]["realizations"] == 2
         assert not (out / "plotdata").exists()
+
+    def test_pooled_bench_records_blas_threads(self, tmp_path, synthetic_dir):
+        out = tmp_path / "res"
+        code = run_cli(
+            "bench",
+            "--dataset", str(synthetic_dir),
+            "--method", "2D-PCA,2D-LPP",
+            "--mode", "bi",
+            "--dims", "2,4",
+            "--train-per-class", "4",
+            "--realizations", "2",
+            "--jobs", "2",
+            "--out", str(out),
+        )
+        assert code == 0
+        execution = json.loads((out / "results.meta.json").read_text())["execution"]
+        assert execution["jobs"] == 2
+        assert execution["usable_cpus"] == usable_cpus()
+        # the counts are restored after the run, so "before" is today's count
+        now = {name: get() for name, (get, _) in experiment._openblas_thread_controls().items()}
+        limit = max(1, usable_cpus() // 2)
+        assert execution["blas_threads"] == {
+            name: {"before": n, "during": min(n, limit)} for name, n in now.items()
+        }
 
     def test_sweep_also_writes_plotdata(self, tmp_path, synthetic_dir):
         out = tmp_path / "res"

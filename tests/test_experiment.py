@@ -97,18 +97,23 @@ class TestRunExperiment:
         table = run_experiment(cfg, dataset=synthetic_ds)
         assert 0.0 <= table.rows[0].mean_error <= 1.0
 
-    def test_jobs_parallel_matches_serial(self, synthetic_ds):
-        cfg_serial = small_cfg(methods=("2D-PCA", "2D-OLPP-R"), dims=(2, 4), realizations=2)
-        cfg_par = small_cfg(methods=("2D-PCA", "2D-OLPP-R"), dims=(2, 4), realizations=2, jobs=4)
+    @pytest.mark.parametrize("mode", ["unilateral", "bilateral"])
+    def test_jobs_parallel_matches_serial(self, synthetic_ds, mode):
+        # the serial run keeps the default BLAS threads, the pooled one runs
+        # under the per-worker cap; a generalized (2D-LPP) and a
+        # ridge-repaired (2D-LDA-R) method ride along with the orthonormal ones
+        methods = ("2D-PCA", "2D-OLPP-R", "2D-LPP", "2D-LDA-R")
+        cfg_serial = small_cfg(methods=methods, mode=mode, dims=(2, 4), realizations=2)
+        cfg_par = small_cfg(methods=methods, mode=mode, dims=(2, 4), realizations=2, jobs=4)
         serial = run_experiment(cfg_serial, dataset=synthetic_ds)
         parallel = run_experiment(cfg_par, dataset=synthetic_ds)
+        assert len(serial.rows) == len(parallel.rows) == len(methods) * 2
         for a, b in zip(serial.rows, parallel.rows):
-            assert (a.method, a.dimension, a.mean_error, a.std_error) == (
-                b.method,
-                b.dimension,
-                b.mean_error,
-                b.std_error,
-            )
+            assert (a.method, a.dimension) == (b.method, b.dimension)
+            np.testing.assert_array_equal([a.mean_error, a.std_error], [b.mean_error, b.std_error])
+        for key, record in serial.metadata["per_cell"].items():
+            other = parallel.metadata["per_cell"][key]
+            assert (record["errors"], record["failures"]) == (other["errors"], other["failures"])
 
     def test_fewer_units_than_jobs_split_dimensions(self, synthetic_ds, monkeypatch):
         cfg = small_cfg(methods=("2D-OLPP-R",), dims=(2, 3, 5), realizations=1)
@@ -258,6 +263,55 @@ class TestRidgeShift:
                 assert cell.trace.ridge_shift > 0.0
             else:
                 assert cell.trace.ridge_shift == 0.0
+
+
+class TestBlasThreadCap:
+    @pytest.fixture
+    def controls(self):
+        controls = experiment._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS library is loaded in this process")
+        saved = {name: get() for name, (get, _) in controls.items()}
+        yield controls
+        for name, (_, set_) in controls.items():
+            set_(saved[name])
+
+    @staticmethod
+    def counts(controls):
+        return {name: get() for name, (get, _) in controls.items()}
+
+    @staticmethod
+    def set_all(controls, n):
+        for _, set_ in controls.values():
+            set_(n)
+
+    def test_lowers_inside_and_restores_after(self, controls):
+        self.set_all(controls, 2)
+        with experiment._blas_threads_capped(1) as threads:
+            assert self.counts(controls) == dict.fromkeys(controls, 1)
+            assert threads == dict.fromkeys(controls, {"before": 2, "during": 1})
+        assert self.counts(controls) == dict.fromkeys(controls, 2)
+
+    def test_restores_after_an_exception(self, controls):
+        self.set_all(controls, 2)
+        with pytest.raises(RuntimeError, match="inside"):
+            with experiment._blas_threads_capped(1):
+                assert self.counts(controls) == dict.fromkeys(controls, 1)
+                raise RuntimeError("inside")
+        assert self.counts(controls) == dict.fromkeys(controls, 2)
+
+    def test_never_raises_a_lower_count(self, controls):
+        self.set_all(controls, 1)
+        with experiment._blas_threads_capped(2) as threads:
+            assert self.counts(controls) == dict.fromkeys(controls, 1)
+            assert threads == dict.fromkeys(controls, {"before": 1, "during": 1})
+        assert self.counts(controls) == dict.fromkeys(controls, 1)
+
+    def test_no_limit_leaves_counts_alone(self, controls):
+        before = self.counts(controls)
+        with experiment._blas_threads_capped(None) as threads:
+            assert self.counts(controls) == before
+        assert threads == {name: {"before": n, "during": n} for name, n in before.items()}
 
 
 class TestEmit:
