@@ -364,8 +364,9 @@ def _blas_threads_capped(limit: int | None):
 
     The counts are process-wide: every thread's BLAS calls inside the
     block see the cap, and blocks that overlap in time with different
-    limits can leave a count lowered after both exit.  Yields ``{library: {"before": n, "during": m}}``,
-    empty when no OpenBLAS is loaded.
+    limits can leave a count lowered after both exit.  Yields
+    ``{library: {"before": n, "during": m}}``, empty when no OpenBLAS is
+    loaded.
     """
     controls = _openblas_thread_controls()
     saved = {name: get() for name, (get, _) in controls.items()}
