@@ -158,17 +158,6 @@ def _pca_solve(pencil: VectorPencil, d: int) -> np.ndarray:
     return fix_signs(pencil.lift @ vectors[:, :d] / np.sqrt(values[:d]))
 
 
-def _repulsion_laplacian(ds: VectorDataset, knn: int, bandwidth: float | None) -> tuple[np.ndarray, float]:
-    points = ds.data.T
-    label_graph = graphs.build_label_graph(ds.labels)
-    if bandwidth is None:
-        bandwidth = graphs.default_bandwidth(label_graph, points)
-    affinity = graphs.build_knn_graph(points, knn)
-    rep_graph = graphs.build_repulsion_graph(label_graph, affinity)
-    bundle = graphs.repulsion_laplacian(rep_graph, points, bandwidth)
-    return bundle.laplacian, bandwidth
-
-
 def vector_pencil(
     ds: VectorDataset,
     method: str,
@@ -200,7 +189,7 @@ def vector_pencil(
         # matrices, summed in an order whose rounding the results rest on
         sw, sb = scatter_matrices(ds)
         if method == "LDA-R":
-            rep, _ = _repulsion_laplacian(ds, knn, bandwidth)
+            rep = graphs.repulsion_laplacian(graphs.build_label_graph(ds.labels), x.T, knn, bandwidth)
             sw = sw - (default_beta("2D-LDA-R") if beta is None else beta) * (x @ rep @ x.T)
         return VectorPencil(method, sb, sw, "top", ds.m, pre)
 

@@ -238,14 +238,11 @@ def method_matrices(
     elif base == "2D-PCA":
         max_coupling = centering_matrix(n)
     elif base in ("2D-OLPP", "2D-LPP"):
-        weighted = graphs.gaussian_weights(label_graph, points, bandwidth)
-        bundle = graphs.laplacian(weighted)
-        min_coupling = bundle.laplacian
+        min_coupling, degree = graphs.laplacian(graphs.gaussian_weights(label_graph, points, bandwidth))
         if base == "2D-LPP":
-            max_coupling = bundle.degree
+            max_coupling = degree
     elif base in ("2D-ONPP", "2D-NPP"):
-        recon = graphs.lle_weights(label_graph, points)
-        min_coupling = graphs.reconstruction_penalty(recon.weights)
+        min_coupling = graphs.reconstruction_penalty(graphs.lle_weights(label_graph, points))
         if base == "2D-NPP":
             max_coupling = np.eye(n)
     else:  # 2D-LDA
@@ -254,10 +251,7 @@ def method_matrices(
         max_coupling = centering_matrix(n) - s
 
     if repel:
-        affinity = graphs.build_knn_graph(points, knn)
-        rep_graph = graphs.build_repulsion_graph(label_graph, affinity)
-        rep = graphs.repulsion_laplacian(rep_graph, points, bandwidth)
-        min_coupling = min_coupling - beta * rep.laplacian
+        min_coupling = min_coupling - beta * graphs.repulsion_laplacian(label_graph, points, knn, bandwidth)
 
     return MethodSpec(
         name=name,

@@ -46,7 +46,6 @@ __all__ = [
     "emit_csv",
     "emit_plotdata",
     "write_metadata",
-    "parse_result_csv",
     "CSV_HEADER",
 ]
 
@@ -125,6 +124,10 @@ def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
             raise ParameterError(f"unknown method {name!r}")
     m1, m2 = ds.image_shape
     side1, side2 = (cfg.pre_dims if cfg.pre_dims is not None else (m1, m2))
+    # the PCA pre-dimension every vector method but PCA fits in: the
+    # config's, or embed_1d.default_predim of a training split
+    classes = len(ds.class_names)
+    predim = cfg.pca_predim if cfg.pca_predim is not None else min((cfg.train_per_class - 1) * classes, m1 * m2)
     for d in cfg.dims:
         if d < 1:
             raise ParameterError(f"dimension {d} must be >= 1")
@@ -133,6 +136,8 @@ def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
                 limit = side2 if cfg.mode == "unilateral" else min(side1, side2)
                 if d > limit:
                     raise ParameterError(f"dimension {d} exceeds image side limit {limit}")
+            elif name != "PCA" and d >= predim:
+                raise ParameterError(f"{name} dimension {d} must be below the PCA pre-dimension {predim}")
 
 
 def _is_2d(name: str) -> bool:
@@ -488,18 +493,6 @@ def emit_csv(table: ResultTable, path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     return path
-
-
-def parse_result_csv(path) -> list[ResultRow]:
-    """Read back a CSV written by :func:`emit_csv`."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ParameterError(f"{path} does not carry the expected result header")
-    rows = []
-    for line in lines[1:]:
-        method, mode, dim, mean, std, secs = line.split(",")
-        rows.append(ResultRow(method, mode, int(dim), float(mean), float(std), float(secs)))
-    return rows
 
 
 def emit_plotdata(table: ResultTable, out_dir) -> list[Path]:

@@ -1,89 +1,31 @@
-"""Affinity graphs, weighting schemes, Laplacians, and repulsion graphs.
+"""Affinity graphs, weighting schemes, Laplacians and the repulsion Laplacian.
 
-Graphs are kept dense: a boolean adjacency matrix records the edge set and
-a float matrix carries the weights (zero off the edges).  Keeping the
-adjacency explicit means an edge whose weight underflows to zero is still
-an edge, and set operations such as the repulsion difference stay exact.
+A graph is a pair of plain dense ``(n, n)`` arrays.  A boolean adjacency
+records the edge set: its diagonal is zero, and every graph built here is
+symmetric.  A separate float matrix carries the weights, which are zero
+off the edges.  Keeping the adjacency explicit means an edge whose weight
+underflows to zero is still an edge, and set operations such as the
+repulsion difference stay exact.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, ParameterError, ShapeError
 
 __all__ = [
-    "WeightedGraph",
-    "LaplacianBundle",
     "build_knn_graph",
-    "build_radius_graph",
     "build_label_graph",
-    "binary_weights",
     "gaussian_weights",
     "default_bandwidth",
     "lle_weights",
     "laplacian",
-    "build_repulsion_graph",
     "repulsion_laplacian",
     "reconstruction_penalty",
 ]
 
 LLE_RIDGE = 1e-6
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Edge set plus edge weights over vertices ``0..n-1``.
-
-    ``adjacency`` is boolean with a zero diagonal; ``weights`` is zero
-    wherever there is no edge.  ``symmetric`` declares that both matrices
-    equal their transposes exactly.
-    """
-
-    adjacency: np.ndarray
-    weights: np.ndarray
-    symmetric: bool
-
-    def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ShapeError(f"adjacency must be square, got shape {adj.shape}")
-        if w.shape != adj.shape:
-            raise ShapeError("weights shape must match adjacency")
-        if np.any(np.diag(adj)):
-            raise ContractError("self-loops are not allowed")
-        if np.any(w[~adj] != 0.0):
-            raise ContractError("nonzero weight on a non-edge")
-        if self.symmetric and (np.any(adj != adj.T) or np.any(w != w.T)):
-            raise ContractError("graph flagged symmetric but matrices are not")
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
-
-    def edge_count(self) -> int:
-        """Number of undirected edges (ordered pairs / 2 when symmetric)."""
-        total = int(np.count_nonzero(self.adjacency))
-        return total // 2 if self.symmetric else total
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        """Edges as ``(i, j)`` pairs with ``i < j`` (symmetric graphs only)."""
-        ii, jj = np.nonzero(np.triu(self.adjacency, k=1))
-        return set(zip(ii.tolist(), jj.tolist()))
-
-
-@dataclass(frozen=True)
-class LaplacianBundle:
-    """Graph Laplacian ``L = D - W`` together with the diagonal degree
-    matrix ``D`` of row sums of the weights."""
-
-    laplacian: np.ndarray
-    degree: np.ndarray
 
 
 def _points_matrix(points) -> np.ndarray:
@@ -95,6 +37,13 @@ def _points_matrix(points) -> np.ndarray:
     return pts
 
 
+def _adjacency(adjacency, n: int) -> np.ndarray:
+    adj = np.asarray(adjacency, dtype=bool)
+    if adj.shape != (n, n):
+        raise ShapeError(f"got {n} points for an adjacency of shape {adj.shape}")
+    return adj
+
+
 def _sq_distances(pts: np.ndarray) -> np.ndarray:
     sq = np.sum(pts * pts, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
@@ -102,13 +51,13 @@ def _sq_distances(pts: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def build_knn_graph(points, k: int) -> WeightedGraph:
-    """Link each vertex to its ``k`` nearest neighbors by Euclidean
-    distance, then symmetrize by edge union.
+def build_knn_graph(points, k: int) -> np.ndarray:
+    """Adjacency linking each vertex to its ``k`` nearest neighbors by
+    Euclidean distance, symmetrized by edge union.
 
-    Distance ties are broken toward the smaller vertex index, so the
-    construction is deterministic even with duplicated points.  Weights
-    are binary (1 on edges).
+    Distance ties are broken toward the smaller vertex index (a stable
+    sort of each row), so the construction is deterministic even with
+    duplicated points.
     """
     pts = _points_matrix(points)
     n = pts.shape[0]
@@ -117,72 +66,51 @@ def build_knn_graph(points, k: int) -> WeightedGraph:
     d2 = _sq_distances(pts)
     np.fill_diagonal(d2, np.inf)
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        order = np.argsort(d2[i], kind="stable")
-        adj[i, order[:k]] = True
+    np.put_along_axis(adj, np.argsort(d2, axis=1, kind="stable")[:, :k], True, axis=1)
     adj |= adj.T
-    return WeightedGraph(adj, adj.astype(np.float64), symmetric=True)
+    return adj
 
 
-def build_radius_graph(points, radius: float) -> WeightedGraph:
-    """Link vertices within Euclidean distance ``radius`` (no self-loops)."""
-    if radius <= 0:
-        raise ParameterError(f"radius must be positive, got {radius}")
-    pts = _points_matrix(points)
-    d2 = _sq_distances(pts)
-    adj = d2 <= radius * radius
-    np.fill_diagonal(adj, False)
-    return WeightedGraph(adj, adj.astype(np.float64), symmetric=True)
-
-
-def build_label_graph(labels) -> WeightedGraph:
-    """Link every pair of distinct vertices that share a class label."""
+def build_label_graph(labels) -> np.ndarray:
+    """Adjacency linking every pair of distinct vertices that share a class label."""
     lab = np.asarray(labels)
     if lab.ndim != 1 or lab.size == 0:
         raise ShapeError("labels must be a non-empty 1-d sequence")
     adj = lab[:, None] == lab[None, :]
     np.fill_diagonal(adj, False)
-    return WeightedGraph(adj, adj.astype(np.float64), symmetric=True)
+    return adj
 
 
-def binary_weights(graph: WeightedGraph) -> WeightedGraph:
-    """Weight 1 on every edge: the zero-bandwidth limit of Gaussian weights."""
-    return WeightedGraph(graph.adjacency, graph.adjacency.astype(np.float64), graph.symmetric)
-
-
-def default_bandwidth(graph: WeightedGraph, points) -> float:
+def default_bandwidth(adjacency, points) -> float:
     """Data-driven Gaussian bandwidth: mean squared edge distance.
 
     Falls back to 1.0 when the graph has no edges or every edge joins
     coincident points (any bandwidth then gives the same unit weights).
     """
     pts = _points_matrix(points)
-    d2 = _sq_distances(pts)
-    edge_d2 = d2[graph.adjacency]
+    edge_d2 = _sq_distances(pts)[_adjacency(adjacency, pts.shape[0])]
     if edge_d2.size == 0:
         return 1.0
     mean = float(np.mean(edge_d2))
     return mean if mean > 0.0 else 1.0
 
 
-def gaussian_weights(graph: WeightedGraph, points, t: float | None = None) -> WeightedGraph:
-    """Weight each edge ``(i, j)`` by ``exp(-|x_i - x_j|^2 / t)``.
+def gaussian_weights(adjacency, points, t: float | None = None) -> np.ndarray:
+    """Weight each edge ``(i, j)`` by ``exp(-|x_i - x_j|^2 / t)``, zero
+    off the edges.
 
     ``t=None`` selects :func:`default_bandwidth`.
     """
     pts = _points_matrix(points)
-    if pts.shape[0] != graph.n:
-        raise ShapeError(f"got {pts.shape[0]} points for a graph on {graph.n} vertices")
+    adj = _adjacency(adjacency, pts.shape[0])
     if t is None:
-        t = default_bandwidth(graph, pts)
+        t = default_bandwidth(adj, pts)
     if t <= 0:
         raise ParameterError(f"Gaussian bandwidth must be positive, got {t}")
-    d2 = _sq_distances(pts)
-    w = np.where(graph.adjacency, np.exp(-d2 / t), 0.0)
-    return WeightedGraph(graph.adjacency, w, graph.symmetric)
+    return np.where(adj, np.exp(-_sq_distances(pts) / t), 0.0)
 
 
-def lle_weights(graph: WeightedGraph, points) -> WeightedGraph:
+def lle_weights(adjacency, points) -> np.ndarray:
     """Reconstruction weights: row ``i`` minimizes ``|x_i - sum_j w_ij x_j|``
     over the neighbors of ``i`` subject to ``sum_j w_ij = 1``.
 
@@ -192,16 +120,15 @@ def lle_weights(graph: WeightedGraph, points) -> WeightedGraph:
     and the result is generally asymmetric.
     """
     pts = _points_matrix(points)
-    if pts.shape[0] != graph.n:
-        raise ShapeError(f"got {pts.shape[0]} points for a graph on {graph.n} vertices")
-    n = graph.n
-    degrees = graph.adjacency.sum(axis=1)
+    n = pts.shape[0]
+    adj = _adjacency(adjacency, n)
+    degrees = adj.sum(axis=1)
     if np.any(degrees == 0):
         lonely = int(np.argmin(degrees))
         raise ParameterError(f"vertex {lonely} has no neighbors; reconstruction weights need >= 1")
     w = np.zeros((n, n))
     for i in range(n):
-        nbrs = np.nonzero(graph.adjacency[i])[0]
+        nbrs = np.nonzero(adj[i])[0]
         diffs = pts[i] - pts[nbrs]
         gram = diffs @ diffs.T
         rhs = np.ones(len(nbrs))
@@ -211,7 +138,7 @@ def lle_weights(graph: WeightedGraph, points) -> WeightedGraph:
             sol = _solve_local_gram(gram, rhs, force_ridge=True)
             total = sol.sum()
         w[i, nbrs] = sol / total
-    return WeightedGraph(graph.adjacency, w, symmetric=False)
+    return w
 
 
 def _solve_local_gram(gram: np.ndarray, rhs: np.ndarray, force_ridge: bool = False) -> np.ndarray:
@@ -229,30 +156,30 @@ def _solve_local_gram(gram: np.ndarray, rhs: np.ndarray, force_ridge: bool = Fal
     return np.linalg.solve(gram + ridge * np.eye(k), rhs)
 
 
-def laplacian(graph: WeightedGraph) -> LaplacianBundle:
-    """Laplacian ``L = D - W`` of a symmetric weighted graph."""
-    if not graph.symmetric or np.any(graph.weights != graph.weights.T):
+def laplacian(weights) -> tuple[np.ndarray, np.ndarray]:
+    """Laplacian ``L = D - W`` of symmetric weights, with the diagonal
+    degree matrix ``D`` of their row sums: returns ``(L, D)``."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ShapeError(f"weights must be square, got shape {w.shape}")
+    if np.any(w != w.T):
         raise ContractError("laplacian requires symmetric weights")
-    degree = np.diag(graph.weights.sum(axis=1))
-    return LaplacianBundle(degree - graph.weights, degree)
+    degree = np.diag(w.sum(axis=1))
+    return degree - w, degree
 
 
-def build_repulsion_graph(label: WeightedGraph, affinity: WeightedGraph) -> WeightedGraph:
-    """Edges close in input space but from different classes.
+def repulsion_laplacian(label_adjacency, points, knn: int, t: float | None = None) -> np.ndarray:
+    """Laplacian of the repulsion graph: the ``knn`` nearest-neighbor
+    edges minus the label edges, so it joins only close points of
+    different classes, with Gaussian weights of bandwidth ``t``.
 
-    The edge set is the set difference of the affinity edges minus the
-    label edges, so repulsion edges and label edges are always disjoint.
+    ``t=None`` selects the :func:`default_bandwidth` of the label graph.
     """
-    if label.n != affinity.n:
-        raise ShapeError(f"vertex counts differ: {label.n} vs {affinity.n}")
-    adj = affinity.adjacency & ~label.adjacency
-    symmetric = label.symmetric and affinity.symmetric
-    return WeightedGraph(adj, adj.astype(np.float64), symmetric=symmetric)
-
-
-def repulsion_laplacian(repulsion: WeightedGraph, points, t: float | None = None) -> LaplacianBundle:
-    """Gaussian-weighted Laplacian of a repulsion graph."""
-    return laplacian(gaussian_weights(repulsion, points, t))
+    pts = _points_matrix(points)
+    label = _adjacency(label_adjacency, pts.shape[0])
+    if t is None:
+        t = default_bandwidth(label, pts)
+    return laplacian(gaussian_weights(build_knn_graph(pts, knn) & ~label, pts, t))[0]
 
 
 def reconstruction_penalty(weights) -> np.ndarray:

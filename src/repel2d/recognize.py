@@ -13,7 +13,7 @@ import numpy as np
 from .embed_2d import ProjectorPair, _image_stack
 from .errors import ParameterError, ShapeError
 
-__all__ = ["GallerySet", "project", "project_tensor", "build_gallery", "classify_1nn", "classify_batch", "error_rate"]
+__all__ = ["GallerySet", "project_tensor", "build_gallery", "classify_batch", "error_rate"]
 
 
 @dataclass(frozen=True)
@@ -38,18 +38,10 @@ class GallerySet:
         return self.projected.shape[0]
 
 
-def project(x, pair: ProjectorPair) -> np.ndarray:
-    """Project one image matrix: ``row_basis^T @ x @ col_basis``."""
-    mat = np.asarray(x, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ShapeError(f"expected a matrix, got shape {mat.shape}")
-    return project_tensor(mat[None], pair)[0]
-
-
 def project_tensor(x, pair: ProjectorPair) -> np.ndarray:
     """``row_basis^T @ X_k @ col_basis`` for every image of an
     ``(n, m1, m2)`` stack, one batched ``matmul`` per side, so image k of
-    the result is bit-identical to :func:`project` of image k.  A side
+    the result is bit-identical to projecting image k alone.  A side
     pinned to the identity (constraint ``"identity"``) is skipped;
     multiplying by it would be exact anyway."""
     stack = _image_stack(x)
@@ -77,23 +69,15 @@ def _squared_distances(items: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.square(items - query).sum(axis=1)
 
 
-def classify_1nn(y, gallery: GallerySet):
-    """Label of the gallery item nearest to ``y`` in Frobenius distance."""
-    mat = np.asarray(y, dtype=np.float64)
-    if mat.shape != gallery.projected.shape[1:]:
-        raise ShapeError(f"query shape {mat.shape} does not match gallery {gallery.projected.shape[1:]}")
-    items = gallery.projected.reshape(gallery.n, -1)
-    return gallery.labels[int(np.argmin(_squared_distances(items, mat.reshape(-1))))]
-
-
 def classify_batch(queries, gallery: GallerySet) -> np.ndarray:
     """Classify every item of a projected ``(n, d1, d2)`` query stack.
 
-    Returns exactly the labels of :func:`classify_1nn` applied to each
-    query.  One Gram product ``|q|^2 + |g|^2 - 2 q.g`` screens the
-    gallery; the items it cannot rule out are then compared by direct
-    differences, as :func:`classify_1nn` does, so ties still go to the
-    lowest gallery index.  The screening margin covers the rounding error
+    Each query gets the label of the gallery item at the smallest
+    squared distance summed from the differences, ties to the lowest
+    gallery index.  One Gram product ``|q|^2 + |g|^2 - 2 q.g`` screens the
+    gallery; the items it cannot rule out are then compared by those
+    direct differences, so the labels are exactly those of the per-query
+    rule.  The screening margin covers the rounding error
     of both distance forms: each is within ``(p + 2) eps (|q| + |g|)^2``
     of the exact value for ``p`` features (dot-product error bound).
     """
@@ -109,7 +93,7 @@ def classify_batch(queries, gallery: GallerySet) -> np.ndarray:
     # The direct winner's screened distance lies within four bounds (both
     # forms, at the winner and at the screened minimum) of that minimum;
     # the margin doubles that.  NaN distances stay candidates, as they
-    # would in classify_1nn's argmin.
+    # would in the per-query argmin.
     candidates = ~(screened > (screened.min(axis=1) + 8.0 * bound)[:, None])
     nearest = np.argmin(screened, axis=1)
     for k in np.flatnonzero(candidates.sum(axis=1) > 1):

@@ -4,7 +4,10 @@ The first part is the tensor route: dense third- and fourth-order
 tensors and the multilinear operations the trace objectives are defined
 by.  The package works on plain ``(n, m1, m2)`` image stacks instead;
 these independent implementations check it (criterion 1, the trace
-objectives, the reconstruction identities).
+objectives, the reconstruction identities).  After it come small
+references for the eigensolver and subspace checks, the per-query 1-NN
+rule that ``classify_batch`` must reproduce, and a reader for the result
+CSV that ``emit_csv`` writes.
 
 Storage convention
 ------------------
@@ -19,9 +22,12 @@ Tensor values are immutable after construction: the backing array is
 copied in and marked read-only, and every operation returns a new value.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from repel2d.errors import ShapeError
+from repel2d.experiment import CSV_HEADER, ResultRow
 
 
 def _frozen_f64(data, ndim: int, what: str) -> np.ndarray:
@@ -279,3 +285,26 @@ def trace_objective(y, coupling) -> float:
     yt = y if isinstance(y, Tensor3) else Tensor3(y)
     c = np.asarray(coupling, dtype=np.float64)
     return tensor_trace(contracted_product_33(mode_product(yt, c, 3), yt))
+
+
+def classify_1nn(y, gallery):
+    """Label of the gallery item nearest to one projected query ``y``:
+    squared Frobenius distances summed from the differences, ties to the
+    lowest gallery index.  The specification ``classify_batch`` is held
+    to, query by query."""
+    mat = np.asarray(y, dtype=np.float64)
+    if mat.shape != gallery.projected.shape[1:]:
+        raise ShapeError(f"query shape {mat.shape} does not match gallery {gallery.projected.shape[1:]}")
+    items = gallery.projected.reshape(gallery.n, -1)
+    return gallery.labels[int(np.argmin(np.square(items - mat.reshape(-1)).sum(axis=1)))]
+
+
+def parse_result_csv(path) -> list[ResultRow]:
+    """Read back a CSV written by ``emit_csv``."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    assert lines and lines[0] == CSV_HEADER, f"{path} does not carry the expected result header"
+    rows = []
+    for line in lines[1:]:
+        method, mode, dim, mean, std, secs = line.split(",")
+        rows.append(ResultRow(method, mode, int(dim), float(mean), float(std), float(secs)))
+    return rows

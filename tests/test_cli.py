@@ -6,7 +6,9 @@ import pytest
 from repel2d import experiment
 from repel2d.cli import main, read_config
 from repel2d.datasets import ImageDataset, write_dataset_pgm
-from repel2d.experiment import CSV_HEADER, parse_result_csv, usable_cpus
+from repel2d.experiment import CSV_HEADER, usable_cpus
+
+from _oracles import parse_result_csv
 
 
 def run_cli(*argv):
@@ -204,6 +206,27 @@ class TestExitCodes:
 
     def test_data_error_missing_directory(self, tmp_path):
         assert run_cli("bench", "--dataset", str(tmp_path / "nowhere")) == 2
+
+    @pytest.mark.parametrize("dims, expected", [("4,11", 0), ("4,12", 1)])
+    def test_vector_dimension_below_pca_predim(self, tmp_path, synthetic_dir, capsys, dims, expected):
+        # 4 classes x 4 training images: the automatic PCA pre-dimension is
+        # 12, and a vector method's dimension must stay below it
+        out = tmp_path / "res"
+        code = run_cli(
+            "bench",
+            "--dataset", str(synthetic_dir),
+            "--method", "OLPP",
+            "--dims", dims,
+            "--train-per-class", "4",
+            "--realizations", "1",
+            "--out", str(out),
+        )
+        assert code == expected
+        if expected:
+            assert "pre-dimension 12" in capsys.readouterr().err
+            assert not (out / "results.csv").exists()
+        else:
+            assert "nan" not in (out / "results.csv").read_text()
 
     def test_numerical_error_exit_code(self, synthetic_dir):
         # one training image per class makes every discriminant fit abort

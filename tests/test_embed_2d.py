@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import Tensor3, as_tensor, frobenius_norm, mode_product, trace_objective
+from _oracles import Tensor3, as_tensor, classify_1nn, frobenius_norm, mode_product, trace_objective
 from repel2d import graphs
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
@@ -101,10 +101,9 @@ class TestMethodMatrices:
         pts = ds.vectorized_points()
         label_graph = graphs.build_label_graph(ds.labels)
         t = graphs.default_bandwidth(label_graph, pts)
-        rep_graph = graphs.build_repulsion_graph(label_graph, graphs.build_knn_graph(pts, 4))
-        rep = graphs.repulsion_laplacian(rep_graph, pts, t)
+        rep = graphs.repulsion_laplacian(label_graph, pts, 4, t)
         np.testing.assert_allclose(
-            spec.min_coupling, base.min_coupling - beta * rep.laplacian, atol=1e-12
+            spec.min_coupling, base.min_coupling - beta * rep, atol=1e-12
         )
         assert spec.max_coupling is None
         assert spec.bandwidth == pytest.approx(t)
@@ -390,7 +389,7 @@ class TestFitDiscriminant:
         assert trace.objectives[-1] > 10.0
         projected = [(pair.row_basis.T @ s @ pair.col_basis).item() for s in slices]
         # 1-NN on the training data separates perfectly
-        from repel2d.recognize import GallerySet, classify_1nn
+        from repel2d.recognize import GallerySet
 
         gallery = GallerySet(np.moveaxis(np.array(projected).reshape(1, 1, -1), 2, 0), labels)
         predictions = [classify_1nn(np.array([[p]]), gallery) for p in projected]

@@ -17,11 +17,12 @@ from repel2d.experiment import (
     emit_csv,
     emit_plotdata,
     fit_unit,
-    parse_result_csv,
     run_experiment,
     write_metadata,
 )
 from repel2d.spectral import EigenSelection, gen_sym_eig
+
+from _oracles import parse_result_csv
 
 
 def small_cfg(**overrides):
@@ -233,14 +234,16 @@ class TestUnitReuse:
                 assert log["failures"] == []
 
     def test_vector_dimension_beyond_predim_fails_only_its_cell(self, synthetic_ds):
-        # 8 training images per class of 4 classes: the PCA pre-dimension is 32 - 4 = 28
+        # 8 training images per class of 4 classes: the PCA pre-dimension is
+        # 32 - 4 = 28.  A sweep asking for it is rejected before any fit; a
+        # unit fitted directly still fails only the impossible cell
         cfg = small_cfg(methods=("OLPP-R",), dims=(2, 28), train_per_class=8)
-        table = run_experiment(cfg, dataset=synthetic_ds)
-        alone = run_experiment(small_cfg(methods=("OLPP-R",), dims=(2,), train_per_class=8), dataset=synthetic_ds)
-        assert table.rows[0].mean_error == alone.rows[0].mean_error
-        assert math.isnan(table.rows[1].mean_error)
-        failures = table.metadata["per_cell"]["OLPP-R|vector|28"]["failures"]
-        assert len(failures) == 2 and all(f["reason"].startswith("ParameterError") for f in failures)
+        with pytest.raises(ParameterError, match="pre-dimension 28"):
+            run_experiment(cfg, dataset=synthetic_ds)
+        cells = fit_unit(cfg, synthetic_ds, "OLPP-R", 0).cells
+        alone = fit_unit(replace(cfg, dims=(2,)), synthetic_ds, "OLPP-R", 0).cells
+        np.testing.assert_array_equal(cells[0].projector.basis, alone[0].projector.basis)
+        assert isinstance(cells[1].failure, ParameterError)
 
 
 class TestRidgeShift:

@@ -4,13 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repel2d.errors import ContractError, ParameterError, ShapeError
 from repel2d.graphs import (
-    LaplacianBundle,
-    WeightedGraph,
-    binary_weights,
     build_knn_graph,
     build_label_graph,
-    build_radius_graph,
-    build_repulsion_graph,
     default_bandwidth,
     gaussian_weights,
     laplacian,
@@ -20,66 +15,118 @@ from repel2d.graphs import (
 )
 
 
-class TestWeightedGraph:
-    def test_nonzero_weight_off_edge_rejected(self):
-        adj = np.zeros((2, 2), dtype=bool)
-        w = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ContractError):
-            WeightedGraph(adj, w, symmetric=False)
+def _edges(adjacency) -> set[tuple[int, int]]:
+    """Edges of a symmetric adjacency as ``(i, j)`` pairs with ``i < j``."""
+    ii, jj = np.nonzero(np.triu(adjacency, k=1))
+    return set(zip(ii.tolist(), jj.tolist()))
 
-    def test_self_loop_rejected(self):
-        adj = np.eye(2, dtype=bool)
-        with pytest.raises(ContractError):
-            WeightedGraph(adj, adj.astype(float), symmetric=True)
 
-    def test_symmetry_flag_checked(self):
-        adj = np.array([[False, True], [False, False]])
-        with pytest.raises(ContractError):
-            WeightedGraph(adj, adj.astype(float), symmetric=True)
+def _repulsion_edges(labels, pts, k) -> set[tuple[int, int]]:
+    """The repulsion graph's edges, read off its Laplacian (unit bandwidth,
+    so no weight of these small examples underflows)."""
+    return _edges(repulsion_laplacian(build_label_graph(labels), pts, k, t=1.0) != 0.0)
+
+
+def _knn_row_loop(points, k) -> np.ndarray:
+    """kNN adjacency from one stable sort per row: the reference for the
+    batched sort in ``build_knn_graph``."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    sq = np.sum(pts * pts, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T), 0.0)
+    np.fill_diagonal(d2, np.inf)
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        adj[i, np.argsort(d2[i], kind="stable")[:k]] = True
+    return adj | adj.T
+
+
+def _points_with_duplicates(rng, n, p):
+    """Small-integer points, so squared distances tie exactly, with a few
+    rows repeated."""
+    pts = rng.integers(-2, 3, size=(n, p)).astype(float)
+    dup = rng.choice(n, size=n // 4, replace=False)
+    pts[dup] = pts[rng.integers(0, n, size=dup.size)]
+    return pts
+
+
+_invariant_cases = given(st.integers(4, 16), st.integers(0, 2 ** 31 - 1))
+
+
+class TestGraphInvariants:
+    """What every producer guarantees about the arrays it returns."""
+
+    @settings(max_examples=30, deadline=None)
+    @_invariant_cases
+    def test_no_self_loops(self, n, seed):
+        rng = np.random.default_rng(seed)
+        pts = _points_with_duplicates(rng, n, 2)
+        assert not np.diag(build_label_graph(rng.integers(0, 3, size=n))).any()
+        assert not np.diag(build_knn_graph(pts, int(rng.integers(1, n)))).any()
+
+    @settings(max_examples=30, deadline=None)
+    @_invariant_cases
+    def test_symmetric(self, n, seed):
+        rng = np.random.default_rng(seed)
+        pts = _points_with_duplicates(rng, n, 2)
+        for adj in (build_label_graph(rng.integers(0, 3, size=n)), build_knn_graph(pts, int(rng.integers(1, n)))):
+            assert adj.dtype == bool
+            np.testing.assert_array_equal(adj, adj.T)
+
+    @settings(max_examples=30, deadline=None)
+    @_invariant_cases
+    def test_gaussian_weights_zero_off_edges(self, n, seed):
+        rng = np.random.default_rng(seed)
+        pts = _points_with_duplicates(rng, n, 2)
+        for adj in (build_label_graph(rng.integers(0, 3, size=n)), build_knn_graph(pts, int(rng.integers(1, n)))):
+            w = gaussian_weights(adj, pts)
+            assert not w[~adj].any()
 
 
 class TestKnnGraph:
     def test_collinear_chain(self):
         points = np.array([[0.0], [1.0], [2.0]])
         g = build_knn_graph(points, 1)
-        assert g.edge_set() == {(0, 1), (1, 2)}
+        assert _edges(g) == {(0, 1), (1, 2)}
 
     def test_complete_graph(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(5, 3))
         g = build_knn_graph(pts, 4)
-        assert g.edge_count() == 10
+        assert np.count_nonzero(g) // 2 == 10
 
     def test_duplicate_points_tie_rule(self):
         # three coincident points: each selects the lowest other index
         pts = np.zeros((3, 2))
         g = build_knn_graph(pts, 1)
-        assert g.edge_set() == {(0, 1), (0, 2)}
+        assert _edges(g) == {(0, 1), (0, 2)}
         g2 = build_knn_graph(pts, 1)
-        np.testing.assert_array_equal(g.adjacency, g2.adjacency)
+        np.testing.assert_array_equal(g, g2)
 
     def test_k_too_large(self):
         with pytest.raises(ParameterError):
             build_knn_graph(np.zeros((3, 2)), 3)
 
-    def test_radius_graph(self):
-        pts = np.array([[0.0], [1.0], [5.0]])
-        g = build_radius_graph(pts, 1.5)
-        assert g.edge_set() == {(0, 1)}
+    @pytest.mark.parametrize("n, p, k", [(12, 1, 1), (30, 2, 3), (64, 3, 6), (150, 8, 10)])
+    def test_matches_row_loop(self, n, p, k):
+        # exact distance ties and repeated rows: the batched stable sort
+        # must pick the same neighbors, ties included
+        pts = _points_with_duplicates(np.random.default_rng(n), n, p)
+        np.testing.assert_array_equal(build_knn_graph(pts, k), _knn_row_loop(pts, k))
 
 
 class TestLabelGraph:
     def test_pair(self):
         g = build_label_graph([1, 1, 2])
-        assert g.edge_set() == {(0, 1)}
+        assert _edges(g) == {(0, 1)}
 
     def test_all_distinct(self):
         g = build_label_graph([1, 2, 3])
-        assert g.edge_set() == set()
+        assert _edges(g) == set()
 
     def test_single_class_complete(self):
         g = build_label_graph([1, 1, 1])
-        assert g.edge_set() == {(0, 1), (0, 2), (1, 2)}
+        assert _edges(g) == {(0, 1), (0, 2), (1, 2)}
 
 
 class TestGaussianWeights:
@@ -87,18 +134,18 @@ class TestGaussianWeights:
         g = build_label_graph([0, 0])
         pts = np.zeros((2, 3))
         w = gaussian_weights(g, pts, t=2.0)
-        assert w.weights[0, 1] == 1.0
+        assert w[0, 1] == 1.0
 
     def test_analytic_value(self):
         g = build_label_graph([0, 0])
         pts = np.array([[0.0], [2.0]])  # squared distance 4
         w = gaussian_weights(g, pts, t=4.0)
-        assert w.weights[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
+        assert w[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_non_edge_zero(self):
         g = build_label_graph([0, 1])
         w = gaussian_weights(g, np.array([[0.0], [0.1]]), t=1.0)
-        assert w.weights[0, 1] == 0.0
+        assert w[0, 1] == 0.0
 
     def test_bad_bandwidth(self):
         g = build_label_graph([0, 0])
@@ -110,42 +157,34 @@ class TestGaussianWeights:
         pts = np.array([[0.0], [1.0], [3.0]])  # edge d2: 1, 9, 4
         assert default_bandwidth(g, pts) == pytest.approx((1 + 9 + 4) / 3.0)
 
-    def test_binary_weights(self):
-        g = build_label_graph([0, 0, 1])
-        w = binary_weights(g)
-        assert w.weights[0, 1] == 1.0 and w.weights[0, 2] == 0.0
-
 
 class TestLleWeights:
     def test_single_identical_neighbor(self):
         adj = np.array([[False, True], [True, False]])
-        g = WeightedGraph(adj, adj.astype(float), symmetric=True)
         pts = np.zeros((2, 2))
-        w = lle_weights(g, pts)
-        assert w.weights[0, 1] == pytest.approx(1.0)
+        w = lle_weights(adj, pts)
+        assert w[0, 1] == pytest.approx(1.0)
         # zero reconstruction residual
-        assert np.linalg.norm(pts[0] - w.weights[0, 1] * pts[1]) == 0.0
+        assert np.linalg.norm(pts[0] - w[0, 1] * pts[1]) == 0.0
 
     def test_midpoint_half_half(self):
         # vertex 0 exactly midway between neighbors 1 and 2 on a line
         pts = np.array([[0.0], [-1.0], [1.0]])
         adj = np.array([[False, True, True], [True, False, False], [True, False, False]])
-        g = WeightedGraph(adj, adj.astype(float), symmetric=True)
-        w = lle_weights(g, pts)
-        np.testing.assert_allclose(w.weights[0, 1:], [0.5, 0.5], atol=1e-10)
+        w = lle_weights(adj, pts)
+        np.testing.assert_allclose(w[0, 1:], [0.5, 0.5], atol=1e-10)
 
     def test_row_sums_one(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(10, 4))
         g = build_knn_graph(pts, 3)
         w = lle_weights(g, pts)
-        np.testing.assert_allclose(w.weights.sum(axis=1), np.ones(10), atol=1e-10)
+        np.testing.assert_allclose(w.sum(axis=1), np.ones(10), atol=1e-10)
 
     def test_isolated_vertex_rejected(self):
         adj = np.zeros((2, 2), dtype=bool)
-        g = WeightedGraph(adj, adj.astype(float), symmetric=True)
         with pytest.raises(ParameterError):
-            lle_weights(g, np.zeros((2, 1)))
+            lle_weights(adj, np.zeros((2, 1)))
 
     def test_local_optimality_spot_check(self):
         rng = np.random.default_rng(2)
@@ -153,8 +192,8 @@ class TestLleWeights:
         g = build_knn_graph(pts, 4)
         w = lle_weights(g, pts)
         for i in (0, 5, 11):
-            nbrs = np.nonzero(g.adjacency[i])[0]
-            ours = np.linalg.norm(pts[i] - w.weights[i, nbrs] @ pts[nbrs])
+            nbrs = np.nonzero(g[i])[0]
+            ours = np.linalg.norm(pts[i] - w[i, nbrs] @ pts[nbrs])
             for _ in range(1000):
                 cand = rng.normal(size=len(nbrs))
                 total = cand.sum()
@@ -167,93 +206,86 @@ class TestLleWeights:
 class TestLaplacian:
     def test_single_edge(self):
         adj = np.array([[False, True], [True, False]])
-        g = WeightedGraph(adj, 3.0 * adj.astype(float), symmetric=True)
-        bundle = laplacian(g)
-        np.testing.assert_allclose(bundle.laplacian, [[3.0, -3.0], [-3.0, 3.0]])
-        np.testing.assert_allclose(bundle.degree, np.diag([3.0, 3.0]))
+        lap, degree = laplacian(3.0 * adj.astype(float))
+        np.testing.assert_allclose(lap, [[3.0, -3.0], [-3.0, 3.0]])
+        np.testing.assert_allclose(degree, np.diag([3.0, 3.0]))
 
     def test_ones_in_kernel(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(8, 3))
-        g = gaussian_weights(build_knn_graph(pts, 3), pts)
-        bundle = laplacian(g)
-        np.testing.assert_allclose(bundle.laplacian @ np.ones(8), np.zeros(8), atol=1e-12)
+        lap, _ = laplacian(gaussian_weights(build_knn_graph(pts, 3), pts))
+        np.testing.assert_allclose(lap @ np.ones(8), np.zeros(8), atol=1e-12)
 
     def test_psd_via_eigensolver_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             pts = rng.normal(size=(9, 2))
-            g = gaussian_weights(build_knn_graph(pts, 3), pts)
-            eigs = np.linalg.eigvalsh(laplacian(g).laplacian)
+            w = gaussian_weights(build_knn_graph(pts, 3), pts)
+            eigs = np.linalg.eigvalsh(laplacian(w)[0])
             assert eigs.min() >= -1e-10
 
     def test_asymmetric_rejected(self):
-        adj = np.array([[False, True], [True, False]])
         w = np.array([[0.0, 1.0], [2.0, 0.0]])
-        g = WeightedGraph(adj, w, symmetric=False)
         with pytest.raises(ContractError):
-            laplacian(g)
+            laplacian(w)
 
 
 class TestRepulsionGraph:
+    """The repulsion edges (kNN edges minus label edges), read off the
+    support of :func:`repulsion_laplacian`."""
+
     def test_affinity_subset_of_labels_gives_empty(self):
-        labels = build_label_graph([0, 0, 0])
-        affinity = build_knn_graph(np.array([[0.0], [1.0], [2.0]]), 1)
-        rep = build_repulsion_graph(labels, affinity)
-        assert rep.edge_set() == set()
+        assert _repulsion_edges([0, 0, 0], np.array([[0.0], [1.0], [2.0]]), 1) == set()
 
     def test_empty_label_graph_keeps_affinity(self):
-        labels = build_label_graph([0, 1, 2])
-        affinity = build_knn_graph(np.array([[0.0], [1.0], [2.0]]), 1)
-        rep = build_repulsion_graph(labels, affinity)
-        assert rep.edge_set() == affinity.edge_set()
+        pts = np.array([[0.0], [1.0], [2.0]])
+        assert _repulsion_edges([0, 1, 2], pts, 1) == _edges(build_knn_graph(pts, 1))
 
     def test_chain_example(self):
         # equally spaced line, k=1 with lower-index ties: chain edges
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
-        affinity = build_knn_graph(pts, 1)
-        assert affinity.edge_set() == {(0, 1), (1, 2), (2, 3)}
-        labels = build_label_graph([1, 1, 2, 2])
-        rep = build_repulsion_graph(labels, affinity)
-        assert rep.edge_set() == {(1, 2)}
+        assert _edges(build_knn_graph(pts, 1)) == {(0, 1), (1, 2), (2, 3)}
+        assert _repulsion_edges([1, 1, 2, 2], pts, 1) == {(1, 2)}
 
     def test_vertex_count_mismatch(self):
         with pytest.raises(ShapeError):
-            build_repulsion_graph(build_label_graph([0, 0]), build_label_graph([0, 0, 0]))
+            repulsion_laplacian(build_label_graph([0, 0]), np.zeros((3, 1)), 1)
 
     def test_disjoint_from_label_edges(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(14, 3))
         labels = rng.integers(0, 3, size=14)
-        rep = build_repulsion_graph(build_label_graph(labels), build_knn_graph(pts, 4))
-        assert not rep.edge_set() & build_label_graph(labels).edge_set()
+        assert not _repulsion_edges(labels, pts, 4) & _edges(build_label_graph(labels))
 
 
 class TestRepulsionLaplacian:
     def test_empty_graph_zero(self):
-        labels = build_label_graph([0, 0, 0])
-        affinity = build_knn_graph(np.array([[0.0], [1.0], [2.0]]), 1)
-        rep = build_repulsion_graph(labels, affinity)
-        bundle = repulsion_laplacian(rep, np.zeros((3, 1)), t=1.0)
-        np.testing.assert_array_equal(bundle.laplacian, np.zeros((3, 3)))
+        lap = repulsion_laplacian(build_label_graph([0, 0, 0]), np.array([[0.0], [1.0], [2.0]]), 1, t=1.0)
+        np.testing.assert_array_equal(lap, np.zeros((3, 3)))
 
     def test_one_edge_coincident_points(self):
+        # coincident points, k=1: kNN edges (0, 1) and (0, 2); the label
+        # edge (0, 2) leaves the single repulsion edge (0, 1)
         pts = np.zeros((3, 2))
-        adj = np.zeros((3, 3), dtype=bool)
-        adj[0, 1] = adj[1, 0] = True
-        rep = WeightedGraph(adj, adj.astype(float), symmetric=True)
-        bundle = repulsion_laplacian(rep, pts, t=1.0)
+        lap = repulsion_laplacian(build_label_graph([0, 1, 0]), pts, 1, t=1.0)
         expected = np.zeros((3, 3))
         expected[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
-        np.testing.assert_allclose(bundle.laplacian, expected)
+        np.testing.assert_allclose(lap, expected)
 
     def test_row_sums_zero(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(10, 4))
         labels = rng.integers(0, 2, size=10)
-        rep = build_repulsion_graph(build_label_graph(labels), build_knn_graph(pts, 3))
-        bundle = repulsion_laplacian(rep, pts)
-        np.testing.assert_allclose(bundle.laplacian @ np.ones(10), np.zeros(10), atol=1e-12)
+        lap = repulsion_laplacian(build_label_graph(labels), pts, 3)
+        np.testing.assert_allclose(lap @ np.ones(10), np.zeros(10), atol=1e-12)
+
+    def test_default_bandwidth_from_label_graph(self):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(12, 3))
+        label = build_label_graph(rng.integers(0, 3, size=12))
+        np.testing.assert_array_equal(
+            repulsion_laplacian(label, pts, 4), repulsion_laplacian(label, pts, 4, default_bandwidth(label, pts))
+        )
 
 
 def test_reconstruction_penalty_centering_case():
@@ -270,13 +302,11 @@ def test_property_graph_invariants(n, seed):
     pts = rng.normal(size=(n, 3))
     labels = rng.integers(0, 3, size=n)
     k = int(rng.integers(1, n))
-    affinity = build_knn_graph(pts, k)
     label_graph = build_label_graph(labels)
-    rep = build_repulsion_graph(label_graph, affinity)
-    # repulsion edges never overlap label edges
-    assert not (rep.adjacency & label_graph.adjacency).any()
-    for g in (gaussian_weights(affinity, pts), gaussian_weights(rep, pts)):
-        bundle = laplacian(g)
-        assert np.abs(bundle.laplacian.sum(axis=1)).max() <= 1e-12
-        np.testing.assert_array_equal(bundle.laplacian, bundle.laplacian.T)
-        assert np.linalg.eigvalsh(bundle.laplacian).min() >= -1e-10
+    rep = repulsion_laplacian(label_graph, pts, k)
+    # the repulsion Laplacian is zero on every label edge
+    assert not rep[label_graph].any()
+    for lap in (laplacian(gaussian_weights(build_knn_graph(pts, k), pts))[0], rep):
+        assert np.abs(lap.sum(axis=1)).max() <= 1e-12
+        np.testing.assert_array_equal(lap, lap.T)
+        assert np.linalg.eigvalsh(lap).min() >= -1e-10
