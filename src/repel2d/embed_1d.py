@@ -10,6 +10,7 @@ the matrix-data methods.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import graphs
 from .embed_2d import _half_step, _solver_sides, default_beta, method_matrices
 from .errors import ParameterError, ShapeError
-from .spectral import EigenSelection, fix_signs, sym_eig
+from .spectral import EigenSelection, fix_signs, sym_eig_prefixes, take_prefix
 
 __all__ = [
     "VectorDataset",
@@ -114,8 +115,8 @@ def default_predim(ds: VectorDataset) -> int:
 class VectorPencil:
     """A vector method's eigenproblem on one training set.
 
-    It does not depend on the target dimension, so it is assembled once
-    and solved for every dimension.  The basis comes from the ``which``
+    It does not depend on the target dimension, so it is assembled and
+    solved once for every dimension.  The basis comes from the ``which``
     eigenvectors of ``lhs``, generalized against ``rhs`` when there is
     one, and is mapped back through the PCA pre-basis ``pre`` if any.
     ``order`` is the feature count the basis lives in before that map.
@@ -145,17 +146,26 @@ def _pca_pencil(x: np.ndarray) -> VectorPencil:
     return VectorPencil("PCA", centered.T @ centered, None, "top", m, lift=centered)
 
 
-def _pca_solve(pencil: VectorPencil, d: int) -> np.ndarray:
-    """Top-d principal directions from a :func:`_pca_pencil`."""
-    if not 1 <= d <= pencil.order:
-        raise ParameterError(f"PCA dimension must be in [1, {pencil.order}], got {d}")
-    if pencil.lift is None:
-        return sym_eig(pencil.lhs, EigenSelection(d, "top"))[1]
-    values, vectors = sym_eig(pencil.lhs, EigenSelection(min(d, pencil.lhs.shape[0]), "top"))
-    keep = values > max(values[0], 0.0) * 1e-12
-    if np.count_nonzero(keep) < d:
-        raise ParameterError(f"data rank too low for {d} principal components")
-    return fix_signs(pencil.lift @ vectors[:, :d] / np.sqrt(values[:d]))
+def _pca_solve(pencil: VectorPencil, dims) -> Callable[[int], np.ndarray]:
+    """Top principal directions from a :func:`_pca_pencil`, solved once
+    for all of ``dims``: returns ``basis(d)``, the top ``d`` directions
+    for each ``d`` of ``dims``."""
+    valid = [d for d in dims if 1 <= d <= pencil.order]
+    lhs_order = pencil.lhs.shape[0]
+    pairs = sym_eig_prefixes(pencil.lhs, EigenSelection(min(max(valid), lhs_order), "top")) if valid else None
+
+    def basis(d: int) -> np.ndarray:
+        if not 1 <= d <= pencil.order:
+            raise ParameterError(f"PCA dimension must be in [1, {pencil.order}], got {d}")
+        if pencil.lift is None:
+            return take_prefix(pairs, d)[1]
+        values, vectors = take_prefix(pairs, min(d, lhs_order))
+        keep = values > max(values[0], 0.0) * 1e-12
+        if np.count_nonzero(keep) < d:
+            raise ParameterError(f"data rank too low for {d} principal components")
+        return fix_signs(pencil.lift @ vectors / np.sqrt(values))
+
+    return basis
 
 
 def vector_pencil(
@@ -180,7 +190,7 @@ def vector_pencil(
         p = default_predim(ds) if pca_predim == "auto" else int(pca_predim)
         if not 1 <= p <= ds.m:
             raise ParameterError(f"PCA pre-dimension {p} must lie in [1, {ds.m}]")
-        pre = _pca_solve(_pca_pencil(ds.data), p)
+        pre = _pca_solve(_pca_pencil(ds.data), (p,))(p)
         ds = VectorDataset(pre.T @ ds.data, ds.labels)
 
     x = ds.data
@@ -189,7 +199,8 @@ def vector_pencil(
         # matrices, summed in an order whose rounding the results rest on
         sw, sb = scatter_matrices(ds)
         if method == "LDA-R":
-            rep = graphs.repulsion_laplacian(graphs.build_label_graph(ds.labels), x.T, knn, bandwidth)
+            label_graph = graphs.build_label_graph(ds.labels)
+            rep = graphs.repulsion_laplacian(label_graph, graphs.sq_distances(x.T), knn, bandwidth)
             sw = sw - (default_beta("2D-LDA-R") if beta is None else beta) * (x @ rep @ x.T)
         return VectorPencil(method, sb, sw, "top", ds.m, pre)
 
@@ -198,22 +209,36 @@ def vector_pencil(
     return VectorPencil(method, x @ lhs @ x.T, None if rhs is None else x @ rhs @ x.T, which, ds.m, pre)
 
 
-def solve_1d(pencil: VectorPencil, d: int) -> Projector1D:
-    """Solve an assembled vector eigenproblem at dimension ``d``.
+def solve_1d(pencil: VectorPencil, dims) -> Callable[[int], Projector1D]:
+    """Solve an assembled vector eigenproblem once for all of ``dims``.
 
-    Each call runs its own eigensolve, contract checks and (generalized
-    solvers) ridge repair, the same half-step as the matrix methods' fits,
-    so a failure at one dimension does not touch the others.
+    One eigensolve, with its contract checks and (generalized solvers)
+    ridge repair, the same half-step as the matrix methods' fits, yields
+    the leading pairs for the largest valid dimension.  The returned
+    ``projector(d)`` maps the first ``d`` of them through the PCA
+    pre-basis for each ``d`` of ``dims``: the projector a solve for ``d``
+    alone gives, or the exception it raises.  A failure of the shared
+    solve raises here; the contract checks are per prefix, so a column
+    that fails them fails every ``d`` that includes it and no smaller one.
     """
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
     if pencil.method == "PCA":
-        return Projector1D(_pca_solve(pencil, d), "orthonormal")
-    if d >= pencil.order:
-        raise ParameterError(f"dimension must be < {pencil.order}, got {d}")
-    basis = _half_step(pencil.lhs, pencil.rhs, pencil.which, d)[1]
+        pca = _pca_solve(pencil, dims)
+    else:
+        valid = [d for d in dims if 1 <= d < pencil.order]
+        pairs = _half_step(pencil.lhs, pencil.rhs, pencil.which, max(valid))[0] if valid else None
     constraint = "orthonormal" if pencil.rhs is None else "b_orthonormal"
-    return Projector1D(basis if pencil.pre is None else pencil.pre @ basis, constraint)
+
+    def projector(d: int) -> Projector1D:
+        if d < 1:
+            raise ParameterError(f"dimension must be >= 1, got {d}")
+        if pencil.method == "PCA":
+            return Projector1D(pca(d), constraint)
+        if d >= pencil.order:
+            raise ParameterError(f"dimension must be < {pencil.order}, got {d}")
+        basis = take_prefix(pairs, d)[1]
+        return Projector1D(basis if pencil.pre is None else pencil.pre @ basis, constraint)
+
+    return projector
 
 
 def fit_1d(
@@ -246,4 +271,4 @@ def fit_1d(
         basis.  Ignored for plain PCA.
     """
     pencil = vector_pencil(ds, method, knn=knn, bandwidth=bandwidth, beta=beta, pca_predim=pca_predim)
-    return solve_1d(pencil, d)
+    return solve_1d(pencil, (d,))(d)

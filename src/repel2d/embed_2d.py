@@ -20,13 +20,14 @@ image-side order, solved for the bottom or top eigenvectors.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import graphs
 from .errors import DefinitenessError, ParameterError, RankError, ShapeError
-from .spectral import EigenSelection, gen_sym_eig, sym_eig
+from .spectral import EigenPrefixes, EigenSelection, gen_sym_eig_prefixes, sym_eig_prefixes, take_prefix
 
 __all__ = [
     "MatrixDataset",
@@ -212,7 +213,9 @@ def method_matrices(
     vectorized images, take the edges that join different classes, weight
     them with the same Gaussian bandwidth, and subtract ``beta`` times the
     resulting Laplacian from the minimized coupling.  A single bandwidth
-    (given, or the mean squared label-edge distance) is used throughout.
+    (given, or the mean squared label-edge distance) is used throughout,
+    and the squared distances between the vectorized images are computed
+    once for all of these graph pieces.
     """
     repulsion = name.endswith("-R")
     base = name[:-2] if repulsion else name
@@ -224,12 +227,14 @@ def method_matrices(
     n = dataset.n
     repel = repulsion and beta != 0.0
     # only the graph methods and active repulsion need the label graph, and
-    # only Gaussian weights need the bandwidth
+    # only Gaussian weights need the distances and the bandwidth
     if base not in ("GLRAM", "2D-PCA", "2D-LDA") or repel:
         points = dataset.vectorized_points()
         label_graph = graphs.build_label_graph(labels)
-        if bandwidth is None and (base in ("2D-OLPP", "2D-LPP") or repel):
-            bandwidth = graphs.default_bandwidth(label_graph, points)
+        if base in ("2D-OLPP", "2D-LPP") or repel:
+            sq_dist = graphs.sq_distances(points)
+            if bandwidth is None:
+                bandwidth = graphs.default_bandwidth(label_graph, sq_dist)
 
     min_coupling: np.ndarray | None = None
     max_coupling: np.ndarray | None = None
@@ -238,20 +243,21 @@ def method_matrices(
     elif base == "2D-PCA":
         max_coupling = centering_matrix(n)
     elif base in ("2D-OLPP", "2D-LPP"):
-        min_coupling, degree = graphs.laplacian(graphs.gaussian_weights(label_graph, points, bandwidth))
-        if base == "2D-LPP":
-            max_coupling = degree
+        # the degrees are 2D-LPP's constraint; 2D-OLPP drops them at once,
+        # since the repulsion graph below needs room for its own n x n arrays
+        min_coupling, max_coupling = graphs.laplacian(graphs.gaussian_weights(label_graph, sq_dist, bandwidth))
+        if base == "2D-OLPP":
+            max_coupling = None
     elif base in ("2D-ONPP", "2D-NPP"):
         min_coupling = graphs.reconstruction_penalty(graphs.lle_weights(label_graph, points))
         if base == "2D-NPP":
             max_coupling = np.eye(n)
     else:  # 2D-LDA
-        w, s = lda_weight_matrix(labels)
-        min_coupling = s
-        max_coupling = centering_matrix(n) - s
+        min_coupling = lda_weight_matrix(labels)[1]
+        max_coupling = centering_matrix(n) - min_coupling
 
     if repel:
-        min_coupling = min_coupling - beta * graphs.repulsion_laplacian(label_graph, points, knn, bandwidth)
+        min_coupling = min_coupling - beta * graphs.repulsion_laplacian(label_graph, sq_dist, knn, bandwidth)
 
     return MethodSpec(
         name=name,
@@ -377,48 +383,45 @@ def _solver_sides(spec: MethodSpec, n: int) -> tuple[np.ndarray, np.ndarray | No
     return b, a, "top"
 
 
-def _half_step(
-    lhs: np.ndarray, rhs: np.ndarray | None, which: str, d: int
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _half_step(lhs: np.ndarray, rhs: np.ndarray | None, which: str, d: int) -> tuple[EigenPrefixes, float]:
     """Solve one side-matrix pair for its ``which`` ``d`` eigenpairs.
 
-    Returns ``(values, basis, constraint defect, ridge shift)``.  Without a
-    constraint side the basis is orthonormal.  With one, a constraint that
-    fails the definiteness check is ridge-shifted once and the solve
-    retried (the shift is 0.0 when none was needed); a second failure
-    propagates with the diagnostics chained.  An identically zero
-    constraint is rejected before any solve.
+    Returns the checked eigenpairs, whose every prefix :func:`take_prefix`
+    turns into the result of a solve for that many pairs, and the ridge
+    shift.  Without a constraint side the basis is orthonormal.  With one,
+    a constraint that fails the definiteness check is ridge-shifted once
+    and the solve retried (the shift is 0.0 when none was needed); a
+    second failure propagates with the diagnostics chained.  An
+    identically zero constraint is rejected before any solve.  The
+    prefixes' orthonormality defects are measured against the constraint
+    actually solved with, so they are the fit's constraint defects.
     """
     sel = EigenSelection(d, which)
     if rhs is None:
-        values, basis = sym_eig(lhs, sel)
-        return values, basis, float(np.linalg.norm(basis.T @ basis - np.eye(d))), 0.0
+        return sym_eig_prefixes(lhs, sel), 0.0
     if which == "top" and np.linalg.norm(lhs) == 0.0:
         raise RankError("maximized-side subproblem matrix is identically zero")
     if np.linalg.norm(rhs) == 0.0:  # a ridge shift would be 0.0 and repair nothing
         raise DefinitenessError("constraint-side subproblem matrix is identically zero", 0.0)
-    shift = 0.0
     try:
-        values, basis = gen_sym_eig(lhs, rhs, sel)
+        return gen_sym_eig_prefixes(lhs, rhs, sel), 0.0
     except DefinitenessError as first:
         shift = abs(first.smallest_eigenvalue) + 1e-8 * float(np.linalg.norm(rhs))
-        rhs = rhs + shift * np.eye(rhs.shape[0])
         try:
-            values, basis = gen_sym_eig(lhs, rhs, sel)
+            return gen_sym_eig_prefixes(lhs, rhs + shift * np.eye(rhs.shape[0]), sel), shift
         except DefinitenessError as second:
             raise DefinitenessError(
                 f"constraint side not positive definite even after ridge shift {shift:.3e}: {second}",
                 second.smallest_eigenvalue,
             ) from first
-    return values, basis, float(np.linalg.norm(basis.T @ rhs @ basis - np.eye(d))), shift
 
 
 @dataclass(frozen=True)
 class UnilateralPencil:
     """The one-sided subproblem of a method on one training stack.
 
-    It does not depend on the target dimension, so it is assembled once
-    and solved for every dimension.  The solved factor comes from the
+    It does not depend on the target dimension, so it is assembled and
+    solved once for every dimension.  The solved factor comes from the
     ``which`` eigenvectors of ``lhs``, generalized against the constraint
     side ``rhs`` when there is one; the other factor is the identity of
     order ``pinned``.
@@ -447,31 +450,43 @@ def unilateral_pencil(x, spec: MethodSpec, side: str) -> UnilateralPencil:
     return UnilateralPencil(side, build(s, None, lhs), None if rhs is None else build(s, None, rhs), which, pinned)
 
 
-def solve_unilateral(pencil: UnilateralPencil, d: int) -> tuple[ProjectorPair, FitTrace]:
-    """Solve an assembled one-sided subproblem at dimension ``d``.
+def solve_unilateral(pencil: UnilateralPencil, dims) -> Callable[[int], tuple[ProjectorPair, FitTrace]]:
+    """Solve an assembled one-sided subproblem once for all of ``dims``.
 
-    Each call runs its own eigensolve, contract checks and (generalized
-    solvers) ridge repair, so a failure at one dimension does not touch
-    the others.  One step is always optimal here, so the trace reports a
-    converged single step.
+    One eigensolve, with its ridge repair for generalized solvers, yields
+    the leading pairs for the largest valid dimension, and the returned
+    ``fit(d)`` builds the fit at each ``d`` of ``dims`` from the first
+    ``d`` of them: the ``(ProjectorPair, FitTrace)`` a solve for ``d``
+    alone gives, or the exception it raises.  A dimension outside the
+    side's order raises :class:`ParameterError` from ``fit``.  A failure
+    of the shared solve raises here.  The contract checks are per prefix
+    (see :func:`take_prefix`), so a column that fails them fails every
+    ``d`` that includes it and no smaller one.  One step is always optimal
+    here, so each trace reports a converged single step with its own
+    prefix's objective and constraint defect.
     """
     order = pencil.lhs.shape[0]
-    if not 1 <= d <= order:
-        raise ParameterError(f"{'d1' if pencil.side == 'left' else 'd2'} must be in [1, {order}], got {d}")
-    values, basis, defect, shift = _half_step(pencil.lhs, pencil.rhs, pencil.which, d)
+    valid = [d for d in dims if 1 <= d <= order]
+    pairs, shift = _half_step(pencil.lhs, pencil.rhs, pencil.which, max(valid)) if valid else (None, 0.0)
     constraint = "orthonormal" if pencil.rhs is None else "coupled"
-    if pencil.side == "left":
-        pair = ProjectorPair(basis, np.eye(pencil.pinned), "left_only", (constraint, "identity"))
-    else:
-        pair = ProjectorPair(np.eye(pencil.pinned), basis, "right_only", ("identity", constraint))
-    return pair, FitTrace([float(np.sum(values))], 1, True, defect, shift)
+
+    def fit(d: int) -> tuple[ProjectorPair, FitTrace]:
+        if not 1 <= d <= order:
+            raise ParameterError(f"{'d1' if pencil.side == 'left' else 'd2'} must be in [1, {order}], got {d}")
+        values, basis = take_prefix(pairs, d)
+        trace = FitTrace([float(np.sum(values))], 1, True, float(pairs.defects[d - 1]), shift)
+        if pencil.side == "left":
+            return ProjectorPair(basis, np.eye(pencil.pinned), "left_only", (constraint, "identity")), trace
+        return ProjectorPair(np.eye(pencil.pinned), basis, "right_only", ("identity", constraint)), trace
+
+    return fit
 
 
 def fit_unilateral(x, spec: MethodSpec, side: str, d: int) -> tuple[ProjectorPair, FitTrace]:
     """One-sided fit: solve a single eigenproblem for the chosen factor
     and pin the other factor to an exact identity (see
     :func:`unilateral_pencil` and :func:`solve_unilateral`)."""
-    return solve_unilateral(unilateral_pencil(x, spec, side), d)
+    return solve_unilateral(unilateral_pencil(x, spec, side), (d,))(d)
 
 
 def _converged(objectives: list[float], tol: float) -> bool:
@@ -525,11 +540,10 @@ def fit_method(
     trace = FitTrace()
 
     def half_step(side_matrix, z, d):
-        values, basis, defect, shift = _half_step(
-            side_matrix(z, lhs), None if rhs is None else side_matrix(z, rhs), which, d
-        )
+        pairs, shift = _half_step(side_matrix(z, lhs), None if rhs is None else side_matrix(z, rhs), which, d)
+        values, basis = take_prefix(pairs, d)
         trace.objectives.append(float(np.sum(values)))
-        trace.max_constraint_defect = max(trace.max_constraint_defect, defect)
+        trace.max_constraint_defect = max(trace.max_constraint_defect, float(pairs.defects[d - 1]))
         trace.ridge_shift = max(trace.ridge_shift, shift)
         return basis
 

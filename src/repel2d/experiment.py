@@ -5,9 +5,11 @@ fresh per-realization train split, projects gallery and queries, scores a
 1-NN classifier, and aggregates mean/standard deviation over realizations.
 
 The unit of work is a (method, realization) pair: its split, training
-and query stacks, couplings and -- when the fit allows -- its assembled
-eigenproblem are built once, and each dimension then runs only its own
-eigensolve, projection and scoring.  Units are independent and
+and query stacks and couplings are built once.  When the fit allows
+(unilateral and vector fits) its eigenproblem is also assembled and
+solved once, for the largest dimension, and the gallery and queries are
+projected once; each dimension then takes a prefix and runs only its
+own 1-NN scoring.  Units are independent and
 deterministic given the config, so they may run concurrently; results are
 reduced in sorted key order either way.
 """
@@ -96,9 +98,10 @@ class ResultRow:
     """One CSV row: errors over the surviving realizations of a cell.
 
     ``mean_fit_seconds`` is amortized: each realization's fit time is its
-    unit's shared work (split view, pre-processing, couplings, assembly)
-    divided by the number of dimensions the unit covers, plus that
-    cell's own eigensolve.
+    unit's shared work (split view, pre-processing, couplings, assembly
+    and, for unilateral and vector fits, the one eigensolve) divided by
+    the number of dimensions the unit covers, plus that cell's own work
+    (a bilateral fit, or taking its prefix of the shared solve).
     """
 
     method: str
@@ -177,17 +180,16 @@ class UnitFit:
     cells: list[Cell]
 
 
-def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset):
-    """Couplings and, unilaterally, the assembled pencil; returns the spec
-    and the per-dimension solve."""
+def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset, dims: tuple[int, ...]):
+    """Couplings and, unilaterally, the pencil solved once for ``dims``;
+    returns the spec and the per-dimension fit."""
     pre_pair = None
     if cfg.pre_dims is not None and method not in ("GLRAM", "2D-PCA"):
         reduced, pre_pair = embed_2d.pre_process_2dpca(train.images, cfg.pre_dims, cfg.max_iter)
         train = MatrixDataset(reduced, train.labels)
     spec = embed_2d.method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
     if cfg.mode == "unilateral":
-        pencil = embed_2d.unilateral_pencil(train.images, spec, "right")
-        fit = lambda d: embed_2d.solve_unilateral(pencil, d)
+        fit = embed_2d.solve_unilateral(embed_2d.unilateral_pencil(train.images, spec, "right"), dims)
     else:
         fit = lambda d: embed_2d.fit_method(train.images, spec, d, d, cfg.max_iter)
 
@@ -198,8 +200,9 @@ def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset):
     return spec, solve
 
 
-def _prepare_1d(cfg: ExperimentConfig, method: str, train: VectorDataset):
-    """PCA pre-basis, graphs and side matrices; returns the per-dimension solve."""
+def _prepare_1d(cfg: ExperimentConfig, method: str, train: VectorDataset, dims: tuple[int, ...]):
+    """PCA pre-basis, graphs and side matrices, solved once for ``dims``;
+    returns the per-dimension fit."""
     predim = cfg.pca_predim if cfg.pca_predim is not None else "auto"
     pencil = embed_1d.vector_pencil(
         train,
@@ -209,7 +212,16 @@ def _prepare_1d(cfg: ExperimentConfig, method: str, train: VectorDataset):
         beta=cfg.beta,
         pca_predim=None if method == "PCA" else predim,
     )
-    return lambda d: (embed_1d.solve_1d(pencil, d), None)
+    projector = embed_1d.solve_1d(pencil, dims)
+    return lambda d: (projector(d), None)
+
+
+def _nested(cfg: ExperimentConfig, method: str) -> bool:
+    """Whether a unit's dimensions share one solve: unilateral and vector
+    fits do, and each of their projectors is then the first ``d`` columns
+    of the largest one's; bilateral fits alternate from a start that
+    depends on the dimension."""
+    return not (_is_2d(method) and cfg.mode == "bilateral")
 
 
 def fit_unit(
@@ -223,11 +235,14 @@ def fit_unit(
     ``cfg.dims``).
 
     The split, the training view, the couplings and -- for unilateral and
-    vector fits -- the assembled eigenproblem are built once; each
-    dimension then runs its own solve.  Bilateral fits alternate from a
-    start that depends on the dimension, so they share only the
-    couplings.  A failure in the shared part fails every dimension, a
-    failure in one dimension's solve fails that cell only.  ``fit``,
+    vector fits -- the eigenproblem are built once, and that eigenproblem
+    is solved once, for the largest dimension; each dimension then takes
+    the first ``d`` eigenvectors.  Bilateral fits alternate from a start
+    that depends on the dimension, so they share only the couplings and
+    run their own solves.  A failure in the shared part fails every
+    dimension.  The eigensolver's contract is checked per prefix, so a
+    failing eigenvector fails the dimensions that include it, and a
+    failure in one dimension's own work fails that cell only.  ``fit``,
     ``eval`` and ``bench`` all train through this function.
     """
     dims = tuple(cfg.dims if dims is None else dims)
@@ -237,10 +252,10 @@ def fit_unit(
         started = time.perf_counter()
         if _is_2d(method):
             train = matrix_dataset(ds, train_idx)
-            spec, solve = _prepare_2d(cfg, method, train)
+            spec, solve = _prepare_2d(cfg, method, train, dims)
         else:
             train = vector_dataset(ds, train_idx)
-            solve = _prepare_1d(cfg, method, train)
+            solve = _prepare_1d(cfg, method, train, dims)
     except _CELL_FAILURES as exc:
         return UnitFit(train, test_idx, spec, [Cell(d, failure=exc) for d in dims])
     shared = (time.perf_counter() - started) / len(dims)
@@ -265,7 +280,15 @@ def run_cell(
     dims: tuple[int, ...] | None = None,
 ) -> list[Cell]:
     """Fit one unit (see :func:`fit_unit`) and score each fitted dimension
-    by 1-NN on the held-out images; the query stack is built once."""
+    by 1-NN on the held-out images.
+
+    The query stack is built once.  The gallery and the queries of a
+    unilateral or vector unit are projected once, by its largest fitted
+    projector, and each dimension scores the first ``d`` projected
+    columns; a bilateral cell projects with its own projector.  A matrix
+    product rounds by its width, so a slice can differ from a projection
+    by the ``d``-column projector in the last bits.
+    """
     unit = fit_unit(cfg, ds, method, realization, dims)
     fitted = [cell for cell in unit.cells if cell.failure is None]
     if not fitted:
@@ -274,21 +297,32 @@ def run_cell(
     if _is_2d(method):
         queries = matrix_dataset(ds, unit.test_idx)
 
-        def predict(pair):
+        def project(pair):
             gallery = recognize.build_gallery(train.images, pair, train.labels)
-            return recognize.classify_batch(recognize.project_tensor(queries.images, pair), gallery)
+            return gallery, recognize.project_tensor(queries.images, pair)
 
     else:
         queries = vector_dataset(ds, unit.test_idx)
 
-        # projected samples (one per column) as a stack of d x 1 images
-        def predict(projector):
-            gallery = recognize.GallerySet(projector.transform(train.data).T[:, :, None], train.labels)
-            return recognize.classify_batch(projector.transform(queries.data).T[:, :, None], gallery)
+        # projected samples (one per column) as a stack of 1 x d images
+        def project(projector):
+            gallery = recognize.GallerySet(projector.transform(train.data).T[:, None, :], train.labels)
+            return gallery, projector.transform(queries.data).T[:, None, :]
 
+    nested = _nested(cfg, method)
+    largest = max(fitted, key=lambda cell: cell.dim).projector
+    projected = None
     for cell in fitted:
         try:
-            cell.error = recognize.error_rate(predict(cell.projector), queries.labels)
+            if projected is None or not nested:
+                projected = project(largest if nested else cell.projector)
+            gallery, probes = projected
+            d = cell.dim
+            # the last axis holds the dimensions a nested unit shares
+            predicted = recognize.classify_batch(
+                probes[:, :, :d], recognize.GallerySet(gallery.projected[:, :, :d], gallery.labels)
+            )
+            cell.error = recognize.error_rate(predicted, queries.labels)
         except _CELL_FAILURES as exc:
             cell.failure = exc
     return unit.cells
@@ -302,14 +336,15 @@ def _task_dims(cfg: ExperimentConfig, method: str, chunks: int) -> list[tuple[in
     """The dimensions each task of a method covers.
 
     Bilateral fits share nothing across dimensions, so each of their
-    tasks covers one.  Unilateral and vector fits share their assembly, so
-    a task covers all of them -- unless there are fewer (method,
-    realization) units than workers: then the dimensions are cut into
-    ``chunks`` contiguous runs, each of which rebuilds the shared part, so
-    that no worker idles.  Every cell's result is the same either way.
+    tasks covers one.  Unilateral and vector fits share their assembly,
+    eigensolve and projection, so a task covers all of them -- unless
+    there are fewer (method, realization) units than workers: then the
+    dimensions are cut into ``chunks`` contiguous runs, each of which
+    rebuilds the shared part, so that no worker idles.  Every cell fits
+    the same projector either way.
     """
     dims = tuple(cfg.dims)
-    if _is_2d(method) and cfg.mode == "bilateral":
+    if not _nested(cfg, method):
         return [(d,) for d in dims]
     k = min(chunks, len(dims))
     return [dims[i * len(dims) // k : (i + 1) * len(dims) // k] for i in range(k)]

@@ -6,6 +6,12 @@ symmetric.  A separate float matrix carries the weights, which are zero
 off the edges.  Keeping the adjacency explicit means an edge whose weight
 underflows to zero is still an edge, and set operations such as the
 repulsion difference stay exact.
+
+Distance-based constructions (kNN adjacency, Gaussian bandwidth and
+weights, the repulsion Laplacian) take the ``(n, n)`` squared-distance
+matrix of :func:`sq_distances` instead of the points, so a caller builds
+it once and shares it among them.  Reconstruction weights need the
+points themselves.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 from .errors import ContractError, ParameterError, ShapeError
 
 __all__ = [
+    "sq_distances",
     "build_knn_graph",
     "build_label_graph",
     "gaussian_weights",
@@ -44,29 +51,50 @@ def _adjacency(adjacency, n: int) -> np.ndarray:
     return adj
 
 
-def _sq_distances(pts: np.ndarray) -> np.ndarray:
+def sq_distances(points) -> np.ndarray:
+    """Squared Euclidean distances between the rows of an ``(n, p)``
+    point array (a 1-d array is ``n`` points on a line), with a zero
+    diagonal and no negative entries."""
+    pts = _points_matrix(points)
     sq = np.sum(pts * pts, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
     np.fill_diagonal(d2, 0.0)
     return np.maximum(d2, 0.0)
 
 
-def build_knn_graph(points, k: int) -> np.ndarray:
-    """Adjacency linking each vertex to its ``k`` nearest neighbors by
-    Euclidean distance, symmetrized by edge union.
+def _distance_matrix(sq_dist) -> np.ndarray:
+    d2 = np.asarray(sq_dist, dtype=np.float64)
+    if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
+        raise ShapeError(f"squared distances must form an (n, n) matrix, got shape {d2.shape}")
+    return d2
 
-    Distance ties are broken toward the smaller vertex index (a stable
-    sort of each row), so the construction is deterministic even with
-    duplicated points.
+
+def build_knn_graph(sq_dist, k: int) -> np.ndarray:
+    """Adjacency linking each vertex to its ``k`` nearest neighbors by the
+    squared distances ``sq_dist``, symmetrized by edge union.
+
+    Distance ties are broken toward the smaller vertex index (the first
+    ``k`` of a stable sort of each row), so the construction is
+    deterministic even with duplicated points.
     """
-    pts = _points_matrix(points)
-    n = pts.shape[0]
+    d2 = _distance_matrix(sq_dist)
+    n = d2.shape[0]
     if not 1 <= k < n:
         raise ParameterError(f"k must satisfy 1 <= k < n={n}, got {k}")
-    d2 = _sq_distances(pts)
-    np.fill_diagonal(d2, np.inf)
-    adj = np.zeros((n, n), dtype=bool)
-    np.put_along_axis(adj, np.argsort(d2, axis=1, kind="stable")[:, :k], True, axis=1)
+    # the k-th distance to another vertex, from one working copy freed
+    # before the masks below are built
+    others = d2.copy()
+    np.fill_diagonal(others, np.inf)
+    others.partition(k - 1, axis=1)
+    kth = others[:, k - 1 : k].copy()
+    del others
+    closer = d2 < kth
+    tied = d2 == kth
+    np.fill_diagonal(closer, False)
+    np.fill_diagonal(tied, False)
+    # the k - (closer count) lowest-index vertices at the k-th distance
+    rank = np.cumsum(tied, axis=1, dtype=np.int32)
+    adj = closer | (tied & (rank <= k - np.count_nonzero(closer, axis=1)[:, None]))
     adj |= adj.T
     return adj
 
@@ -81,33 +109,36 @@ def build_label_graph(labels) -> np.ndarray:
     return adj
 
 
-def default_bandwidth(adjacency, points) -> float:
+def default_bandwidth(adjacency, sq_dist) -> float:
     """Data-driven Gaussian bandwidth: mean squared edge distance.
 
     Falls back to 1.0 when the graph has no edges or every edge joins
     coincident points (any bandwidth then gives the same unit weights).
     """
-    pts = _points_matrix(points)
-    edge_d2 = _sq_distances(pts)[_adjacency(adjacency, pts.shape[0])]
+    d2 = _distance_matrix(sq_dist)
+    edge_d2 = d2[_adjacency(adjacency, d2.shape[0])]
     if edge_d2.size == 0:
         return 1.0
     mean = float(np.mean(edge_d2))
     return mean if mean > 0.0 else 1.0
 
 
-def gaussian_weights(adjacency, points, t: float | None = None) -> np.ndarray:
-    """Weight each edge ``(i, j)`` by ``exp(-|x_i - x_j|^2 / t)``, zero
+def gaussian_weights(adjacency, sq_dist, t: float | None = None) -> np.ndarray:
+    """Weight each edge ``(i, j)`` by ``exp(-sq_dist[i, j] / t)``, zero
     off the edges.
 
     ``t=None`` selects :func:`default_bandwidth`.
     """
-    pts = _points_matrix(points)
-    adj = _adjacency(adjacency, pts.shape[0])
+    d2 = _distance_matrix(sq_dist)
+    adj = _adjacency(adjacency, d2.shape[0])
     if t is None:
-        t = default_bandwidth(adj, pts)
+        t = default_bandwidth(adj, d2)
     if t <= 0:
         raise ParameterError(f"Gaussian bandwidth must be positive, got {t}")
-    return np.where(adj, np.exp(-_sq_distances(pts) / t), 0.0)
+    w = d2 / -t
+    np.exp(w, out=w)
+    w[~adj] = 0.0
+    return w
 
 
 def lle_weights(adjacency, points) -> np.ndarray:
@@ -168,18 +199,18 @@ def laplacian(weights) -> tuple[np.ndarray, np.ndarray]:
     return degree - w, degree
 
 
-def repulsion_laplacian(label_adjacency, points, knn: int, t: float | None = None) -> np.ndarray:
+def repulsion_laplacian(label_adjacency, sq_dist, knn: int, t: float | None = None) -> np.ndarray:
     """Laplacian of the repulsion graph: the ``knn`` nearest-neighbor
     edges minus the label edges, so it joins only close points of
     different classes, with Gaussian weights of bandwidth ``t``.
 
     ``t=None`` selects the :func:`default_bandwidth` of the label graph.
     """
-    pts = _points_matrix(points)
-    label = _adjacency(label_adjacency, pts.shape[0])
+    d2 = _distance_matrix(sq_dist)
+    label = _adjacency(label_adjacency, d2.shape[0])
     if t is None:
-        t = default_bandwidth(label, pts)
-    return laplacian(gaussian_weights(build_knn_graph(pts, knn) & ~label, pts, t))[0]
+        t = default_bandwidth(label, d2)
+    return laplacian(gaussian_weights(build_knn_graph(d2, knn) & ~label, d2, t))[0]
 
 
 def reconstruction_penalty(weights) -> np.ndarray:

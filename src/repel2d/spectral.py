@@ -1,10 +1,15 @@
 """Dense symmetric and symmetric-definite eigensolvers.
 
-Every eigendecomposition in the package funnels through the two functions
+Every eigendecomposition in the package funnels through the two solvers
 here so that the numerical contract lives in one place: inputs are
 symmetrized, results carry a deterministic sign convention, and residual
 and orthogonality bounds are verified after each solve.  A violated bound
 raises instead of silently degrading the calling algorithm.
+
+A solve for ``count`` pairs serves every smaller count too: the
+``*_prefixes`` forms check the residual per column and the
+orthonormality per prefix, and :func:`take_prefix` raises for exactly
+the prefixes whose check fails.
 """
 
 from __future__ import annotations
@@ -81,6 +86,84 @@ def _select(values: np.ndarray, vectors: np.ndarray, sel: EigenSelection):
     return values[idx], vectors[:, idx]
 
 
+@dataclass(frozen=True)
+class EigenPrefixes:
+    """The selected eigenpairs of one solve with their contract checks,
+    column by column.
+
+    ``values`` and ``vectors`` hold the ``count`` pairs in selection
+    order.  ``residuals[k]`` is column k's eigen residual and
+    ``defects[k]`` the orthonormality defect of the first ``k + 1``
+    columns; each breaks the contract above its ``*_limit``.  Selection
+    and the sign fix act column by column, so the first ``d`` pairs are
+    the pairs a solve for ``d`` returns; :func:`take_prefix` applies that
+    solve's checks.  The residuals and defects come from products over all
+    ``count`` columns, which may round differently in the last bits than
+    the same products over ``d`` columns.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    residuals: np.ndarray
+    residual_limit: float
+    defects: np.ndarray
+    defect_limit: float
+    generalized: bool
+
+
+def _prefix_defects(gram: np.ndarray) -> np.ndarray:
+    """Frobenius distance from the identity of every leading block of ``gram``."""
+    return np.array([np.linalg.norm(gram[:d, :d] - np.eye(d)) for d in range(1, gram.shape[0] + 1)])
+
+
+def take_prefix(pairs: EigenPrefixes, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``d`` eigenpairs of a solve, as :func:`sym_eig` or
+    :func:`gen_sym_eig` return them for a selection of ``d``.
+
+    Raises :class:`NumericalQualityError` when one of the ``d`` columns
+    exceeds the residual bound or the ``d`` columns together exceed the
+    orthonormality bound, so a column that fails fails every prefix that
+    holds it and no shorter one.
+    """
+    count = pairs.values.shape[0]
+    if not 1 <= d <= count:
+        raise ParameterError(f"prefix {d} not in [1, {count}]")
+    residual = pairs.residuals[:d]
+    if np.any(residual > pairs.residual_limit):
+        if pairs.generalized:
+            raise NumericalQualityError(
+                f"generalized residual {residual.max():.3e} exceeds {RESIDUAL_TOL:.0e} * (|M|+|N|)"
+            )
+        raise NumericalQualityError(f"eigen residual {residual.max():.3e} exceeds {RESIDUAL_TOL:.0e} * |M|")
+    orth = pairs.defects[d - 1]
+    if orth > pairs.defect_limit:
+        what = "N-orthonormality" if pairs.generalized else "eigenvector orthonormality"
+        raise NumericalQualityError(f"{what} defect {orth:.3e}")
+    # a copy in the solve's own memory order: products with the basis
+    # round by its layout
+    return pairs.values[:d], pairs.vectors[:, :d].copy(order="K")
+
+
+def sym_eig_prefixes(m, sel: EigenSelection) -> EigenPrefixes:
+    """The selected eigenpairs of a symmetric matrix, each prefix checked
+    as :func:`sym_eig` checks its result."""
+    ms = _square_symmetrized(m, "sym_eig input")
+    sel = _validated(sel, ms.shape[0])
+    values, vectors = np.linalg.eigh(ms)
+    values, vectors = _select(values, vectors, sel)
+    vectors = fix_signs(vectors)
+    m_norm = float(np.linalg.norm(ms))
+    return EigenPrefixes(
+        values,
+        vectors,
+        np.linalg.norm(ms @ vectors - vectors * values, axis=0),
+        RESIDUAL_TOL * max(m_norm, 1e-300),
+        _prefix_defects(vectors.T @ vectors),
+        ORTH_TOL,
+        generalized=False,
+    )
+
+
 def sym_eig(m, sel: EigenSelection) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix.
 
@@ -90,33 +173,13 @@ def sym_eig(m, sel: EigenSelection) -> tuple[np.ndarray, np.ndarray]:
     bound ``|M v - lambda v| <= 1e-8 |M|`` or the orthonormality bound
     ``|V^T V - I| <= 1e-10`` fails.
     """
-    ms = _square_symmetrized(m, "sym_eig input")
-    sel = _validated(sel, ms.shape[0])
-    values, vectors = np.linalg.eigh(ms)
-    values, vectors = _select(values, vectors, sel)
-    vectors = fix_signs(vectors)
-
-    m_norm = float(np.linalg.norm(ms))
-    residual = np.linalg.norm(ms @ vectors - vectors * values, axis=0)
-    if np.any(residual > RESIDUAL_TOL * max(m_norm, 1e-300)):
-        raise NumericalQualityError(
-            f"eigen residual {residual.max():.3e} exceeds {RESIDUAL_TOL:.0e} * |M|"
-        )
-    orth = np.linalg.norm(vectors.T @ vectors - np.eye(sel.count))
-    if orth > ORTH_TOL:
-        raise NumericalQualityError(f"eigenvector orthonormality defect {orth:.3e}")
-    return values, vectors
+    return take_prefix(sym_eig_prefixes(m, sel), sel.count)
 
 
-def gen_sym_eig(m, n, sel: EigenSelection) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the pencil ``M v = lambda N v`` for symmetric M, SPD N.
-
-    ``N`` is accepted as positive definite when its smallest eigenvalue
-    exceeds ``1e-10`` times its spectral radius; otherwise a
-    :class:`DefinitenessError` carrying that smallest eigenvalue is
-    raised so callers can apply their own repair.  Returned vectors are
-    N-orthonormal (``V^T N V = I`` within 1e-8).
-    """
+def gen_sym_eig_prefixes(m, n, sel: EigenSelection) -> EigenPrefixes:
+    """The selected eigenpairs of a symmetric-definite pencil, each prefix
+    checked as :func:`gen_sym_eig` checks its result; a constraint that
+    fails the definiteness check raises here, for every prefix."""
     ms = _square_symmetrized(m, "gen_sym_eig left input")
     ns = _square_symmetrized(n, "gen_sym_eig right input")
     if ms.shape != ns.shape:
@@ -142,12 +205,24 @@ def gen_sym_eig(m, n, sel: EigenSelection) -> tuple[np.ndarray, np.ndarray]:
     vectors = fix_signs(vectors)
 
     scale = float(np.linalg.norm(ms) + np.linalg.norm(ns))
-    residual = np.linalg.norm(ms @ vectors - (ns @ vectors) * values, axis=0)
-    if np.any(residual > RESIDUAL_TOL * max(scale, 1e-300)):
-        raise NumericalQualityError(
-            f"generalized residual {residual.max():.3e} exceeds {RESIDUAL_TOL:.0e} * (|M|+|N|)"
-        )
-    orth = np.linalg.norm(vectors.T @ ns @ vectors - np.eye(sel.count))
-    if orth > GEN_ORTH_TOL:
-        raise NumericalQualityError(f"N-orthonormality defect {orth:.3e}")
-    return values, vectors
+    return EigenPrefixes(
+        values,
+        vectors,
+        np.linalg.norm(ms @ vectors - (ns @ vectors) * values, axis=0),
+        RESIDUAL_TOL * max(scale, 1e-300),
+        _prefix_defects(vectors.T @ ns @ vectors),
+        GEN_ORTH_TOL,
+        generalized=True,
+    )
+
+
+def gen_sym_eig(m, n, sel: EigenSelection) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the pencil ``M v = lambda N v`` for symmetric M, SPD N.
+
+    ``N`` is accepted as positive definite when its smallest eigenvalue
+    exceeds ``1e-10`` times its spectral radius; otherwise a
+    :class:`DefinitenessError` carrying that smallest eigenvalue is
+    raised so callers can apply their own repair.  Returned vectors are
+    N-orthonormal (``V^T N V = I`` within 1e-8).
+    """
+    return take_prefix(gen_sym_eig_prefixes(m, n, sel), sel.count)

@@ -6,8 +6,9 @@ by.  The package works on plain ``(n, m1, m2)`` image stacks instead;
 these independent implementations check it (criterion 1, the trace
 objectives, the reconstruction identities).  After it come small
 references for the eigensolver and subspace checks, the per-query 1-NN
-rule that ``classify_batch`` must reproduce, and a reader for the result
-CSV that ``emit_csv`` writes.
+rule that ``classify_batch`` must reproduce, a reader for the result
+CSV that ``emit_csv`` writes, and the per-dimension solve that one solve
+per unit must reproduce.
 
 Storage convention
 ------------------
@@ -25,8 +26,13 @@ copied in and marked read-only, and every operation returns a new value.
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
-from repel2d.errors import ShapeError
+from repel2d import spectral
+from repel2d.datasets import matrix_dataset, split_dataset, vector_dataset
+from repel2d.embed_1d import Projector1D, vector_pencil
+from repel2d.embed_2d import METHOD_NAMES_2D, FitTrace, ProjectorPair, method_matrices, unilateral_pencil
+from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError, ShapeError
 from repel2d.experiment import CSV_HEADER, ResultRow
 
 
@@ -308,3 +314,102 @@ def parse_result_csv(path) -> list[ResultRow]:
         method, mode, dim, mean, std, secs = line.split(",")
         rows.append(ResultRow(method, mode, int(dim), float(mean), float(std), float(secs)))
     return rows
+
+
+# The per-dimension solve: before each unilateral or vector unit was solved
+# once for its largest dimension, every dimension ran one eigensolve for
+# exactly its own d pairs and checked the contract over all d columns.
+
+
+def eig_at(m, n, sel):
+    """``sym_eig`` (``n`` is None) or ``gen_sym_eig`` as one solve for
+    ``sel.count`` pairs whose residual and orthonormality are checked over
+    all of its columns at once.  Returns ``(values, vectors, defect)``."""
+    ms = spectral._square_symmetrized(m, "left input")
+    sel = spectral._validated(sel, ms.shape[0])
+    if n is None:
+        values, vectors = np.linalg.eigh(ms)
+        scale, limit = float(np.linalg.norm(ms)), spectral.ORTH_TOL
+    else:
+        ns = spectral._square_symmetrized(n, "right input")
+        n_eigs = np.linalg.eigvalsh(ns)
+        smallest = float(n_eigs[0])
+        if smallest <= spectral.DEFINITENESS_FLOOR * max(float(np.max(np.abs(n_eigs))), 1e-300):
+            raise DefinitenessError("constraint matrix not positive definite", smallest)
+        try:
+            values, vectors = scipy.linalg.eigh(ms, ns)
+        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+            raise DefinitenessError(f"generalized eigensolve failed: {exc}", smallest) from exc
+        scale, limit = float(np.linalg.norm(ms) + np.linalg.norm(ns)), spectral.GEN_ORTH_TOL
+    values, vectors = spectral._select(values, vectors, sel)
+    vectors = spectral.fix_signs(vectors)
+    side = vectors if n is None else ns @ vectors
+    residual = np.linalg.norm(ms @ vectors - side * values, axis=0)
+    if np.any(residual > spectral.RESIDUAL_TOL * max(scale, 1e-300)):
+        raise NumericalQualityError(f"residual {residual.max():.3e}")
+    gram = vectors.T @ vectors if n is None else vectors.T @ ns @ vectors
+    defect = float(np.linalg.norm(gram - np.eye(sel.count)))
+    if defect > limit:
+        raise NumericalQualityError(f"orthonormality defect {defect:.3e}")
+    return values, vectors, defect
+
+
+def half_step_at(lhs, rhs, which, d):
+    """One half-step for exactly ``d`` pairs, with the one ridge retry:
+    ``(values, basis, constraint defect, ridge shift)``."""
+    sel = spectral.EigenSelection(d, which)
+    if rhs is None:
+        return (*eig_at(lhs, None, sel), 0.0)
+    if which == "top" and np.linalg.norm(lhs) == 0.0:
+        raise RankError("maximized side is identically zero")
+    if np.linalg.norm(rhs) == 0.0:
+        raise DefinitenessError("constraint side is identically zero", 0.0)
+    try:
+        return (*eig_at(lhs, rhs, sel), 0.0)
+    except DefinitenessError as first:
+        shift = abs(first.smallest_eigenvalue) + 1e-8 * float(np.linalg.norm(rhs))
+        return (*eig_at(lhs, rhs + shift * np.eye(rhs.shape[0]), sel), shift)
+
+
+def fit_at(cfg, ds, method, realization, d):
+    """The unilateral (column side) or vector fit of one cell, solved for
+    its own ``d`` alone: ``(projector, FitTrace or None)``, or the cell's
+    failure raised.  Configs with ``pre_dims`` are not covered."""
+    assert cfg.pre_dims is None
+    train_idx, _ = split_dataset(ds, cfg.train_per_class, cfg.seed, realization)
+    if method in METHOD_NAMES_2D:
+        train = matrix_dataset(ds, train_idx)
+        spec = method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
+        pencil = unilateral_pencil(train.images, spec, "right")
+        if not 1 <= d <= pencil.lhs.shape[0]:
+            raise ParameterError(f"d2 out of range: {d}")
+        values, basis, defect, shift = half_step_at(pencil.lhs, pencil.rhs, pencil.which, d)
+        constraint = "orthonormal" if pencil.rhs is None else "coupled"
+        pair = ProjectorPair(np.eye(pencil.pinned), basis, "right_only", ("identity", constraint))
+        return pair, FitTrace([float(np.sum(values))], 1, True, defect, shift)
+    predim = cfg.pca_predim if cfg.pca_predim is not None else "auto"
+    pencil = vector_pencil(
+        vector_dataset(ds, train_idx),
+        method,
+        knn=cfg.knn,
+        bandwidth=cfg.bandwidth,
+        beta=cfg.beta,
+        pca_predim=None if method == "PCA" else predim,
+    )
+    if d < 1:
+        raise ParameterError(f"dimension below 1: {d}")
+    if method == "PCA":
+        if not 1 <= d <= pencil.order:
+            raise ParameterError(f"PCA dimension out of range: {d}")
+        if pencil.lift is None:
+            return Projector1D(eig_at(pencil.lhs, None, spectral.EigenSelection(d, "top"))[1], "orthonormal"), None
+        count = min(d, pencil.lhs.shape[0])
+        values, vectors, _ = eig_at(pencil.lhs, None, spectral.EigenSelection(count, "top"))
+        if np.count_nonzero(values > max(values[0], 0.0) * 1e-12) < d:
+            raise ParameterError(f"data rank too low for {d} components")
+        return Projector1D(spectral.fix_signs(pencil.lift @ vectors[:, :d] / np.sqrt(values[:d])), "orthonormal"), None
+    if d >= pencil.order:
+        raise ParameterError(f"dimension {d} not below {pencil.order}")
+    basis = half_step_at(pencil.lhs, pencil.rhs, pencil.which, d)[1]
+    constraint = "orthonormal" if pencil.rhs is None else "b_orthonormal"
+    return Projector1D(basis if pencil.pre is None else pencil.pre @ basis, constraint), None

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repel2d import experiment
-from repel2d.cli import main, read_config
-from repel2d.datasets import ImageDataset, write_dataset_pgm
+from repel2d.cli import _build_parser, build_config, main, read_config
+from repel2d.datasets import ImageDataset, load_dataset, write_dataset_pgm
 from repel2d.experiment import CSV_HEADER, usable_cpus
 
 from _oracles import parse_result_csv
@@ -192,6 +192,21 @@ class TestFitEval:
         assert len(scored) == 1
         np.testing.assert_array_equal(saved["row_basis"], scored[0].row_basis)
         np.testing.assert_array_equal(saved["col_basis"], scored[0].col_basis)
+
+
+    @pytest.mark.parametrize("method, extra", [("2D-LPP", ()), ("2D-OLPP-R", ("--pre-dims", "6,5"))])
+    def test_fit_saves_the_projector_a_wider_sweep_trains(self, tmp_path, synthetic_dir, method, extra):
+        # every subcommand trains the same projector: a bench cell at d = 3
+        # comes out of one solve for d = 5 and must equal what fit saves
+        common = ("--dataset", str(synthetic_dir), "--method", method, "--mode", "uni", "--train-per-class", "4", *extra)
+        out = tmp_path / "fit"
+        assert run_cli("fit", *common, "--dims", "3", "--out", str(out)) == 0
+        saved = np.load(out / "projector.npz")
+        cfg, _ = build_config(_build_parser().parse_args(["bench", *common, "--dims", "2,3,5"]))
+        cell = experiment.fit_unit(cfg, load_dataset(cfg.dataset), method, 0).cells[1]
+        assert cell.dim == 3 and cell.failure is None
+        np.testing.assert_array_equal(saved["row_basis"], cell.projector.row_basis)
+        np.testing.assert_array_equal(saved["col_basis"], cell.projector.col_basis)
 
 
 class TestExitCodes:

@@ -100,8 +100,8 @@ class TestMethodMatrices:
         base = method_matrices("2D-OLPP", ds)
         pts = ds.vectorized_points()
         label_graph = graphs.build_label_graph(ds.labels)
-        t = graphs.default_bandwidth(label_graph, pts)
-        rep = graphs.repulsion_laplacian(label_graph, pts, 4, t)
+        t = graphs.default_bandwidth(label_graph, graphs.sq_distances(pts))
+        rep = graphs.repulsion_laplacian(label_graph, graphs.sq_distances(pts), 4, t)
         np.testing.assert_allclose(
             spec.min_coupling, base.min_coupling - beta * rep, atol=1e-12
         )

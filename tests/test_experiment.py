@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repel2d import embed_2d, experiment
+from repel2d import embed_1d, embed_2d, experiment, spectral
 from repel2d.datasets import ImageDataset, matrix_dataset, split_dataset, vector_dataset
 from repel2d.embed_1d import fit_1d
 from repel2d.embed_2d import fit_unilateral, method_matrices, unilateral_pencil
@@ -17,12 +17,13 @@ from repel2d.experiment import (
     emit_csv,
     emit_plotdata,
     fit_unit,
+    run_cell,
     run_experiment,
     write_metadata,
 )
 from repel2d.spectral import EigenSelection, gen_sym_eig
 
-from _oracles import parse_result_csv
+from _oracles import fit_at, parse_result_csv
 
 
 def small_cfg(**overrides):
@@ -216,10 +217,15 @@ class TestUnitReuse:
         clean = run_experiment(cfg, dataset=synthetic_ds)
         solve = embed_2d.solve_unilateral
 
-        def failing_at_3(pencil, d):
-            if d == 3:
-                raise NumericalQualityError("injected failure")
-            return solve(pencil, d)
+        def failing_at_3(pencil, dims):
+            fit = solve(pencil, dims)
+
+            def fit_or_fail(d):
+                if d == 3:
+                    raise NumericalQualityError("injected failure")
+                return fit(d)
+
+            return fit_or_fail
 
         monkeypatch.setattr(embed_2d, "solve_unilateral", failing_at_3)
         broken = run_experiment(cfg, dataset=synthetic_ds)
@@ -244,6 +250,87 @@ class TestUnitReuse:
         alone = fit_unit(replace(cfg, dims=(2,)), synthetic_ds, "OLPP-R", 0).cells
         np.testing.assert_array_equal(cells[0].projector.basis, alone[0].projector.basis)
         assert isinstance(cells[1].failure, ParameterError)
+
+
+NESTED_DIMS = tuple(range(2, 11))
+
+
+@pytest.fixture(scope="module")
+def wide_ds():
+    """Four classes of 12 x 12 images, ten each: wide enough for every
+    dimension up to 10 in unilateral mode, and with 6 training images per
+    class the vector methods' PCA pre-dimension is 20."""
+    rng = np.random.default_rng(21)
+    labels = np.repeat(np.arange(4), 10)
+    images = rng.normal(size=(4, 12, 12))[labels] + 0.8 * rng.normal(size=(40, 12, 12))
+    images = (images - images.min()) / (images.max() - images.min())
+    return ImageDataset("wide", images, labels, ("a", "b", "c", "d"))
+
+
+def assert_same_outcome(got, expected):
+    """Two cells fitted the same projector, or failed with the same class."""
+    if expected.failure is not None:
+        assert type(got.failure) is type(expected.failure)
+        return
+    assert got.failure is None
+    assert_same_projector(got.projector, expected.projector)
+    if expected.trace is not None:
+        assert got.trace.objectives == expected.trace.objectives
+        assert got.trace.ridge_shift == expected.trace.ridge_shift
+        # a prefix's defect comes from the Gram product over all solved
+        # columns, which may round differently in its last bits
+        assert got.trace.max_constraint_defect == pytest.approx(expected.trace.max_constraint_defect, abs=1e-13)
+
+
+def oracle_cell(cfg, ds, method, d):
+    try:
+        projector, trace = fit_at(cfg, ds, method, 0, d)
+    except experiment._CELL_FAILURES as exc:
+        return experiment.Cell(d, failure=exc)
+    return experiment.Cell(d, projector, trace)
+
+
+class TestNestedDimensions:
+    @pytest.mark.parametrize("method", embed_2d.METHOD_NAMES_2D + embed_1d.METHOD_NAMES_1D)
+    def test_one_solve_matches_a_solve_per_dimension(self, wide_ds, method):
+        cfg = small_cfg(methods=(method,), dims=NESTED_DIMS, train_per_class=6, realizations=1)
+        unit = fit_unit(cfg, wide_ds, method, 0)
+        for cell in unit.cells:
+            assert_same_outcome(cell, fit_unit(cfg, wide_ds, method, 0, (cell.dim,)).cells[0])
+            assert_same_outcome(cell, oracle_cell(cfg, wide_ds, method, cell.dim))
+        scored = run_cell(cfg, wide_ds, method, 0)
+        for cell in scored:
+            alone = run_cell(cfg, wide_ds, method, 0, (cell.dim,))[0]
+            assert type(cell.failure) is type(alone.failure)
+            assert cell.error == alone.error or (math.isnan(cell.error) and math.isnan(alone.error))
+
+    # an orthonormal, a generalized and a vector solve; the other vector
+    # methods would fail every cell in their shared PCA pre-basis
+    @pytest.mark.parametrize("method", ["2D-OLPP-R", "2D-LPP", "PCA"])
+    def test_failing_column_fails_only_the_dimensions_holding_it(self, wide_ds, method, monkeypatch):
+        # column 5 of every solved basis is bent off its eigenvector, so it
+        # breaks the residual bound; d = 2..4 never hold it
+        cfg = small_cfg(methods=(method,), dims=NESTED_DIMS, train_per_class=6, realizations=1)
+        clean = run_cell(cfg, wide_ds, method, 0)
+        fix_signs = spectral.fix_signs
+
+        def bent_fifth_column(vectors):
+            v = fix_signs(vectors)
+            if v.shape[1] >= 5:
+                v[0, 4] += 1e-3
+            return v
+
+        monkeypatch.setattr(spectral, "fix_signs", bent_fifth_column)
+        broken = run_cell(cfg, wide_ds, method, 0)
+        for before, after in zip(clean, broken):
+            if after.dim < 5:
+                assert before.failure is None and after.failure is None
+                assert after.error == before.error
+            else:
+                assert isinstance(after.failure, NumericalQualityError)
+                assert "residual" in str(after.failure)
+            alone = fit_unit(cfg, wide_ds, method, 0, (after.dim,)).cells[0]
+            assert type(alone.failure) is type(after.failure)
 
 
 class TestRidgeShift:

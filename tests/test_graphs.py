@@ -12,6 +12,7 @@ from repel2d.graphs import (
     lle_weights,
     reconstruction_penalty,
     repulsion_laplacian,
+    sq_distances,
 )
 
 
@@ -24,12 +25,12 @@ def _edges(adjacency) -> set[tuple[int, int]]:
 def _repulsion_edges(labels, pts, k) -> set[tuple[int, int]]:
     """The repulsion graph's edges, read off its Laplacian (unit bandwidth,
     so no weight of these small examples underflows)."""
-    return _edges(repulsion_laplacian(build_label_graph(labels), pts, k, t=1.0) != 0.0)
+    return _edges(repulsion_laplacian(build_label_graph(labels), sq_distances(pts), k, t=1.0) != 0.0)
 
 
 def _knn_row_loop(points, k) -> np.ndarray:
     """kNN adjacency from one stable sort per row: the reference for the
-    batched sort in ``build_knn_graph``."""
+    batched partition in ``build_knn_graph``."""
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     sq = np.sum(pts * pts, axis=1)
@@ -62,14 +63,14 @@ class TestGraphInvariants:
         rng = np.random.default_rng(seed)
         pts = _points_with_duplicates(rng, n, 2)
         assert not np.diag(build_label_graph(rng.integers(0, 3, size=n))).any()
-        assert not np.diag(build_knn_graph(pts, int(rng.integers(1, n)))).any()
+        assert not np.diag(build_knn_graph(sq_distances(pts), int(rng.integers(1, n)))).any()
 
     @settings(max_examples=30, deadline=None)
     @_invariant_cases
     def test_symmetric(self, n, seed):
         rng = np.random.default_rng(seed)
         pts = _points_with_duplicates(rng, n, 2)
-        for adj in (build_label_graph(rng.integers(0, 3, size=n)), build_knn_graph(pts, int(rng.integers(1, n)))):
+        for adj in (build_label_graph(rng.integers(0, 3, size=n)), build_knn_graph(sq_distances(pts), int(rng.integers(1, n)))):
             assert adj.dtype == bool
             np.testing.assert_array_equal(adj, adj.T)
 
@@ -78,41 +79,58 @@ class TestGraphInvariants:
     def test_gaussian_weights_zero_off_edges(self, n, seed):
         rng = np.random.default_rng(seed)
         pts = _points_with_duplicates(rng, n, 2)
-        for adj in (build_label_graph(rng.integers(0, 3, size=n)), build_knn_graph(pts, int(rng.integers(1, n)))):
-            w = gaussian_weights(adj, pts)
+        for adj in (build_label_graph(rng.integers(0, 3, size=n)), build_knn_graph(sq_distances(pts), int(rng.integers(1, n)))):
+            w = gaussian_weights(adj, sq_distances(pts))
             assert not w[~adj].any()
 
 
 class TestKnnGraph:
     def test_collinear_chain(self):
         points = np.array([[0.0], [1.0], [2.0]])
-        g = build_knn_graph(points, 1)
+        g = build_knn_graph(sq_distances(points), 1)
         assert _edges(g) == {(0, 1), (1, 2)}
 
     def test_complete_graph(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(5, 3))
-        g = build_knn_graph(pts, 4)
+        g = build_knn_graph(sq_distances(pts), 4)
         assert np.count_nonzero(g) // 2 == 10
 
     def test_duplicate_points_tie_rule(self):
         # three coincident points: each selects the lowest other index
         pts = np.zeros((3, 2))
-        g = build_knn_graph(pts, 1)
+        g = build_knn_graph(sq_distances(pts), 1)
         assert _edges(g) == {(0, 1), (0, 2)}
-        g2 = build_knn_graph(pts, 1)
+        g2 = build_knn_graph(sq_distances(pts), 1)
         np.testing.assert_array_equal(g, g2)
 
     def test_k_too_large(self):
         with pytest.raises(ParameterError):
-            build_knn_graph(np.zeros((3, 2)), 3)
+            build_knn_graph(sq_distances(np.zeros((3, 2))), 3)
 
     @pytest.mark.parametrize("n, p, k", [(12, 1, 1), (30, 2, 3), (64, 3, 6), (150, 8, 10)])
     def test_matches_row_loop(self, n, p, k):
-        # exact distance ties and repeated rows: the batched stable sort
-        # must pick the same neighbors, ties included
+        # exact distance ties and repeated rows: the batched partition
+        # must pick the same neighbors as a stable sort, ties included
         pts = _points_with_duplicates(np.random.default_rng(n), n, p)
-        np.testing.assert_array_equal(build_knn_graph(pts, k), _knn_row_loop(pts, k))
+        np.testing.assert_array_equal(build_knn_graph(sq_distances(pts), k), _knn_row_loop(pts, k))
+
+    def test_leaves_distances_untouched(self):
+        d2 = sq_distances(np.random.default_rng(3).normal(size=(9, 2)))
+        before = d2.copy()
+        build_knn_graph(d2, 3)
+        repulsion_laplacian(build_label_graph(np.arange(9) % 3), d2, 3)
+        np.testing.assert_array_equal(d2, before)
+
+    def test_ties_cut_at_kth_distance(self):
+        # five values on a line, four points each: with k = 6 every row has
+        # 3 coincident neighbors and 4 or 8 more at distance 1, so the cut
+        # falls inside that tie group and takes its lowest indices
+        pts = np.repeat(np.arange(5.0), 4)[:, None]
+        adj = build_knn_graph(sq_distances(pts), 6)
+        np.testing.assert_array_equal(adj, _knn_row_loop(pts, 6))
+        # row 8 picks 9-11 and 4-6 (not 7, nor 12-15); rows 12-15 pick 8
+        assert np.flatnonzero(adj[8]).tolist() == [4, 5, 6, 9, 10, 11, 12, 13, 14, 15]
 
 
 class TestLabelGraph:
@@ -133,29 +151,29 @@ class TestGaussianWeights:
     def test_coincident_gives_one(self):
         g = build_label_graph([0, 0])
         pts = np.zeros((2, 3))
-        w = gaussian_weights(g, pts, t=2.0)
+        w = gaussian_weights(g, sq_distances(pts), t=2.0)
         assert w[0, 1] == 1.0
 
     def test_analytic_value(self):
         g = build_label_graph([0, 0])
         pts = np.array([[0.0], [2.0]])  # squared distance 4
-        w = gaussian_weights(g, pts, t=4.0)
+        w = gaussian_weights(g, sq_distances(pts), t=4.0)
         assert w[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_non_edge_zero(self):
         g = build_label_graph([0, 1])
-        w = gaussian_weights(g, np.array([[0.0], [0.1]]), t=1.0)
+        w = gaussian_weights(g, sq_distances(np.array([[0.0], [0.1]])), t=1.0)
         assert w[0, 1] == 0.0
 
     def test_bad_bandwidth(self):
         g = build_label_graph([0, 0])
         with pytest.raises(ParameterError):
-            gaussian_weights(g, np.zeros((2, 1)), t=0.0)
+            gaussian_weights(g, sq_distances(np.zeros((2, 1))), t=0.0)
 
     def test_default_bandwidth_mean_sq_edge_distance(self):
         g = build_label_graph([0, 0, 0])
         pts = np.array([[0.0], [1.0], [3.0]])  # edge d2: 1, 9, 4
-        assert default_bandwidth(g, pts) == pytest.approx((1 + 9 + 4) / 3.0)
+        assert default_bandwidth(g, sq_distances(pts)) == pytest.approx((1 + 9 + 4) / 3.0)
 
 
 class TestLleWeights:
@@ -177,7 +195,7 @@ class TestLleWeights:
     def test_row_sums_one(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(10, 4))
-        g = build_knn_graph(pts, 3)
+        g = build_knn_graph(sq_distances(pts), 3)
         w = lle_weights(g, pts)
         np.testing.assert_allclose(w.sum(axis=1), np.ones(10), atol=1e-10)
 
@@ -189,7 +207,7 @@ class TestLleWeights:
     def test_local_optimality_spot_check(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(12, 5))
-        g = build_knn_graph(pts, 4)
+        g = build_knn_graph(sq_distances(pts), 4)
         w = lle_weights(g, pts)
         for i in (0, 5, 11):
             nbrs = np.nonzero(g[i])[0]
@@ -213,14 +231,16 @@ class TestLaplacian:
     def test_ones_in_kernel(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(8, 3))
-        lap, _ = laplacian(gaussian_weights(build_knn_graph(pts, 3), pts))
+        d2 = sq_distances(pts)
+        lap, _ = laplacian(gaussian_weights(build_knn_graph(d2, 3), d2))
         np.testing.assert_allclose(lap @ np.ones(8), np.zeros(8), atol=1e-12)
 
     def test_psd_via_eigensolver_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             pts = rng.normal(size=(9, 2))
-            w = gaussian_weights(build_knn_graph(pts, 3), pts)
+            d2 = sq_distances(pts)
+            w = gaussian_weights(build_knn_graph(d2, 3), d2)
             eigs = np.linalg.eigvalsh(laplacian(w)[0])
             assert eigs.min() >= -1e-10
 
@@ -239,17 +259,17 @@ class TestRepulsionGraph:
 
     def test_empty_label_graph_keeps_affinity(self):
         pts = np.array([[0.0], [1.0], [2.0]])
-        assert _repulsion_edges([0, 1, 2], pts, 1) == _edges(build_knn_graph(pts, 1))
+        assert _repulsion_edges([0, 1, 2], pts, 1) == _edges(build_knn_graph(sq_distances(pts), 1))
 
     def test_chain_example(self):
         # equally spaced line, k=1 with lower-index ties: chain edges
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
-        assert _edges(build_knn_graph(pts, 1)) == {(0, 1), (1, 2), (2, 3)}
+        assert _edges(build_knn_graph(sq_distances(pts), 1)) == {(0, 1), (1, 2), (2, 3)}
         assert _repulsion_edges([1, 1, 2, 2], pts, 1) == {(1, 2)}
 
     def test_vertex_count_mismatch(self):
         with pytest.raises(ShapeError):
-            repulsion_laplacian(build_label_graph([0, 0]), np.zeros((3, 1)), 1)
+            repulsion_laplacian(build_label_graph([0, 0]), sq_distances(np.zeros((3, 1))), 1)
 
     def test_disjoint_from_label_edges(self):
         rng = np.random.default_rng(5)
@@ -260,14 +280,14 @@ class TestRepulsionGraph:
 
 class TestRepulsionLaplacian:
     def test_empty_graph_zero(self):
-        lap = repulsion_laplacian(build_label_graph([0, 0, 0]), np.array([[0.0], [1.0], [2.0]]), 1, t=1.0)
+        lap = repulsion_laplacian(build_label_graph([0, 0, 0]), sq_distances(np.array([[0.0], [1.0], [2.0]])), 1, t=1.0)
         np.testing.assert_array_equal(lap, np.zeros((3, 3)))
 
     def test_one_edge_coincident_points(self):
         # coincident points, k=1: kNN edges (0, 1) and (0, 2); the label
         # edge (0, 2) leaves the single repulsion edge (0, 1)
         pts = np.zeros((3, 2))
-        lap = repulsion_laplacian(build_label_graph([0, 1, 0]), pts, 1, t=1.0)
+        lap = repulsion_laplacian(build_label_graph([0, 1, 0]), sq_distances(pts), 1, t=1.0)
         expected = np.zeros((3, 3))
         expected[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
         np.testing.assert_allclose(lap, expected)
@@ -276,15 +296,15 @@ class TestRepulsionLaplacian:
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(10, 4))
         labels = rng.integers(0, 2, size=10)
-        lap = repulsion_laplacian(build_label_graph(labels), pts, 3)
+        lap = repulsion_laplacian(build_label_graph(labels), sq_distances(pts), 3)
         np.testing.assert_allclose(lap @ np.ones(10), np.zeros(10), atol=1e-12)
 
     def test_default_bandwidth_from_label_graph(self):
         rng = np.random.default_rng(7)
-        pts = rng.normal(size=(12, 3))
+        d2 = sq_distances(rng.normal(size=(12, 3)))
         label = build_label_graph(rng.integers(0, 3, size=12))
         np.testing.assert_array_equal(
-            repulsion_laplacian(label, pts, 4), repulsion_laplacian(label, pts, 4, default_bandwidth(label, pts))
+            repulsion_laplacian(label, d2, 4), repulsion_laplacian(label, d2, 4, default_bandwidth(label, d2))
         )
 
 
@@ -303,10 +323,11 @@ def test_property_graph_invariants(n, seed):
     labels = rng.integers(0, 3, size=n)
     k = int(rng.integers(1, n))
     label_graph = build_label_graph(labels)
-    rep = repulsion_laplacian(label_graph, pts, k)
+    d2 = sq_distances(pts)
+    rep = repulsion_laplacian(label_graph, d2, k)
     # the repulsion Laplacian is zero on every label edge
     assert not rep[label_graph].any()
-    for lap in (laplacian(gaussian_weights(build_knn_graph(pts, k), pts))[0], rep):
+    for lap in (laplacian(gaussian_weights(build_knn_graph(d2, k), d2))[0], rep):
         assert np.abs(lap.sum(axis=1)).max() <= 1e-12
         np.testing.assert_array_equal(lap, lap.T)
         assert np.linalg.eigvalsh(lap).min() >= -1e-10

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import pencil_eigenvalues_3x3
+from _oracles import eig_at, pencil_eigenvalues_3x3
 from repel2d.errors import (
     ContractError,
     DefinitenessError,
@@ -10,7 +10,16 @@ from repel2d.errors import (
     ParameterError,
     ShapeError,
 )
-from repel2d.spectral import EigenSelection, fix_signs, gen_sym_eig, sym_eig
+from repel2d.spectral import (
+    EigenPrefixes,
+    EigenSelection,
+    fix_signs,
+    gen_sym_eig,
+    gen_sym_eig_prefixes,
+    sym_eig,
+    sym_eig_prefixes,
+    take_prefix,
+)
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -158,3 +167,34 @@ def test_property_reproducible_and_within_bounds(order, seed):
     v2 = sym_eig(m, EigenSelection(d, "bottom"))
     np.testing.assert_array_equal(v1[0], v2[0])
     np.testing.assert_array_equal(v1[1], v2[1])
+
+
+class TestPrefixes:
+    @pytest.mark.parametrize("which", ["bottom", "top"])
+    @pytest.mark.parametrize("generalized", [False, True])
+    def test_prefixes_are_the_solves_at_each_count(self, which, generalized):
+        rng = np.random.default_rng(9)
+        m = random_symmetric(rng, 12)
+        n = random_spd(rng, 12) if generalized else None
+        sel = EigenSelection(8, which)
+        pairs = gen_sym_eig_prefixes(m, n, sel) if generalized else sym_eig_prefixes(m, sel)
+        for d in range(1, 9):
+            values, vectors = take_prefix(pairs, d)
+            ref_values, ref_vectors, ref_defect = eig_at(m, n, EigenSelection(d, which))
+            np.testing.assert_array_equal(values, ref_values)
+            np.testing.assert_array_equal(vectors, ref_vectors)
+            # products with the basis round by its memory layout
+            assert vectors.flags.f_contiguous == ref_vectors.flags.f_contiguous
+            assert pairs.defects[d - 1] == pytest.approx(ref_defect, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "residuals, defects, message",
+        [([0.0, 0.0, 2.0, 0.0], [0.0] * 4, "residual"), ([0.0] * 4, [0.0, 0.0, 1.0, 1.0], "orthonormality")],
+    )
+    def test_a_failing_column_fails_the_prefixes_holding_it(self, residuals, defects, message):
+        pairs = EigenPrefixes(np.arange(4.0), np.eye(4), np.array(residuals), 1.0, np.array(defects), 0.5, False)
+        for d in (1, 2):
+            np.testing.assert_array_equal(take_prefix(pairs, d)[1], np.eye(4)[:, :d])
+        for d in (3, 4):
+            with pytest.raises(NumericalQualityError, match=message):
+                take_prefix(pairs, d)
