@@ -16,19 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .embed_2d import _half_step, _solver_sides, default_beta, method_matrices
+from .embed_2d import Pencil, _solver_sides, default_beta, method_matrices, solve_pencil
 from .errors import ParameterError, ShapeError
-from .spectral import EigenSelection, fix_signs, sym_eig_prefixes, take_prefix
 
 __all__ = [
     "VectorDataset",
     "Projector1D",
-    "VectorPencil",
     "METHOD_NAMES_1D",
     "scatter_matrices",
     "vector_pencil",
     "solve_1d",
     "fit_1d",
+    "auto_predim",
     "default_predim",
 ]
 
@@ -105,35 +104,20 @@ def scatter_matrices(ds: VectorDataset) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (sw + sw.T), 0.5 * (sb + sb.T)
 
 
+def auto_predim(n: int, classes: int, m: int) -> int:
+    """The ``"auto"`` PCA pre-compression target for ``n`` samples of
+    ``classes`` classes with ``m`` features: ``min(n - classes, m)``, which
+    keeps the graph-derived matrices nonsingular in supervised mode."""
+    return min(n - classes, m)
+
+
 def default_predim(ds: VectorDataset) -> int:
-    """Default PCA pre-compression target: ``min(n - c, m)``, which keeps
-    the graph-derived matrices nonsingular in supervised mode."""
-    return min(ds.n - ds.class_count(), ds.m)
+    """The ``"auto"`` PCA pre-compression target of ``ds`` (see
+    :func:`auto_predim`)."""
+    return auto_predim(ds.n, ds.class_count(), ds.m)
 
 
-@dataclass(frozen=True)
-class VectorPencil:
-    """A vector method's eigenproblem on one training set.
-
-    It does not depend on the target dimension, so it is assembled and
-    solved once for every dimension.  The basis comes from the ``which``
-    eigenvectors of ``lhs``, generalized against ``rhs`` when there is
-    one, and is mapped back through the PCA pre-basis ``pre`` if any.
-    ``order`` is the feature count the basis lives in before that map.
-    PCA with more features than samples solves the Gram matrix instead
-    and lifts its eigenvectors through the centered data ``lift``.
-    """
-
-    method: str
-    lhs: np.ndarray
-    rhs: np.ndarray | None
-    which: str
-    order: int
-    pre: np.ndarray | None = None
-    lift: np.ndarray | None = None
-
-
-def _pca_pencil(x: np.ndarray) -> VectorPencil:
+def _pca_pencil(x: np.ndarray) -> Pencil:
     """Covariance of the columns of ``x`` (unscaled), as an eigenproblem.
 
     Uses the m x m covariance when rows are few, otherwise the n x n
@@ -142,30 +126,8 @@ def _pca_pencil(x: np.ndarray) -> VectorPencil:
     m, n = x.shape
     centered = x - x.mean(axis=1, keepdims=True)
     if m <= n:
-        return VectorPencil("PCA", centered @ centered.T, None, "top", m)
-    return VectorPencil("PCA", centered.T @ centered, None, "top", m, lift=centered)
-
-
-def _pca_solve(pencil: VectorPencil, dims) -> Callable[[int], np.ndarray]:
-    """Top principal directions from a :func:`_pca_pencil`, solved once
-    for all of ``dims``: returns ``basis(d)``, the top ``d`` directions
-    for each ``d`` of ``dims``."""
-    valid = [d for d in dims if 1 <= d <= pencil.order]
-    lhs_order = pencil.lhs.shape[0]
-    pairs = sym_eig_prefixes(pencil.lhs, EigenSelection(min(max(valid), lhs_order), "top")) if valid else None
-
-    def basis(d: int) -> np.ndarray:
-        if not 1 <= d <= pencil.order:
-            raise ParameterError(f"PCA dimension must be in [1, {pencil.order}], got {d}")
-        if pencil.lift is None:
-            return take_prefix(pairs, d)[1]
-        values, vectors = take_prefix(pairs, min(d, lhs_order))
-        keep = values > max(values[0], 0.0) * 1e-12
-        if np.count_nonzero(keep) < d:
-            raise ParameterError(f"data rank too low for {d} principal components")
-        return fix_signs(pencil.lift @ vectors / np.sqrt(values))
-
-    return basis
+        return Pencil(centered @ centered.T, None, "top", m)
+    return Pencil(centered.T @ centered, None, "top", m, lift=centered)
 
 
 def vector_pencil(
@@ -176,7 +138,7 @@ def vector_pencil(
     bandwidth: float | None = None,
     beta: float | None = None,
     pca_predim: int | str | None = None,
-) -> VectorPencil:
+) -> Pencil:
     """Assemble a vector method's eigenproblem: the PCA pre-basis, the
     graphs and the ``X C X^T`` side matrices (parameters as in
     :func:`fit_1d`)."""
@@ -188,9 +150,7 @@ def vector_pencil(
     pre = None
     if pca_predim is not None:
         p = default_predim(ds) if pca_predim == "auto" else int(pca_predim)
-        if not 1 <= p <= ds.m:
-            raise ParameterError(f"PCA pre-dimension {p} must lie in [1, {ds.m}]")
-        pre = _pca_solve(_pca_pencil(ds.data), (p,))(p)
+        pre = solve_pencil(_pca_pencil(ds.data), (p,))(p)[1]
         ds = VectorDataset(pre.T @ ds.data, ds.labels)
 
     x = ds.data
@@ -202,43 +162,21 @@ def vector_pencil(
             label_graph = graphs.build_label_graph(ds.labels)
             rep = graphs.repulsion_laplacian(label_graph, graphs.sq_distances(x.T), knn, bandwidth)
             sw = sw - (default_beta("2D-LDA-R") if beta is None else beta) * (x @ rep @ x.T)
-        return VectorPencil(method, sb, sw, "top", ds.m, pre)
+        return Pencil(sb, sw, "top", ds.m - 1, pre)
 
     spec = method_matrices("2D-" + method, ds, knn=knn, beta=beta, bandwidth=bandwidth)
     lhs, rhs, which = _solver_sides(spec, ds.n)
-    return VectorPencil(method, x @ lhs @ x.T, None if rhs is None else x @ rhs @ x.T, which, ds.m, pre)
+    return Pencil(x @ lhs @ x.T, None if rhs is None else x @ rhs @ x.T, which, ds.m - 1, pre)
 
 
-def solve_1d(pencil: VectorPencil, dims) -> Callable[[int], Projector1D]:
-    """Solve an assembled vector eigenproblem once for all of ``dims``.
-
-    One eigensolve, with its contract checks and (generalized solvers)
-    ridge repair, the same half-step as the matrix methods' fits, yields
-    the leading pairs for the largest valid dimension.  The returned
-    ``projector(d)`` maps the first ``d`` of them through the PCA
-    pre-basis for each ``d`` of ``dims``: the projector a solve for ``d``
-    alone gives, or the exception it raises.  A failure of the shared
-    solve raises here; the contract checks are per prefix, so a column
-    that fails them fails every ``d`` that includes it and no smaller one.
-    """
-    if pencil.method == "PCA":
-        pca = _pca_solve(pencil, dims)
-    else:
-        valid = [d for d in dims if 1 <= d < pencil.order]
-        pairs = _half_step(pencil.lhs, pencil.rhs, pencil.which, max(valid))[0] if valid else None
+def solve_1d(pencil: Pencil, dims) -> Callable[[int], Projector1D]:
+    """Solve an assembled vector eigenproblem once for all of ``dims``
+    (see :func:`solve_pencil`, which also maps the basis back through any
+    PCA pre-basis).  Returns ``projector(d)``: the projector a fit for
+    ``d`` alone gives, or the exception it raises."""
+    prefix = solve_pencil(pencil, dims)
     constraint = "orthonormal" if pencil.rhs is None else "b_orthonormal"
-
-    def projector(d: int) -> Projector1D:
-        if d < 1:
-            raise ParameterError(f"dimension must be >= 1, got {d}")
-        if pencil.method == "PCA":
-            return Projector1D(pca(d), constraint)
-        if d >= pencil.order:
-            raise ParameterError(f"dimension must be < {pencil.order}, got {d}")
-        basis = take_prefix(pairs, d)[1]
-        return Projector1D(basis if pencil.pre is None else pencil.pre @ basis, constraint)
-
-    return projector
+    return lambda d: Projector1D(prefix(d)[1], constraint)
 
 
 def fit_1d(

@@ -27,14 +27,14 @@ import numpy as np
 
 from . import graphs
 from .errors import DefinitenessError, ParameterError, RankError, ShapeError
-from .spectral import EigenPrefixes, EigenSelection, gen_sym_eig_prefixes, sym_eig_prefixes, take_prefix
+from .spectral import EigenPrefixes, EigenSelection, fix_signs, gen_sym_eig_prefixes, sym_eig_prefixes, take_prefix
 
 __all__ = [
     "MatrixDataset",
     "MethodSpec",
     "ProjectorPair",
     "FitTrace",
-    "UnilateralPencil",
+    "Pencil",
     "METHOD_NAMES_2D",
     "centering_matrix",
     "lda_weight_matrix",
@@ -42,6 +42,7 @@ __all__ = [
     "method_matrices",
     "col_subproblem_matrix",
     "row_subproblem_matrix",
+    "solve_pencil",
     "unilateral_pencil",
     "solve_unilateral",
     "fit_unilateral",
@@ -130,16 +131,14 @@ class MethodSpec:
 class ProjectorPair:
     """Row and column projection bases for ``Y = row_basis^T X col_basis``.
 
-    ``sides`` says which factors were actually solved for: ``"left_only"``
-    / ``"right_only"`` fits pin the other factor to an exact identity.
     ``constraints`` records, per side, which normalization holds:
     ``"orthonormal"``, ``"coupled"`` (normalized against the maximized /
-    constraint side matrix), or ``"identity"``.
+    constraint side matrix), or ``"identity"`` (pinned to an exact
+    identity, not solved for).
     """
 
     row_basis: np.ndarray
     col_basis: np.ndarray
-    sides: str = "bilateral"
     constraints: tuple[str, str] = ("orthonormal", "orthonormal")
 
     @property
@@ -149,6 +148,17 @@ class ProjectorPair:
     @property
     def d2(self) -> int:
         return self.col_basis.shape[1]
+
+    @property
+    def sides(self) -> str:
+        """Which factors were solved for: ``"left_only"`` / ``"right_only"``
+        when the other one is pinned to the identity, else ``"bilateral"``."""
+        row, col = (c == "identity" for c in self.constraints)
+        if row and not col:
+            return "right_only"
+        if col and not row:
+            return "left_only"
+        return "bilateral"
 
 
 @dataclass
@@ -417,24 +427,58 @@ def _half_step(lhs: np.ndarray, rhs: np.ndarray | None, which: str, d: int) -> t
 
 
 @dataclass(frozen=True)
-class UnilateralPencil:
-    """The one-sided subproblem of a method on one training stack.
+class Pencil:
+    """One side of a fit as an eigenproblem, for every dimension from 1 to
+    ``max_dim``: the ``which`` eigenvectors of ``lhs``, generalized against
+    the constraint side ``rhs`` when there is one.
 
-    It does not depend on the target dimension, so it is assembled and
-    solved once for every dimension.  The solved factor comes from the
-    ``which`` eigenvectors of ``lhs``, generalized against the constraint
-    side ``rhs`` when there is one; the other factor is the identity of
-    order ``pinned``.
+    A vector method fitted after a PCA pre-compression maps its basis
+    back through the pre-basis ``pre``.  PCA with more features than
+    samples solves the Gram matrix instead and lifts its eigenvectors
+    through the centered data ``lift``.
     """
 
-    side: str
     lhs: np.ndarray
     rhs: np.ndarray | None
     which: str
-    pinned: int
+    max_dim: int
+    pre: np.ndarray | None = None
+    lift: np.ndarray | None = None
 
 
-def unilateral_pencil(x, spec: MethodSpec, side: str) -> UnilateralPencil:
+def solve_pencil(pencil: Pencil, dims) -> Callable[[int], tuple[np.ndarray, np.ndarray, float, float]]:
+    """Solve a pencil once for all of ``dims``.
+
+    One half-step (see :func:`_half_step`) yields the pairs of the largest
+    valid dimension, and the returned ``prefix(d)`` gives, for each ``d``
+    of ``dims``, what a solve for ``d`` alone gives: ``(values, basis,
+    constraint defect, ridge shift)``, or the exception it raises.  A
+    dimension outside ``[1, max_dim]`` raises :class:`ParameterError` from
+    ``prefix``; a failure of the shared solve raises here.  The contract
+    checks are per prefix (see :func:`take_prefix`), so a column that
+    fails them fails every ``d`` that includes it and no smaller one.
+    """
+    order = pencil.lhs.shape[0]  # below max_dim only for a Gram lift
+    valid = [d for d in dims if 1 <= d <= pencil.max_dim]
+    pairs, shift = _half_step(pencil.lhs, pencil.rhs, pencil.which, min(max(valid), order)) if valid else (None, 0.0)
+
+    def prefix(d: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+        if not 1 <= d <= pencil.max_dim:
+            raise ParameterError(f"dimension must be in [1, {pencil.max_dim}], got {d}")
+        k = min(d, order)
+        values, basis = take_prefix(pairs, k)
+        if pencil.lift is not None:
+            if np.count_nonzero(values > max(values[0], 0.0) * 1e-12) < d:
+                raise ParameterError(f"data rank too low for {d} principal components")
+            basis = fix_signs(pencil.lift @ basis / np.sqrt(values))
+        if pencil.pre is not None:
+            basis = pencil.pre @ basis
+        return values, basis, float(pairs.defects[k - 1]), shift
+
+    return prefix
+
+
+def unilateral_pencil(x, spec: MethodSpec, side: str) -> Pencil:
     """Assemble the side matrices of a one-sided fit from the raw
     ``(n, m1, m2)`` stack.
 
@@ -446,38 +490,32 @@ def unilateral_pencil(x, spec: MethodSpec, side: str) -> UnilateralPencil:
     s = _image_stack(x)
     lhs, rhs, which = _solver_sides(spec, s.shape[0])
     build = row_subproblem_matrix if side == "left" else col_subproblem_matrix
-    pinned = s.shape[2] if side == "left" else s.shape[1]
-    return UnilateralPencil(side, build(s, None, lhs), None if rhs is None else build(s, None, rhs), which, pinned)
+    side_lhs = build(s, None, lhs)
+    return Pencil(side_lhs, None if rhs is None else build(s, None, rhs), which, side_lhs.shape[0])
 
 
-def solve_unilateral(pencil: UnilateralPencil, dims) -> Callable[[int], tuple[ProjectorPair, FitTrace]]:
-    """Solve an assembled one-sided subproblem once for all of ``dims``.
+def solve_unilateral(x, spec: MethodSpec, side: str, dims) -> Callable[[int], tuple[ProjectorPair, FitTrace]]:
+    """One-sided fits of an ``(n, m1, m2)`` stack at each of ``dims``: the
+    chosen factor's :func:`unilateral_pencil`, solved once (see
+    :func:`solve_pencil`), with the other factor pinned to an exact
+    identity.
 
-    One eigensolve, with its ridge repair for generalized solvers, yields
-    the leading pairs for the largest valid dimension, and the returned
-    ``fit(d)`` builds the fit at each ``d`` of ``dims`` from the first
-    ``d`` of them: the ``(ProjectorPair, FitTrace)`` a solve for ``d``
-    alone gives, or the exception it raises.  A dimension outside the
-    side's order raises :class:`ParameterError` from ``fit``.  A failure
-    of the shared solve raises here.  The contract checks are per prefix
-    (see :func:`take_prefix`), so a column that fails them fails every
-    ``d`` that includes it and no smaller one.  One step is always optimal
+    Returns ``fit(d)``: the ``(ProjectorPair, FitTrace)`` a fit for ``d``
+    alone gives, or the exception it raises.  One step is always optimal
     here, so each trace reports a converged single step with its own
     prefix's objective and constraint defect.
     """
-    order = pencil.lhs.shape[0]
-    valid = [d for d in dims if 1 <= d <= order]
-    pairs, shift = _half_step(pencil.lhs, pencil.rhs, pencil.which, max(valid)) if valid else (None, 0.0)
+    s = _image_stack(x)
+    pencil = unilateral_pencil(s, spec, side)
+    prefix = solve_pencil(pencil, dims)
     constraint = "orthonormal" if pencil.rhs is None else "coupled"
 
     def fit(d: int) -> tuple[ProjectorPair, FitTrace]:
-        if not 1 <= d <= order:
-            raise ParameterError(f"{'d1' if pencil.side == 'left' else 'd2'} must be in [1, {order}], got {d}")
-        values, basis = take_prefix(pairs, d)
-        trace = FitTrace([float(np.sum(values))], 1, True, float(pairs.defects[d - 1]), shift)
-        if pencil.side == "left":
-            return ProjectorPair(basis, np.eye(pencil.pinned), "left_only", (constraint, "identity")), trace
-        return ProjectorPair(np.eye(pencil.pinned), basis, "right_only", ("identity", constraint)), trace
+        values, basis, defect, shift = prefix(d)
+        trace = FitTrace([float(np.sum(values))], 1, True, defect, shift)
+        if side == "left":
+            return ProjectorPair(basis, np.eye(s.shape[2]), (constraint, "identity")), trace
+        return ProjectorPair(np.eye(s.shape[1]), basis, ("identity", constraint)), trace
 
     return fit
 
@@ -485,8 +523,8 @@ def solve_unilateral(pencil: UnilateralPencil, dims) -> Callable[[int], tuple[Pr
 def fit_unilateral(x, spec: MethodSpec, side: str, d: int) -> tuple[ProjectorPair, FitTrace]:
     """One-sided fit: solve a single eigenproblem for the chosen factor
     and pin the other factor to an exact identity (see
-    :func:`unilateral_pencil` and :func:`solve_unilateral`)."""
-    return solve_unilateral(unilateral_pencil(x, spec, side), (d,))(d)
+    :func:`solve_unilateral`)."""
+    return solve_unilateral(x, spec, side, (d,))(d)
 
 
 def _converged(objectives: list[float], tol: float) -> bool:
@@ -525,39 +563,35 @@ def fit_method(
     s = _image_stack(x)
     _validate_dims(s, d1, d2)
     lhs, rhs, which = _solver_sides(spec, s.shape[0])
-    if spec.solver == SOLVER_GEN_MAX and spec.beta > 0.0:
-        col_pair, col_trace = fit_unilateral(s, spec, "right", d2)
-        row_pair, row_trace = fit_unilateral(s, spec, "left", d1)
-        trace = FitTrace(
-            col_trace.objectives + row_trace.objectives,
-            1,
-            True,
-            max(col_trace.max_constraint_defect, row_trace.max_constraint_defect),
-            max(col_trace.ridge_shift, row_trace.ridge_shift),
-        )
-        return ProjectorPair(row_pair.row_basis, col_pair.col_basis, "bilateral", ("coupled", "coupled")), trace
-
     trace = FitTrace()
 
-    def half_step(side_matrix, z, d):
-        pairs, shift = _half_step(side_matrix(z, lhs), None if rhs is None else side_matrix(z, rhs), which, d)
-        values, basis = take_prefix(pairs, d)
+    def half_step(pencil: Pencil, d: int) -> np.ndarray:
+        values, basis, defect, shift = solve_pencil(pencil, (d,))(d)
         trace.objectives.append(float(np.sum(values)))
-        trace.max_constraint_defect = max(trace.max_constraint_defect, float(pairs.defects[d - 1]))
+        trace.max_constraint_defect = max(trace.max_constraint_defect, defect)
         trace.ridge_shift = max(trace.ridge_shift, shift)
         return basis
+
+    if spec.solver == SOLVER_GEN_MAX and spec.beta > 0.0:
+        v = half_step(unilateral_pencil(s, spec, "right"), d2)
+        u = half_step(unilateral_pencil(s, spec, "left"), d1)
+        trace.iterations, trace.converged = 1, True
+        return ProjectorPair(u, v, ("coupled", "coupled")), trace
+
+    def side_pencil(side_matrix, z, d):
+        return Pencil(side_matrix(z, lhs), None if rhs is None else side_matrix(z, rhs), which, d)
 
     u = np.eye(s.shape[1], d1)
     v = np.eye(s.shape[2], d2)
     for it in range(1, max_iter + 1):
-        v = half_step(_col_matrix, np.matmul(u.T, s), d2)
-        u = half_step(_row_matrix, np.matmul(s, v), d1)
+        v = half_step(side_pencil(_col_matrix, np.matmul(u.T, s), d2), d2)
+        u = half_step(side_pencil(_row_matrix, np.matmul(s, v), d1), d1)
         trace.iterations = it
         trace.converged = _converged(trace.objectives, tol)
         if trace.converged:
             break
     constraint = "orthonormal" if rhs is None else "coupled"
-    return ProjectorPair(u, v, "bilateral", (constraint, constraint)), trace
+    return ProjectorPair(u, v, (constraint, constraint)), trace
 
 
 def pre_process_2dpca(x, dims: tuple[int, int], max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, ProjectorPair]:
@@ -589,15 +623,4 @@ def compose_pairs(outer: ProjectorPair, inner: ProjectorPair) -> ProjectorPair:
         raise ShapeError("column bases do not chain")
     row_c = outer.constraints[0] if inner.constraints[0] == "identity" else inner.constraints[0]
     col_c = outer.constraints[1] if inner.constraints[1] == "identity" else inner.constraints[1]
-    if row_c == "identity" and col_c != "identity":
-        sides = "right_only"
-    elif col_c == "identity" and row_c != "identity":
-        sides = "left_only"
-    else:
-        sides = "bilateral"
-    return ProjectorPair(
-        outer.row_basis @ inner.row_basis,
-        outer.col_basis @ inner.col_basis,
-        sides,
-        (row_c, col_c),
-    )
+    return ProjectorPair(outer.row_basis @ inner.row_basis, outer.col_basis @ inner.col_basis, (row_c, col_c))

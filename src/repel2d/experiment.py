@@ -79,7 +79,6 @@ class ExperimentConfig:
     knn: int = 6
     beta: float | None = None
     bandwidth: float | None = None
-    pca_predim: int | None = None
     pre_dims: tuple[int, int] | None = None
     max_iter: int = 5
     jobs: int = 1
@@ -122,15 +121,23 @@ def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
     if cfg.mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     known = set(embed_2d.METHOD_NAMES_2D) | set(embed_1d.METHOD_NAMES_1D)
-    for name in cfg.methods:
+    for i, name in enumerate(cfg.methods):
         if name not in known:
             raise ParameterError(f"unknown method {name!r}")
+        if name in cfg.methods[:i]:
+            raise ParameterError(f"method {name!r} is named twice")
     m1, m2 = ds.image_shape
+    if cfg.pre_dims is not None:
+        for p, side in zip(cfg.pre_dims, (m1, m2)):
+            if not 1 <= p <= side:
+                raise ParameterError(f"pre-dimension {p} must lie in [1, {side}]")
     side1, side2 = (cfg.pre_dims if cfg.pre_dims is not None else (m1, m2))
-    # the PCA pre-dimension every vector method but PCA fits in: the
-    # config's, or embed_1d.default_predim of a training split
     classes = len(ds.class_names)
-    predim = cfg.pca_predim if cfg.pca_predim is not None else min((cfg.train_per_class - 1) * classes, m1 * m2)
+    n_train = cfg.train_per_class * classes
+    if cfg.knn >= n_train and any(name.endswith("-R") for name in cfg.methods):
+        raise ParameterError(f"knn {cfg.knn} must be below the training-set size {n_train}")
+    # the PCA pre-dimension every vector method but PCA fits in
+    predim = embed_1d.auto_predim(n_train, classes, m1 * m2)
     for d in cfg.dims:
         if d < 1:
             raise ParameterError(f"dimension {d} must be >= 1")
@@ -189,7 +196,7 @@ def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset, dims: 
         train = MatrixDataset(reduced, train.labels)
     spec = embed_2d.method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
     if cfg.mode == "unilateral":
-        fit = embed_2d.solve_unilateral(embed_2d.unilateral_pencil(train.images, spec, "right"), dims)
+        fit = embed_2d.solve_unilateral(train.images, spec, "right", dims)
     else:
         fit = lambda d: embed_2d.fit_method(train.images, spec, d, d, cfg.max_iter)
 
@@ -203,14 +210,13 @@ def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset, dims: 
 def _prepare_1d(cfg: ExperimentConfig, method: str, train: VectorDataset, dims: tuple[int, ...]):
     """PCA pre-basis, graphs and side matrices, solved once for ``dims``;
     returns the per-dimension fit."""
-    predim = cfg.pca_predim if cfg.pca_predim is not None else "auto"
     pencil = embed_1d.vector_pencil(
         train,
         method,
         knn=cfg.knn,
         bandwidth=cfg.bandwidth,
         beta=cfg.beta,
-        pca_predim=None if method == "PCA" else predim,
+        pca_predim=None if method == "PCA" else "auto",
     )
     projector = embed_1d.solve_1d(pencil, dims)
     return lambda d: (projector(d), None)
@@ -332,22 +338,15 @@ def _failure_reason(exc: Exception | None) -> str | None:
     return None if exc is None else f"{type(exc).__name__}: {exc}"
 
 
-def _task_dims(cfg: ExperimentConfig, method: str, chunks: int) -> list[tuple[int, ...]]:
+def _task_dims(cfg: ExperimentConfig, method: str) -> list[tuple[int, ...]]:
     """The dimensions each task of a method covers.
 
     Bilateral fits share nothing across dimensions, so each of their
     tasks covers one.  Unilateral and vector fits share their assembly,
-    eigensolve and projection, so a task covers all of them -- unless
-    there are fewer (method, realization) units than workers: then the
-    dimensions are cut into ``chunks`` contiguous runs, each of which
-    rebuilds the shared part, so that no worker idles.  Every cell fits
-    the same projector either way.
+    eigensolve and projection, so their one task covers all of them.
     """
     dims = tuple(cfg.dims)
-    if not _nested(cfg, method):
-        return [(d,) for d in dims]
-    k = min(chunks, len(dims))
-    return [dims[i * len(dims) // k : (i + 1) * len(dims) // k] for i in range(k)]
+    return [dims] if _nested(cfg, method) else [(d,) for d in dims]
 
 
 def usable_cpus() -> int:
@@ -423,8 +422,8 @@ def _blas_threads_capped(limit: int | None):
 def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -> ResultTable:
     """Run the full protocol and aggregate per-cell errors.
 
-    Each task is one :func:`run_cell` unit (split by dimension as
-    :func:`_task_dims` describes).  A cell whose fit or scoring
+    Each task is one :func:`run_cell` unit, or one dimension of a
+    bilateral unit (see :func:`_task_dims`).  A cell whose fit or scoring
     aborts with a package error is recorded as a failure and the run
     continues; aggregates are over the surviving realizations (NaN if
     none survive).  ``mean_fit_seconds`` is amortized over the unit's
@@ -433,12 +432,11 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
     ds = dataset if dataset is not None else load_dataset(cfg.dataset, cfg.resize)
     _validate_config(cfg, ds)
 
-    chunks = -(-cfg.jobs // (len(cfg.methods) * cfg.realizations))
     tasks = [
         (method, r, dims)
         for method in cfg.methods
         for r in range(cfg.realizations)
-        for dims in _task_dims(cfg, method, chunks)
+        for dims in _task_dims(cfg, method)
     ]
 
     def task(unit):

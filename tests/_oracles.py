@@ -385,21 +385,21 @@ def fit_at(cfg, ds, method, realization, d):
             raise ParameterError(f"d2 out of range: {d}")
         values, basis, defect, shift = half_step_at(pencil.lhs, pencil.rhs, pencil.which, d)
         constraint = "orthonormal" if pencil.rhs is None else "coupled"
-        pair = ProjectorPair(np.eye(pencil.pinned), basis, "right_only", ("identity", constraint))
+        pair = ProjectorPair(np.eye(train.images.shape[1]), basis, ("identity", constraint))
         return pair, FitTrace([float(np.sum(values))], 1, True, defect, shift)
-    predim = cfg.pca_predim if cfg.pca_predim is not None else "auto"
+    train = vector_dataset(ds, train_idx)
     pencil = vector_pencil(
-        vector_dataset(ds, train_idx),
+        train,
         method,
         knn=cfg.knn,
         bandwidth=cfg.bandwidth,
         beta=cfg.beta,
-        pca_predim=None if method == "PCA" else predim,
+        pca_predim=None if method == "PCA" else "auto",
     )
     if d < 1:
         raise ParameterError(f"dimension below 1: {d}")
     if method == "PCA":
-        if not 1 <= d <= pencil.order:
+        if not 1 <= d <= train.m:
             raise ParameterError(f"PCA dimension out of range: {d}")
         if pencil.lift is None:
             return Projector1D(eig_at(pencil.lhs, None, spectral.EigenSelection(d, "top"))[1], "orthonormal"), None
@@ -408,8 +408,8 @@ def fit_at(cfg, ds, method, realization, d):
         if np.count_nonzero(values > max(values[0], 0.0) * 1e-12) < d:
             raise ParameterError(f"data rank too low for {d} components")
         return Projector1D(spectral.fix_signs(pencil.lift @ vectors[:, :d] / np.sqrt(values[:d])), "orthonormal"), None
-    if d >= pencil.order:
-        raise ParameterError(f"dimension {d} not below {pencil.order}")
+    if d >= pencil.lhs.shape[0]:
+        raise ParameterError(f"dimension {d} not below {pencil.lhs.shape[0]}")
     basis = half_step_at(pencil.lhs, pencil.rhs, pencil.which, d)[1]
     constraint = "orthonormal" if pencil.rhs is None else "b_orthonormal"
     return Projector1D(basis if pencil.pre is None else pencil.pre @ basis, constraint), None

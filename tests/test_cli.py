@@ -243,6 +243,23 @@ class TestExitCodes:
         else:
             assert "nan" not in (out / "results.csv").read_text()
 
+    @pytest.mark.parametrize("pre_dims", ["100,100", "0,3"])
+    def test_usage_error_pre_dims_outside_image(self, tmp_path, synthetic_dir, capsys, pre_dims):
+        out = tmp_path / "res"
+        code = run_cli(
+            "bench",
+            "--dataset", str(synthetic_dir),
+            "--method", "2D-OLPP-R",
+            "--dims", "2",
+            "--train-per-class", "4",
+            "--realizations", "1",
+            "--pre-dims", pre_dims,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert "pre-dimension" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_numerical_error_exit_code(self, synthetic_dir):
         # one training image per class makes every discriminant fit abort
         code = run_cli(

@@ -7,6 +7,7 @@ from repel2d.embed_2d import (
     METHOD_NAMES_2D,
     MatrixDataset,
     MethodSpec,
+    ProjectorPair,
     centering_matrix,
     col_subproblem_matrix,
     compose_pairs,
@@ -507,6 +508,21 @@ class TestPreProcess:
         composed = compose_pairs(pre_pair, pair)
         assert np.linalg.norm(composed.row_basis.T @ composed.row_basis - np.eye(2)) <= 1e-10
         assert np.linalg.norm(composed.col_basis.T @ composed.col_basis - np.eye(2)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "outer, inner, constraints, sides",
+        [
+            (("orthonormal", "orthonormal"), ("identity", "coupled"), ("orthonormal", "coupled"), "bilateral"),
+            (("identity", "identity"), ("identity", "coupled"), ("identity", "coupled"), "right_only"),
+            (("identity", "identity"), ("orthonormal", "identity"), ("orthonormal", "identity"), "left_only"),
+            (("identity", "identity"), ("identity", "identity"), ("identity", "identity"), "bilateral"),
+        ],
+    )
+    def test_composed_sides_follow_constraints(self, outer, inner, constraints, sides):
+        # an identity inner side keeps the outer side's normalization, and
+        # the solved sides are read off the composed constraints
+        composed = compose_pairs(ProjectorPair(np.eye(3), np.eye(2), outer), ProjectorPair(np.eye(3), np.eye(2), inner))
+        assert (composed.constraints, composed.sides) == (constraints, sides)
 
     def test_removes_structural_singularity(self):
         # with d1 * rank(S) below the column count the raw subproblem matrix

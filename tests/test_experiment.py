@@ -117,7 +117,7 @@ class TestRunExperiment:
             other = parallel.metadata["per_cell"][key]
             assert (record["errors"], record["failures"]) == (other["errors"], other["failures"])
 
-    def test_fewer_units_than_jobs_split_dimensions(self, synthetic_ds, monkeypatch):
+    def test_one_unit_is_one_task_at_any_jobs(self, synthetic_ds, monkeypatch):
         cfg = small_cfg(methods=("2D-OLPP-R",), dims=(2, 3, 5), realizations=1)
         serial = run_experiment(cfg, dataset=synthetic_ds)
         seen = []
@@ -129,9 +129,12 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment, "run_cell", recording)
         parallel = run_experiment(replace(cfg, jobs=2), dataset=synthetic_ds)
-        assert sorted(seen) == [(2,), (3, 5)]
+        assert seen == [(2, 3, 5)]
         for a, b in zip(serial.rows, parallel.rows):
             assert (a.dimension, a.mean_error, a.std_error) == (b.dimension, b.mean_error, b.std_error)
+        for key, record in serial.metadata["per_cell"].items():
+            other = parallel.metadata["per_cell"][key]
+            assert (record["errors"], record["failures"]) == (other["errors"], other["failures"])
 
     def test_aggregates_match_per_cell_logs(self, synthetic_ds):
         cfg = small_cfg(methods=("2D-PCA",), dims=(2, 3), realizations=3)
@@ -142,6 +145,35 @@ class TestRunExperiment:
             assert row.mean_error == pytest.approx(float(errs.mean()))
             assert row.std_error == pytest.approx(float(errs.std()))
             assert 0.0 <= row.mean_error - 0.0 <= 1.0
+
+    @pytest.mark.parametrize(
+        "overrides, accepted, message",
+        [
+            # pre-dimensions lie in [1, image side]; the images are 8 x 8
+            (dict(pre_dims=(100, 100)), dict(pre_dims=(8, 8)), "pre-dimension 100"),
+            (dict(pre_dims=(0, 3)), dict(pre_dims=(1, 3)), "pre-dimension 0"),
+            # 4 classes x 4 training images: the kNN graph has 16 vertices
+            (dict(knn=16), dict(knn=15), "training-set size 16"),
+            (dict(methods=("2D-OLPP-R", "2D-PCA", "2D-OLPP-R")), dict(methods=("2D-OLPP-R", "2D-PCA")), "named twice"),
+        ],
+        ids=["pre-dims-above-side", "pre-dims-zero", "knn-at-training-size", "method-twice"],
+    )
+    def test_config_error_caught_before_any_fit(self, synthetic_ds, monkeypatch, overrides, accepted, message):
+        fitted = []
+        run_cell = experiment.run_cell
+
+        def recording(cfg, ds, method, realization, dims=None):
+            fitted.append(method)
+            return run_cell(cfg, ds, method, realization, dims)
+
+        monkeypatch.setattr(experiment, "run_cell", recording)
+        base = dict(methods=("2D-OLPP-R",), realizations=1)
+        table = run_experiment(small_cfg(**{**base, **accepted}), dataset=synthetic_ds)
+        assert not any(math.isnan(row.mean_error) for row in table.rows)
+        fitted.clear()
+        with pytest.raises(ParameterError, match=message):
+            run_experiment(small_cfg(**{**base, **overrides}), dataset=synthetic_ds)
+        assert fitted == []
 
     def test_bad_configs_rejected(self, synthetic_ds):
         with pytest.raises(ParameterError):
@@ -217,8 +249,8 @@ class TestUnitReuse:
         clean = run_experiment(cfg, dataset=synthetic_ds)
         solve = embed_2d.solve_unilateral
 
-        def failing_at_3(pencil, dims):
-            fit = solve(pencil, dims)
+        def failing_at_3(x, spec, side, dims):
+            fit = solve(x, spec, side, dims)
 
             def fit_or_fail(d):
                 if d == 3:
