@@ -171,12 +171,22 @@ def _or_raise(cell: experiment.Cell) -> experiment.Cell:
     return cell
 
 
+def _one_cell(cfg: experiment.ExperimentConfig, command: str) -> tuple[str, int]:
+    """The one method and the one dimension that ``fit`` and ``eval`` run;
+    more of either is a usage error, not silently dropped."""
+    if len(cfg.methods) != 1:
+        raise ParameterError(f"{command} runs one method; --method names {len(cfg.methods)}: {', '.join(cfg.methods)}")
+    if len(cfg.dims) != 1:
+        dims = ",".join(map(str, cfg.dims))
+        raise ParameterError(f"{command} runs one dimension; pass one --dims value (got {dims})")
+    return cfg.methods[0], cfg.dims[0]
+
+
 def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
-    ds = load_dataset(cfg.dataset, cfg.resize)
-    method = cfg.methods[0]
+    method, d = _one_cell(cfg, "fit")
     if method not in embed_2d.METHOD_NAMES_2D:
         raise ParameterError(f"fit saves matrix-method projectors; got {method!r}")
-    d = cfg.dims[0]
+    ds = load_dataset(cfg.dataset, cfg.resize)
     unit = experiment.fit_unit(cfg, ds, method, 0, (d,))
     cell = _or_raise(unit.cells[0])
     pair, trace = cell.projector, cell.trace
@@ -207,9 +217,9 @@ def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_eval(cfg: experiment.ExperimentConfig, out: Path) -> int:
+    method, d = _one_cell(cfg, "eval")
     ds = load_dataset(cfg.dataset, cfg.resize)
-    method = cfg.methods[0]
-    cell = _or_raise(experiment.run_cell(cfg, ds, method, 0, cfg.dims[:1])[0])
+    cell = _or_raise(experiment.run_cell(cfg, ds, method, 0, (d,))[0])
     print(f"{method} {cfg.mode} d={cell.dim} error={cell.error:.6g} fit_seconds={cell.seconds:.6g}")
     return 0
 

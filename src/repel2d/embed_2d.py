@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -295,21 +296,21 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
     return _sym(arr)
 
 
-# The alternating fits rebuild their side matrices at every half-step, so
-# they use GEMM forms that work on reshaped views of the C-contiguous
-# (n, p, q) stack and never copy it: mixing the samples,
-# G_k = sum_l C[k, l] Z_l, is one (n x n) @ (n x pq) GEMM; the column side
-# then contracts G with Z over their adjacent (n, p) axes in a second GEMM,
-# and the row side sums the batched slice products Z_k G_k^T.
+# Every side matrix sum_{k,l} C[k, l] Z_k^T Z_l (or Z_k Z_l^T) is built by
+# GEMM on reshaped views of the C-contiguous (n, p, q) stack, which is
+# never copied: mixing the samples, G_k = sum_l C[k, l] Z_l, is one
+# (n x n) @ (n x pq) GEMM; the column side then contracts G with Z over
+# their adjacent (n, p) axes in a second GEMM, and the row side sums the
+# batched slice products Z_k G_k^T.  The alternating half-steps and the
+# one-sided pencils both use these.
 #
-# The public builders below, which also assemble the one-sided pencils,
-# keep the einsum contraction over the stack's (m1, m2, n) view
-# np.moveaxis(stack, 0, 2), whose samples stay outermost in memory.  A
-# pencil is built once per training set, so their cost hardly shows, and
-# its rounding matters: 2D-LDA-R's ridge-repaired pencil can sit at the edge
-# of its residual contract (on one ORL-shaped split the top eigenpair's
-# residual is 1.57x the tolerance with the einsum sums and 0.96x with the
-# GEMM ones), so re-associating the sums would change which fits fail.
+# The public einsum builders below keep the contraction over the stack's
+# (m1, m2, n) view.  Only 2D-LDA-R's pencil (see unilateral_pencil) still
+# uses them, for its rounding: that ridge-repaired pencil can sit at the
+# edge of its residual contract (on one ORL-shaped split the top
+# eigenpair's residual is 1.57x the tolerance with the einsum sums and
+# 0.96x with the GEMM ones), so re-associating its sums would change
+# which fits fail.
 
 
 def _mix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -391,6 +392,13 @@ def _solver_sides(spec: MethodSpec, n: int) -> tuple[np.ndarray, np.ndarray | No
     if np.linalg.norm(b) == 0.0:
         raise RankError("between-class coupling is identically zero (single class?)")
     return b, a, "top"
+
+
+def _discriminant_repulsion(spec: MethodSpec) -> bool:
+    """Whether a method is 2D-LDA-R with its repulsion active (``beta >
+    0``): its within-class constraint side can lose definiteness, so it
+    fits in a single pass of two one-sided pencils."""
+    return spec.solver == SOLVER_GEN_MAX and spec.beta > 0.0
 
 
 def _half_step(lhs: np.ndarray, rhs: np.ndarray | None, which: str, d: int) -> tuple[EigenPrefixes, float]:
@@ -489,9 +497,14 @@ def unilateral_pencil(x, spec: MethodSpec, side: str) -> Pencil:
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
     s = _image_stack(x)
     lhs, rhs, which = _solver_sides(spec, s.shape[0])
-    build = row_subproblem_matrix if side == "left" else col_subproblem_matrix
-    side_lhs = build(s, None, lhs)
-    return Pencil(side_lhs, None if rhs is None else build(s, None, rhs), which, side_lhs.shape[0])
+    left = side == "left"
+    if _discriminant_repulsion(spec):
+        # the one pencil still built by the einsum sums (see the comment above _mix)
+        build = partial(row_subproblem_matrix if left else col_subproblem_matrix, s, None)
+    else:
+        build = partial(_row_matrix if left else _col_matrix, s)
+    side_lhs = build(lhs)
+    return Pencil(side_lhs, None if rhs is None else build(rhs), which, side_lhs.shape[0])
 
 
 def solve_unilateral(x, spec: MethodSpec, side: str, dims) -> Callable[[int], tuple[ProjectorPair, FitTrace]]:
@@ -572,7 +585,7 @@ def fit_method(
         trace.ridge_shift = max(trace.ridge_shift, shift)
         return basis
 
-    if spec.solver == SOLVER_GEN_MAX and spec.beta > 0.0:
+    if _discriminant_repulsion(spec):
         v = half_step(unilateral_pencil(s, spec, "right"), d2)
         u = half_step(unilateral_pencil(s, spec, "left"), d1)
         trace.iterations, trace.converged = 1, True

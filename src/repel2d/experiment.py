@@ -8,8 +8,8 @@ The unit of work is a (method, realization) pair: its split, training
 and query stacks and couplings are built once.  When the fit allows
 (unilateral and vector fits) its eigenproblem is also assembled and
 solved once, for the largest dimension, and the gallery and queries are
-projected once; each dimension then takes a prefix and runs only its
-own 1-NN scoring.  Units are independent and
+projected once; each dimension then takes a prefix, and one 1-NN
+scoring pass covers every prefix.  Units are independent and
 deterministic given the config, so they may run concurrently; results are
 reduced in sorted key order either way.
 """
@@ -131,7 +131,6 @@ def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
         for p, side in zip(cfg.pre_dims, (m1, m2)):
             if not 1 <= p <= side:
                 raise ParameterError(f"pre-dimension {p} must lie in [1, {side}]")
-    side1, side2 = (cfg.pre_dims if cfg.pre_dims is not None else (m1, m2))
     classes = len(ds.class_names)
     n_train = cfg.train_per_class * classes
     if cfg.knn >= n_train and any(name.endswith("-R") for name in cfg.methods):
@@ -143,6 +142,7 @@ def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
             raise ParameterError(f"dimension {d} must be >= 1")
         for name in cfg.methods:
             if name in embed_2d.METHOD_NAMES_2D:
+                side1, side2 = cfg.pre_dims if _pre_compressed(cfg, name) else (m1, m2)
                 limit = side2 if cfg.mode == "unilateral" else min(side1, side2)
                 if d > limit:
                     raise ParameterError(f"dimension {d} exceeds image side limit {limit}")
@@ -152,6 +152,12 @@ def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
 
 def _is_2d(name: str) -> bool:
     return name in embed_2d.METHOD_NAMES_2D
+
+
+def _pre_compressed(cfg: ExperimentConfig, method: str) -> bool:
+    """Whether a matrix method fits on the ``pre_dims`` 2D-PCA compression:
+    every one does when ``pre_dims`` is set, except GLRAM and 2D-PCA."""
+    return cfg.pre_dims is not None and method not in ("GLRAM", "2D-PCA")
 
 
 # Failures recorded against a cell instead of aborting the run.
@@ -191,7 +197,7 @@ def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset, dims: 
     """Couplings and, unilaterally, the pencil solved once for ``dims``;
     returns the spec and the per-dimension fit."""
     pre_pair = None
-    if cfg.pre_dims is not None and method not in ("GLRAM", "2D-PCA"):
+    if _pre_compressed(cfg, method):
         reduced, pre_pair = embed_2d.pre_process_2dpca(train.images, cfg.pre_dims, cfg.max_iter)
         train = MatrixDataset(reduced, train.labels)
     spec = embed_2d.method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
@@ -290,10 +296,12 @@ def run_cell(
 
     The query stack is built once.  The gallery and the queries of a
     unilateral or vector unit are projected once, by its largest fitted
-    projector, and each dimension scores the first ``d`` projected
-    columns; a bilateral cell projects with its own projector.  A matrix
-    product rounds by its width, so a slice can differ from a projection
-    by the ``d``-column projector in the last bits.
+    projector, and one :func:`recognize.classify_prefixes` call scores
+    each dimension on the first ``d`` projected columns; a bilateral cell
+    projects with its own projector and is scored by the same function at
+    its full width.  A matrix product rounds by its width, so a slice can
+    differ from a projection by the ``d``-column projector in the last
+    bits.
     """
     unit = fit_unit(cfg, ds, method, realization, dims)
     fitted = [cell for cell in unit.cells if cell.failure is None]
@@ -315,22 +323,21 @@ def run_cell(
             gallery = recognize.GallerySet(projector.transform(train.data).T[:, None, :], train.labels)
             return gallery, projector.transform(queries.data).T[:, None, :]
 
-    nested = _nested(cfg, method)
-    largest = max(fitted, key=lambda cell: cell.dim).projector
-    projected = None
-    for cell in fitted:
+    if _nested(cfg, method):
+        groups = [(max(fitted, key=lambda cell: cell.dim).projector, fitted)]
+    else:
+        groups = [(cell.projector, [cell]) for cell in fitted]
+    for projector, cells in groups:
         try:
-            if projected is None or not nested:
-                projected = project(largest if nested else cell.projector)
-            gallery, probes = projected
-            d = cell.dim
-            # the last axis holds the dimensions a nested unit shares
-            predicted = recognize.classify_batch(
-                probes[:, :, :d], recognize.GallerySet(gallery.projected[:, :, :d], gallery.labels)
-            )
-            cell.error = recognize.error_rate(predicted, queries.labels)
+            gallery, probes = project(projector)
+            predicted = recognize.classify_prefixes(probes, gallery, [cell.dim for cell in cells])
+            errors = [recognize.error_rate(labels, queries.labels) for labels in predicted]
         except _CELL_FAILURES as exc:
-            cell.failure = exc
+            for cell in cells:
+                cell.failure = exc
+            continue
+        for cell, error in zip(cells, errors):
+            cell.error = error
     return unit.cells
 
 

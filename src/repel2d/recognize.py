@@ -13,7 +13,7 @@ import numpy as np
 from .embed_2d import ProjectorPair, _image_stack
 from .errors import ParameterError, ShapeError
 
-__all__ = ["GallerySet", "project_tensor", "build_gallery", "classify_batch", "error_rate"]
+__all__ = ["GallerySet", "project_tensor", "build_gallery", "classify_prefixes", "classify_batch", "error_rate"]
 
 
 @dataclass(frozen=True)
@@ -69,37 +69,74 @@ def _squared_distances(items: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.square(items - query).sum(axis=1)
 
 
-def classify_batch(queries, gallery: GallerySet) -> np.ndarray:
-    """Classify every item of a projected ``(n, d1, d2)`` query stack.
+def classify_prefixes(queries, gallery: GallerySet, dims) -> list[np.ndarray]:
+    """Classify a projected ``(n, d1, d2)`` query stack once for each
+    prefix ``[:, :, :d]`` of ``dims``, the last-axis columns that the
+    dimensions of a nested unit share; returns one label array per entry
+    of ``dims``, in that order.
 
-    Each query gets the label of the gallery item at the smallest
-    squared distance summed from the differences, ties to the lowest
-    gallery index.  One Gram product ``|q|^2 + |g|^2 - 2 q.g`` screens the
+    Each query gets the label of the gallery item at the smallest squared
+    distance summed from the differences of the prefix, ties to the lowest
+    gallery index.  A Gram form ``|q|^2 + |g|^2 - 2 q.g`` screens the
     gallery; the items it cannot rule out are then compared by those
     direct differences, so the labels are exactly those of the per-query
-    rule.  The screening margin covers the rounding error
-    of both distance forms: each is within ``(p + 2) eps (|q| + |g|)^2``
-    of the exact value for ``p`` features (dot-product error bound).
+    rule.  The prefixes are walked in ascending order, and each adds its
+    new block of columns to one running ``(nq, ng)`` cross product and to
+    the two squared-norm vectors, so every column enters one GEMM.
+
+    The screening margin covers the rounding error of both distance
+    forms: each is within ``(p + 2) eps (|q| + |g|)^2`` of the exact value
+    for the ``p`` features of the prefix.  The dot-product bound
+    ``gamma_p sum |x_i y_i|`` behind it holds for any order in which the
+    ``p`` products are summed, and the running sum (each block summed by
+    its GEMM, the blocks added one after another) is one such order; the
+    same holds for the two norms.  So the margin of a prefix counts all of
+    its features, not the block that completed it.
     """
     queries = _image_stack(queries)
-    if queries.shape[1:] != gallery.projected.shape[1:]:
-        raise ShapeError(f"query shape {queries.shape[1:]} does not match gallery {gallery.projected.shape[1:]}")
-    items = gallery.projected.reshape(gallery.n, -1)
-    q = queries.reshape(len(queries), -1)
-    item_sq = np.einsum("ij,ij->i", items, items)
-    q_sq = np.einsum("ij,ij->i", q, q)
-    screened = q_sq[:, None] + item_sq[None, :] - 2.0 * (q @ items.T)
-    bound = (items.shape[1] + 2) * np.finfo(np.float64).eps * (np.sqrt(q_sq) + np.sqrt(item_sq.max())) ** 2
-    # The direct winner's screened distance lies within four bounds (both
-    # forms, at the winner and at the screened minimum) of that minimum;
-    # the margin doubles that.  NaN distances stay candidates, as they
-    # would in the per-query argmin.
-    candidates = ~(screened > (screened.min(axis=1) + 8.0 * bound)[:, None])
-    nearest = np.argmin(screened, axis=1)
-    for k in np.flatnonzero(candidates.sum(axis=1) > 1):
-        idx = np.flatnonzero(candidates[k])
-        nearest[k] = idx[int(np.argmin(_squared_distances(items[idx], q[k])))]
-    return gallery.labels[nearest]
+    g = gallery.projected
+    if queries.shape[1:] != g.shape[1:]:
+        raise ShapeError(f"query shape {queries.shape[1:]} does not match gallery {g.shape[1:]}")
+    nq, rows, width = queries.shape
+    for d in dims:
+        if not 1 <= d <= width:
+            raise ParameterError(f"prefix must be in [1, {width}], got {d}")
+    q_sq = np.zeros(nq)
+    g_sq = np.zeros(gallery.n)
+    cross = np.zeros((nq, gallery.n))
+    screened = np.empty_like(cross)  # also takes each block's product
+    labels = {}
+    start = 0
+    for d in sorted(set(dims)):
+        q_block = queries[:, :, start:d].reshape(nq, -1)
+        g_block = g[:, :, start:d].reshape(gallery.n, -1)
+        q_sq += np.einsum("ij,ij->i", q_block, q_block)
+        g_sq += np.einsum("ij,ij->i", g_block, g_block)
+        cross += np.matmul(q_block, g_block.T, out=screened)
+        start = d
+        np.multiply(cross, -2.0, out=screened)
+        screened += q_sq[:, None]
+        screened += g_sq[None, :]
+        bound = (rows * d + 2) * np.finfo(np.float64).eps * (np.sqrt(q_sq) + np.sqrt(g_sq.max())) ** 2
+        # The direct winner's screened distance lies within four bounds
+        # (both forms, at the winner and at the screened minimum) of that
+        # minimum; the margin doubles that.  NaN distances stay
+        # candidates, as they would in the per-query argmin.
+        candidates = ~(screened > (screened.min(axis=1) + 8.0 * bound)[:, None])
+        nearest = np.argmin(screened, axis=1)
+        for k in np.flatnonzero(candidates.sum(axis=1) > 1):
+            idx = np.flatnonzero(candidates[k])
+            direct = _squared_distances(g[idx, :, :d].reshape(idx.size, -1), queries[k, :, :d].reshape(-1))
+            nearest[k] = idx[int(np.argmin(direct))]
+        labels[d] = gallery.labels[nearest]
+    return [labels[d] for d in dims]
+
+
+def classify_batch(queries, gallery: GallerySet) -> np.ndarray:
+    """Classify every item of a projected ``(n, d1, d2)`` query stack by
+    all of its features: :func:`classify_prefixes` at the one prefix
+    that covers the whole last axis."""
+    return classify_prefixes(queries, gallery, (gallery.projected.shape[2],))[0]
 
 
 def error_rate(predictions, truth) -> float:

@@ -6,9 +6,13 @@ by.  The package works on plain ``(n, m1, m2)`` image stacks instead;
 these independent implementations check it (criterion 1, the trace
 objectives, the reconstruction identities).  After it come small
 references for the eigensolver and subspace checks, the per-query 1-NN
-rule that ``classify_batch`` must reproduce, a reader for the result
-CSV that ``emit_csv`` writes, and the per-dimension solve that one solve
-per unit must reproduce.
+rule that ``classify_prefixes`` must reproduce at every prefix (and
+``classify_batch``, its one-prefix call, at full width), a reader for
+the result CSV that ``emit_csv`` writes, and the per-dimension solve
+that one solve per unit must reproduce.  That solve starts from the
+pencil as the package assembles it (GEMM sums, ``einsum`` sums for
+2D-LDA-R only); which route builds each pencil is pinned in
+``test_embed_2d.py``.
 
 Storage convention
 ------------------
@@ -296,8 +300,8 @@ def trace_objective(y, coupling) -> float:
 def classify_1nn(y, gallery):
     """Label of the gallery item nearest to one projected query ``y``:
     squared Frobenius distances summed from the differences, ties to the
-    lowest gallery index.  The specification ``classify_batch`` is held
-    to, query by query."""
+    lowest gallery index.  The specification ``classify_prefixes`` is
+    held to, query by query and prefix by prefix."""
     mat = np.asarray(y, dtype=np.float64)
     if mat.shape != gallery.projected.shape[1:]:
         raise ShapeError(f"query shape {mat.shape} does not match gallery {gallery.projected.shape[1:]}")

@@ -209,6 +209,26 @@ class TestFitEval:
         np.testing.assert_array_equal(saved["col_basis"], cell.projector.col_basis)
 
 
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--method", "2D-PCA,2D-LDA", "--dims", "2,4"), "--method"),
+            (("--method", "2D-PCA", "--method", "2D-LDA", "--dims", "2"), "--method"),
+            (("--method", "2D-PCA", "--dims", "2,4"), "--dims"),
+            (("--method", "2D-PCA"), "one --dims value"),  # the default dims are five
+        ],
+    )
+    def test_more_than_one_method_or_dimension_is_a_usage_error(
+        self, tmp_path, synthetic_dir, capsys, command, flags, named
+    ):
+        out = tmp_path / "fit"
+        code = run_cli(command, "--dataset", str(synthetic_dir), *flags, "--train-per-class", "4", "--out", str(out))
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_usage_error_unknown_method(self, synthetic_dir, capsys):
         assert run_cli("bench", "--dataset", str(synthetic_dir), "--method", "3D-PCA") == 1
@@ -259,6 +279,33 @@ class TestExitCodes:
         assert code == 1
         assert "pre-dimension" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("method, expected", [("2D-PCA", 0), ("GLRAM", 0), ("2D-OLPP", 1)])
+    def test_pre_dims_limit_binds_only_pre_compressed_methods(self, tmp_path, synthetic_dir, capsys, method, expected):
+        # GLRAM and 2D-PCA fit on the raw 8x8 images whatever --pre-dims says
+        def bench(out, *extra):
+            return run_cli(
+                "bench",
+                "--dataset", str(synthetic_dir),
+                "--method", method,
+                "--dims", "6",
+                "--train-per-class", "4",
+                "--realizations", "1",
+                "--out", str(out),
+                *extra,
+            )
+
+        out = tmp_path / "res"
+        assert bench(out, "--pre-dims", "4,4") == expected
+        if expected:
+            assert "exceeds image side limit 4" in capsys.readouterr().err
+            assert not (out / "results.csv").exists()
+            return
+        assert bench(tmp_path / "raw") == 0
+        rows = parse_result_csv(out / "results.csv")
+        raw = parse_result_csv(tmp_path / "raw" / "results.csv")
+        assert [(r.mean_error, r.std_error) for r in rows] == [(r.mean_error, r.std_error) for r in raw]
+        assert not np.isnan(rows[0].mean_error)
 
     def test_numerical_error_exit_code(self, synthetic_dir):
         # one training image per class makes every discriminant fit abort

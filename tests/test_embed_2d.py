@@ -5,6 +5,9 @@ from _oracles import Tensor3, as_tensor, classify_1nn, frobenius_norm, mode_prod
 from repel2d import graphs
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
+    _col_matrix,
+    _row_matrix,
+    _solver_sides,
     MatrixDataset,
     MethodSpec,
     ProjectorPair,
@@ -18,6 +21,7 @@ from repel2d.embed_2d import (
     method_matrices,
     pre_process_2dpca,
     row_subproblem_matrix,
+    unilateral_pencil,
 )
 from repel2d.embed_1d import VectorDataset, fit_1d
 from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError
@@ -189,6 +193,39 @@ class TestSubproblemMatrices:
             u = rng.normal(size=(4, 2))
             side = col_subproblem_matrix(np.moveaxis(arr, 2, 0), u, coupling)
             assert np.linalg.eigvalsh(side).min() >= -1e-8
+
+
+class TestPencilRoutes:
+    """Which assembly builds each one-sided pencil.  Each check compares
+    two runs of the same deterministic computation, so it holds on any
+    machine and at any BLAS thread count."""
+
+    @staticmethod
+    def sides(name, side):
+        ds = toy_dataset(11)
+        spec = method_matrices(name, ds)
+        lhs, rhs, _ = _solver_sides(spec, ds.n)
+        pencil = unilateral_pencil(ds.images, spec, side)
+        assert (pencil.rhs is None) == (rhs is None)
+        return ds.images, [(pencil.lhs, lhs)] + ([] if rhs is None else [(pencil.rhs, rhs)])
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("name", [m for m in METHOD_NAMES_2D if m != "2D-LDA-R"])
+    def test_gemm_builds_the_pencil(self, name, side):
+        x, sides = self.sides(name, side)
+        gemm = _row_matrix if side == "left" else _col_matrix
+        einsum = row_subproblem_matrix if side == "left" else col_subproblem_matrix
+        for built, coupling in sides:
+            np.testing.assert_array_equal(built, gemm(x, coupling))
+            reference = einsum(x, None, coupling)
+            assert np.linalg.norm(built - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_discriminant_repulsion_keeps_the_einsum_sums(self, side):
+        x, sides = self.sides("2D-LDA-R", side)
+        einsum = row_subproblem_matrix if side == "left" else col_subproblem_matrix
+        for built, coupling in sides:
+            np.testing.assert_array_equal(built, einsum(x, None, coupling))
 
 
 class TestTraceObjective:

@@ -16,6 +16,7 @@ from repel2d.recognize import (
     GallerySet,
     build_gallery,
     classify_batch,
+    classify_prefixes,
     error_rate,
     project_tensor,
 )
@@ -188,6 +189,76 @@ class TestClassifyBatch:
         g = GallerySet(stack(np.zeros((3, 2, 2))), np.arange(3))
         with pytest.raises(ShapeError):
             classify_batch(stack(np.zeros((2, 2, 3))), g)
+
+
+def prefix_tied_gallery(rng, n_items, shape, tied, on_grid):
+    """Gallery items that tie exactly on their first ``tied`` columns and
+    differ after them, plus an exact duplicate and a near-duplicate, 1 ulp
+    off in the later columns only, under labels no other item has."""
+    items, labels = confusable_gallery(rng, n_items, shape, on_grid)
+    items[:, :, :tied] = items[0, :, :tied]
+    pick = int(rng.integers(0, items.shape[0]))
+    near = items[[pick]].copy()
+    near[:, :, tied:] = np.nextafter(near[:, :, tied:], np.inf)
+    return np.concatenate([items, items[[pick]], near]), np.concatenate([labels, [9, 10]])
+
+
+class TestClassifyPrefixes:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2 ** 31 - 1),
+        st.integers(1, 8),
+        st.tuples(st.integers(1, 3), st.integers(1, 6)),
+        st.integers(0, 6),
+        st.booleans(),
+        st.data(),
+    )
+    def test_every_prefix_matches_its_slice(self, seed, n_items, shape, n_random, on_grid, data):
+        rng = np.random.default_rng(seed)
+        width = shape[1]
+        tied = data.draw(st.integers(0, width - 1))
+        items, labels = prefix_tied_gallery(rng, n_items, shape, tied, on_grid)
+        queries = probing_queries(rng, items, n_random)
+        queries[: n_random // 2, :, :tied] = items[0, :, :tied]  # random queries on the tie
+        dims = data.draw(st.lists(st.integers(1, width), min_size=1, max_size=width, unique=True))
+        got = classify_prefixes(stack(queries), GallerySet(stack(items), labels), dims)
+        assert len(got) == len(dims)
+        for d, predicted in zip(dims, got):
+            gallery = GallerySet(stack(items[:, :, :d]), labels)
+            np.testing.assert_array_equal(predicted, classify_batch(stack(queries[:, :, :d]), gallery))
+            np.testing.assert_array_equal(predicted, [classify_1nn(q[:, :d], gallery) for q in queries])
+
+    @pytest.mark.parametrize("width", [2400, 4800])
+    def test_margin_counts_every_feature_of_the_prefix(self, width):
+        # The query and both items tie on a leading 1.0; the query's later
+        # features are just small enough that adding one of their squares
+        # to 1.0 rounds it away.  How many survive depends on the order in
+        # which the norms and the GEMM sum them, so the screened distances
+        # can be off by hundreds of eps, far beyond a margin sized for the
+        # one-column block that completes the last prefix.  Across the
+        # scanned offsets, the direct rule's winner switches from the far
+        # item to the near one.
+        eps = np.finfo(np.float64).eps
+        small = np.sqrt(0.45 * eps)
+        query = np.zeros(width)
+        query[0], query[1:-1] = 1.0, small
+        flat = np.zeros(width)
+        flat[0] = 1.0
+        far_sq = (width - 2) * 0.45 * eps
+        for scale in np.linspace(0.5, 1.5, 41):
+            near = query.copy()
+            near[-1] = np.sqrt(scale * far_sq)
+            gallery = GallerySet(stack([near, flat])[:, None, :], np.array([0, 1]))
+            queries = stack([query, query])[:, None, :]
+            for d, predicted in zip((width - 1, width), classify_prefixes(queries, gallery, (width - 1, width))):
+                sliced = GallerySet(gallery.projected[:, :, :d], gallery.labels)
+                np.testing.assert_array_equal(predicted, [classify_1nn(q[:, :d], sliced) for q in queries])
+
+    def test_rejects_prefix_outside_last_axis(self):
+        g = GallerySet(stack(np.zeros((3, 2, 4))), np.arange(3))
+        for d in (0, 5):
+            with pytest.raises(ParameterError):
+                classify_prefixes(stack(np.zeros((2, 2, 4))), g, (2, d))
 
 
 class TestErrorRate:
