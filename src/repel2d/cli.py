@@ -4,7 +4,9 @@ Subcommands: ``fit`` (train one projector and save it), ``eval`` (score
 one method/dimension on a single split), ``bench`` (full protocol, CSV
 output), ``sweep`` (bench plus per-method plot series).  Flags override a
 flat ``key = value`` config file.  Exit codes: 0 success, 1 usage error,
-2 data error, 3 numerical failure.
+2 data error, 3 numerical failure (for ``bench`` and ``sweep``: a result
+row that no realization survived, reported on stderr once every output
+file is written).
 """
 
 from __future__ import annotations
@@ -232,7 +234,15 @@ def _cmd_bench(cfg: experiment.ExperimentConfig, out: Path, plots: bool) -> int:
     if plots:
         experiment.emit_plotdata(table, out / "plotdata")
     print(f"wrote {csv_path}")
-    return 0
+    failed = False
+    for row in table.rows:
+        record = table.metadata["per_cell"][f"{row.method}|{row.mode}|{row.dimension}"]
+        if not record["errors"]:
+            failed = True
+            where = f"{row.method} {row.mode} d={row.dimension}"
+            reason = record["failures"][0]["reason"]
+            print(f"numerical failure: no realization of {where} survived: {reason}", file=sys.stderr)
+    return NUMERICAL_EXIT if failed else 0
 
 
 def main(argv=None) -> int:

@@ -47,6 +47,7 @@ __all__ = [
     "unilateral_pencil",
     "solve_unilateral",
     "fit_unilateral",
+    "solve_bilateral",
     "fit_method",
     "pre_process_2dpca",
     "compose_pairs",
@@ -305,10 +306,10 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
 # one-sided pencils both use these.
 #
 # The public einsum builders below keep the contraction over the stack's
-# (m1, m2, n) view.  Only 2D-LDA-R's pencil (see unilateral_pencil) still
-# uses them, for its rounding: that ridge-repaired pencil can sit at the
-# edge of its residual contract (on one ORL-shaped split the top
-# eigenpair's residual is 1.57x the tolerance with the einsum sums and
+# (m1, m2, n) view.  Only 2D-LDA-R's pencils (see _discriminant_repulsion)
+# still use these sums, for their rounding: that ridge-repaired pencil can
+# sit at the edge of its residual contract (on one ORL-shaped split the
+# top eigenpair's residual is 1.57x the tolerance with the einsum sums and
 # 0.96x with the GEMM ones), so re-associating its sums would change
 # which fits fail.
 
@@ -397,7 +398,8 @@ def _solver_sides(spec: MethodSpec, n: int) -> tuple[np.ndarray, np.ndarray | No
 def _discriminant_repulsion(spec: MethodSpec) -> bool:
     """Whether a method is 2D-LDA-R with its repulsion active (``beta >
     0``): its within-class constraint side can lose definiteness, so it
-    fits in a single pass of two one-sided pencils."""
+    fits in a single pass of two one-sided pencils (see
+    :func:`_single_pass`)."""
     return spec.solver == SOLVER_GEN_MAX and spec.beta > 0.0
 
 
@@ -499,12 +501,66 @@ def unilateral_pencil(x, spec: MethodSpec, side: str) -> Pencil:
     lhs, rhs, which = _solver_sides(spec, s.shape[0])
     left = side == "left"
     if _discriminant_repulsion(spec):
-        # the one pencil still built by the einsum sums (see the comment above _mix)
+        # 2D-LDA-R keeps the einsum sums (see the comment above _mix)
         build = partial(row_subproblem_matrix if left else col_subproblem_matrix, s, None)
     else:
         build = partial(_row_matrix if left else _col_matrix, s)
     side_lhs = build(lhs)
     return Pencil(side_lhs, None if rhs is None else build(rhs), which, side_lhs.shape[0])
+
+
+def _discriminant_pencils(s: np.ndarray, spec: MethodSpec) -> tuple[Pencil, Pencil]:
+    """The row and the column pencil of 2D-LDA-R's single pass, from the
+    uncompressed stack ``s``, by the einsum sums of
+    :func:`row_subproblem_matrix` and :func:`col_subproblem_matrix`.
+
+    Both sums start from the same mixed tensor, ``sum_k Z(i,p,k) C[k, l]``
+    over the stack's ``(m1, m2, n)`` view, so each coupling mixes the
+    samples once and both contractions share it; each side matrix is the
+    one the public builder returns, bit for bit.
+    """
+    lhs, rhs, which = _solver_sides(spec, s.shape[0])
+    arr = np.moveaxis(s, 0, 2)
+    row, col = [], []
+    for coupling in (lhs, rhs):
+        mixed = np.einsum("ipk,kl->ipl", arr, coupling)
+        row.append(_sym(np.einsum("pjl,qjl->pq", mixed, arr)))
+        col.append(_sym(np.einsum("ipl,iql->pq", mixed, arr)))
+    return Pencil(*row, which, s.shape[1]), Pencil(*col, which, s.shape[2])
+
+
+def _record(trace: FitTrace, solved: tuple[np.ndarray, np.ndarray, float, float]) -> np.ndarray:
+    """Add one half-step's ``(values, basis, constraint defect, ridge
+    shift)`` to ``trace``; return its basis."""
+    values, basis, defect, shift = solved
+    trace.objectives.append(float(np.sum(values)))
+    trace.max_constraint_defect = max(trace.max_constraint_defect, defect)
+    trace.ridge_shift = max(trace.ridge_shift, shift)
+    return basis
+
+
+def _single_pass(s: np.ndarray, spec: MethodSpec) -> Callable[[int, int], tuple[ProjectorPair, FitTrace]]:
+    """2D-LDA-R's single pass over the uncompressed stack ``s``: its two
+    pencils (see :func:`_discriminant_pencils`), built once.
+
+    Returns ``fit(d1, d2)``, which solves the column pencil for ``d2`` and
+    then the row pencil for ``d1`` (see :func:`solve_pencil`); its trace
+    holds the column objective and then the row one, as an alternating
+    fit's first iteration would.  Each call solves for its own dimensions:
+    these pencils' residuals are rounding noise at the size of their
+    contract's bound, so the first ``d`` pairs of a wider solve can fail a
+    check that a solve for ``d`` passes.
+    """
+    row_pencil, col_pencil = _discriminant_pencils(s, spec)
+
+    def fit(d1: int, d2: int) -> tuple[ProjectorPair, FitTrace]:
+        _validate_dims(s, d1, d2)
+        trace = FitTrace(iterations=1, converged=True)
+        v = _record(trace, solve_pencil(col_pencil, (d2,))(d2))
+        u = _record(trace, solve_pencil(row_pencil, (d1,))(d1))
+        return ProjectorPair(u, v, ("coupled", "coupled")), trace
+
+    return fit
 
 
 def solve_unilateral(x, spec: MethodSpec, side: str, dims) -> Callable[[int], tuple[ProjectorPair, FitTrace]]:
@@ -571,40 +627,54 @@ def fit_method(
     The discriminant methods with repulsion active (``beta > 0``) do not
     alternate: their within-class side can lose definiteness under
     iteration, so a single pass computes the row and column factors
-    independently from the uncompressed stack, each as a one-sided fit.
+    independently from the uncompressed stack, each as a one-sided fit
+    (see :func:`_single_pass`).
     """
     s = _image_stack(x)
     _validate_dims(s, d1, d2)
+    if _discriminant_repulsion(spec):
+        return _single_pass(s, spec)(d1, d2)
     lhs, rhs, which = _solver_sides(spec, s.shape[0])
     trace = FitTrace()
 
-    def half_step(pencil: Pencil, d: int) -> np.ndarray:
-        values, basis, defect, shift = solve_pencil(pencil, (d,))(d)
-        trace.objectives.append(float(np.sum(values)))
-        trace.max_constraint_defect = max(trace.max_constraint_defect, defect)
-        trace.ridge_shift = max(trace.ridge_shift, shift)
-        return basis
-
-    if _discriminant_repulsion(spec):
-        v = half_step(unilateral_pencil(s, spec, "right"), d2)
-        u = half_step(unilateral_pencil(s, spec, "left"), d1)
-        trace.iterations, trace.converged = 1, True
-        return ProjectorPair(u, v, ("coupled", "coupled")), trace
-
-    def side_pencil(side_matrix, z, d):
-        return Pencil(side_matrix(z, lhs), None if rhs is None else side_matrix(z, rhs), which, d)
+    def half_step(side_matrix, z, d):
+        pencil = Pencil(side_matrix(z, lhs), None if rhs is None else side_matrix(z, rhs), which, d)
+        return _record(trace, solve_pencil(pencil, (d,))(d))
 
     u = np.eye(s.shape[1], d1)
     v = np.eye(s.shape[2], d2)
     for it in range(1, max_iter + 1):
-        v = half_step(side_pencil(_col_matrix, np.matmul(u.T, s), d2), d2)
-        u = half_step(side_pencil(_row_matrix, np.matmul(s, v), d1), d1)
+        v = half_step(_col_matrix, np.matmul(u.T, s), d2)
+        u = half_step(_row_matrix, np.matmul(s, v), d1)
         trace.iterations = it
         trace.converged = _converged(trace.objectives, tol)
         if trace.converged:
             break
     constraint = "orthonormal" if rhs is None else "coupled"
     return ProjectorPair(u, v, (constraint, constraint)), trace
+
+
+def solve_bilateral(
+    x,
+    spec: MethodSpec,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
+) -> Callable[[int], tuple[ProjectorPair, FitTrace]]:
+    """Bilateral fits of an ``(n, m1, m2)`` stack, both factors at the same
+    dimension.
+
+    Returns ``fit(d)``: what ``fit_method(x, spec, d, d, max_iter, tol)``
+    gives, bit for bit, or the exception it raises.  An alternating fit
+    starts from the first ``d`` identity columns, so each ``d`` runs its
+    own alternation.  2D-LDA-R's single pass builds its row and column
+    pencils here, once for every ``d``, and ``fit(d)`` solves them (see
+    :func:`_single_pass`).
+    """
+    s = _image_stack(x)
+    if _discriminant_repulsion(spec):
+        single_pass = _single_pass(s, spec)
+        return lambda d: single_pass(d, d)
+    return lambda d: fit_method(s, spec, d, d, max_iter, tol)
 
 
 def pre_process_2dpca(x, dims: tuple[int, int], max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, ProjectorPair]:

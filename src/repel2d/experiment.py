@@ -4,14 +4,15 @@ For every (method, dimension, realization) cell the harness fits on a
 fresh per-realization train split, projects gallery and queries, scores a
 1-NN classifier, and aggregates mean/standard deviation over realizations.
 
-The unit of work is a (method, realization) pair: its split, training
-and query stacks and couplings are built once.  When the fit allows
-(unilateral and vector fits) its eigenproblem is also assembled and
-solved once, for the largest dimension, and the gallery and queries are
-projected once; each dimension then takes a prefix, and one 1-NN
-scoring pass covers every prefix.  Units are independent and
-deterministic given the config, so they may run concurrently; results are
-reduced in sorted key order either way.
+The unit of work is a (method, realization) pair, one task in every
+mode: its split, training and query stacks and couplings are built once.
+A unilateral or vector unit also assembles its eigenproblem once and
+solves it once, for the largest dimension, and projects the gallery and
+queries once; each dimension then takes a prefix, and one 1-NN scoring
+pass covers every prefix.  A bilateral unit fits each dimension on its
+own (2D-LDA-R's single pass shares its two pencils across them).  Units
+are independent and deterministic given the config, so they may run
+concurrently; results are reduced in sorted key order either way.
 """
 
 from __future__ import annotations
@@ -98,9 +99,11 @@ class ResultRow:
 
     ``mean_fit_seconds`` is amortized: each realization's fit time is its
     unit's shared work (split view, pre-processing, couplings, assembly
-    and, for unilateral and vector fits, the one eigensolve) divided by
-    the number of dimensions the unit covers, plus that cell's own work
-    (a bilateral fit, or taking its prefix of the shared solve).
+    and, for unilateral and vector fits, the one eigensolve; for
+    2D-LDA-R's bilateral single pass, its two pencils) divided by the
+    number of dimensions the unit covers, plus that cell's own work (a
+    bilateral fit or its pair of pencil solves, or taking its prefix of
+    the shared solve).
     """
 
     method: str
@@ -194,8 +197,9 @@ class UnitFit:
 
 
 def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset, dims: tuple[int, ...]):
-    """Couplings and, unilaterally, the pencil solved once for ``dims``;
-    returns the spec and the per-dimension fit."""
+    """Couplings and, unilaterally, the pencil solved once for ``dims``
+    (bilaterally, see :func:`embed_2d.solve_bilateral`); returns the spec
+    and the per-dimension fit."""
     pre_pair = None
     if _pre_compressed(cfg, method):
         reduced, pre_pair = embed_2d.pre_process_2dpca(train.images, cfg.pre_dims, cfg.max_iter)
@@ -204,7 +208,7 @@ def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset, dims: 
     if cfg.mode == "unilateral":
         fit = embed_2d.solve_unilateral(train.images, spec, "right", dims)
     else:
-        fit = lambda d: embed_2d.fit_method(train.images, spec, d, d, cfg.max_iter)
+        fit = embed_2d.solve_bilateral(train.images, spec, cfg.max_iter)
 
     def solve(d):
         pair, trace = fit(d)
@@ -229,10 +233,11 @@ def _prepare_1d(cfg: ExperimentConfig, method: str, train: VectorDataset, dims: 
 
 
 def _nested(cfg: ExperimentConfig, method: str) -> bool:
-    """Whether a unit's dimensions share one solve: unilateral and vector
-    fits do, and each of their projectors is then the first ``d`` columns
-    of the largest one's; bilateral fits alternate from a start that
-    depends on the dimension."""
+    """Whether a unit's dimensions share one solve and one projection:
+    unilateral and vector fits do, and each of their projectors is then
+    the first ``d`` columns of the largest one's.  Bilateral fits solve
+    per dimension (an alternation starts from a dimension-dependent
+    guess), so each of their cells projects with its own pair."""
     return not (_is_2d(method) and cfg.mode == "bilateral")
 
 
@@ -250,11 +255,12 @@ def fit_unit(
     vector fits -- the eigenproblem are built once, and that eigenproblem
     is solved once, for the largest dimension; each dimension then takes
     the first ``d`` eigenvectors.  Bilateral fits alternate from a start
-    that depends on the dimension, so they share only the couplings and
-    run their own solves.  A failure in the shared part fails every
-    dimension.  The eigensolver's contract is checked per prefix, so a
-    failing eigenvector fails the dimensions that include it, and a
-    failure in one dimension's own work fails that cell only.  ``fit``,
+    that depends on the dimension, so they share the couplings (and
+    2D-LDA-R's single pass its two pencils) and run their own solves.  A
+    failure in the shared part fails every dimension.  The eigensolver's
+    contract is checked per prefix, so a failing eigenvector fails the
+    dimensions that include it, and a failure in one dimension's own work
+    fails that cell only.  ``fit``,
     ``eval`` and ``bench`` all train through this function.
     """
     dims = tuple(cfg.dims if dims is None else dims)
@@ -345,17 +351,6 @@ def _failure_reason(exc: Exception | None) -> str | None:
     return None if exc is None else f"{type(exc).__name__}: {exc}"
 
 
-def _task_dims(cfg: ExperimentConfig, method: str) -> list[tuple[int, ...]]:
-    """The dimensions each task of a method covers.
-
-    Bilateral fits share nothing across dimensions, so each of their
-    tasks covers one.  Unilateral and vector fits share their assembly,
-    eigensolve and projection, so their one task covers all of them.
-    """
-    dims = tuple(cfg.dims)
-    return [dims] if _nested(cfg, method) else [(d,) for d in dims]
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform
     reports one, else the machine's CPU count."""
@@ -429,27 +424,25 @@ def _blas_threads_capped(limit: int | None):
 def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -> ResultTable:
     """Run the full protocol and aggregate per-cell errors.
 
-    Each task is one :func:`run_cell` unit, or one dimension of a
-    bilateral unit (see :func:`_task_dims`).  A cell whose fit or scoring
-    aborts with a package error is recorded as a failure and the run
-    continues; aggregates are over the surviving realizations (NaN if
-    none survive).  ``mean_fit_seconds`` is amortized over the unit's
-    dimensions (see :class:`ResultRow`).
+    Each task is one :func:`run_cell` unit covering every dimension of
+    ``cfg.dims``, in every mode, so ``jobs`` workers share out units, never
+    the dimensions of one unit: a run with fewer units than ``jobs`` leaves
+    workers idle.  A cell whose fit or scoring aborts with a package error
+    is recorded as a failure and the run continues; aggregates are over
+    the surviving realizations (NaN if none survive).
+    ``mean_fit_seconds`` is amortized over the unit's dimensions (see
+    :class:`ResultRow`).
     """
     ds = dataset if dataset is not None else load_dataset(cfg.dataset, cfg.resize)
     _validate_config(cfg, ds)
 
-    tasks = [
-        (method, r, dims)
-        for method in cfg.methods
-        for r in range(cfg.realizations)
-        for dims in _task_dims(cfg, method)
-    ]
+    dims = tuple(cfg.dims)
+    tasks = [(method, r) for method in cfg.methods for r in range(cfg.realizations)]
 
     def task(unit):
         # keep only what the table needs, so no fitted unit (or the frames
         # a failure's traceback holds) outlives its task
-        method, r, dims = unit
+        method, r = unit
         return [
             (method, cell.dim, r, cell.error, cell.seconds, _failure_reason(cell.failure))
             for cell in run_cell(cfg, ds, method, r, dims)

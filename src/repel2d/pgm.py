@@ -8,6 +8,7 @@ converted to PGM up front.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +107,13 @@ def write_pgm(path, image, maxval: int = 255, binary: bool = True):
         path.write_text(header + body + "\n", encoding="ascii")
 
 
+@lru_cache(maxsize=32)
 def _interval_weights(src: int, dst: int) -> np.ndarray:
     """Row-stochastic (dst, src) matrix averaging src cells into dst cells
-    with area weighting; exact block means when src is divisible by dst."""
+    with area weighting; exact block means when src is divisible by dst.
+
+    Built once per ``(src, dst)`` pair and shared by every later call, so
+    the array is read-only."""
     weights = np.zeros((dst, src))
     step = src / dst
     for i in range(dst):
@@ -117,7 +122,9 @@ def _interval_weights(src: int, dst: int) -> np.ndarray:
             overlap = min(hi, j + 1) - max(lo, j)
             if overlap > 0:
                 weights[i, j] = overlap
-    return weights / step
+    weights /= step
+    weights.setflags(write=False)
+    return weights
 
 
 def block_resize(image, shape: tuple[int, int]) -> np.ndarray:

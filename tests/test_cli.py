@@ -307,6 +307,36 @@ class TestExitCodes:
         assert [(r.mean_error, r.std_error) for r in rows] == [(r.mean_error, r.std_error) for r in raw]
         assert not np.isnan(rows[0].mean_error)
 
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_row_without_survivors_is_a_numerical_failure(self, tmp_path, synthetic_dir, capsys, command):
+        # one training image per class makes every 2D-LDA fit abort, while
+        # 2D-PCA still reports: every file is written, each 2D-LDA row is
+        # named on stderr with its first failure, and the exit code is 3
+        out = tmp_path / "res"
+        code = run_cli(
+            command,
+            "--dataset", str(synthetic_dir),
+            "--method", "2D-LDA,2D-PCA",
+            "--dims", "2,3",
+            "--train-per-class", "1",
+            "--realizations", "2",
+            "--out", str(out),
+        )
+        assert code == 3
+        rows = parse_result_csv(out / "results.csv")
+        assert [(r.method, r.dimension, np.isnan(r.mean_error)) for r in rows] == [
+            ("2D-LDA", 2, True),
+            ("2D-LDA", 3, True),
+            ("2D-PCA", 2, False),
+            ("2D-PCA", 3, False),
+        ]
+        assert (out / "results.meta.json").is_file()
+        assert (out / "plotdata").is_dir() == (command == "sweep")
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line, d in zip(lines, (2, 3)):
+            assert f"2D-LDA unilateral d={d}" in line and "DefinitenessError" in line
+
     def test_numerical_error_exit_code(self, synthetic_dir):
         # one training image per class makes every discriminant fit abort
         code = run_cli(

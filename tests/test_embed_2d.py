@@ -8,6 +8,7 @@ from repel2d.embed_2d import (
     _col_matrix,
     _row_matrix,
     _solver_sides,
+    _discriminant_pencils,
     MatrixDataset,
     MethodSpec,
     ProjectorPair,
@@ -226,6 +227,19 @@ class TestPencilRoutes:
         einsum = row_subproblem_matrix if side == "left" else col_subproblem_matrix
         for built, coupling in sides:
             np.testing.assert_array_equal(built, einsum(x, None, coupling))
+
+    @pytest.mark.parametrize("ds", [toy_dataset(11), toy_dataset(3, m1=12, m2=9, n=40, classes=4)], ids=["toy", "wide"])
+    def test_single_pass_shares_one_mix_per_coupling(self, ds):
+        # the row and column pencils of 2D-LDA-R's single pass share each
+        # coupling's mixed tensor and still equal the einsum builders
+        spec = method_matrices("2D-LDA-R", ds)
+        lhs, rhs, which = _solver_sides(spec, ds.n)
+        row, col = _discriminant_pencils(ds.images, spec)
+        _, m1, m2 = ds.images.shape
+        for pencil, einsum, side in ((row, row_subproblem_matrix, m1), (col, col_subproblem_matrix, m2)):
+            assert (pencil.which, pencil.max_dim) == (which, side)
+            np.testing.assert_array_equal(pencil.lhs, einsum(ds.images, None, lhs))
+            np.testing.assert_array_equal(pencil.rhs, einsum(ds.images, None, rhs))
 
 
 class TestTraceObjective:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -118,23 +119,31 @@ class TestRunExperiment:
             assert (record["errors"], record["failures"]) == (other["errors"], other["failures"])
 
     def test_one_unit_is_one_task_at_any_jobs(self, synthetic_ds, monkeypatch):
-        cfg = small_cfg(methods=("2D-OLPP-R",), dims=(2, 3, 5), realizations=1)
-        serial = run_experiment(cfg, dataset=synthetic_ds)
+        # a bilateral unit is one task too, and 2D-LDA-R's single pass rides
+        # along with an alternating method
         seen = []
         run_cell = experiment.run_cell
 
         def recording(cfg, ds, method, realization, dims=None):
-            seen.append(dims)
+            seen.append((method, realization, dims))
             return run_cell(cfg, ds, method, realization, dims)
 
         monkeypatch.setattr(experiment, "run_cell", recording)
-        parallel = run_experiment(replace(cfg, jobs=2), dataset=synthetic_ds)
-        assert seen == [(2, 3, 5)]
-        for a, b in zip(serial.rows, parallel.rows):
-            assert (a.dimension, a.mean_error, a.std_error) == (b.dimension, b.mean_error, b.std_error)
-        for key, record in serial.metadata["per_cell"].items():
-            other = parallel.metadata["per_cell"][key]
-            assert (record["errors"], record["failures"]) == (other["errors"], other["failures"])
+        methods = ("2D-OLPP-R", "2D-LDA-R")
+        for mode in ("unilateral", "bilateral"):
+            cfg = small_cfg(methods=methods, mode=mode, dims=(2, 3, 5), realizations=2)
+            runs = []
+            for jobs in (1, 2):
+                seen.clear()
+                runs.append(run_experiment(replace(cfg, jobs=jobs), dataset=synthetic_ds))
+                assert sorted(seen) == [(m, r, (2, 3, 5)) for m in sorted(methods) for r in (0, 1)]
+            serial, parallel = runs
+            for a, b in zip(serial.rows, parallel.rows):
+                assert (a.method, a.dimension) == (b.method, b.dimension)
+                assert (a.mean_error, a.std_error) == (b.mean_error, b.std_error)
+            for key, record in serial.metadata["per_cell"].items():
+                other = parallel.metadata["per_cell"][key]
+                assert (record["errors"], record["failures"]) == (other["errors"], other["failures"])
 
     def test_aggregates_match_per_cell_logs(self, synthetic_ds):
         cfg = small_cfg(methods=("2D-PCA",), dims=(2, 3), realizations=3)
@@ -282,6 +291,67 @@ class TestUnitReuse:
         alone = fit_unit(replace(cfg, dims=(2,)), synthetic_ds, "OLPP-R", 0).cells
         np.testing.assert_array_equal(cells[0].projector.basis, alone[0].projector.basis)
         assert isinstance(cells[1].failure, ParameterError)
+
+
+class TestSolveBilateral:
+    """A bilateral unit's ``fit(d)`` is ``fit_method`` at ``(d, d)``, bit for
+    bit: bases, constraints and the whole trace (objectives, iterations,
+    convergence, constraint defect and ridge shift), or the same failure."""
+
+    @staticmethod
+    def assert_matches_fit_method(data, method, dims=(1, 2, 3)):
+        train = matrix_dataset(data, split_dataset(data, 8, 0, 0)[0])
+        spec = method_matrices(method, train)
+        fit = embed_2d.solve_bilateral(train.images, spec)
+        fitted = {}
+        for d in dims:
+            try:
+                want = embed_2d.fit_method(train.images, spec, d, d)
+            except experiment._CELL_FAILURES as exc:
+                with pytest.raises(type(exc)) as got:
+                    fit(d)
+                assert str(got.value) == str(exc)
+                continue
+            pair, trace = fit(d)
+            assert_same_projector(pair, want[0])
+            assert trace == want[1]
+            fitted[d] = trace
+        return fitted
+
+    @pytest.mark.parametrize("method", embed_2d.METHOD_NAMES_2D)
+    def test_each_dimension_matches_fit_method(self, synthetic_ds, method):
+        assert self.assert_matches_fit_method(synthetic_ds, method)
+
+    def test_ridge_repaired_single_pass(self, blank_column_ds):
+        # 2D-LDA-R (beta = 0.2): both pencils take the ridge retry at d = 1
+        fitted = self.assert_matches_fit_method(blank_column_ds, "2D-LDA-R")
+        assert fitted[1].ridge_shift > 0.0
+        assert fitted[1].iterations == 1 and len(fitted[1].objectives) == 2
+
+    @pytest.mark.parametrize("data", ["synthetic_ds", "blank_column_ds"])
+    def test_single_pass_is_two_one_sided_fits(self, request, data):
+        # the column factor of a one-sided right fit and the row factor of a
+        # one-sided left fit, each solved for d alone, column side first
+        data = request.getfixturevalue(data)
+        train = matrix_dataset(data, split_dataset(data, 8, 0, 0)[0])
+        spec = method_matrices("2D-LDA-R", train)
+        fit = embed_2d.solve_bilateral(train.images, spec)
+        fitted = 0
+        for d in (1, 2, 3):
+            try:
+                right, right_trace = fit_unilateral(train.images, spec, "right", d)
+                left, left_trace = fit_unilateral(train.images, spec, "left", d)
+            except experiment._CELL_FAILURES as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    fit(d)
+                continue
+            pair, trace = fit(d)
+            np.testing.assert_array_equal(pair.row_basis, left.row_basis)
+            np.testing.assert_array_equal(pair.col_basis, right.col_basis)
+            assert trace.objectives == right_trace.objectives + left_trace.objectives
+            assert trace.ridge_shift == max(right_trace.ridge_shift, left_trace.ridge_shift)
+            fitted += 1
+        assert fitted
 
 
 NESTED_DIMS = tuple(range(2, 11))
