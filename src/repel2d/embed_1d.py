@@ -26,9 +26,7 @@ __all__ = [
     "scatter_matrices",
     "vector_pencil",
     "solve_1d",
-    "fit_1d",
     "auto_predim",
-    "default_predim",
 ]
 
 METHOD_NAMES_1D = ("PCA", "LDA", "LPP", "OLPP", "NPP", "ONPP", "LDA-R", "OLPP-R", "ONPP-R")
@@ -59,9 +57,6 @@ class VectorDataset:
     def n(self) -> int:
         return self.data.shape[1]
 
-    def class_count(self) -> int:
-        return np.unique(self.labels).size
-
     def vectorized_points(self) -> np.ndarray:
         """The samples as the rows of an (n, m) array (a view of ``data``)."""
         return self.data.T
@@ -73,10 +68,6 @@ class Projector1D:
 
     basis: np.ndarray
     constraint: str  # "orthonormal" or "b_orthonormal"
-
-    @property
-    def d(self) -> int:
-        return self.basis.shape[1]
 
     def transform(self, x) -> np.ndarray:
         return self.basis.T @ np.asarray(x, dtype=np.float64)
@@ -111,12 +102,6 @@ def auto_predim(n: int, classes: int, m: int) -> int:
     return min(n - classes, m)
 
 
-def default_predim(ds: VectorDataset) -> int:
-    """The ``"auto"`` PCA pre-compression target of ``ds`` (see
-    :func:`auto_predim`)."""
-    return auto_predim(ds.n, ds.class_count(), ds.m)
-
-
 def _pca_pencil(x: np.ndarray) -> Pencil:
     """Covariance of the columns of ``x`` (unscaled), as an eigenproblem.
 
@@ -139,9 +124,19 @@ def vector_pencil(
     beta: float | None = None,
     pca_predim: int | str | None = None,
 ) -> Pencil:
-    """Assemble a vector method's eigenproblem: the PCA pre-basis, the
-    graphs and the ``X C X^T`` side matrices (parameters as in
-    :func:`fit_1d`)."""
+    """Assemble the eigenproblem of ``method`` (one of ``METHOD_NAMES_1D``)
+    for the labelled columns of ``ds``: the PCA pre-basis, the graphs and
+    the ``X C X^T`` side matrices.
+
+    ``knn``, ``bandwidth`` and ``beta`` are the repulsion-graph neighbor
+    count, the Gaussian bandwidth (data-driven when omitted) and the
+    repulsion strength (0.5 by default, 0.2 for LDA-R).  A set
+    ``pca_predim`` first compresses with PCA to that many dimensions
+    (``"auto"`` selects ``min(n - c, m)``, see :func:`auto_predim`); the
+    target dimension then counts dimensions after the compression, and
+    the solved basis is composed with the pre-basis.  Plain PCA ignores
+    it.
+    """
     if method not in METHOD_NAMES_1D:
         raise ParameterError(f"unknown method name {method!r}")
     if method == "PCA":
@@ -149,7 +144,7 @@ def vector_pencil(
 
     pre = None
     if pca_predim is not None:
-        p = default_predim(ds) if pca_predim == "auto" else int(pca_predim)
+        p = auto_predim(ds.n, np.unique(ds.labels).size, ds.m) if pca_predim == "auto" else int(pca_predim)
         pre = solve_pencil(_pca_pencil(ds.data), (p,))(p)[1]
         ds = VectorDataset(pre.T @ ds.data, ds.labels)
 
@@ -177,36 +172,3 @@ def solve_1d(pencil: Pencil, dims) -> Callable[[int], Projector1D]:
     prefix = solve_pencil(pencil, dims)
     constraint = "orthonormal" if pencil.rhs is None else "b_orthonormal"
     return lambda d: Projector1D(prefix(d)[1], constraint)
-
-
-def fit_1d(
-    ds: VectorDataset,
-    method: str,
-    d: int,
-    *,
-    knn: int = 6,
-    bandwidth: float | None = None,
-    beta: float | None = None,
-    pca_predim: int | str | None = None,
-) -> Projector1D:
-    """Fit a vector-space projection method.
-
-    Parameters
-    ----------
-    ds : VectorDataset
-        Training data (columns) with labels.
-    method : str
-        One of ``METHOD_NAMES_1D``.
-    d : int
-        Target dimension (after any PCA pre-compression).
-    knn, bandwidth, beta :
-        Repulsion-graph neighbor count, Gaussian bandwidth (data-driven
-        when omitted), and repulsion strength (0.5 by default, 0.2 for
-        LDA-R).
-    pca_predim :
-        If set, first compress with PCA to this many dimensions
-        (``"auto"`` selects ``min(n - c, m)``) and return the composed
-        basis.  Ignored for plain PCA.
-    """
-    pencil = vector_pencil(ds, method, knn=knn, bandwidth=bandwidth, beta=beta, pca_predim=pca_predim)
-    return solve_1d(pencil, (d,))(d)

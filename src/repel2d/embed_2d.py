@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -41,12 +40,9 @@ __all__ = [
     "lda_weight_matrix",
     "default_beta",
     "method_matrices",
-    "col_subproblem_matrix",
-    "row_subproblem_matrix",
     "solve_pencil",
     "unilateral_pencil",
     "solve_unilateral",
-    "fit_unilateral",
     "solve_bilateral",
     "fit_method",
     "pre_process_2dpca",
@@ -142,14 +138,6 @@ class ProjectorPair:
     row_basis: np.ndarray
     col_basis: np.ndarray
     constraints: tuple[str, str] = ("orthonormal", "orthonormal")
-
-    @property
-    def d1(self) -> int:
-        return self.row_basis.shape[1]
-
-    @property
-    def d2(self) -> int:
-        return self.col_basis.shape[1]
 
     @property
     def sides(self) -> str:
@@ -305,12 +293,12 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
 # batched slice products Z_k G_k^T.  The alternating half-steps and the
 # one-sided pencils both use these.
 #
-# The public einsum builders below keep the contraction over the stack's
-# (m1, m2, n) view.  Only 2D-LDA-R's pencils (see _discriminant_repulsion)
-# still use these sums, for their rounding: that ridge-repaired pencil can
-# sit at the edge of its residual contract (on one ORL-shaped split the
-# top eigenpair's residual is 1.57x the tolerance with the einsum sums and
-# 0.96x with the GEMM ones), so re-associating its sums would change
+# The one exception is 2D-LDA-R (see _discriminant_repulsion), whose
+# pencils _discriminant_pencils builds by einsum contractions over the
+# stack's (m1, m2, n) view, for their rounding: that ridge-repaired pencil
+# can sit at the edge of its residual contract (on one ORL-shaped split
+# the top eigenpair's residual is 1.57x the tolerance with the einsum sums
+# and 0.96x with the GEMM ones), so re-associating its sums would change
 # which fits fail.
 
 
@@ -328,38 +316,6 @@ def _col_matrix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
 def _row_matrix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     # sum_{k,l} C[k, l] Z_k Z_l^T
     return _sym(np.matmul(z, _mix(z, coupling).transpose(0, 2, 1)).sum(axis=0))
-
-
-def col_subproblem_matrix(x, row_basis, coupling) -> np.ndarray:
-    """The ``m2 x m2`` matrix whose eigenvectors update the column factor.
-
-    With the rows of every image in the ``(n, m1, m2)`` stack ``x``
-    compressed by ``row_basis`` (``None`` leaves them as they are, which
-    is what compressing with an identity would give), accumulates
-    ``sum_i Z(i,:,:) C Z(i,:,:)^T`` over the rows ``i`` of the compressed
-    ``(m1, m2, n)`` view; the result is symmetrized before use.
-    """
-    arr = np.moveaxis(_image_stack(x), 0, 2)
-    if row_basis is not None:
-        basis = np.asarray(row_basis, dtype=np.float64)
-        if basis.ndim != 2 or basis.shape[0] != arr.shape[0]:
-            raise ShapeError(f"row basis shape {basis.shape} does not fit images {arr.shape[:2]}")
-        arr = np.einsum("ijk,ih->hjk", arr, basis)
-    c = _check_coupling(coupling, arr.shape[2], "sample")
-    return _sym(np.einsum("ipl,iql->pq", np.einsum("ipk,kl->ipl", arr, c), arr))
-
-
-def row_subproblem_matrix(x, col_basis, coupling) -> np.ndarray:
-    """The ``m1 x m1`` matrix whose eigenvectors update the row factor
-    (columns compressed by ``col_basis``, or left as they are for ``None``)."""
-    arr = np.moveaxis(_image_stack(x), 0, 2)
-    if col_basis is not None:
-        basis = np.asarray(col_basis, dtype=np.float64)
-        if basis.ndim != 2 or basis.shape[0] != arr.shape[1]:
-            raise ShapeError(f"column basis shape {basis.shape} does not fit images {arr.shape[:2]}")
-        arr = np.einsum("ijk,jh->ihk", arr, basis)
-    c = _check_coupling(coupling, arr.shape[2], "sample")
-    return _sym(np.einsum("pjl,qjl->pq", np.einsum("pjk,kl->pjl", arr, c), arr))
 
 
 def _validate_dims(s: np.ndarray, d1: int, d2: int):
@@ -498,35 +454,30 @@ def unilateral_pencil(x, spec: MethodSpec, side: str) -> Pencil:
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
     s = _image_stack(x)
-    lhs, rhs, which = _solver_sides(spec, s.shape[0])
-    left = side == "left"
     if _discriminant_repulsion(spec):
-        # 2D-LDA-R keeps the einsum sums (see the comment above _mix)
-        build = partial(row_subproblem_matrix if left else col_subproblem_matrix, s, None)
-    else:
-        build = partial(_row_matrix if left else _col_matrix, s)
-    side_lhs = build(lhs)
-    return Pencil(side_lhs, None if rhs is None else build(rhs), which, side_lhs.shape[0])
+        return _discriminant_pencils(s, spec, (side,))[0]
+    lhs, rhs, which = _solver_sides(spec, s.shape[0])
+    build = _row_matrix if side == "left" else _col_matrix
+    side_lhs = build(s, lhs)
+    return Pencil(side_lhs, None if rhs is None else build(s, rhs), which, side_lhs.shape[0])
 
 
-def _discriminant_pencils(s: np.ndarray, spec: MethodSpec) -> tuple[Pencil, Pencil]:
-    """The row and the column pencil of 2D-LDA-R's single pass, from the
-    uncompressed stack ``s``, by the einsum sums of
-    :func:`row_subproblem_matrix` and :func:`col_subproblem_matrix`.
-
-    Both sums start from the same mixed tensor, ``sum_k Z(i,p,k) C[k, l]``
-    over the stack's ``(m1, m2, n)`` view, so each coupling mixes the
-    samples once and both contractions share it; each side matrix is the
-    one the public builder returns, bit for bit.
+def _discriminant_pencils(s: np.ndarray, spec: MethodSpec, sides=("left", "right")) -> tuple[Pencil, ...]:
+    """2D-LDA-R's pencils from the uncompressed stack ``s``, one per entry
+    of ``sides`` (the row pencil for ``"left"``, the column one for
+    ``"right"``), by the package's only einsum assembly (see the comment
+    above :func:`_mix`).  Each coupling mixes the samples once,
+    ``sum_k Z(i,p,k) C[k, l]`` over the stack's ``(m1, m2, n)`` view, and
+    only the requested sides contract that mixed tensor with the stack.
     """
     lhs, rhs, which = _solver_sides(spec, s.shape[0])
     arr = np.moveaxis(s, 0, 2)
-    row, col = [], []
+    built = {side: [] for side in sides}
     for coupling in (lhs, rhs):
         mixed = np.einsum("ipk,kl->ipl", arr, coupling)
-        row.append(_sym(np.einsum("pjl,qjl->pq", mixed, arr)))
-        col.append(_sym(np.einsum("ipl,iql->pq", mixed, arr)))
-    return Pencil(*row, which, s.shape[1]), Pencil(*col, which, s.shape[2])
+        for side, matrices in built.items():
+            matrices.append(_sym(np.einsum("pjl,qjl->pq" if side == "left" else "ipl,iql->pq", mixed, arr)))
+    return tuple(Pencil(*matrices, which, matrices[0].shape[0]) for matrices in built.values())
 
 
 def _record(trace: FitTrace, solved: tuple[np.ndarray, np.ndarray, float, float]) -> np.ndarray:
@@ -587,13 +538,6 @@ def solve_unilateral(x, spec: MethodSpec, side: str, dims) -> Callable[[int], tu
         return ProjectorPair(np.eye(s.shape[1]), basis, ("identity", constraint)), trace
 
     return fit
-
-
-def fit_unilateral(x, spec: MethodSpec, side: str, d: int) -> tuple[ProjectorPair, FitTrace]:
-    """One-sided fit: solve a single eigenproblem for the chosen factor
-    and pin the other factor to an exact identity (see
-    :func:`solve_unilateral`)."""
-    return solve_unilateral(x, spec, side, (d,))(d)
 
 
 def _converged(objectives: list[float], tol: float) -> bool:

@@ -66,8 +66,8 @@ class ExperimentConfig:
     ``"bilateral"`` solves both factors at the same dimension.  Vector
     methods ignore it.  ``pre_dims`` optionally compresses the data by a
     bilateral 2D-PCA before fitting any matrix method other than
-    GLRAM/2D-PCA themselves.  Counts below 1 and an empty ``dims`` are
-    rejected when the config is built.
+    GLRAM/2D-PCA themselves.  Counts below 1, an empty ``dims`` and an
+    unknown ``mode`` are rejected when the config is built.
     """
 
     dataset: str = ""
@@ -91,6 +91,8 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.dims:
             raise ParameterError("dims must name at least one dimension")
+        if self.mode not in MODES:
+            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass
@@ -121,8 +123,6 @@ class ResultTable:
 
 
 def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
-    if cfg.mode not in MODES:
-        raise ParameterError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     known = set(embed_2d.METHOD_NAMES_2D) | set(embed_1d.METHOD_NAMES_1D)
     for i, name in enumerate(cfg.methods):
         if name not in known:
@@ -140,9 +140,11 @@ def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
         raise ParameterError(f"knn {cfg.knn} must be below the training-set size {n_train}")
     # the PCA pre-dimension every vector method but PCA fits in
     predim = embed_1d.auto_predim(n_train, classes, m1 * m2)
-    for d in cfg.dims:
+    for i, d in enumerate(cfg.dims):
         if d < 1:
             raise ParameterError(f"dimension {d} must be >= 1")
+        if d in cfg.dims[:i]:
+            raise ParameterError(f"dimension {d} is named twice")
         for name in cfg.methods:
             if name in embed_2d.METHOD_NAMES_2D:
                 side1, side2 = cfg.pre_dims if _pre_compressed(cfg, name) else (m1, m2)
@@ -260,8 +262,8 @@ def fit_unit(
     failure in the shared part fails every dimension.  The eigensolver's
     contract is checked per prefix, so a failing eigenvector fails the
     dimensions that include it, and a failure in one dimension's own work
-    fails that cell only.  ``fit``,
-    ``eval`` and ``bench`` all train through this function.
+    fails that cell only.  ``fit``, ``eval`` and ``bench`` all train
+    through this function.
     """
     dims = tuple(cfg.dims if dims is None else dims)
     train = test_idx = spec = None

@@ -13,7 +13,7 @@ import numpy as np
 from .embed_2d import ProjectorPair, _image_stack
 from .errors import ParameterError, ShapeError
 
-__all__ = ["GallerySet", "project_tensor", "build_gallery", "classify_prefixes", "classify_batch", "error_rate"]
+__all__ = ["GallerySet", "project_tensor", "build_gallery", "classify_prefixes", "error_rate"]
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,6 @@ def classify_prefixes(queries, gallery: GallerySet, dims) -> list[np.ndarray]:
             nearest[k] = idx[int(np.argmin(direct))]
         labels[d] = gallery.labels[nearest]
     return [labels[d] for d in dims]
-
-
-def classify_batch(queries, gallery: GallerySet) -> np.ndarray:
-    """Classify every item of a projected ``(n, d1, d2)`` query stack by
-    all of its features: :func:`classify_prefixes` at the one prefix
-    that covers the whole last axis."""
-    return classify_prefixes(queries, gallery, (gallery.projected.shape[2],))[0]
 
 
 def error_rate(predictions, truth) -> float:

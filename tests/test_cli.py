@@ -45,6 +45,18 @@ class TestConfigFile:
         code = run_cli("bench", "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["fit", "eval", "bench"])
+    def test_unknown_mode_in_config_file_is_a_usage_error(self, tmp_path, synthetic_dir, capsys, command):
+        # the --mode flag's choices never see a mode read from a file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {synthetic_dir}\nmode = sideways\n")
+        out = tmp_path / "out"
+        code = run_cli(command, "--config", str(cfg), "--method", "2D-PCA", "--dims", "2", "--train-per-class", "4",
+                       "--realizations", "1", "--out", str(out))
+        assert code == 1
+        assert "mode must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchAndSweep:
     def test_bench_writes_csv_and_metadata(self, tmp_path, synthetic_dir):

@@ -8,14 +8,15 @@ from repel2d.embed_1d import (
     METHOD_NAMES_1D,
     Projector1D,
     VectorDataset,
-    default_predim,
-    fit_1d,
+    auto_predim,
     scatter_matrices,
     solve_1d,
     vector_pencil,
 )
 from repel2d.errors import DefinitenessError, ParameterError
-from repel2d.spectral import EigenSelection, gen_sym_eig
+from repel2d.spectral import EigenSelection
+
+from _oracles import fit_1d, gen_sym_eig
 
 
 def make_ds(seed=0, m=6, n=18, classes=3):
@@ -166,7 +167,7 @@ class TestFit1d:
         data = rng.normal(size=(30, 12))
         data[:3] += np.repeat(np.arange(3), 4) * 4.0
         ds = VectorDataset(data, np.repeat(np.arange(3), 4))
-        assert default_predim(ds) == 9
+        assert auto_predim(ds.n, np.unique(ds.labels).size, ds.m) == 9
         proj = fit_1d(ds, "LDA", 2, pca_predim="auto")
         assert proj.basis.shape == (30, 2)
 

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from _oracles import Tensor3, as_tensor, classify_1nn, frobenius_norm, mode_product, trace_objective
+from _oracles import (
+    Tensor3,
+    as_tensor,
+    classify_1nn,
+    col_subproblem_matrix,
+    fit_1d,
+    fit_unilateral,
+    frobenius_norm,
+    mode_product,
+    row_subproblem_matrix,
+    sym_eig,
+    trace_objective,
+)
 from repel2d import graphs
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
@@ -13,20 +25,17 @@ from repel2d.embed_2d import (
     MethodSpec,
     ProjectorPair,
     centering_matrix,
-    col_subproblem_matrix,
     compose_pairs,
     default_beta,
     fit_method,
-    fit_unilateral,
     lda_weight_matrix,
     method_matrices,
     pre_process_2dpca,
-    row_subproblem_matrix,
     unilateral_pencil,
 )
-from repel2d.embed_1d import VectorDataset, fit_1d
+from repel2d.embed_1d import VectorDataset
 from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError
-from repel2d.spectral import EigenSelection, sym_eig
+from repel2d.spectral import EigenSelection
 
 
 def toy_dataset(seed=0, m1=5, m2=4, n=12, classes=3, spread=2.0, noise=0.5):

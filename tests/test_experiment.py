@@ -7,8 +7,7 @@ import pytest
 
 from repel2d import embed_1d, embed_2d, experiment, spectral
 from repel2d.datasets import ImageDataset, matrix_dataset, split_dataset, vector_dataset
-from repel2d.embed_1d import fit_1d
-from repel2d.embed_2d import fit_unilateral, method_matrices, unilateral_pencil
+from repel2d.embed_2d import method_matrices, unilateral_pencil
 from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError
 from repel2d.experiment import (
     CSV_HEADER,
@@ -22,9 +21,9 @@ from repel2d.experiment import (
     run_experiment,
     write_metadata,
 )
-from repel2d.spectral import EigenSelection, gen_sym_eig
+from repel2d.spectral import EigenSelection
 
-from _oracles import fit_at, parse_result_csv
+from _oracles import fit_1d, fit_at, fit_unilateral, gen_sym_eig, parse_result_csv
 
 
 def small_cfg(**overrides):
@@ -164,8 +163,9 @@ class TestRunExperiment:
             # 4 classes x 4 training images: the kNN graph has 16 vertices
             (dict(knn=16), dict(knn=15), "training-set size 16"),
             (dict(methods=("2D-OLPP-R", "2D-PCA", "2D-OLPP-R")), dict(methods=("2D-OLPP-R", "2D-PCA")), "named twice"),
+            (dict(dims=(2, 3, 2)), dict(dims=(2, 3)), "dimension 2 is named twice"),
         ],
-        ids=["pre-dims-above-side", "pre-dims-zero", "knn-at-training-size", "method-twice"],
+        ids=["pre-dims-above-side", "pre-dims-zero", "knn-at-training-size", "method-twice", "dimension-twice"],
     )
     def test_config_error_caught_before_any_fit(self, synthetic_ds, monkeypatch, overrides, accepted, message):
         fitted = []

@@ -15,13 +15,12 @@ from repel2d.errors import ParameterError, ShapeError
 from repel2d.recognize import (
     GallerySet,
     build_gallery,
-    classify_batch,
     classify_prefixes,
     error_rate,
     project_tensor,
 )
 
-from _oracles import classify_1nn
+from _oracles import classify_1nn, classify_batch
 
 
 def identity_pair(m1, m2):

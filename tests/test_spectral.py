@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import eig_at, pencil_eigenvalues_3x3
+from _oracles import eig_at, gen_sym_eig, pencil_eigenvalues_3x3, sym_eig
 from repel2d.errors import (
     ContractError,
     DefinitenessError,
@@ -14,9 +14,7 @@ from repel2d.spectral import (
     EigenPrefixes,
     EigenSelection,
     fix_signs,
-    gen_sym_eig,
     gen_sym_eig_prefixes,
-    sym_eig,
     sym_eig_prefixes,
     take_prefix,
 )
