@@ -189,6 +189,7 @@ def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
     if method not in embed_2d.METHOD_NAMES_2D:
         raise ParameterError(f"fit saves matrix-method projectors; got {method!r}")
     ds = load_dataset(cfg.dataset, cfg.resize)
+    experiment._validate_config(cfg, ds)
     unit = experiment.fit_unit(cfg, ds, method, 0, (d,))
     cell = _or_raise(unit.cells[0])
     pair, trace = cell.projector, cell.trace
@@ -221,8 +222,9 @@ def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
 def _cmd_eval(cfg: experiment.ExperimentConfig, out: Path) -> int:
     method, d = _one_cell(cfg, "eval")
     ds = load_dataset(cfg.dataset, cfg.resize)
+    experiment._validate_config(cfg, ds)
     cell = _or_raise(experiment.run_cell(cfg, ds, method, 0, (d,))[0])
-    print(f"{method} {cfg.mode} d={cell.dim} error={cell.error:.6g} fit_seconds={cell.seconds:.6g}")
+    print(f"{method} {experiment._mode_label(cfg, method)} d={cell.dim} error={cell.error:.6g} fit_seconds={cell.seconds:.6g}")
     return 0
 
 

@@ -21,6 +21,7 @@ image-side order, solved for the bottom or top eigenvectors.
 from __future__ import annotations
 
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,7 +300,14 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
 # can sit at the edge of its residual contract (on one ORL-shaped split
 # the top eigenpair's residual is 1.57x the tolerance with the einsum sums
 # and 0.96x with the GEMM ones), so re-associating its sums would change
-# which fits fail.
+# which fits fail.  Its two couplings' chains (the mix, then the asked-for
+# side contractions) run at once, the lhs one on the calling thread and the
+# rhs one on a helper thread (einsum releases the GIL).  The result is exact:
+# each chain makes the same einsum calls on the same operands as a serial
+# build, and mixes into a C-contiguous buffer that the caller allocates.
+# That is the layout einsum gives its own output, so the sums and their
+# rounding are unchanged; the caller owns it because a tensor the helper
+# allocated would stay in the helper's malloc arena.
 
 
 def _mix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -469,15 +477,30 @@ def _discriminant_pencils(s: np.ndarray, spec: MethodSpec, sides=("left", "right
     above :func:`_mix`).  Each coupling mixes the samples once,
     ``sum_k Z(i,p,k) C[k, l]`` over the stack's ``(m1, m2, n)`` view, and
     only the requested sides contract that mixed tensor with the stack.
+    The rhs coupling's chain runs on a helper thread while this thread
+    runs the lhs one, and the pencils are bit-identical to a serial build
+    (see the comment above :func:`_mix`).  The helper is joined before
+    this returns, and an exception it raises reaches the caller.
     """
     lhs, rhs, which = _solver_sides(spec, s.shape[0])
     arr = np.moveaxis(s, 0, 2)
-    built = {side: [] for side in sides}
-    for coupling in (lhs, rhs):
-        mixed = np.einsum("ipk,kl->ipl", arr, coupling)
-        for side, matrices in built.items():
-            matrices.append(_sym(np.einsum("pjl,qjl->pq" if side == "left" else "ipl,iql->pq", mixed, arr)))
-    return tuple(Pencil(*matrices, which, matrices[0].shape[0]) for matrices in built.values())
+    # C-contiguous, as einsum's own output.  Two blocks: one block of twice
+    # the size raised a bilateral ORL-shaped sweep's peak RSS by 8 MB (glibc
+    # malloc, two worker threads), while two left it flat
+    lhs_mixed, rhs_mixed = np.empty(arr.shape), np.empty(arr.shape)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(_coupled_sides, arr, rhs, rhs_mixed, sides)
+        lhs_sides = _coupled_sides(arr, lhs, lhs_mixed, sides)
+        rhs_sides = pending.result()
+    return tuple(Pencil(_sym(a), _sym(b), which, a.shape[0]) for a, b in zip(lhs_sides, rhs_sides))
+
+
+def _coupled_sides(arr: np.ndarray, coupling: np.ndarray, mixed: np.ndarray, sides) -> list[np.ndarray]:
+    """One coupling's einsum chain for :func:`_discriminant_pencils`: mix
+    the ``(m1, m2, n)`` stack into the buffer ``mixed``, then contract it
+    with the stack for each of ``sides`` (unsymmetrized)."""
+    np.einsum("ipk,kl->ipl", arr, coupling, out=mixed)
+    return [np.einsum("pjl,qjl->pq" if side == "left" else "ipl,iql->pq", mixed, arr) for side in sides]
 
 
 def _record(trace: FitTrace, solved: tuple[np.ndarray, np.ndarray, float, float]) -> np.ndarray:

@@ -462,9 +462,10 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
     for method, dim, r, err, secs, failure in sorted(outcomes, key=lambda o: o[:3]):
         mode = _mode_label(cfg, method)
         record = logs.setdefault(
-            (method, mode, dim), {"errors": [], "seconds": [], "failures": []}
+            (method, mode, dim), {"realizations": [], "errors": [], "seconds": [], "failures": []}
         )
         if failure is None:
+            record["realizations"].append(r)
             record["errors"].append(err)
             record["seconds"].append(secs)
         else:

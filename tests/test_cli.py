@@ -156,6 +156,34 @@ class TestFitEval:
         out = capsys.readouterr().out
         assert "error=" in out and "2D-PCA" in out
 
+    def test_eval_labels_a_vector_method_as_bench_does(self, synthetic_dir, capsys):
+        code = run_cli(
+            "eval", "--dataset", str(synthetic_dir), "--method", "PCA", "--dims", "2", "--train-per-class", "4"
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("PCA vector d=2 ")
+
+    @pytest.mark.parametrize(
+        "commands, method, dims, message",
+        [
+            (("eval", "bench"), "LPP", "60", "LPP dimension 60 must be below the PCA pre-dimension 12"),
+            (("fit", "eval", "bench"), "2D-OLPP", "9", "dimension 9 exceeds image side limit 8"),
+        ],
+        ids=["vector-predim", "image-side"],
+    )
+    def test_fit_and_eval_check_the_config_as_bench_does(
+        self, tmp_path, synthetic_dir, capsys, commands, method, dims, message
+    ):
+        for command in commands:
+            out = tmp_path / command
+            code = run_cli(
+                command, "--dataset", str(synthetic_dir), "--method", method, "--dims", dims,
+                "--train-per-class", "4", "--realizations", "1", "--out", str(out),
+            )
+            assert code == 1
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+            assert not out.exists()
+
     def test_fit_saves_projectors(self, tmp_path, synthetic_dir):
         out = tmp_path / "fit"
         code = run_cli(

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from _oracles import (
     sym_eig,
     trace_objective,
 )
-from repel2d import graphs
+from repel2d import embed_2d, graphs
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
     _col_matrix,
@@ -249,6 +251,37 @@ class TestPencilRoutes:
             assert (pencil.which, pencil.max_dim) == (which, side)
             np.testing.assert_array_equal(pencil.lhs, einsum(ds.images, None, lhs))
             np.testing.assert_array_equal(pencil.rhs, einsum(ds.images, None, rhs))
+
+    @pytest.mark.parametrize("sides", [("left",), ("right",), ("left", "right")])
+    def test_coupling_helper_is_joined(self, sides):
+        # the rhs coupling's chain runs on a helper thread that never
+        # outlives the call, whichever sides are built
+        ds = toy_dataset(11)
+        spec = method_matrices("2D-LDA-R", ds)
+        before = threading.active_count()
+        pencils = _discriminant_pencils(ds.images, spec, sides)
+        assert threading.active_count() == before
+        assert len(pencils) == len(sides)
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        ds = toy_dataset(11)
+        spec = method_matrices("2D-LDA-R", ds)
+        caller = threading.get_ident()
+        chain = embed_2d._coupled_sides
+        threads = []
+
+        def failing_off_caller(*args):
+            threads.append(threading.get_ident())
+            if threading.get_ident() != caller:
+                raise NumericalQualityError("injected helper failure")
+            return chain(*args)
+
+        monkeypatch.setattr(embed_2d, "_coupled_sides", failing_off_caller)
+        before = threading.active_count()
+        with pytest.raises(NumericalQualityError, match="injected helper failure"):
+            _discriminant_pencils(ds.images, spec)
+        assert threading.active_count() == before
+        assert len(threads) == 2 and threads.count(caller) == 1
 
 
 class TestTraceObjective:

@@ -280,6 +280,30 @@ class TestUnitReuse:
                 assert (after.mean_error, after.std_error) == (before.mean_error, before.std_error)
                 assert log["failures"] == []
 
+    def test_per_cell_names_the_realization_of_each_error(self, synthetic_ds, monkeypatch):
+        # once realization 0 fails, the surviving error must still be
+        # pairable with its split: per_cell lists realization 1 alone
+        cfg = small_cfg(methods=("2D-OLPP-R",), dims=(2, 3), realizations=2)
+        clean = run_experiment(cfg, dataset=synthetic_ds)
+        run_cell = experiment.run_cell
+
+        def failing_realization_0(cfg, ds, method, realization, dims=None):
+            cells = run_cell(cfg, ds, method, realization, dims)
+            if realization == 0:
+                for cell in cells:
+                    cell.failure = NumericalQualityError("injected failure")
+            return cells
+
+        monkeypatch.setattr(experiment, "run_cell", failing_realization_0)
+        broken = run_experiment(cfg, dataset=synthetic_ds)
+        for key, record in broken.metadata["per_cell"].items():
+            before = clean.metadata["per_cell"][key]
+            assert before["realizations"] == [0, 1]
+            assert record["realizations"] == [1]
+            assert record["errors"] == before["errors"][1:]
+            assert len(record["seconds"]) == 1
+            assert [f["realization"] for f in record["failures"]] == [0]
+
     def test_vector_dimension_beyond_predim_fails_only_its_cell(self, synthetic_ds):
         # 8 training images per class of 4 classes: the PCA pre-dimension is
         # 32 - 4 = 28.  A sweep asking for it is rejected before any fit; a
