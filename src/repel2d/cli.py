@@ -34,25 +34,6 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 NUMERICAL_EXIT = 3
 
-_CONFIG_KEYS = {
-    "dataset",
-    "methods",
-    "method",
-    "mode",
-    "dims",
-    "train_per_class",
-    "realizations",
-    "seed",
-    "beta",
-    "knn",
-    "bandwidth",
-    "pre_dims",
-    "max_iter",
-    "jobs",
-    "resize",
-    "out",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
@@ -61,10 +42,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
-    except ValueError as exc:
-        raise ParameterError(f"expected comma-separated integers, got {text!r}") from exc
+    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+
+
+def _pair(text: str) -> tuple[int, int]:
+    pair = _int_list(text)
+    if len(pair) != 2:
+        raise ValueError("expected exactly two integers")
+    return pair
+
+
+_MODE_ALIASES = {"uni": "unilateral", "bi": "bilateral"}
+
+# Every run option: its config key and the one converter that reads its text
+# from a flag or the config file alike.  An unset option keeps
+# ExperimentConfig's default; ``out``, not a field there, defaults to results.
+_OPTIONS = {
+    "dataset": lambda text: str(Path(text)),
+    "methods": lambda text: tuple(tok.strip() for tok in text.split(",") if tok.strip()),
+    "mode": lambda text: _MODE_ALIASES.get(text, text),
+    "dims": _int_list,
+    "train_per_class": int,
+    "realizations": int,
+    "seed": int,
+    "beta": float,
+    "knn": int,
+    "bandwidth": float,
+    "pre_dims": _pair,
+    "max_iter": int,
+    "jobs": int,
+    "resize": _pair,
+    "out": Path,
+}
+_HELP = {"pre_dims": "p1,p2 for 2D-PCA pre-compression", "resize": "h,w box-average resize at load"}
 
 
 def read_config(path) -> dict:
@@ -77,7 +87,7 @@ def read_config(path) -> dict:
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS and key != "method":
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
@@ -94,77 +104,34 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", type=Path, default=None)
-        p.add_argument("--dataset", type=Path, default=None)
-        p.add_argument("--method", action="append", default=None, help="repeatable; commas allowed")
-        p.add_argument("--mode", choices=("uni", "bi", "unilateral", "bilateral"), default=None)
-        p.add_argument("--dims", type=str, default=None)
-        p.add_argument("--train-per-class", type=int, default=None)
-        p.add_argument("--realizations", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--knn", type=int, default=None)
-        p.add_argument("--bandwidth", type=float, default=None)
-        p.add_argument("--pre-dims", type=str, default=None, help="p1,p2 for 2D-PCA pre-compression")
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--resize", type=str, default=None, help="h,w box-average resize at load")
-        p.add_argument("--out", type=Path, default=None)
+        for key in _OPTIONS:
+            if key == "methods":
+                p.add_argument("--method", dest=key, metavar="METHOD", action="append", help="repeatable; commas allowed")
+            else:
+                p.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key))
     return parser
 
 
-_MODE_ALIASES = {"uni": "unilateral", "bi": "bilateral"}
-
-
 def build_config(args: argparse.Namespace) -> tuple[experiment.ExperimentConfig, Path]:
-    """Merge defaults, config file, and flags (flags win)."""
-    file_values = read_config(args.config) if args.config else {}
-
-    def pick(flag, key, convert, default=None):
-        # only an absent value is unset: an explicit 0 reaches validation
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return convert(file_values[key])
-        return default
-
-    methods: tuple[str, ...] | None = None
-    if args.method:
-        methods = tuple(tok for item in args.method for tok in item.split(",") if tok)
-    elif "methods" in file_values or "method" in file_values:
-        raw = file_values.get("methods", file_values.get("method", ""))
-        methods = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-
-    dataset = pick(args.dataset, "dataset", Path)
-    if dataset is None:
+    """Merge the config file and flags (flags win); an option neither sets
+    keeps ExperimentConfig's default."""
+    texts = read_config(args.config) if args.config else {}
+    if "method" in texts:  # the alias yields to ``methods``
+        texts.setdefault("methods", texts.pop("method"))
+    for key in _OPTIONS:
+        flag = getattr(args, key)
+        if flag is not None:  # only an absent flag is unset: "" and 0 are read
+            texts[key] = ",".join(flag) if key == "methods" else flag
+    values = {}
+    for key, text in texts.items():
+        try:
+            values[key] = _OPTIONS[key](text)
+        except ValueError as exc:
+            raise ParameterError(f"{key}: cannot read {text!r} ({exc})") from exc
+    if "dataset" not in values:
         raise ParameterError("a dataset path is required (--dataset or config)")
-    mode = pick(args.mode, "mode", str, "unilateral")
-    mode = _MODE_ALIASES.get(mode, mode)
-    dims = pick(_int_list(args.dims) if args.dims else None, "dims", _int_list, (2, 4, 6, 8, 10))
-    pre = pick(_int_list(args.pre_dims) if args.pre_dims else None, "pre_dims", _int_list)
-    resize = pick(_int_list(args.resize) if args.resize else None, "resize", _int_list)
-    if pre is not None and len(pre) != 2:
-        raise ParameterError(f"pre-dims needs exactly two integers, got {pre}")
-    if resize is not None and len(resize) != 2:
-        raise ParameterError(f"resize needs exactly two integers, got {resize}")
-
-    cfg = experiment.ExperimentConfig(
-        dataset=str(dataset),
-        methods=methods or ("2D-PCA",),
-        mode=mode,
-        dims=dims,
-        train_per_class=pick(args.train_per_class, "train_per_class", int, 5),
-        realizations=pick(args.realizations, "realizations", int, 20),
-        seed=pick(args.seed, "seed", int, 0),
-        knn=pick(args.knn, "knn", int, 6),
-        beta=pick(args.beta, "beta", float),
-        bandwidth=pick(args.bandwidth, "bandwidth", float),
-        pre_dims=pre,
-        max_iter=pick(args.max_iter, "max_iter", int, 5),
-        jobs=pick(args.jobs, "jobs", int, 1),
-        resize=resize,
-    )
-    out = pick(args.out, "out", Path, Path("results"))
-    return cfg, Path(out)
+    out = values.pop("out", Path("results"))
+    return experiment.ExperimentConfig(**values), out
 
 
 def _or_raise(cell: experiment.Cell) -> experiment.Cell:
@@ -190,7 +157,7 @@ def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
         raise ParameterError(f"fit saves matrix-method projectors; got {method!r}")
     ds = load_dataset(cfg.dataset, cfg.resize)
     experiment._validate_config(cfg, ds)
-    unit = experiment.fit_unit(cfg, ds, method, 0, (d,))
+    unit = experiment.fit_unit(cfg, ds, method, 0)
     cell = _or_raise(unit.cells[0])
     pair, trace = cell.projector, cell.trace
     out.mkdir(parents=True, exist_ok=True)
@@ -223,7 +190,7 @@ def _cmd_eval(cfg: experiment.ExperimentConfig, out: Path) -> int:
     method, d = _one_cell(cfg, "eval")
     ds = load_dataset(cfg.dataset, cfg.resize)
     experiment._validate_config(cfg, ds)
-    cell = _or_raise(experiment.run_cell(cfg, ds, method, 0, (d,))[0])
+    cell = _or_raise(experiment.run_cell(cfg, ds, method, 0)[0])
     print(f"{method} {experiment._mode_label(cfg, method)} d={cell.dim} error={cell.error:.6g} fit_seconds={cell.seconds:.6g}")
     return 0
 

@@ -66,8 +66,8 @@ class ExperimentConfig:
     ``"bilateral"`` solves both factors at the same dimension.  Vector
     methods ignore it.  ``pre_dims`` optionally compresses the data by a
     bilateral 2D-PCA before fitting any matrix method other than
-    GLRAM/2D-PCA themselves.  Counts below 1, an empty ``dims`` and an
-    unknown ``mode`` are rejected when the config is built.
+    GLRAM/2D-PCA themselves.  Counts below 1, an empty ``methods`` or
+    ``dims`` and an unknown ``mode`` are rejected when the config is built.
     """
 
     dataset: str = ""
@@ -89,6 +89,8 @@ class ExperimentConfig:
         for name in ("train_per_class", "realizations", "knn", "max_iter", "jobs"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.methods:
+            raise ParameterError("methods must name at least one method")
         if not self.dims:
             raise ParameterError("dims must name at least one dimension")
         if self.mode not in MODES:

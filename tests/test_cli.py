@@ -1,4 +1,6 @@
 import json
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,10 @@ from _oracles import parse_result_csv
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def bench_config(*argv):
+    return build_config(_build_parser().parse_args(["bench", *argv]))
 
 
 class TestConfigFile:
@@ -47,7 +53,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", ["fit", "eval", "bench"])
     def test_unknown_mode_in_config_file_is_a_usage_error(self, tmp_path, synthetic_dir, capsys, command):
-        # the --mode flag's choices never see a mode read from a file
+        # a mode read from a file meets the config's own check, as a flag does
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"dataset = {synthetic_dir}\nmode = sideways\n")
         out = tmp_path / "out"
@@ -56,6 +62,82 @@ class TestConfigFile:
         assert code == 1
         assert "mode must be one of" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize("key, text", [("seed", "abc"), ("beta", "x"), ("dims", "2,x"), ("pre_dims", "3")])
+    def test_malformed_value_is_a_usage_error_naming_its_key(self, tmp_path, synthetic_dir, capsys, source, key, text):
+        # a file value and a flag go through the same converter
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {synthetic_dir}\n" + (f"{key} = {text}\n" if source == "file" else ""))
+        flag = ("--" + key.replace("_", "-"), text) if source == "flag" else ()
+        out = tmp_path / "out"
+        code = run_cli("bench", "--config", str(cfg), *flag, "--realizations", "1", "--out", str(out))
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"usage error: {key}: cannot read {text!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize("key, flag, named", [("methods", "--method", "method"), ("dims", "--dims", "dimension")])
+    def test_empty_list_is_a_usage_error(self, tmp_path, synthetic_dir, capsys, source, key, flag, named):
+        # an empty list is not an unset one: no default stands in for it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {synthetic_dir}\n" + (f"{key} =\n" if source == "file" else ""))
+        out = tmp_path / "out"
+        code = run_cli("bench", "--config", str(cfg), *((flag, "") if source == "flag" else ()), "--out", str(out))
+        assert code == 1
+        assert f"{key} must name at least one {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_method_alias_yields_to_methods(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dataset = faces\nmethod = LPP\n")
+        assert bench_config("--config", str(cfg))[0].methods == ("LPP",)
+        cfg.write_text("dataset = faces\nmethod = LPP\nmethods = PCA, 2D-LPP\n")
+        assert bench_config("--config", str(cfg))[0].methods == ("PCA", "2D-LPP")
+
+
+class TestOneReaderPerOption:
+    # a non-default text for every option, and the value it reads as
+    NON_DEFAULT = {
+        "dataset": ("faces/orl/", "faces/orl"),
+        "methods": ("2D-LPP, LPP", ("2D-LPP", "LPP")),
+        "mode": ("bi", "bilateral"),
+        "dims": ("3,5", (3, 5)),
+        "train_per_class": ("3", 3),
+        "realizations": ("2", 2),
+        "seed": ("9", 9),
+        "knn": ("4", 4),
+        "beta": ("0.5", 0.5),
+        "bandwidth": ("2.5", 2.5),
+        "pre_dims": ("6,5", (6, 5)),
+        "max_iter": ("7", 7),
+        "jobs": ("2", 2),
+        "resize": ("20,16", (20, 16)),
+        "out": ("run1", Path("run1")),
+    }
+
+    def test_unset_options_keep_the_config_defaults(self):
+        cfg, out = bench_config("--dataset", "faces")
+        assert cfg == experiment.ExperimentConfig(dataset="faces")
+        assert out == Path("results")
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(experiment.ExperimentConfig)] + ["out"])
+    def test_flag_and_config_key_read_alike(self, tmp_path, name):
+        text, value = self.NON_DEFAULT[name]
+        flag = "--method" if name == "methods" else "--" + name.replace("_", "-")
+        base = () if name == "dataset" else ("--dataset", "faces")
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(f"{name} = {text}\n")
+
+        def read(*argv):
+            cfg, out = bench_config(*base, *argv)
+            return {**asdict(cfg), "out": out}
+
+        by_flag = read(flag, text)
+        assert read("--config", str(config_file)) == by_flag
+        default = {**asdict(experiment.ExperimentConfig()), "out": Path("results")}
+        assert by_flag[name] == value != default[name]
 
 
 class TestBenchAndSweep:

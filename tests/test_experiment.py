@@ -192,6 +192,12 @@ class TestRunExperiment:
         with pytest.raises(ParameterError):
             run_experiment(small_cfg(mode="diagonal"), dataset=synthetic_ds)
 
+    @pytest.mark.parametrize("name, message", [("methods", "at least one method"), ("dims", "at least one dimension")])
+    def test_empty_method_or_dimension_list_rejected(self, name, message):
+        # an empty list fails when the config is built, never as a 0-row table
+        with pytest.raises(ParameterError, match=message):
+            experiment.ExperimentConfig(dataset="x", **{name: ()})
+
 
 def independent_fit(cfg, ds, method, realization, d):
     """Fit one cell on its own, without any state shared across dimensions."""
