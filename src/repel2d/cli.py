@@ -52,13 +52,19 @@ def _pair(text: str) -> tuple[int, int]:
     return pair
 
 
+def _dataset_path(text: str) -> str:
+    if not text.strip():  # Path("") would be the current directory
+        raise ValueError("a dataset path is required")
+    return str(Path(text))
+
+
 _MODE_ALIASES = {"uni": "unilateral", "bi": "bilateral"}
 
 # Every run option: its config key and the one converter that reads its text
 # from a flag or the config file alike.  An unset option keeps
 # ExperimentConfig's default; ``out``, not a field there, defaults to results.
 _OPTIONS = {
-    "dataset": lambda text: str(Path(text)),
+    "dataset": _dataset_path,
     "methods": lambda text: tuple(tok.strip() for tok in text.split(",") if tok.strip()),
     "mode": lambda text: _MODE_ALIASES.get(text, text),
     "dims": _int_list,
@@ -78,8 +84,9 @@ _HELP = {"pre_dims": "p1,p2 for 2D-PCA pre-compression", "resize": "h,w box-aver
 
 
 def read_config(path) -> dict:
-    """Parse a flat ``key = value`` config file (# starts a comment)."""
+    """Parse a flat ``key = value`` config file (# starts a comment; each key once)."""
     values: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,7 +96,9 @@ def read_config(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _OPTIONS and key != "method":
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
+        if key in seen:
+            raise ParameterError(f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
+        values[key], seen[key] = value, lineno
     return values
 
 

@@ -4,7 +4,9 @@ A dataset directory holds one subdirectory per class, each containing PGM
 images.  Directory and file traversal is lexicographic, so loading is
 deterministic.  Splits come from a counter-based Philox generator seeded
 by the pair (master seed, realization index), which makes every
-realization reproducible independently of evaluation order.
+realization reproducible independently of evaluation order.  A split
+reaches the methods as plain arrays: an image stack or a column-sample
+matrix, with its label array.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed_2d import MatrixDataset
 from .errors import DataError, ParameterError
 from .pgm import block_resize, read_pgm, write_pgm
 
@@ -133,20 +134,19 @@ def split_dataset(
     return train_idx, np.nonzero(~mask)[0]
 
 
-def matrix_dataset(ds: ImageDataset, indices=None) -> MatrixDataset:
-    """(A subset of) an image dataset as a matrix-data training set: its
-    ``(n, m1, m2)`` image stack and labels."""
+def matrix_dataset(ds: ImageDataset, indices=None) -> tuple[np.ndarray, np.ndarray]:
+    """(A subset of) an image dataset as matrix data: its ``(n, m1, m2)``
+    image stack and its labels."""
     idx = np.arange(ds.n) if indices is None else np.asarray(indices)
-    return MatrixDataset(ds.images[idx], ds.labels[idx])
+    return ds.images[idx], ds.labels[idx]
 
 
-def vector_dataset(ds: ImageDataset, indices=None):
-    """Vectorized view for the 1D methods: each image flattened
-    column-major, one column per sample."""
-    from .embed_1d import VectorDataset
-
+def vector_dataset(ds: ImageDataset, indices=None) -> tuple[np.ndarray, np.ndarray]:
+    """(A subset of) an image dataset as vector data for the 1D methods:
+    an ``(m1 * m2, n)`` matrix holding each image flattened column-major
+    in one column, and the labels."""
     idx = np.arange(ds.n) if indices is None else np.asarray(indices)
-    return VectorDataset(ds.images[idx].reshape(len(idx), -1, order="F").T, ds.labels[idx])
+    return ds.images[idx].reshape(len(idx), -1, order="F").T, ds.labels[idx]
 
 
 def synthetic_confusable(

@@ -1,11 +1,12 @@
 """Image-as-vector projection methods: PCA through the repulsion variants.
 
-Data sit in the columns of an ``m x n`` matrix.  Every method returns an
-``m x d`` basis; graph-based methods build their weights from the
-supervised label graph (Gaussian weights for the locality-preserving
-family, reconstruction weights for the neighborhood-preserving family),
-and the ``-R`` variants subtract a scaled repulsion Laplacian, mirroring
-the matrix-data methods.
+Data sit in the columns of an ``m x n`` matrix, passed with a separate
+array of one class label per column.  Every method returns an ``m x d``
+basis; graph-based methods build their weights from the supervised label
+graph (Gaussian weights for the locality-preserving family,
+reconstruction weights for the neighborhood-preserving family), and the
+``-R`` variants subtract a scaled repulsion Laplacian, mirroring the
+matrix-data methods.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .embed_2d import Pencil, _solver_sides, default_beta, method_matrices, solv
 from .errors import ParameterError, ShapeError
 
 __all__ = [
-    "VectorDataset",
     "Projector1D",
     "METHOD_NAMES_1D",
     "scatter_matrices",
@@ -30,36 +30,6 @@ __all__ = [
 ]
 
 METHOD_NAMES_1D = ("PCA", "LDA", "LPP", "OLPP", "NPP", "ONPP", "LDA-R", "OLPP-R", "ONPP-R")
-
-
-@dataclass(frozen=True)
-class VectorDataset:
-    """Column-sample data matrix with one class label per column."""
-
-    data: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        lab = np.asarray(self.labels)
-        if arr.ndim != 2:
-            raise ShapeError(f"data must be an (m, n) matrix, got shape {arr.shape}")
-        if lab.ndim != 1 or lab.size != arr.shape[1]:
-            raise ShapeError("need one label per data column")
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "labels", lab)
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[1]
-
-    def vectorized_points(self) -> np.ndarray:
-        """The samples as the rows of an (n, m) array (a view of ``data``)."""
-        return self.data.T
 
 
 @dataclass(frozen=True)
@@ -73,20 +43,21 @@ class Projector1D:
         return self.basis.T @ np.asarray(x, dtype=np.float64)
 
 
-def scatter_matrices(ds: VectorDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Within-class and between-class scatter matrices.
+def scatter_matrices(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Within-class and between-class scatter matrices of the labelled
+    columns of ``x``.
 
     The within matrix sums squared deviations from each class mean; the
     between matrix sums class-size-weighted squared deviations of class
     means from the global mean.  Both are symmetric positive semidefinite
     and they add up to the total scatter.
     """
-    x = ds.data
+    m, labels = x.shape[0], np.asarray(labels)
     mean = x.mean(axis=1, keepdims=True)
-    sw = np.zeros((ds.m, ds.m))
-    sb = np.zeros((ds.m, ds.m))
-    for value in np.unique(ds.labels):
-        cols = x[:, ds.labels == value]
+    sw = np.zeros((m, m))
+    sb = np.zeros((m, m))
+    for value in np.unique(labels):
+        cols = x[:, labels == value]
         cmean = cols.mean(axis=1, keepdims=True)
         centered = cols - cmean
         sw += centered @ centered.T
@@ -116,7 +87,8 @@ def _pca_pencil(x: np.ndarray) -> Pencil:
 
 
 def vector_pencil(
-    ds: VectorDataset,
+    x,
+    labels,
     method: str,
     *,
     knn: int = 6,
@@ -125,8 +97,8 @@ def vector_pencil(
     pca_predim: int | str | None = None,
 ) -> Pencil:
     """Assemble the eigenproblem of ``method`` (one of ``METHOD_NAMES_1D``)
-    for the labelled columns of ``ds``: the PCA pre-basis, the graphs and
-    the ``X C X^T`` side matrices.
+    for the ``(m, n)`` data matrix ``x`` with one label per column: the
+    PCA pre-basis, the graphs and the ``X C X^T`` side matrices.
 
     ``knn``, ``bandwidth`` and ``beta`` are the repulsion-graph neighbor
     count, the Gaussian bandwidth (data-driven when omitted) and the
@@ -137,31 +109,34 @@ def vector_pencil(
     the solved basis is composed with the pre-basis.  Plain PCA ignores
     it.
     """
+    x, labels = np.asarray(x, dtype=np.float64), np.asarray(labels)
+    if x.ndim != 2 or labels.shape != x.shape[1:]:
+        raise ShapeError(f"need an (m, n) data matrix and one label per column, got {x.shape} and {labels.shape}")
     if method not in METHOD_NAMES_1D:
         raise ParameterError(f"unknown method name {method!r}")
     if method == "PCA":
-        return _pca_pencil(ds.data)
+        return _pca_pencil(x)
 
     pre = None
     if pca_predim is not None:
-        p = auto_predim(ds.n, np.unique(ds.labels).size, ds.m) if pca_predim == "auto" else int(pca_predim)
-        pre = solve_pencil(_pca_pencil(ds.data), (p,))(p)[1]
-        ds = VectorDataset(pre.T @ ds.data, ds.labels)
+        p = auto_predim(x.shape[1], np.unique(labels).size, x.shape[0]) if pca_predim == "auto" else int(pca_predim)
+        pre = solve_pencil(_pca_pencil(x), (p,))(p)[1]
+        x = pre.T @ x
 
-    x = ds.data
+    m, n = x.shape
     if method in ("LDA", "LDA-R"):
         # the scatter sums stand in for x S x^T and x (J - S) x^T: the same
         # matrices, summed in an order whose rounding the results rest on
-        sw, sb = scatter_matrices(ds)
+        sw, sb = scatter_matrices(x, labels)
         if method == "LDA-R":
-            label_graph = graphs.build_label_graph(ds.labels)
+            label_graph = graphs.build_label_graph(labels)
             rep = graphs.repulsion_laplacian(label_graph, graphs.sq_distances(x.T), knn, bandwidth)
             sw = sw - (default_beta("2D-LDA-R") if beta is None else beta) * (x @ rep @ x.T)
-        return Pencil(sb, sw, "top", ds.m - 1, pre)
+        return Pencil(sb, sw, "top", m - 1, pre)
 
-    spec = method_matrices("2D-" + method, ds, knn=knn, beta=beta, bandwidth=bandwidth)
-    lhs, rhs, which = _solver_sides(spec, ds.n)
-    return Pencil(x @ lhs @ x.T, None if rhs is None else x @ rhs @ x.T, which, ds.m - 1, pre)
+    spec = method_matrices("2D-" + method, x.T, labels, knn=knn, beta=beta, bandwidth=bandwidth)
+    lhs, rhs, which = _solver_sides(spec, n)
+    return Pencil(x @ lhs @ x.T, None if rhs is None else x @ rhs @ x.T, which, m - 1, pre)
 
 
 def solve_1d(pencil: Pencil, dims) -> Callable[[int], Projector1D]:

@@ -31,7 +31,6 @@ from .errors import DefinitenessError, ParameterError, RankError, ShapeError
 from .spectral import EigenPrefixes, EigenSelection, fix_signs, gen_sym_eig_prefixes, sym_eig_prefixes, take_prefix
 
 __all__ = [
-    "MatrixDataset",
     "MethodSpec",
     "ProjectorPair",
     "FitTrace",
@@ -79,31 +78,6 @@ def _image_stack(x) -> np.ndarray:
     if arr.ndim != 3:
         raise ShapeError(f"expected an (n, m1, m2) image stack, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class MatrixDataset:
-    """An ``(n, m1, m2)`` stack of equally sized matrices with one class
-    label per matrix."""
-
-    images: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        images = _image_stack(self.images)
-        lab = np.asarray(self.labels)
-        if lab.ndim != 1 or lab.size != images.shape[0]:
-            raise ShapeError(f"need one label per image: {lab.shape} labels for a stack of {images.shape}")
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "labels", lab)
-
-    @property
-    def n(self) -> int:
-        return self.images.shape[0]
-
-    def vectorized_points(self) -> np.ndarray:
-        """Each image flattened column-major into a row of an (n, m1*m2) array."""
-        return self.images.reshape(self.n, -1, order="F")
 
 
 @dataclass(frozen=True)
@@ -199,38 +173,42 @@ def default_beta(name: str) -> float:
 
 def method_matrices(
     name: str,
-    dataset: MatrixDataset,
+    samples,
+    labels,
     *,
     knn: int = 6,
     beta: float | None = None,
     bandwidth: float | None = None,
 ) -> MethodSpec:
-    """Resolve a method name to its coupling matrices for ``dataset``.
+    """Resolve a method name to its coupling matrices for ``samples``, any
+    ``(n, ...)`` array, with one class label per sample.
 
     Graph-based methods build their weights from the supervised label
     graph: Gaussian weights for the locality-preserving family,
     reconstruction weights for the neighborhood-preserving family.  The
     repulsion variants additionally build a ``knn`` affinity graph on the
-    vectorized images, take the edges that join different classes, weight
-    them with the same Gaussian bandwidth, and subtract ``beta`` times the
-    resulting Laplacian from the minimized coupling.  A single bandwidth
-    (given, or the mean squared label-edge distance) is used throughout,
-    and the squared distances between the vectorized images are computed
-    once for all of these graph pieces.
+    samples, each flattened column-major, take the edges that join
+    different classes, weight them with the same Gaussian bandwidth, and
+    subtract ``beta`` times the resulting Laplacian from the minimized
+    coupling.  A single bandwidth (given, or the mean squared label-edge
+    distance) is used throughout, and the squared distances between the
+    flattened samples are computed once for all of these graph pieces.
     """
+    labels = np.asarray(labels)
+    n = np.shape(samples)[0]
+    if labels.shape != (n,):
+        raise ShapeError(f"need one label per sample: {labels.shape} labels for {n} samples")
     repulsion = name.endswith("-R")
     base = name[:-2] if repulsion else name
     if base not in _METHOD_TABLE or (repulsion and base in ("GLRAM", "2D-PCA")):
         raise ParameterError(f"unknown method name {name!r}")
     if beta is None:
         beta = default_beta(name)
-    labels = dataset.labels
-    n = dataset.n
     repel = repulsion and beta != 0.0
     # only the graph methods and active repulsion need the label graph, and
     # only Gaussian weights need the distances and the bandwidth
     if base not in ("GLRAM", "2D-PCA", "2D-LDA") or repel:
-        points = dataset.vectorized_points()
+        points = np.reshape(samples, (n, -1), order="F")
         label_graph = graphs.build_label_graph(labels)
         if base in ("2D-OLPP", "2D-LPP") or repel:
             sq_dist = graphs.sq_distances(points)

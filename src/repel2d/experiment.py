@@ -32,8 +32,8 @@ import numpy as np
 from . import __version__
 from . import embed_1d, embed_2d, recognize
 from .datasets import ImageDataset, load_dataset, matrix_dataset, split_dataset, vector_dataset
-from .embed_1d import Projector1D, VectorDataset
-from .embed_2d import FitTrace, MatrixDataset, MethodSpec, ProjectorPair
+from .embed_1d import Projector1D
+from .embed_2d import FitTrace, MethodSpec, ProjectorPair
 from .errors import ParameterError, Repel2dError
 
 __all__ = [
@@ -190,29 +190,28 @@ class Cell:
 
 @dataclass
 class UnitFit:
-    """What one (method, realization) unit trained: the training view,
-    the held-out indices, the resolved couplings (matrix methods) and one
-    :class:`Cell` per dimension."""
+    """What one (method, realization) unit trained: the training samples
+    and their labels, the held-out indices, the resolved couplings (matrix
+    methods) and one :class:`Cell` per dimension."""
 
-    train: MatrixDataset | VectorDataset | None
+    train: tuple[np.ndarray, np.ndarray] | None
     test_idx: np.ndarray | None
     spec: MethodSpec | None
     cells: list[Cell]
 
 
-def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset, dims: tuple[int, ...]):
+def _prepare_2d(cfg: ExperimentConfig, method: str, images: np.ndarray, labels: np.ndarray, dims: tuple[int, ...]):
     """Couplings and, unilaterally, the pencil solved once for ``dims``
     (bilaterally, see :func:`embed_2d.solve_bilateral`); returns the spec
     and the per-dimension fit."""
     pre_pair = None
     if _pre_compressed(cfg, method):
-        reduced, pre_pair = embed_2d.pre_process_2dpca(train.images, cfg.pre_dims, cfg.max_iter)
-        train = MatrixDataset(reduced, train.labels)
-    spec = embed_2d.method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
+        images, pre_pair = embed_2d.pre_process_2dpca(images, cfg.pre_dims, cfg.max_iter)
+    spec = embed_2d.method_matrices(method, images, labels, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
     if cfg.mode == "unilateral":
-        fit = embed_2d.solve_unilateral(train.images, spec, "right", dims)
+        fit = embed_2d.solve_unilateral(images, spec, "right", dims)
     else:
-        fit = embed_2d.solve_bilateral(train.images, spec, cfg.max_iter)
+        fit = embed_2d.solve_bilateral(images, spec, cfg.max_iter)
 
     def solve(d):
         pair, trace = fit(d)
@@ -221,11 +220,12 @@ def _prepare_2d(cfg: ExperimentConfig, method: str, train: MatrixDataset, dims: 
     return spec, solve
 
 
-def _prepare_1d(cfg: ExperimentConfig, method: str, train: VectorDataset, dims: tuple[int, ...]):
-    """PCA pre-basis, graphs and side matrices, solved once for ``dims``;
-    returns the per-dimension fit."""
+def _prepare_1d(cfg: ExperimentConfig, method: str, x: np.ndarray, labels: np.ndarray, dims: tuple[int, ...]):
+    """PCA pre-basis, graphs and side matrices of the labelled columns of
+    ``x``, solved once for ``dims``; returns the per-dimension fit."""
     pencil = embed_1d.vector_pencil(
-        train,
+        x,
+        labels,
         method,
         knn=cfg.knn,
         bandwidth=cfg.bandwidth,
@@ -255,7 +255,7 @@ def fit_unit(
     """Train one (method, realization) unit at each of ``dims`` (default
     ``cfg.dims``).
 
-    The split, the training view, the couplings and -- for unilateral and
+    The split, the training arrays, the couplings and -- for unilateral and
     vector fits -- the eigenproblem are built once, and that eigenproblem
     is solved once, for the largest dimension; each dimension then takes
     the first ``d`` eigenvectors.  Bilateral fits alternate from a start
@@ -274,10 +274,10 @@ def fit_unit(
         started = time.perf_counter()
         if _is_2d(method):
             train = matrix_dataset(ds, train_idx)
-            spec, solve = _prepare_2d(cfg, method, train, dims)
+            spec, solve = _prepare_2d(cfg, method, *train, dims)
         else:
             train = vector_dataset(ds, train_idx)
-            solve = _prepare_1d(cfg, method, train, dims)
+            solve = _prepare_1d(cfg, method, *train, dims)
     except _CELL_FAILURES as exc:
         return UnitFit(train, test_idx, spec, [Cell(d, failure=exc) for d in dims])
     shared = (time.perf_counter() - started) / len(dims)
@@ -317,21 +317,19 @@ def run_cell(
     fitted = [cell for cell in unit.cells if cell.failure is None]
     if not fitted:
         return unit.cells
-    train = unit.train
+    train, train_labels = unit.train
     if _is_2d(method):
-        queries = matrix_dataset(ds, unit.test_idx)
+        queries, truth = matrix_dataset(ds, unit.test_idx)
 
         def project(pair):
-            gallery = recognize.build_gallery(train.images, pair, train.labels)
-            return gallery, recognize.project_tensor(queries.images, pair)
+            return recognize.project_tensor(train, pair), recognize.project_tensor(queries, pair)
 
     else:
-        queries = vector_dataset(ds, unit.test_idx)
+        queries, truth = vector_dataset(ds, unit.test_idx)
 
         # projected samples (one per column) as a stack of 1 x d images
         def project(projector):
-            gallery = recognize.GallerySet(projector.transform(train.data).T[:, None, :], train.labels)
-            return gallery, projector.transform(queries.data).T[:, None, :]
+            return projector.transform(train).T[:, None, :], projector.transform(queries).T[:, None, :]
 
     if _nested(cfg, method):
         groups = [(max(fitted, key=lambda cell: cell.dim).projector, fitted)]
@@ -340,8 +338,8 @@ def run_cell(
     for projector, cells in groups:
         try:
             gallery, probes = project(projector)
-            predicted = recognize.classify_prefixes(probes, gallery, [cell.dim for cell in cells])
-            errors = [recognize.error_rate(labels, queries.labels) for labels in predicted]
+            predicted = recognize.classify_prefixes(probes, gallery, train_labels, [cell.dim for cell in cells])
+            errors = [recognize.error_rate(labels, truth) for labels in predicted]
         except _CELL_FAILURES as exc:
             for cell in cells:
                 cell.failure = exc

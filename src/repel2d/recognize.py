@@ -1,41 +1,18 @@
 """Projection of test images and nearest-neighbor classification.
 
-Distances are Frobenius throughout; ties resolve to the lowest gallery
-index so classification is deterministic.
+A gallery is a projected ``(n, d1, d2)`` training stack passed with its
+label array.  Distances are Frobenius throughout; ties resolve to the
+lowest gallery index so classification is deterministic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .embed_2d import ProjectorPair, _image_stack
 from .errors import ParameterError, ShapeError
 
-__all__ = ["GallerySet", "project_tensor", "build_gallery", "classify_prefixes", "error_rate"]
-
-
-@dataclass(frozen=True)
-class GallerySet:
-    """Projected ``(n, d1, d2)`` training stack plus its labels."""
-
-    projected: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        projected = _image_stack(self.projected)
-        lab = np.asarray(self.labels)
-        if lab.ndim != 1 or lab.size != projected.shape[0]:
-            raise ShapeError("need one label per projected gallery item")
-        if lab.size == 0:
-            raise ParameterError("gallery must be non-empty")
-        object.__setattr__(self, "projected", projected)
-        object.__setattr__(self, "labels", lab)
-
-    @property
-    def n(self) -> int:
-        return self.projected.shape[0]
+__all__ = ["project_tensor", "classify_prefixes", "error_rate"]
 
 
 def project_tensor(x, pair: ProjectorPair) -> np.ndarray:
@@ -58,10 +35,6 @@ def project_tensor(x, pair: ProjectorPair) -> np.ndarray:
     return stack
 
 
-def build_gallery(x, pair: ProjectorPair, labels) -> GallerySet:
-    return GallerySet(project_tensor(x, pair), np.asarray(labels))
-
-
 def _squared_distances(items: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances from ``query`` to each row of ``items``,
     summed from the differences.  A row's value does not depend on which
@@ -69,9 +42,10 @@ def _squared_distances(items: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.square(items - query).sum(axis=1)
 
 
-def classify_prefixes(queries, gallery: GallerySet, dims) -> list[np.ndarray]:
-    """Classify a projected ``(n, d1, d2)`` query stack once for each
-    prefix ``[:, :, :d]`` of ``dims``, the last-axis columns that the
+def classify_prefixes(queries, gallery, gallery_labels, dims) -> list[np.ndarray]:
+    """Classify a projected ``(n, d1, d2)`` query stack against a
+    projected, labelled gallery stack of the same image shape once for
+    each prefix ``[:, :, :d]`` of ``dims``, the last-axis columns that the
     dimensions of a nested unit share; returns one label array per entry
     of ``dims``, in that order.
 
@@ -93,8 +67,13 @@ def classify_prefixes(queries, gallery: GallerySet, dims) -> list[np.ndarray]:
     same holds for the two norms.  So the margin of a prefix counts all of
     its features, not the block that completed it.
     """
+    g = _image_stack(gallery)
+    gallery_labels = np.asarray(gallery_labels)
+    if gallery_labels.ndim != 1 or gallery_labels.size != g.shape[0]:
+        raise ShapeError("need one label per projected gallery item")
+    if gallery_labels.size == 0:
+        raise ParameterError("gallery must be non-empty")
     queries = _image_stack(queries)
-    g = gallery.projected
     if queries.shape[1:] != g.shape[1:]:
         raise ShapeError(f"query shape {queries.shape[1:]} does not match gallery {g.shape[1:]}")
     nq, rows, width = queries.shape
@@ -102,14 +81,14 @@ def classify_prefixes(queries, gallery: GallerySet, dims) -> list[np.ndarray]:
         if not 1 <= d <= width:
             raise ParameterError(f"prefix must be in [1, {width}], got {d}")
     q_sq = np.zeros(nq)
-    g_sq = np.zeros(gallery.n)
-    cross = np.zeros((nq, gallery.n))
+    g_sq = np.zeros(len(g))
+    cross = np.zeros((nq, len(g)))
     screened = np.empty_like(cross)  # also takes each block's product
     labels = {}
     start = 0
     for d in sorted(set(dims)):
         q_block = queries[:, :, start:d].reshape(nq, -1)
-        g_block = g[:, :, start:d].reshape(gallery.n, -1)
+        g_block = g[:, :, start:d].reshape(len(g), -1)
         q_sq += np.einsum("ij,ij->i", q_block, q_block)
         g_sq += np.einsum("ij,ij->i", g_block, g_block)
         cross += np.matmul(q_block, g_block.T, out=screened)
@@ -128,7 +107,7 @@ def classify_prefixes(queries, gallery: GallerySet, dims) -> list[np.ndarray]:
             idx = np.flatnonzero(candidates[k])
             direct = _squared_distances(g[idx, :, :d].reshape(idx.size, -1), queries[k, :, :d].reshape(-1))
             nearest[k] = idx[int(np.argmin(direct))]
-        labels[d] = gallery.labels[nearest]
+        labels[d] = gallery_labels[nearest]
     return [labels[d] for d in dims]
 
 

@@ -346,16 +346,17 @@ def trace_objective(y, coupling) -> float:
     return tensor_trace(contracted_product_33(mode_product(yt, c, 3), yt))
 
 
-def classify_1nn(y, gallery):
-    """Label of the gallery item nearest to one projected query ``y``:
-    squared Frobenius distances summed from the differences, ties to the
-    lowest gallery index.  The specification ``classify_prefixes`` is
-    held to, query by query and prefix by prefix."""
+def classify_1nn(y, gallery, gallery_labels):
+    """Label of the item of the projected ``(n, d1, d2)`` gallery stack
+    nearest to one projected query ``y``: squared Frobenius distances
+    summed from the differences, ties to the lowest gallery index.  The
+    specification ``classify_prefixes`` is held to, query by query and
+    prefix by prefix."""
     mat = np.asarray(y, dtype=np.float64)
-    if mat.shape != gallery.projected.shape[1:]:
-        raise ShapeError(f"query shape {mat.shape} does not match gallery {gallery.projected.shape[1:]}")
-    items = gallery.projected.reshape(gallery.n, -1)
-    return gallery.labels[int(np.argmin(np.square(items - mat.reshape(-1)).sum(axis=1)))]
+    if mat.shape != gallery.shape[1:]:
+        raise ShapeError(f"query shape {mat.shape} does not match gallery {gallery.shape[1:]}")
+    items = gallery.reshape(gallery.shape[0], -1)
+    return np.asarray(gallery_labels)[int(np.argmin(np.square(items - mat.reshape(-1)).sum(axis=1)))]
 
 
 def parse_result_csv(path) -> list[ResultRow]:
@@ -431,18 +432,19 @@ def fit_at(cfg, ds, method, realization, d):
     assert cfg.pre_dims is None
     train_idx, _ = split_dataset(ds, cfg.train_per_class, cfg.seed, realization)
     if method in METHOD_NAMES_2D:
-        train = matrix_dataset(ds, train_idx)
-        spec = method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
-        pencil = unilateral_pencil(train.images, spec, "right")
+        images, labels = matrix_dataset(ds, train_idx)
+        spec = method_matrices(method, images, labels, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
+        pencil = unilateral_pencil(images, spec, "right")
         if not 1 <= d <= pencil.lhs.shape[0]:
             raise ParameterError(f"d2 out of range: {d}")
         values, basis, defect, shift = half_step_at(pencil.lhs, pencil.rhs, pencil.which, d)
         constraint = "orthonormal" if pencil.rhs is None else "coupled"
-        pair = ProjectorPair(np.eye(train.images.shape[1]), basis, ("identity", constraint))
+        pair = ProjectorPair(np.eye(images.shape[1]), basis, ("identity", constraint))
         return pair, FitTrace([float(np.sum(values))], 1, True, defect, shift)
-    train = vector_dataset(ds, train_idx)
+    x, labels = vector_dataset(ds, train_idx)
     pencil = vector_pencil(
-        train,
+        x,
+        labels,
         method,
         knn=cfg.knn,
         bandwidth=cfg.bandwidth,
@@ -452,7 +454,7 @@ def fit_at(cfg, ds, method, realization, d):
     if d < 1:
         raise ParameterError(f"dimension below 1: {d}")
     if method == "PCA":
-        if not 1 <= d <= train.m:
+        if not 1 <= d <= x.shape[0]:
             raise ParameterError(f"PCA dimension out of range: {d}")
         if pencil.lift is None:
             return Projector1D(eig_at(pencil.lhs, None, spectral.EigenSelection(d, "top"))[1], "orthonormal"), None
@@ -477,9 +479,9 @@ def fit_unilateral(x, spec, side, d):
     return solve_unilateral(x, spec, side, (d,))(d)
 
 
-def fit_1d(ds, method, d, **options):
+def fit_1d(x, labels, method, d, **options):
     """Vector fit for ``d`` alone (``options`` as for ``vector_pencil``)."""
-    return solve_1d(vector_pencil(ds, method, **options), (d,))(d)
+    return solve_1d(vector_pencil(x, labels, method, **options), (d,))(d)
 
 
 def sym_eig(m, sel):
@@ -492,6 +494,6 @@ def gen_sym_eig(m, n, sel):
     return spectral.take_prefix(spectral.gen_sym_eig_prefixes(m, n, sel), sel.count)
 
 
-def classify_batch(queries, gallery):
+def classify_batch(queries, gallery, gallery_labels):
     """1-NN labels of a projected query stack by all of its features."""
-    return classify_prefixes(queries, gallery, (gallery.projected.shape[2],))[0]
+    return classify_prefixes(queries, gallery, gallery_labels, (np.shape(gallery)[2],))[0]

@@ -21,9 +21,7 @@ from repel2d.datasets import (
     split_dataset,
     synthetic_confusable,
 )
-from repel2d.embed_1d import VectorDataset
 from repel2d.embed_2d import (
-    MatrixDataset,
     MethodSpec,
     centering_matrix,
     fit_method,
@@ -138,10 +136,10 @@ def test_criterion_2_method_matrix_fidelity():
         beta = float(rng.uniform(0.2, 1.0))
         knn = int(rng.integers(2, 6))
         slices = [points[k].reshape(17, 2, order="F") for k in range(n)]
-        ds = MatrixDataset(np.stack(slices), labels)
+        ds = np.stack(slices), labels
         expected = _closed_form_couplings(points, labels, t, knn, beta)
         for name, (want_min, want_max) in expected.items():
-            spec = method_matrices(name, ds, knn=knn, beta=beta, bandwidth=t)
+            spec = method_matrices(name, *ds, knn=knn, beta=beta, bandwidth=t)
             for got, want, side in (
                 (spec.min_coupling, want_min, "min"),
                 (spec.max_coupling, want_max, "max"),
@@ -158,8 +156,8 @@ def test_criterion_2_method_matrix_fidelity():
             violations.append((trial, "rank(S)"))
         # zero repulsion strength must reproduce the base rows exactly
         for name in ("2D-OLPP-R", "2D-LPP-R", "2D-ONPP-R", "2D-NPP-R", "2D-LDA-R"):
-            zero = method_matrices(name, ds, knn=knn, beta=0.0, bandwidth=t)
-            base = method_matrices(name[:-2], ds, knn=knn, bandwidth=t)
+            zero = method_matrices(name, *ds, knn=knn, beta=0.0, bandwidth=t)
+            base = method_matrices(name[:-2], *ds, knn=knn, bandwidth=t)
             if np.max(np.abs(zero.min_coupling - base.min_coupling)) > 0.0:
                 violations.append((trial, name, "beta=0 min"))
             if (zero.max_coupling is None) != (base.max_coupling is None):
@@ -213,12 +211,12 @@ def test_criterion_4_vector_shaped_reduction():
         centers = rng.normal(scale=2.0, size=(classes, m))
         x = centers[labels].T + rng.normal(scale=0.6, size=(m, n))
         d = int(rng.integers(1, 4))
-        ds2 = MatrixDataset(np.moveaxis(x[:, None, :], 2, 0), labels)
-        vds = VectorDataset(x, labels)
+        ds2 = np.moveaxis(x[:, None, :], 2, 0), labels
+        vds = x, labels
         for name2, name1 in pairs:
-            spec = method_matrices(name2, ds2)
-            pair, trace = fit_unilateral(ds2.images, spec, "left", d)
-            proj = fit_1d(vds, name1, d, bandwidth=spec.bandwidth)
+            spec = method_matrices(name2, *ds2)
+            pair, trace = fit_unilateral(ds2[0], spec, "left", d)
+            proj = fit_1d(*vds, name1, d, bandwidth=spec.bandwidth)
             a = x @ spec.min_coupling @ x.T
             a = 0.5 * (a + a.T)
             objective_1d = float(np.trace(proj.basis.T @ a @ proj.basis))
@@ -293,16 +291,16 @@ def test_criterion_7_repulsion_beats_attraction_on_confusable_classes():
     errors = {"2D-LPP": [], "2D-OLPP-R": []}
     for r in range(20):
         train_idx, test_idx = split_dataset(ds, 10, 0, r)
-        train = matrix_dataset(ds, train_idx)
-        test = matrix_dataset(ds, test_idx)
+        train, train_labels = matrix_dataset(ds, train_idx)
+        test, test_labels = matrix_dataset(ds, test_idx)
         for name in errors:
-            spec = method_matrices(name, train, knn=6, beta=0.5)
-            pair, _ = fit_method(train.images, spec, 4, 4)
-            gallery = recognize.build_gallery(train.images, pair, train.labels)
+            spec = method_matrices(name, train, train_labels, knn=6, beta=0.5)
+            pair, _ = fit_method(train, spec, 4, 4)
+            gallery = recognize.project_tensor(train, pair)
             predictions = classify_batch(
-                recognize.project_tensor(test.images, pair), gallery
+                recognize.project_tensor(test, pair), gallery, train_labels
             )
-            errors[name].append(recognize.error_rate(predictions, test.labels))
+            errors[name].append(recognize.error_rate(predictions, test_labels))
     lpp = np.asarray(errors["2D-LPP"])
     olppr = np.asarray(errors["2D-OLPP-R"])
     wins = int(np.sum(olppr < lpp))
@@ -394,15 +392,15 @@ def test_criterion_10_orl_regression():
         cell_errors = []
         for r in range(20):
             train_idx, test_idx = split_dataset(ds, 5, 0, r)
-            train = matrix_dataset(ds, train_idx)
-            test = matrix_dataset(ds, test_idx)
-            spec = method_matrices(name, train, knn=6, beta=beta or None)
-            pair, _ = fit_unilateral(train.images, spec, "right", dim)
-            gallery = recognize.build_gallery(train.images, pair, train.labels)
+            train, train_labels = matrix_dataset(ds, train_idx)
+            test, test_labels = matrix_dataset(ds, test_idx)
+            spec = method_matrices(name, train, train_labels, knn=6, beta=beta or None)
+            pair, _ = fit_unilateral(train, spec, "right", dim)
+            gallery = recognize.project_tensor(train, pair)
             predictions = classify_batch(
-                recognize.project_tensor(test.images, pair), gallery
+                recognize.project_tensor(test, pair), gallery, train_labels
             )
-            cell_errors.append(recognize.error_rate(predictions, test.labels))
+            cell_errors.append(recognize.error_rate(predictions, test_labels))
         mean = float(np.mean(cell_errors))
         print(f"  {name} unilateral d={dim}: mean error {mean:.4f} (target {expected:.4f} +/- 0.02)")
         if abs(mean - expected) > 0.020:

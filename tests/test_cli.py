@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from repel2d import experiment
 from repel2d.cli import _build_parser, build_config, main, read_config
 from repel2d.datasets import ImageDataset, load_dataset, write_dataset_pgm
+from repel2d.errors import ParameterError
 from repel2d.experiment import CSV_HEADER, usable_cpus
 
 from _oracles import parse_result_csv
@@ -95,6 +97,39 @@ class TestConfigFile:
         assert bench_config("--config", str(cfg))[0].methods == ("LPP",)
         cfg.write_text("dataset = faces\nmethod = LPP\nmethods = PCA, 2D-LPP\n")
         assert bench_config("--config", str(cfg))[0].methods == ("PCA", "2D-LPP")
+        # in either order, and the two keys are not a repeated key
+        cfg.write_text("dataset = faces\nmethods = PCA, 2D-LPP\nmethod = LPP\n")
+        assert read_config(cfg) == {"dataset": "faces", "methods": "PCA, 2D-LPP", "method": "LPP"}
+        assert bench_config("--config", str(cfg))[0].methods == ("PCA", "2D-LPP")
+
+    @pytest.mark.parametrize("key, first, second", [("seed", "1", "2"), ("method", "LPP", "PCA")])
+    def test_repeated_key_is_a_usage_error_naming_both_lines(self, tmp_path, synthetic_dir, capsys, key, first, second):
+        # the last line would otherwise win without a word
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {synthetic_dir}\n{key} = {first}\n# again\n{key} = {second}\n")
+        with pytest.raises(ParameterError, match=re.escape(f"{cfg}:4: config key '{key}' repeats line 2")):
+            read_config(cfg)
+        out = tmp_path / "out"
+        assert run_cli("bench", "--config", str(cfg), "--realizations", "1", "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ") and f"'{key}' repeats line 2" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize("text", ["", "  "], ids=["empty", "blank"])
+    def test_empty_dataset_path_is_a_usage_error(self, tmp_path, capsys, monkeypatch, source, text):
+        # Path("") is the current directory: with class-like subdirectories
+        # there, an empty path must not be loaded as a dataset
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {text}\n")
+        argv = ("--config", str(cfg)) if source == "file" else ("--dataset", text)
+        out = tmp_path / "out"
+        assert run_cli("bench", *argv, "--dims", "2", "--realizations", "1", "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: dataset: ")
+        assert not out.exists()
 
 
 class TestOneReaderPerOption:
@@ -303,15 +338,16 @@ class TestFitEval:
         assert saved["col_basis"].shape == (8, 3)
 
         scored = []
-        build_gallery = recognize.build_gallery
+        project_tensor = recognize.project_tensor
 
-        def spy(x, pair, labels):
+        def spy(x, pair):
             scored.append(pair)
-            return build_gallery(x, pair, labels)
+            return project_tensor(x, pair)
 
-        monkeypatch.setattr(recognize, "build_gallery", spy)
+        monkeypatch.setattr(recognize, "project_tensor", spy)
         assert run_cli("eval", *common) == 0
-        assert len(scored) == 1
+        # one projector, for the gallery and then the queries
+        assert len(scored) == 2 and scored[0] is scored[1]
         np.testing.assert_array_equal(saved["row_basis"], scored[0].row_basis)
         np.testing.assert_array_equal(saved["col_basis"], scored[0].col_basis)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import as_tensor, matricize
+from repel2d import graphs
 from repel2d.datasets import (
     ImageDataset,
     load_dataset,
@@ -11,6 +12,7 @@ from repel2d.datasets import (
     vector_dataset,
     write_dataset_pgm,
 )
+from repel2d.embed_2d import method_matrices
 from repel2d.errors import DataError, ParameterError
 from repel2d.pgm import block_resize, read_pgm, write_pgm
 
@@ -204,15 +206,16 @@ class TestSplit:
 class TestConversions:
     def test_matrix_dataset_shapes(self):
         ds = synthetic_confusable(6, seed=1)
-        md = matrix_dataset(ds, np.arange(8))
-        assert md.images.shape == (8, 8, 8)
-        np.testing.assert_array_equal(md.labels, ds.labels[:8])
-        np.testing.assert_array_equal(md.images[2], ds.images[2])
+        images, labels = matrix_dataset(ds, np.arange(8))
+        assert images.shape == (8, 8, 8)
+        np.testing.assert_array_equal(labels, ds.labels[:8])
+        np.testing.assert_array_equal(images[2], ds.images[2])
 
     def test_vector_dataset_column_major(self):
         ds = synthetic_confusable(6, seed=1)
-        vd = vector_dataset(ds, [0])
-        np.testing.assert_array_equal(vd.data[:, 0], ds.images[0].reshape(-1, order="F"))
+        data, labels = vector_dataset(ds, [0])
+        np.testing.assert_array_equal(data[:, 0], ds.images[0].reshape(-1, order="F"))
+        np.testing.assert_array_equal(labels, ds.labels[:1])
 
 
 class TestStackLayout:
@@ -226,21 +229,32 @@ class TestStackLayout:
 
     def test_matrix_dataset_is_the_indexed_stack(self, split):
         ds, idx = split
-        images = matrix_dataset(ds, idx).images
+        images = matrix_dataset(ds, idx)[0]
         assert images.shape == (idx.size, 8, 8) and images.dtype == np.float64
         assert images.flags.c_contiguous
         np.testing.assert_array_equal(images, ds.images[idx])
 
-    def test_vectorized_points_match_the_mode_3_unfolding(self, split):
+    def test_vectorized_points_match_the_mode_3_unfolding(self, split, monkeypatch):
+        # the samples method_matrices builds its graphs on, from an image
+        # stack and from a vector data matrix's transpose, and the rows of
+        # that transpose
         ds, idx = split
-        points = matrix_dataset(ds, idx).vectorized_points()
+        seen = []
+        sq_distances = graphs.sq_distances
+        monkeypatch.setattr(graphs, "sq_distances", lambda points: seen.append(points) or sq_distances(points))
+        images, labels = matrix_dataset(ds, idx)
+        data, _ = vector_dataset(ds, idx)
+        method_matrices("2D-OLPP", images, labels)
+        method_matrices("2D-OLPP", data.T, labels)
         oracle = matricize(as_tensor(ds.images[idx]), 3)
-        np.testing.assert_array_equal(points, oracle)
-        assert points.strides == oracle.strides
+        for points in (*seen, data.T):
+            np.testing.assert_array_equal(points, oracle)
+            assert points.strides == oracle.strides
+        assert len(seen) == 2 and np.shares_memory(seen[1], data)
 
     def test_vector_dataset_is_the_column_major_flatten(self, split):
         ds, idx = split
-        data = vector_dataset(ds, idx).data
+        data = vector_dataset(ds, idx)[0]
         loop = np.stack([ds.images[i].reshape(-1, order="F") for i in idx], axis=1)
         np.testing.assert_array_equal(data, loop)
         assert data.strides == loop.strides

@@ -7,13 +7,12 @@ from repel2d.datasets import split_dataset, synthetic_confusable, vector_dataset
 from repel2d.embed_1d import (
     METHOD_NAMES_1D,
     Projector1D,
-    VectorDataset,
     auto_predim,
     scatter_matrices,
     solve_1d,
     vector_pencil,
 )
-from repel2d.errors import DefinitenessError, ParameterError
+from repel2d.errors import DefinitenessError, ParameterError, ShapeError
 from repel2d.spectral import EigenSelection
 
 from _oracles import fit_1d, gen_sym_eig
@@ -24,26 +23,23 @@ def make_ds(seed=0, m=6, n=18, classes=3):
     labels = np.repeat(np.arange(classes), n // classes)
     centers = rng.normal(scale=3.0, size=(classes, m))
     data = centers[labels].T + rng.normal(scale=0.7, size=(m, n))
-    return VectorDataset(data, labels)
+    return data, labels
 
 
 class TestScatterMatrices:
     def test_single_point_classes_zero_within(self):
-        ds = VectorDataset(np.array([[1.0, 2.0, 3.0], [0.0, 1.0, -1.0]]), [0, 1, 2])
-        sw, sb = scatter_matrices(ds)
+        sw, sb = scatter_matrices(np.array([[1.0, 2.0, 3.0], [0.0, 1.0, -1.0]]), [0, 1, 2])
         np.testing.assert_array_equal(sw, np.zeros((2, 2)))
 
     def test_equal_class_means_zero_between(self):
         data = np.array([[1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
-        ds = VectorDataset(data, [0, 0, 1, 1])
-        _, sb = scatter_matrices(ds)
+        _, sb = scatter_matrices(data, [0, 0, 1, 1])
         np.testing.assert_allclose(sb, np.zeros((2, 2)), atol=1e-12)
 
     def test_direct_summation_oracle(self):
         data = np.array([[0.0, 2.0, 5.0, 7.0], [1.0, 1.0, -1.0, 3.0]])
         labels = np.array([0, 0, 1, 1])
-        ds = VectorDataset(data, labels)
-        sw, sb = scatter_matrices(ds)
+        sw, sb = scatter_matrices(data, labels)
         mean = data.mean(axis=1, keepdims=True)
         sw_ref = np.zeros((2, 2))
         sb_ref = np.zeros((2, 2))
@@ -61,9 +57,9 @@ class TestScatterMatrices:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_total_scatter_decomposition(self, seed):
-        ds = make_ds(seed)
-        sw, sb = scatter_matrices(ds)
-        centered = ds.data - ds.data.mean(axis=1, keepdims=True)
+        data, labels = make_ds(seed)
+        sw, sb = scatter_matrices(data, labels)
+        centered = data - data.mean(axis=1, keepdims=True)
         total = centered @ centered.T
         np.testing.assert_allclose(sw + sb, total, rtol=1e-10, atol=1e-10)
 
@@ -71,7 +67,7 @@ class TestScatterMatrices:
 class TestPca:
     def test_two_points_span_difference(self):
         data = np.array([[0.0, 2.0], [0.0, 2.0], [1.0, 1.0]])
-        proj = fit_1d(VectorDataset(data, [0, 1]), "PCA", 1)
+        proj = fit_1d(data, [0, 1], "PCA", 1)
         direction = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
         overlap = abs(direction @ proj.basis[:, 0])
         assert overlap == pytest.approx(1.0, abs=1e-10)
@@ -80,8 +76,7 @@ class TestPca:
         rng = np.random.default_rng(1)
         tall = rng.normal(size=(40, 8))  # m > n path
         wide = tall.T  # m < n path shares no code but same math on transposed data
-        ds = VectorDataset(tall, np.arange(8))
-        proj = fit_1d(ds, "PCA", 3)
+        proj = fit_1d(tall, np.arange(8), "PCA", 3)
         centered = tall - tall.mean(axis=1, keepdims=True)
         ref_vals, ref_vecs = np.linalg.eigh(centered @ centered.T)
         ref = ref_vecs[:, -3:][:, ::-1]
@@ -94,14 +89,13 @@ class TestPca:
 class TestFit1d:
     @pytest.mark.parametrize("method", METHOD_NAMES_1D)
     def test_constraints_hold(self, method):
-        ds = make_ds(2)
-        proj = fit_1d(ds, method, 2)
-        x = ds.data
+        x, labels = make_ds(2)
+        proj = fit_1d(x, labels, method, 2)
         if proj.constraint == "orthonormal":
             assert np.linalg.norm(proj.basis.T @ proj.basis - np.eye(2)) <= 1e-10
         else:
             if method == "LPP":
-                g = graphs.build_label_graph(ds.labels)
+                g = graphs.build_label_graph(labels)
                 w = graphs.gaussian_weights(g, graphs.sq_distances(x.T))
                 b = x @ graphs.laplacian(w)[1] @ x.T
                 assert np.linalg.norm(proj.basis.T @ b @ proj.basis - np.eye(2)) <= 1e-8
@@ -111,7 +105,15 @@ class TestFit1d:
 
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
-            fit_1d(make_ds(), "LLE", 2)
+            fit_1d(*make_ds(), "LLE", 2)
+
+    def test_needs_a_matrix_with_one_label_per_column(self):
+        x, labels = make_ds()
+        for method in ("PCA", "LDA", "OLPP"):
+            with pytest.raises(ShapeError, match="one label per column"):
+                vector_pencil(x, labels[:-1], method)
+        with pytest.raises(ShapeError, match="data matrix"):
+            vector_pencil(x[None], labels, "PCA")
 
     def test_olpp_single_class_matches_pca_direction(self):
         # regular simplex: all pairwise distances equal, so the Gaussian
@@ -120,8 +122,7 @@ class TestFit1d:
         data = np.array(
             [[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
         )
-        ds = VectorDataset(data, [0, 0, 0, 0])
-        g = graphs.build_label_graph(ds.labels)
+        g = graphs.build_label_graph(np.array([0, 0, 0, 0]))
         weighted = graphs.gaussian_weights(g, graphs.sq_distances(data.T))
         lap = graphs.laplacian(weighted)[0]
         centering = np.eye(4) - np.full((4, 4), 0.25)
@@ -144,20 +145,20 @@ class TestFit1d:
     def test_beta_zero_repulsion_degenerates(self):
         ds = make_ds(3)
         for repulsed, base in (("OLPP-R", "OLPP"), ("ONPP-R", "ONPP")):
-            a = fit_1d(ds, repulsed, 2, beta=0.0)
-            b = fit_1d(ds, base, 2)
+            a = fit_1d(*ds, repulsed, 2, beta=0.0)
+            b = fit_1d(*ds, base, 2)
             np.testing.assert_allclose(a.basis, b.basis, atol=1e-12)
 
     def test_repulsion_variants_run(self):
         ds = make_ds(4, m=5, n=15, classes=3)
         for method in ("LDA-R", "OLPP-R", "ONPP-R"):
-            proj = fit_1d(ds, method, 2)
+            proj = fit_1d(*ds, method, 2)
             assert proj.basis.shape == (5, 2)
             assert np.all(np.isfinite(proj.basis))
 
     def test_pca_predim_composes(self):
         ds = make_ds(5, m=12, n=18, classes=3)
-        proj = fit_1d(ds, "OLPP", 2, pca_predim=8)
+        proj = fit_1d(*ds, "OLPP", 2, pca_predim=8)
         assert proj.basis.shape == (12, 2)
         assert np.linalg.norm(proj.basis.T @ proj.basis - np.eye(2)) <= 1e-10
 
@@ -166,26 +167,26 @@ class TestFit1d:
         rng = np.random.default_rng(6)
         data = rng.normal(size=(30, 12))
         data[:3] += np.repeat(np.arange(3), 4) * 4.0
-        ds = VectorDataset(data, np.repeat(np.arange(3), 4))
-        assert auto_predim(ds.n, np.unique(ds.labels).size, ds.m) == 9
-        proj = fit_1d(ds, "LDA", 2, pca_predim="auto")
+        labels = np.repeat(np.arange(3), 4)
+        assert auto_predim(data.shape[1], np.unique(labels).size, data.shape[0]) == 9
+        proj = fit_1d(data, labels, "LDA", 2, pca_predim="auto")
         assert proj.basis.shape == (30, 2)
 
     def test_lpp_b_orthonormal_after_predim(self):
         # the composed basis stays normalized against the original-space
         # degree matrix because the pre-basis has orthonormal columns
-        ds = make_ds(7, m=10, n=18, classes=3)
-        proj = fit_1d(ds, "LPP", 2, pca_predim=8)
-        g = graphs.build_label_graph(ds.labels)
-        pre = fit_1d(ds, "PCA", 8).basis
-        w = graphs.gaussian_weights(g, graphs.sq_distances((pre.T @ ds.data).T))
-        b = ds.data @ graphs.laplacian(w)[1] @ ds.data.T
+        data, labels = make_ds(7, m=10, n=18, classes=3)
+        proj = fit_1d(data, labels, "LPP", 2, pca_predim=8)
+        g = graphs.build_label_graph(labels)
+        pre = fit_1d(data, labels, "PCA", 8).basis
+        w = graphs.gaussian_weights(g, graphs.sq_distances((pre.T @ data).T))
+        b = data @ graphs.laplacian(w)[1] @ data.T
         assert np.linalg.norm(proj.basis.T @ b @ proj.basis - np.eye(2)) <= 1e-8
 
 
 def objective_1d(ds, method, u, bandwidth=1.5):
-    x = ds.data
-    g = graphs.build_label_graph(ds.labels)
+    x, labels = ds
+    g = graphs.build_label_graph(labels)
     if method in ("PCA",):
         centered = x - x.mean(axis=1, keepdims=True)
         return u @ centered @ centered.T @ u
@@ -203,7 +204,7 @@ def objective_1d(ds, method, u, bandwidth=1.5):
         if method == "ONPP":
             return num
         return num / (u @ x @ x.T @ u)
-    sw, sb = scatter_matrices(ds)
+    sw, sb = scatter_matrices(x, labels)
     return (u @ sb @ u) / (u @ sw @ u)
 
 
@@ -213,7 +214,7 @@ def objective_1d(ds, method, u, bandwidth=1.5):
 )
 def test_d1_optimality_against_random_directions(method, sense):
     ds = make_ds(11, m=5, n=15, classes=3)
-    proj = fit_1d(ds, method, 1, bandwidth=1.5)
+    proj = fit_1d(*ds, method, 1, bandwidth=1.5)
     u = proj.basis[:, 0]
     u = u / np.linalg.norm(u)
     ours = objective_1d(ds, method, u)
@@ -245,7 +246,7 @@ class TestOneRidgePolicy:
     def test_lda_r_solve_time_ridge_matches_pre_shift(self):
         ds = synthetic_confusable(300)
         train = vector_dataset(ds, split_dataset(ds, 150, 0, 0)[0])
-        pencil = vector_pencil(train, "LDA-R", pca_predim="auto")
+        pencil = vector_pencil(*train, "LDA-R", pca_predim="auto")
         shifted = pre_shifted(pencil.rhs)
         assert shifted is not pencil.rhs  # the repair fires on this split
         projector = solve_1d(pencil, (2, 4, 6))
@@ -254,13 +255,13 @@ class TestOneRidgePolicy:
             np.testing.assert_array_equal(projector(d).basis, expected)
 
     def test_lpp_singular_constraint_fits_through_ridge_retry(self):
-        base = make_ds(8)
-        data = base.data.copy()
+        data, labels = make_ds(8)
+        data = data.copy()
         data[-1] = 0.0  # a blank feature leaves x D x^T singular
-        ds = VectorDataset(data, base.labels)
-        pencil = vector_pencil(ds, "LPP")
+        ds = data, labels
+        pencil = vector_pencil(*ds, "LPP")
         with pytest.raises(DefinitenessError):
             gen_sym_eig(pencil.lhs, pencil.rhs, EigenSelection(2, "bottom"))
-        proj = fit_1d(ds, "LPP", 2)
+        proj = fit_1d(*ds, "LPP", 2)
         assert proj.constraint == "b_orthonormal"
         assert proj.basis.shape == (6, 2) and np.all(np.isfinite(proj.basis))

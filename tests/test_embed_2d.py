@@ -23,7 +23,6 @@ from repel2d.embed_2d import (
     _row_matrix,
     _solver_sides,
     _discriminant_pencils,
-    MatrixDataset,
     MethodSpec,
     ProjectorPair,
     centering_matrix,
@@ -35,8 +34,7 @@ from repel2d.embed_2d import (
     pre_process_2dpca,
     unilateral_pencil,
 )
-from repel2d.embed_1d import VectorDataset
-from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError
+from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError, ShapeError
 from repel2d.spectral import EigenSelection
 
 
@@ -45,7 +43,7 @@ def toy_dataset(seed=0, m1=5, m2=4, n=12, classes=3, spread=2.0, noise=0.5):
     labels = np.repeat(np.arange(classes), n // classes)
     templates = rng.normal(scale=spread, size=(classes, m1, m2))
     slices = [templates[c] + rng.normal(scale=noise, size=(m1, m2)) for c in labels]
-    return MatrixDataset(np.stack(slices), labels)
+    return np.stack(slices), labels
 
 
 def subspace_angle(a, b):
@@ -83,13 +81,13 @@ class TestLdaWeightMatrix:
 
 class TestMethodMatrices:
     def test_2dpca_centering(self):
-        ds = toy_dataset(1)
-        spec = method_matrices("2D-PCA", ds)
+        images, labels = toy_dataset(1)
+        spec = method_matrices("2D-PCA", images, labels)
         assert spec.min_coupling is None
-        np.testing.assert_allclose(spec.max_coupling, centering_matrix(ds.n), atol=1e-15)
+        np.testing.assert_allclose(spec.max_coupling, centering_matrix(len(images)), atol=1e-15)
 
     def test_presence_pattern(self):
-        ds = toy_dataset(2)
+        images, labels = toy_dataset(2)
         expectations = {
             "GLRAM": (False, True),
             "2D-PCA": (False, True),
@@ -106,17 +104,17 @@ class TestMethodMatrices:
         }
         assert set(expectations) == set(METHOD_NAMES_2D)
         for name, (has_min, has_max) in expectations.items():
-            spec = method_matrices(name, ds)
+            spec = method_matrices(name, images, labels)
             assert (spec.min_coupling is not None) == has_min, name
             assert (spec.max_coupling is not None) == has_max, name
 
     def test_olpp_r_subtracts_scaled_repulsion(self):
-        ds = toy_dataset(3, n=15)
+        images, labels = toy_dataset(3, n=15)
         beta = 0.7
-        spec = method_matrices("2D-OLPP-R", ds, knn=4, beta=beta)
-        base = method_matrices("2D-OLPP", ds)
-        pts = ds.vectorized_points()
-        label_graph = graphs.build_label_graph(ds.labels)
+        spec = method_matrices("2D-OLPP-R", images, labels, knn=4, beta=beta)
+        base = method_matrices("2D-OLPP", images, labels)
+        pts = images.reshape(len(images), -1, order="F")
+        label_graph = graphs.build_label_graph(labels)
         t = graphs.default_bandwidth(label_graph, graphs.sq_distances(pts))
         rep = graphs.repulsion_laplacian(label_graph, graphs.sq_distances(pts), 4, t)
         np.testing.assert_allclose(
@@ -126,10 +124,10 @@ class TestMethodMatrices:
         assert spec.bandwidth == pytest.approx(t)
 
     def test_beta_zero_degenerates_to_base(self):
-        ds = toy_dataset(4, n=15)
+        images, labels = toy_dataset(4, n=15)
         for name in ("2D-NPP-R", "2D-OLPP-R", "2D-LPP-R", "2D-ONPP-R", "2D-LDA-R"):
-            r_spec = method_matrices(name, ds, beta=0.0)
-            b_spec = method_matrices(name[:-2], ds)
+            r_spec = method_matrices(name, images, labels, beta=0.0)
+            b_spec = method_matrices(name[:-2], images, labels)
             np.testing.assert_array_equal(r_spec.min_coupling, b_spec.min_coupling)
             if b_spec.max_coupling is None:
                 assert r_spec.max_coupling is None
@@ -143,17 +141,26 @@ class TestMethodMatrices:
         assert default_beta("2D-PCA") == 0.0
 
     def test_unknown_name(self):
-        ds = toy_dataset(5)
+        images, labels = toy_dataset(5)
         with pytest.raises(ParameterError):
-            method_matrices("2D-KPCA", ds)
+            method_matrices("2D-KPCA", images, labels)
         with pytest.raises(ParameterError):
-            method_matrices("GLRAM-R", ds)
+            method_matrices("GLRAM-R", images, labels)
+
+    def test_needs_one_label_per_sample(self):
+        images, labels = toy_dataset(5)
+        for bad in (labels[:-1], np.append(labels, 0), labels[:, None]):
+            for name in ("2D-PCA", "2D-OLPP-R"):
+                with pytest.raises(ShapeError, match="one label per sample"):
+                    method_matrices(name, images, bad)
+        # a vector data matrix passes its samples as rows, not columns
+        with pytest.raises(ShapeError, match="one label per sample"):
+            method_matrices("2D-OLPP", images.reshape(len(images), -1, order="F").T, labels)
 
 
 class TestSubproblemMatrices:
     def test_identity_coupling_full_basis(self):
-        ds = toy_dataset(6)
-        x = ds.images
+        x, _ = toy_dataset(6)
         n, m1, m2 = x.shape
         got = col_subproblem_matrix(x, np.eye(m1), np.eye(n))
         expected = sum(x[k].T @ x[k] for k in range(n))
@@ -182,7 +189,7 @@ class TestSubproblemMatrices:
     @pytest.mark.parametrize("layout", ["stacked", "c_order"])
     def test_no_basis_is_bitwise_identity_compression(self, layout):
         # one-sided pencils skip the identity compression; it must not move a bit
-        x = toy_dataset(3).images
+        x = toy_dataset(3)[0]
         if layout == "c_order":
             x = np.ascontiguousarray(x)
         n, m1, m2 = x.shape
@@ -214,12 +221,12 @@ class TestPencilRoutes:
 
     @staticmethod
     def sides(name, side):
-        ds = toy_dataset(11)
-        spec = method_matrices(name, ds)
-        lhs, rhs, _ = _solver_sides(spec, ds.n)
-        pencil = unilateral_pencil(ds.images, spec, side)
+        images, labels = toy_dataset(11)
+        spec = method_matrices(name, images, labels)
+        lhs, rhs, _ = _solver_sides(spec, len(images))
+        pencil = unilateral_pencil(images, spec, side)
         assert (pencil.rhs is None) == (rhs is None)
-        return ds.images, [(pencil.lhs, lhs)] + ([] if rhs is None else [(pencil.rhs, rhs)])
+        return images, [(pencil.lhs, lhs)] + ([] if rhs is None else [(pencil.rhs, rhs)])
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("name", [m for m in METHOD_NAMES_2D if m != "2D-LDA-R"])
@@ -243,29 +250,30 @@ class TestPencilRoutes:
     def test_single_pass_shares_one_mix_per_coupling(self, ds):
         # the row and column pencils of 2D-LDA-R's single pass share each
         # coupling's mixed tensor and still equal the einsum builders
-        spec = method_matrices("2D-LDA-R", ds)
-        lhs, rhs, which = _solver_sides(spec, ds.n)
-        row, col = _discriminant_pencils(ds.images, spec)
-        _, m1, m2 = ds.images.shape
+        images, labels = ds
+        spec = method_matrices("2D-LDA-R", images, labels)
+        lhs, rhs, which = _solver_sides(spec, len(images))
+        row, col = _discriminant_pencils(images, spec)
+        _, m1, m2 = images.shape
         for pencil, einsum, side in ((row, row_subproblem_matrix, m1), (col, col_subproblem_matrix, m2)):
             assert (pencil.which, pencil.max_dim) == (which, side)
-            np.testing.assert_array_equal(pencil.lhs, einsum(ds.images, None, lhs))
-            np.testing.assert_array_equal(pencil.rhs, einsum(ds.images, None, rhs))
+            np.testing.assert_array_equal(pencil.lhs, einsum(images, None, lhs))
+            np.testing.assert_array_equal(pencil.rhs, einsum(images, None, rhs))
 
     @pytest.mark.parametrize("sides", [("left",), ("right",), ("left", "right")])
     def test_coupling_helper_is_joined(self, sides):
         # the rhs coupling's chain runs on a helper thread that never
         # outlives the call, whichever sides are built
-        ds = toy_dataset(11)
-        spec = method_matrices("2D-LDA-R", ds)
+        images, labels = toy_dataset(11)
+        spec = method_matrices("2D-LDA-R", images, labels)
         before = threading.active_count()
-        pencils = _discriminant_pencils(ds.images, spec, sides)
+        pencils = _discriminant_pencils(images, spec, sides)
         assert threading.active_count() == before
         assert len(pencils) == len(sides)
 
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
-        ds = toy_dataset(11)
-        spec = method_matrices("2D-LDA-R", ds)
+        images, labels = toy_dataset(11)
+        spec = method_matrices("2D-LDA-R", images, labels)
         caller = threading.get_ident()
         chain = embed_2d._coupled_sides
         threads = []
@@ -279,7 +287,7 @@ class TestPencilRoutes:
         monkeypatch.setattr(embed_2d, "_coupled_sides", failing_off_caller)
         before = threading.active_count()
         with pytest.raises(NumericalQualityError, match="injected helper failure"):
-            _discriminant_pencils(ds.images, spec)
+            _discriminant_pencils(images, spec)
         assert threading.active_count() == before
         assert len(threads) == 2 and threads.count(caller) == 1
 
@@ -300,10 +308,10 @@ class TestTraceObjective:
         assert via_tensor == pytest.approx(via_slices, rel=1e-10)
 
     def test_matches_eigenvalue_sum_reported_in_trace(self):
-        ds = toy_dataset(10)
-        spec = method_matrices("2D-OLPP", ds)
-        pair, trace = fit_method(ds.images, spec, 2, 2)
-        y = mode_product(mode_product(as_tensor(ds.images), pair.row_basis.T, 1), pair.col_basis.T, 2)
+        images, labels = toy_dataset(10)
+        spec = method_matrices("2D-OLPP", images, labels)
+        pair, trace = fit_method(images, spec, 2, 2)
+        y = mode_product(mode_product(as_tensor(images), pair.row_basis.T, 1), pair.col_basis.T, 2)
         assert trace.objectives[-1] == pytest.approx(
             trace_objective(y, spec.min_coupling), rel=1e-10
         )
@@ -311,9 +319,9 @@ class TestTraceObjective:
 
 class TestFitOrthonormal:
     def test_zero_coupling_converges_first_iteration(self):
-        ds = toy_dataset(11)
-        spec = MethodSpec("2D-OLPP", np.zeros((ds.n, ds.n)), None, "orth_min")
-        pair, trace = fit_method(ds.images, spec, 2, 2)
+        images, labels = toy_dataset(11)
+        spec = MethodSpec("2D-OLPP", np.zeros((len(images), len(images))), None, "orth_min")
+        pair, trace = fit_method(images, spec, 2, 2)
         assert trace.converged and trace.iterations == 1
         assert all(obj == 0.0 for obj in trace.objectives)
 
@@ -343,10 +351,10 @@ class TestFitOrthonormal:
             assert all(objs[i + 1] >= objs[i] - 1e-10 * scale for i in range(len(objs) - 1))
 
     def test_vector_shaped_matches_direct_eigensolve(self):
-        ds = toy_dataset(13, m1=7, m2=1, n=12, classes=3)
-        spec = method_matrices("2D-OLPP", ds)
-        pair, _ = fit_method(ds.images, spec, 3, 1)
-        x_mat = ds.images[:, :, 0].T
+        images, labels = toy_dataset(13, m1=7, m2=1, n=12, classes=3)
+        spec = method_matrices("2D-OLPP", images, labels)
+        pair, _ = fit_method(images, spec, 3, 1)
+        x_mat = images[:, :, 0].T
         middle = x_mat @ spec.min_coupling @ x_mat.T
         values, expected = sym_eig(middle, EigenSelection(3, "bottom"))
         all_values = np.linalg.eigvalsh(0.5 * (middle + middle.T))
@@ -369,25 +377,25 @@ class TestFitOrthonormal:
         assert recon_error <= 1e-8 * frobenius_norm(as_tensor(x)) ** 2
 
     def test_glram_reconstruction_identity(self):
-        ds = toy_dataset(15)
-        spec = method_matrices("GLRAM", ds)
-        pair, _ = fit_method(ds.images, spec, 2, 2)
+        images, labels = toy_dataset(15)
+        spec = method_matrices("GLRAM", images, labels)
+        pair, _ = fit_method(images, spec, 2, 2)
         u, v = pair.row_basis, pair.col_basis
         direct = sum(
             np.linalg.norm(
-                ds.images[k] - u @ u.T @ ds.images[k] @ v @ v.T
+                images[k] - u @ u.T @ images[k] @ v @ v.T
             )
             ** 2
-            for k in range(ds.n)
+            for k in range(len(images))
         )
-        y = mode_product(mode_product(as_tensor(ds.images), u.T, 1), v.T, 2)
-        via_norms = frobenius_norm(as_tensor(ds.images)) ** 2 - frobenius_norm(y) ** 2
+        y = mode_product(mode_product(as_tensor(images), u.T, 1), v.T, 2)
+        via_norms = frobenius_norm(as_tensor(images)) ** 2 - frobenius_norm(y) ** 2
         assert direct == pytest.approx(via_norms, rel=1e-8)
 
     def test_termination_and_flag_accuracy(self):
-        ds = toy_dataset(16)
-        spec = method_matrices("2D-OLPP", ds)
-        pair, trace = fit_method(ds.images, spec, 2, 2, max_iter=4, tol=1e-6)
+        images, labels = toy_dataset(16)
+        spec = method_matrices("2D-OLPP", images, labels)
+        pair, trace = fit_method(images, spec, 2, 2, max_iter=4, tol=1e-6)
         assert trace.iterations <= 4
         if trace.converged and trace.iterations >= 2:
             full = trace.objectives[1::2]
@@ -413,24 +421,23 @@ class TestFitGeneralized:
         np.testing.assert_allclose(pair_gen.col_basis, pair_orth.col_basis, atol=1e-8)
 
     def test_vector_shaped_matches_1d_generalized(self):
-        ds = toy_dataset(18, m1=7, m2=1, n=12, classes=3)
-        spec = method_matrices("2D-LPP", ds)
-        pair, trace = fit_method(ds.images, spec, 3, 1)
-        vds = VectorDataset(ds.images[:, :, 0].T, ds.labels)
-        proj = fit_1d(vds, "LPP", 3, bandwidth=spec.bandwidth)
+        images, labels = toy_dataset(18, m1=7, m2=1, n=12, classes=3)
+        spec = method_matrices("2D-LPP", images, labels)
+        pair, trace = fit_method(images, spec, 3, 1)
+        x_mat = images[:, :, 0].T
+        proj = fit_1d(x_mat, labels, "LPP", 3, bandwidth=spec.bandwidth)
         # the 1D basis is degree-normalized, so its trace equals the sum of
         # generalized eigenvalues the 2D fit reports as its objective
-        x_mat = vds.data
         a = x_mat @ spec.min_coupling @ x_mat.T
         theirs = np.trace(proj.basis.T @ a @ proj.basis)
         assert trace.objectives[-1] == pytest.approx(theirs, rel=1e-8)
         assert subspace_angle(pair.row_basis, proj.basis) < 1e-6
 
     def test_ridge_failure_aborts_with_diagnostic(self):
-        ds = toy_dataset(19)
-        spec = MethodSpec("2D-LPP", np.eye(ds.n), np.zeros((ds.n, ds.n)), "gen_min")
+        images, labels = toy_dataset(19)
+        spec = MethodSpec("2D-LPP", np.eye(len(images)), np.zeros((len(images), len(images))), "gen_min")
         with pytest.raises(DefinitenessError):
-            fit_method(ds.images, spec, 2, 2)
+            fit_method(images, spec, 2, 2)
 
     @pytest.mark.parametrize("name", ["2D-LPP", "2D-NPP"])
     def test_identically_zero_constraint_side_is_named(self, name):
@@ -444,25 +451,25 @@ class TestFitGeneralized:
         images = base.images.copy()
         images[:, :, -1] = 0.0
         ds = ImageDataset("blank-column", images, base.labels, base.class_names)
-        train = matrix_dataset(ds, split_dataset(ds, 8, 0, 0)[0])
-        spec = method_matrices(name, train)
+        train, labels = matrix_dataset(ds, split_dataset(ds, 8, 0, 0)[0])
+        spec = method_matrices(name, train, labels)
         with pytest.raises(DefinitenessError, match="constraint-side subproblem matrix is identically zero"):
-            fit_method(train.images, spec, 1, 1)
+            fit_method(train, spec, 1, 1)
 
     def test_constraint_normalization_recorded(self):
-        ds = toy_dataset(20)
-        spec = method_matrices("2D-NPP", ds)
-        pair, trace = fit_method(ds.images, spec, 2, 2)
+        images, labels = toy_dataset(20)
+        spec = method_matrices("2D-NPP", images, labels)
+        pair, trace = fit_method(images, spec, 2, 2)
         assert pair.constraints == ("coupled", "coupled")
         assert trace.max_constraint_defect <= 1e-8
 
 
 class TestFitDiscriminant:
     def test_single_class_rank_error(self):
-        ds = toy_dataset(21, classes=1)
-        spec = method_matrices("2D-LDA", ds)
+        images, labels = toy_dataset(21, classes=1)
+        spec = method_matrices("2D-LDA", images, labels)
         with pytest.raises(RankError):
-            fit_method(ds.images, spec, 2, 2)
+            fit_method(images, spec, 2, 2)
 
     def test_left_separable_two_class(self):
         rng = np.random.default_rng(22)
@@ -477,33 +484,31 @@ class TestFitDiscriminant:
         for c in labels:
             base = (u0 if c == 0 else u1) @ profile * 4.0
             slices.append(base + 0.05 * rng.normal(size=(m1, m2)))
-        ds = MatrixDataset(np.stack(slices), labels)
-        spec = method_matrices("2D-LDA", ds)
-        pair, trace = fit_method(ds.images, spec, 1, 1)
+        images = np.stack(slices)
+        spec = method_matrices("2D-LDA", images, labels)
+        pair, trace = fit_method(images, spec, 1, 1)
         assert trace.objectives[-1] > 10.0
         projected = [(pair.row_basis.T @ s @ pair.col_basis).item() for s in slices]
         # 1-NN on the training data separates perfectly
-        from repel2d.recognize import GallerySet
-
-        gallery = GallerySet(np.moveaxis(np.array(projected).reshape(1, 1, -1), 2, 0), labels)
-        predictions = [classify_1nn(np.array([[p]]), gallery) for p in projected]
+        gallery = np.moveaxis(np.array(projected).reshape(1, 1, -1), 2, 0)
+        predictions = [classify_1nn(np.array([[p]]), gallery, labels) for p in projected]
         assert list(predictions) == list(labels)
 
     def test_beta_zero_lda_r_equals_lda(self):
-        ds = toy_dataset(23, n=15)
-        spec_r = method_matrices("2D-LDA-R", ds, beta=0.0)
-        spec = method_matrices("2D-LDA", ds)
+        images, labels = toy_dataset(23, n=15)
+        spec_r = method_matrices("2D-LDA-R", images, labels, beta=0.0)
+        spec = method_matrices("2D-LDA", images, labels)
         np.testing.assert_array_equal(spec_r.min_coupling, spec.min_coupling)
         np.testing.assert_array_equal(spec_r.max_coupling, spec.max_coupling)
-        pair_r, trace_r = fit_method(ds.images, spec_r, 2, 2)
-        pair, _ = fit_method(ds.images, spec, 2, 2)
+        pair_r, trace_r = fit_method(images, spec_r, 2, 2)
+        pair, _ = fit_method(images, spec, 2, 2)
         np.testing.assert_array_equal(pair_r.row_basis, pair.row_basis)
         np.testing.assert_array_equal(pair_r.col_basis, pair.col_basis)
 
     def test_repulsion_single_independent_iteration(self):
-        ds = toy_dataset(24, n=18, noise=1.0)
-        spec = method_matrices("2D-LDA-R", ds, knn=4, beta=0.2)
-        pair, trace = fit_method(ds.images, spec, 2, 2)
+        images, labels = toy_dataset(24, n=18, noise=1.0)
+        spec = method_matrices("2D-LDA-R", images, labels, knn=4, beta=0.2)
+        pair, trace = fit_method(images, spec, 2, 2)
         assert trace.iterations == 1 and trace.converged
         assert np.all(np.isfinite(pair.row_basis))
 
@@ -511,64 +516,64 @@ class TestFitDiscriminant:
         # rank(S) * d1 far below the column count makes the constraint side
         # hopelessly singular: the fit must abort with a numerical
         # diagnostic, and compressing the data first must make it fittable
-        ds = toy_dataset(0, m1=3, m2=7, n=4, classes=2)
-        spec = method_matrices("2D-LDA", ds)
+        images, labels = toy_dataset(0, m1=3, m2=7, n=4, classes=2)
+        spec = method_matrices("2D-LDA", images, labels)
         with pytest.raises((DefinitenessError, NumericalQualityError)):
-            fit_method(ds.images, spec, 1, 1)
-        reduced, _ = pre_process_2dpca(ds.images, (2, 2))
-        red_spec = method_matrices("2D-LDA", MatrixDataset(reduced, ds.labels))
+            fit_method(images, spec, 1, 1)
+        reduced, _ = pre_process_2dpca(images, (2, 2))
+        red_spec = method_matrices("2D-LDA", reduced, labels)
         pair, _ = fit_method(reduced, red_spec, 1, 1)
         assert np.all(np.isfinite(pair.row_basis))
 
 
 class TestFitUnilateral:
     def test_left_solved_matches_column_covariance_oracle(self):
-        ds = toy_dataset(26)
-        spec = method_matrices("2D-PCA", ds)
-        pair, _ = fit_unilateral(ds.images, spec, "left", 3)
-        np.testing.assert_array_equal(pair.col_basis, np.eye(ds.images.shape[2]))
-        mean = ds.images.mean(axis=0)
-        cov = np.zeros((ds.images.shape[1],) * 2)
-        for k in range(ds.n):
-            diff = ds.images[k] - mean
+        images, labels = toy_dataset(26)
+        spec = method_matrices("2D-PCA", images, labels)
+        pair, _ = fit_unilateral(images, spec, "left", 3)
+        np.testing.assert_array_equal(pair.col_basis, np.eye(images.shape[2]))
+        mean = images.mean(axis=0)
+        cov = np.zeros((images.shape[1],) * 2)
+        for k in range(len(images)):
+            diff = images[k] - mean
             cov += diff @ diff.T
         values = np.linalg.eigvalsh(cov)[::-1]
         _, expected = sym_eig(cov, EigenSelection(3, "top"))
         if values[2] - values[3] > 1e-8:
             assert subspace_angle(pair.row_basis, expected) < 1e-6
         # the solved side matrix is exactly the column covariance
-        built = row_subproblem_matrix(ds.images, np.eye(ds.images.shape[2]), spec.max_coupling)
+        built = row_subproblem_matrix(images, np.eye(images.shape[2]), spec.max_coupling)
         np.testing.assert_allclose(built, cov, rtol=1e-10)
 
     def test_full_dimension_lossless(self):
-        ds = toy_dataset(27)
-        spec = method_matrices("2D-PCA", ds)
-        pair, _ = fit_unilateral(ds.images, spec, "left", ds.images.shape[1])
-        y = mode_product(mode_product(as_tensor(ds.images), pair.row_basis.T, 1), pair.col_basis.T, 2)
-        assert frobenius_norm(y) == pytest.approx(frobenius_norm(as_tensor(ds.images)), rel=1e-10)
+        images, labels = toy_dataset(27)
+        spec = method_matrices("2D-PCA", images, labels)
+        pair, _ = fit_unilateral(images, spec, "left", images.shape[1])
+        y = mode_product(mode_product(as_tensor(images), pair.row_basis.T, 1), pair.col_basis.T, 2)
+        assert frobenius_norm(y) == pytest.approx(frobenius_norm(as_tensor(images)), rel=1e-10)
 
     def test_repeat_calls_identical(self):
-        ds = toy_dataset(28)
-        spec = method_matrices("2D-LPP", ds)
-        pair_a, trace_a = fit_unilateral(ds.images, spec, "right", 2)
-        pair_b, trace_b = fit_unilateral(ds.images, spec, "right", 2)
+        images, labels = toy_dataset(28)
+        spec = method_matrices("2D-LPP", images, labels)
+        pair_a, trace_a = fit_unilateral(images, spec, "right", 2)
+        pair_b, trace_b = fit_unilateral(images, spec, "right", 2)
         np.testing.assert_array_equal(pair_a.col_basis, pair_b.col_basis)
         assert trace_a.iterations == trace_b.iterations == 1
 
     def test_every_solver_runs_unilaterally(self):
-        ds = toy_dataset(29, n=15)
+        images, labels = toy_dataset(29, n=15)
         for name in METHOD_NAMES_2D:
-            spec = method_matrices(name, ds, knn=4)
-            pair, trace = fit_unilateral(ds.images, spec, "right", 2)
+            spec = method_matrices(name, images, labels, knn=4)
+            pair, trace = fit_unilateral(images, spec, "right", 2)
             assert pair.sides == "right_only"
-            np.testing.assert_array_equal(pair.row_basis, np.eye(ds.images.shape[1]))
+            np.testing.assert_array_equal(pair.row_basis, np.eye(images.shape[1]))
             assert trace.converged
 
     def test_bad_side(self):
-        ds = toy_dataset(30)
-        spec = method_matrices("2D-PCA", ds)
+        images, labels = toy_dataset(30)
+        spec = method_matrices("2D-PCA", images, labels)
         with pytest.raises(ParameterError):
-            fit_unilateral(ds.images, spec, "middle", 2)
+            fit_unilateral(images, spec, "middle", 2)
 
 
 class TestPreProcess:
@@ -576,27 +581,27 @@ class TestPreProcess:
         # a full-dimension pre-compression is an orthogonal change of basis:
         # pairwise distances survive, so the couplings are identical, and any
         # fit that solves a single eigenproblem gives the same objective
-        ds = toy_dataset(31)
-        _, m1, m2 = ds.images.shape
-        reduced, pre_pair = pre_process_2dpca(ds.images, (m1, m2))
-        spec_raw = method_matrices("2D-OLPP", ds)
-        spec_red = method_matrices("2D-OLPP", MatrixDataset(reduced, ds.labels))
+        images, labels = toy_dataset(31)
+        _, m1, m2 = images.shape
+        reduced, pre_pair = pre_process_2dpca(images, (m1, m2))
+        spec_raw = method_matrices("2D-OLPP", images, labels)
+        spec_red = method_matrices("2D-OLPP", reduced, labels)
         np.testing.assert_allclose(spec_red.min_coupling, spec_raw.min_coupling, atol=1e-10)
-        _, uni_raw = fit_unilateral(ds.images, spec_raw, "right", 2)
+        _, uni_raw = fit_unilateral(images, spec_raw, "right", 2)
         _, uni_red = fit_unilateral(reduced, spec_red, "right", 2)
         assert uni_red.objectives[-1] == pytest.approx(uni_raw.objectives[-1], rel=1e-8)
         # the maximizing bilateral fit converges to the dominant subspaces,
         # which are basis-independent; run it to tight tolerance
-        spec_pca_raw = method_matrices("2D-PCA", ds)
-        spec_pca_red = method_matrices("2D-PCA", MatrixDataset(reduced, ds.labels))
-        _, bi_raw = fit_method(ds.images, spec_pca_raw, 2, 2, max_iter=60, tol=1e-13)
+        spec_pca_raw = method_matrices("2D-PCA", images, labels)
+        spec_pca_red = method_matrices("2D-PCA", reduced, labels)
+        _, bi_raw = fit_method(images, spec_pca_raw, 2, 2, max_iter=60, tol=1e-13)
         _, bi_red = fit_method(reduced, spec_pca_red, 2, 2, max_iter=60, tol=1e-13)
         assert bi_red.objectives[-1] == pytest.approx(bi_raw.objectives[-1], rel=1e-8)
 
     def test_composed_projector_orthonormal(self):
-        ds = toy_dataset(32, m1=6, m2=6, n=12)
-        reduced, pre_pair = pre_process_2dpca(ds.images, (4, 4))
-        spec = method_matrices("2D-OLPP", MatrixDataset(reduced, ds.labels))
+        images, labels = toy_dataset(32, m1=6, m2=6, n=12)
+        reduced, pre_pair = pre_process_2dpca(images, (4, 4))
+        spec = method_matrices("2D-OLPP", reduced, labels)
         pair, _ = fit_method(reduced, spec, 2, 2)
         composed = compose_pairs(pre_pair, pair)
         assert np.linalg.norm(composed.row_basis.T @ composed.row_basis - np.eye(2)) <= 1e-10
@@ -620,13 +625,13 @@ class TestPreProcess:
     def test_removes_structural_singularity(self):
         # with d1 * rank(S) below the column count the raw subproblem matrix
         # must be singular; after pre-compression it is not
-        ds = toy_dataset(33, m1=3, m2=5, n=4, classes=2)
-        spec = method_matrices("2D-LDA", ds)
+        images, labels = toy_dataset(33, m1=3, m2=5, n=4, classes=2)
+        spec = method_matrices("2D-LDA", images, labels)
         d1 = 1
-        raw_side = col_subproblem_matrix(ds.images, np.eye(3, d1), spec.min_coupling)
+        raw_side = col_subproblem_matrix(images, np.eye(3, d1), spec.min_coupling)
         assert np.linalg.matrix_rank(raw_side, tol=1e-10) < 5
-        reduced, _ = pre_process_2dpca(ds.images, (3, 2))
-        red_spec = method_matrices("2D-LDA", MatrixDataset(reduced, ds.labels))
+        reduced, _ = pre_process_2dpca(images, (3, 2))
+        red_spec = method_matrices("2D-LDA", reduced, labels)
         red_side = col_subproblem_matrix(reduced, np.eye(3, d1), red_spec.min_coupling)
         assert np.linalg.matrix_rank(red_side, tol=1e-10) == 2
 
@@ -636,23 +641,23 @@ def test_lda_couplings_give_scatter_matrices_on_vectors():
     # classic scatter matrices of the vectorized data
     from repel2d.embed_1d import scatter_matrices
 
-    ds = toy_dataset(35, m1=6, m2=1, n=15, classes=3)
-    spec = method_matrices("2D-LDA", ds)
-    x_mat = ds.images[:, :, 0].T
-    sw, sb = scatter_matrices(VectorDataset(x_mat, ds.labels))
+    images, labels = toy_dataset(35, m1=6, m2=1, n=15, classes=3)
+    spec = method_matrices("2D-LDA", images, labels)
+    x_mat = images[:, :, 0].T
+    sw, sb = scatter_matrices(x_mat, labels)
     np.testing.assert_allclose(
-        row_subproblem_matrix(ds.images, np.eye(1), spec.min_coupling), sw, rtol=1e-8, atol=1e-10
+        row_subproblem_matrix(images, np.eye(1), spec.min_coupling), sw, rtol=1e-8, atol=1e-10
     )
     np.testing.assert_allclose(
-        row_subproblem_matrix(ds.images, np.eye(1), spec.max_coupling), sb, rtol=1e-8, atol=1e-10
+        row_subproblem_matrix(images, np.eye(1), spec.max_coupling), sb, rtol=1e-8, atol=1e-10
     )
 
 
 def test_fit_method_dispatch_covers_all():
-    ds = toy_dataset(34, n=15)
+    images, labels = toy_dataset(34, n=15)
     for name in METHOD_NAMES_2D:
-        spec = method_matrices(name, ds, knn=4)
-        pair, trace = fit_method(ds.images, spec, 2, 2)
+        spec = method_matrices(name, images, labels, knn=4)
+        pair, trace = fit_method(images, spec, 2, 2)
         assert pair.row_basis.shape == (5, 2)
         assert pair.col_basis.shape == (4, 2)
         assert trace.iterations >= 1

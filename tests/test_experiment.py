@@ -203,11 +203,11 @@ def independent_fit(cfg, ds, method, realization, d):
     """Fit one cell on its own, without any state shared across dimensions."""
     train_idx, _ = split_dataset(ds, cfg.train_per_class, cfg.seed, realization)
     if method in embed_2d.METHOD_NAMES_2D:
-        train = matrix_dataset(ds, train_idx)
-        spec = method_matrices(method, train, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
-        pair, _ = fit_unilateral(train.images, spec, "right", d)
+        train, labels = matrix_dataset(ds, train_idx)
+        spec = method_matrices(method, train, labels, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
+        pair, _ = fit_unilateral(train, spec, "right", d)
         return pair
-    return fit_1d(vector_dataset(ds, train_idx), method, d, knn=cfg.knn, beta=cfg.beta, pca_predim="auto")
+    return fit_1d(*vector_dataset(ds, train_idx), method, d, knn=cfg.knn, beta=cfg.beta, pca_predim="auto")
 
 
 def assert_same_projector(got, expected):
@@ -238,8 +238,8 @@ class TestUnitReuse:
     def test_shared_pencil_matches_independent_fits(self, synthetic_ds, method, solver):
         cfg = small_cfg(methods=(method,), dims=(2, 3, 5), train_per_class=8)
         if solver is not None:
-            train = matrix_dataset(synthetic_ds, split_dataset(synthetic_ds, 8, cfg.seed, 1)[0])
-            assert method_matrices(method, train).solver == solver
+            train, labels = matrix_dataset(synthetic_ds, split_dataset(synthetic_ds, 8, cfg.seed, 1)[0])
+            assert method_matrices(method, train, labels).solver == solver
         unit = fit_unit(cfg, synthetic_ds, method, 1)
         assert [cell.dim for cell in unit.cells] == [2, 3, 5]
         for cell in unit.cells:
@@ -248,10 +248,10 @@ class TestUnitReuse:
 
     def test_generalized_top_with_ridge_retry(self, blank_column_ds):
         cfg = small_cfg(methods=("2D-LDA-R",), dims=(1, 3, 6), train_per_class=8)
-        train = matrix_dataset(blank_column_ds, split_dataset(blank_column_ds, 8, cfg.seed, 0)[0])
-        spec = method_matrices("2D-LDA-R", train)
+        train, labels = matrix_dataset(blank_column_ds, split_dataset(blank_column_ds, 8, cfg.seed, 0)[0])
+        spec = method_matrices("2D-LDA-R", train, labels)
         assert spec.solver == "gen_max"
-        pencil = unilateral_pencil(train.images, spec, "right")
+        pencil = unilateral_pencil(train, spec, "right")
         with pytest.raises(DefinitenessError):  # so every solve below takes the ridge retry
             gen_sym_eig(pencil.lhs, pencil.rhs, EigenSelection(1, "top"))
         unit = fit_unit(cfg, blank_column_ds, "2D-LDA-R", 0)
@@ -330,13 +330,13 @@ class TestSolveBilateral:
 
     @staticmethod
     def assert_matches_fit_method(data, method, dims=(1, 2, 3)):
-        train = matrix_dataset(data, split_dataset(data, 8, 0, 0)[0])
-        spec = method_matrices(method, train)
-        fit = embed_2d.solve_bilateral(train.images, spec)
+        train, labels = matrix_dataset(data, split_dataset(data, 8, 0, 0)[0])
+        spec = method_matrices(method, train, labels)
+        fit = embed_2d.solve_bilateral(train, spec)
         fitted = {}
         for d in dims:
             try:
-                want = embed_2d.fit_method(train.images, spec, d, d)
+                want = embed_2d.fit_method(train, spec, d, d)
             except experiment._CELL_FAILURES as exc:
                 with pytest.raises(type(exc)) as got:
                     fit(d)
@@ -363,14 +363,14 @@ class TestSolveBilateral:
         # the column factor of a one-sided right fit and the row factor of a
         # one-sided left fit, each solved for d alone, column side first
         data = request.getfixturevalue(data)
-        train = matrix_dataset(data, split_dataset(data, 8, 0, 0)[0])
-        spec = method_matrices("2D-LDA-R", train)
-        fit = embed_2d.solve_bilateral(train.images, spec)
+        train, labels = matrix_dataset(data, split_dataset(data, 8, 0, 0)[0])
+        spec = method_matrices("2D-LDA-R", train, labels)
+        fit = embed_2d.solve_bilateral(train, spec)
         fitted = 0
         for d in (1, 2, 3):
             try:
-                right, right_trace = fit_unilateral(train.images, spec, "right", d)
-                left, left_trace = fit_unilateral(train.images, spec, "left", d)
+                right, right_trace = fit_unilateral(train, spec, "right", d)
+                left, left_trace = fit_unilateral(train, spec, "left", d)
             except experiment._CELL_FAILURES as exc:
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
                     fit(d)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repel2d.embed_2d import (
-    MatrixDataset,
     MethodSpec,
     ProjectorPair,
     centering_matrix,
@@ -12,13 +11,7 @@ from repel2d.embed_2d import (
     unilateral_pencil,
 )
 from repel2d.errors import ParameterError, ShapeError
-from repel2d.recognize import (
-    GallerySet,
-    build_gallery,
-    classify_prefixes,
-    error_rate,
-    project_tensor,
-)
+from repel2d.recognize import classify_prefixes, error_rate, project_tensor
 
 from _oracles import classify_1nn, classify_batch
 
@@ -44,13 +37,13 @@ class TestProject:
     def test_training_slice_reproduced(self):
         rng = np.random.default_rng(1)
         labels = np.repeat([0, 1], 5)
-        ds = MatrixDataset(np.moveaxis(rng.normal(size=(5, 4, 10)), 2, 0), labels)
-        spec = method_matrices("2D-PCA", ds)
-        pair, _ = fit_method(ds.images, spec, 2, 2)
-        stack = project_tensor(ds.images, pair)
+        images = np.ascontiguousarray(np.moveaxis(rng.normal(size=(5, 4, 10)), 2, 0))
+        spec = method_matrices("2D-PCA", images, labels)
+        pair, _ = fit_method(images, spec, 2, 2)
+        stack = project_tensor(images, pair)
         for k in (0, 3, 9):
             np.testing.assert_array_equal(
-                project(ds.images[k], pair), stack[k]
+                project(images[k], pair), stack[k]
             )
 
     def test_rank_one_in_span_keeps_norm(self):
@@ -69,17 +62,18 @@ class TestProject:
 
 class TestClassify:
     def gallery(self, items, labels):
-        return GallerySet(np.stack(items), np.asarray(labels))
+        """The projected stack and label array of a gallery."""
+        return np.stack(items), np.asarray(labels)
 
     def test_exact_match(self):
         items = [np.eye(2), np.ones((2, 2))]
         g = self.gallery(items, [5, 9])
-        assert classify_1nn(np.ones((2, 2)), g) == 9
+        assert classify_1nn(np.ones((2, 2)), *g) == 9
 
     def test_closer_second(self):
         items = [np.zeros((2, 2)), np.full((2, 2), 2.0)]
         g = self.gallery(items, [0, 1])
-        assert classify_1nn(np.full((2, 2), 1.5), g) == 1
+        assert classify_1nn(np.full((2, 2), 1.5), *g) == 1
 
     def test_five_item_distance_oracle(self):
         rng = np.random.default_rng(3)
@@ -88,16 +82,24 @@ class TestClassify:
         g = self.gallery(items, labels)
         query = rng.normal(size=(3, 2))
         distances = [np.linalg.norm(query - item) for item in items]
-        assert classify_1nn(query, g) == labels[int(np.argmin(distances))]
+        assert classify_1nn(query, *g) == labels[int(np.argmin(distances))]
 
     def test_tie_breaks_to_lowest_index(self):
         items = [np.zeros((2, 2)), np.zeros((2, 2))]
         g = self.gallery(items, [3, 7])
-        assert classify_1nn(np.zeros((2, 2)), g) == 3
+        assert classify_1nn(np.zeros((2, 2)), *g) == 3
 
     def test_empty_gallery_rejected(self):
         with pytest.raises((ParameterError, ShapeError)):
-            GallerySet(np.moveaxis(np.zeros((2, 2, 1)), 2, 0), np.array([], dtype=int))
+            classify_prefixes(np.zeros((1, 2, 2)), np.moveaxis(np.zeros((2, 2, 1)), 2, 0), np.array([], dtype=int), (2,))
+        with pytest.raises(ParameterError, match="gallery must be non-empty"):
+            classify_prefixes(np.zeros((1, 2, 2)), np.zeros((0, 2, 2)), np.array([], dtype=int), (2,))
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="one label per projected gallery item"):
+            classify_prefixes(np.zeros((1, 2, 2)), np.zeros((3, 2, 2)), np.arange(2), (2,))
+        with pytest.raises(ShapeError, match="one label per projected gallery item"):
+            classify_prefixes(np.zeros((1, 2, 2)), np.zeros((3, 2, 2)), np.zeros((3, 1)), (2,))
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(4)
@@ -108,7 +110,7 @@ class TestClassify:
         rotated = self.gallery([q.T @ item for item in items], labels)
         for _ in range(10):
             query = rng.normal(size=(3, 3))
-            assert classify_1nn(query, g) == classify_1nn(q.T @ query, rotated)
+            assert classify_1nn(query, *g) == classify_1nn(q.T @ query, *rotated)
 
     def test_training_self_classification_zero(self):
         rng = np.random.default_rng(5)
@@ -116,7 +118,7 @@ class TestClassify:
         labels = rng.integers(0, 3, size=8)
         g = self.gallery(items, labels)
         stack = np.stack(items)
-        predictions = classify_batch(stack, g)
+        predictions = classify_batch(stack, *g)
         assert error_rate(predictions, labels) == 0.0
 
 
@@ -166,28 +168,28 @@ class TestClassifyBatch:
         rng = np.random.default_rng(seed)
         items, labels = confusable_gallery(rng, n_items, shape, on_grid)
         queries = probing_queries(rng, items, n_random)
-        gallery = GallerySet(stack(items), labels)
-        expected = [classify_1nn(q, gallery) for q in queries]
-        np.testing.assert_array_equal(classify_batch(stack(queries), gallery), expected)
+        gallery = stack(items)
+        expected = [classify_1nn(q, gallery, labels) for q in queries]
+        np.testing.assert_array_equal(classify_batch(stack(queries), gallery, labels), expected)
 
     def test_exact_duplicate_goes_to_lowest_index(self):
         rng = np.random.default_rng(7)
         item = rng.normal(size=(3, 2))
         other = rng.normal(size=(3, 2))
-        g = GallerySet(stack([other, item, item]), np.array([1, 4, 2]))
-        np.testing.assert_array_equal(classify_batch(stack([item, item + 1e-3]), g), [4, 4])
+        g = stack([other, item, item])
+        np.testing.assert_array_equal(classify_batch(stack([item, item + 1e-3]), g, np.array([1, 4, 2])), [4, 4])
 
     def test_near_duplicates_resolved_by_direct_differences(self):
         rng = np.random.default_rng(8)
         item = rng.normal(size=(4, 4)) * 100.0
         nudged = np.nextafter(item, np.inf)
-        g = GallerySet(stack([item, nudged]), np.array([0, 1]))
-        np.testing.assert_array_equal(classify_batch(stack([nudged, item]), g), [1, 0])
+        g = stack([item, nudged])
+        np.testing.assert_array_equal(classify_batch(stack([nudged, item]), g, np.array([0, 1])), [1, 0])
 
     def test_shape_mismatch(self):
-        g = GallerySet(stack(np.zeros((3, 2, 2))), np.arange(3))
+        g = stack(np.zeros((3, 2, 2)))
         with pytest.raises(ShapeError):
-            classify_batch(stack(np.zeros((2, 2, 3))), g)
+            classify_batch(stack(np.zeros((2, 2, 3))), g, np.arange(3))
 
 
 def prefix_tied_gallery(rng, n_items, shape, tied, on_grid):
@@ -220,12 +222,12 @@ class TestClassifyPrefixes:
         queries = probing_queries(rng, items, n_random)
         queries[: n_random // 2, :, :tied] = items[0, :, :tied]  # random queries on the tie
         dims = data.draw(st.lists(st.integers(1, width), min_size=1, max_size=width, unique=True))
-        got = classify_prefixes(stack(queries), GallerySet(stack(items), labels), dims)
+        got = classify_prefixes(stack(queries), stack(items), labels, dims)
         assert len(got) == len(dims)
         for d, predicted in zip(dims, got):
-            gallery = GallerySet(stack(items[:, :, :d]), labels)
-            np.testing.assert_array_equal(predicted, classify_batch(stack(queries[:, :, :d]), gallery))
-            np.testing.assert_array_equal(predicted, [classify_1nn(q[:, :d], gallery) for q in queries])
+            gallery = stack(items[:, :, :d])
+            np.testing.assert_array_equal(predicted, classify_batch(stack(queries[:, :, :d]), gallery, labels))
+            np.testing.assert_array_equal(predicted, [classify_1nn(q[:, :d], gallery, labels) for q in queries])
 
     @pytest.mark.parametrize("width", [2400, 4800])
     def test_margin_counts_every_feature_of_the_prefix(self, width):
@@ -247,17 +249,17 @@ class TestClassifyPrefixes:
         for scale in np.linspace(0.5, 1.5, 41):
             near = query.copy()
             near[-1] = np.sqrt(scale * far_sq)
-            gallery = GallerySet(stack([near, flat])[:, None, :], np.array([0, 1]))
+            gallery, labels = stack([near, flat])[:, None, :], np.array([0, 1])
             queries = stack([query, query])[:, None, :]
-            for d, predicted in zip((width - 1, width), classify_prefixes(queries, gallery, (width - 1, width))):
-                sliced = GallerySet(gallery.projected[:, :, :d], gallery.labels)
-                np.testing.assert_array_equal(predicted, [classify_1nn(q[:, :d], sliced) for q in queries])
+            for d, predicted in zip((width - 1, width), classify_prefixes(queries, gallery, labels, (width - 1, width))):
+                sliced = gallery[:, :, :d]
+                np.testing.assert_array_equal(predicted, [classify_1nn(q[:, :d], sliced, labels) for q in queries])
 
     def test_rejects_prefix_outside_last_axis(self):
-        g = GallerySet(stack(np.zeros((3, 2, 4))), np.arange(3))
+        g = stack(np.zeros((3, 2, 4)))
         for d in (0, 5):
             with pytest.raises(ParameterError):
-                classify_prefixes(stack(np.zeros((2, 2, 4))), g, (2, d))
+                classify_prefixes(stack(np.zeros((2, 2, 4))), g, np.arange(3), (2, d))
 
 
 class TestErrorRate:
@@ -285,9 +287,9 @@ class TestErrorRate:
         lambda a: fit_method(a, MethodSpec("2D-PCA", None, centering_matrix(2), "orth_max"), 1, 1),
         lambda a: unilateral_pencil(a, MethodSpec("2D-PCA", None, centering_matrix(2), "orth_max"), "right"),
         lambda a: project_tensor(a, identity_pair(4, 3)),
-        lambda a: GallerySet(a, np.arange(2)),
+        lambda a: classify_prefixes(np.ones((2, 4, 3)), a, np.arange(2), (1,)),
     ],
-    ids=["fit_method", "unilateral_pencil", "project_tensor", "GallerySet"],
+    ids=["fit_method", "unilateral_pencil", "project_tensor", "classify_prefixes"],
 )
 def test_only_image_stacks_accepted(entry, shape):
     # ShapeError is a data error: exit code 2 on the command line
@@ -300,6 +302,7 @@ def test_build_gallery_roundtrip():
     labels = np.repeat([0, 1], 4)
     x = np.moveaxis(rng.normal(size=(4, 4, 8)), 2, 0)
     pair = identity_pair(4, 4)
-    g = build_gallery(x, pair, labels)
-    assert g.n == 8
-    np.testing.assert_array_equal(g.projected, x)
+    g = project_tensor(x, pair)
+    assert g.shape[0] == 8
+    np.testing.assert_array_equal(g, x)
+    np.testing.assert_array_equal(classify_prefixes(x, g, labels, (4,))[0], labels)
