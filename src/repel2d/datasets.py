@@ -22,6 +22,7 @@ from .pgm import block_resize, read_pgm, write_pgm
 __all__ = [
     "ImageDataset",
     "load_dataset",
+    "check_train_count",
     "split_dataset",
     "matrix_dataset",
     "vector_dataset",
@@ -107,14 +108,9 @@ def _split_rng(master_seed: int, realization: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(master_seed), int(realization)])))
 
 
-def split_dataset(
-    ds: ImageDataset, n_train: int, master_seed: int, realization: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n_train`` training images per class, uniformly at random.
-
-    Returns sorted, disjoint, exhaustive train and test index arrays.
-    The draw depends only on (master_seed, realization).
-    """
+def check_train_count(ds: ImageDataset, n_train: int):
+    """Raise :class:`ParameterError` unless ``n_train`` is at least 1 and
+    every class of ``ds`` keeps an image out of a split of ``n_train``."""
     if n_train < 1:
         raise ParameterError(f"n_train must be >= 1, got {n_train}")
     sizes = ds.class_sizes()
@@ -123,6 +119,18 @@ def split_dataset(
         raise ParameterError(
             f"class {ds.class_names[short]!r} has {sizes[short]} images; need > {n_train}"
         )
+
+
+def split_dataset(
+    ds: ImageDataset, n_train: int, master_seed: int, realization: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n_train`` training images per class, uniformly at random
+    (see :func:`check_train_count`).
+
+    Returns sorted, disjoint, exhaustive train and test index arrays.
+    The draw depends only on (master_seed, realization).
+    """
+    check_train_count(ds, n_train)
     rng = _split_rng(master_seed, realization)
     train: list[np.ndarray] = []
     for c in range(len(ds.class_names)):
@@ -134,30 +142,22 @@ def split_dataset(
     return train_idx, np.nonzero(~mask)[0]
 
 
-def matrix_dataset(ds: ImageDataset, indices=None) -> tuple[np.ndarray, np.ndarray]:
-    """(A subset of) an image dataset as matrix data: its ``(n, m1, m2)``
-    image stack and its labels."""
-    idx = np.arange(ds.n) if indices is None else np.asarray(indices)
+def matrix_dataset(ds: ImageDataset, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The images of a dataset at ``indices`` as matrix data: their
+    ``(n, m1, m2)`` image stack and their labels."""
+    idx = np.asarray(indices)
     return ds.images[idx], ds.labels[idx]
 
 
-def vector_dataset(ds: ImageDataset, indices=None) -> tuple[np.ndarray, np.ndarray]:
-    """(A subset of) an image dataset as vector data for the 1D methods:
-    an ``(m1 * m2, n)`` matrix holding each image flattened column-major
-    in one column, and the labels."""
-    idx = np.arange(ds.n) if indices is None else np.asarray(indices)
+def vector_dataset(ds: ImageDataset, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The images of a dataset at ``indices`` as vector data for the 1D
+    methods: an ``(m1 * m2, n)`` matrix holding each image flattened
+    column-major in one column, and the labels."""
+    idx = np.asarray(indices)
     return ds.images[idx].reshape(len(idx), -1, order="F").T, ds.labels[idx]
 
 
-def synthetic_confusable(
-    n_per_class: int = 24,
-    seed: int = 0,
-    *,
-    shared_scale: float = 2.0,
-    signal_scale: float = 0.6,
-    noise_scale: float = 0.4,
-    quiet_scale: float = 0.03,
-) -> ImageDataset:
+def synthetic_confusable(n_per_class: int = 24, seed: int = 0) -> ImageDataset:
     """Four classes of 8x8 matrix data where two classes are deliberately
     confusable through shared additive structure.
 
@@ -180,12 +180,12 @@ def synthetic_confusable(
     labels = []
     for c in range(4):
         for _ in range(n_per_class):
-            img = quiet_scale * rng.normal(size=(m, m))
+            img = 0.03 * rng.normal(size=(m, m))
             if c < 2:
-                img[0:4] += np.tensordot(rng.normal(size=3) * shared_scale, shared_basis, axes=1)
-                img[4:6] += signal_scale * patterns[c] + noise_scale * rng.normal(size=(2, m))
+                img[0:4] += np.tensordot(rng.normal(size=3) * 2.0, shared_basis, axes=1)
+                img[4:6] += 0.6 * patterns[c] + 0.4 * rng.normal(size=(2, m))
             else:
-                img[0:4] += shared_scale * easy_templates[c - 2] + noise_scale * rng.normal(size=(4, m))
+                img[0:4] += 2.0 * easy_templates[c - 2] + 0.4 * rng.normal(size=(4, m))
             images.append(img)
             labels.append(c)
     stack = np.asarray(images)
@@ -199,8 +199,9 @@ def synthetic_confusable(
     )
 
 
-def write_dataset_pgm(ds: ImageDataset, root, maxval: int = 255, binary: bool = True):
-    """Materialize a dataset as a class-per-subdirectory PGM tree."""
+def write_dataset_pgm(ds: ImageDataset, root):
+    """Materialize a dataset as a class-per-subdirectory tree of 8-bit
+    binary PGM files."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     for c, cname in enumerate(ds.class_names):
@@ -208,5 +209,5 @@ def write_dataset_pgm(ds: ImageDataset, root, maxval: int = 255, binary: bool = 
         cdir.mkdir(exist_ok=True)
         members = np.nonzero(ds.labels == c)[0]
         for j, i in enumerate(members):
-            write_pgm(cdir / f"img_{j:03d}.pgm", ds.images[i], maxval=maxval, binary=binary)
+            write_pgm(cdir / f"img_{j:03d}.pgm", ds.images[i])
     return root

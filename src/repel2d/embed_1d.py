@@ -1,18 +1,16 @@
 """Image-as-vector projection methods: PCA through the repulsion variants.
 
 Data sit in the columns of an ``m x n`` matrix, passed with a separate
-array of one class label per column.  Every method returns an ``m x d``
-basis; graph-based methods build their weights from the supervised label
-graph (Gaussian weights for the locality-preserving family,
-reconstruction weights for the neighborhood-preserving family), and the
-``-R`` variants subtract a scaled repulsion Laplacian, mirroring the
-matrix-data methods.
+array of one class label per column.  Each method assembles a pencil
+whose :func:`~repel2d.embed_2d.solve_pencil` fit is a plain ``m x d``
+basis with its one-step trace; graph-based methods build their weights
+from the supervised label graph (Gaussian weights for the
+locality-preserving family, reconstruction weights for the
+neighborhood-preserving family), and the ``-R`` variants subtract a
+scaled repulsion Laplacian, mirroring the matrix-data methods.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,26 +19,13 @@ from .embed_2d import Pencil, _solver_sides, default_beta, method_matrices, solv
 from .errors import ParameterError, ShapeError
 
 __all__ = [
-    "Projector1D",
     "METHOD_NAMES_1D",
     "scatter_matrices",
     "vector_pencil",
-    "solve_1d",
     "auto_predim",
 ]
 
 METHOD_NAMES_1D = ("PCA", "LDA", "LPP", "OLPP", "NPP", "ONPP", "LDA-R", "OLPP-R", "ONPP-R")
-
-
-@dataclass(frozen=True)
-class Projector1D:
-    """Projection basis and the normalization its columns satisfy."""
-
-    basis: np.ndarray
-    constraint: str  # "orthonormal" or "b_orthonormal"
-
-    def transform(self, x) -> np.ndarray:
-        return self.basis.T @ np.asarray(x, dtype=np.float64)
 
 
 def scatter_matrices(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +105,7 @@ def vector_pencil(
     pre = None
     if pca_predim is not None:
         p = auto_predim(x.shape[1], np.unique(labels).size, x.shape[0]) if pca_predim == "auto" else int(pca_predim)
-        pre = solve_pencil(_pca_pencil(x), (p,))(p)[1]
+        pre = solve_pencil(_pca_pencil(x), (p,))(p)[0]
         x = pre.T @ x
 
     m, n = x.shape
@@ -138,12 +123,3 @@ def vector_pencil(
     lhs, rhs, which = _solver_sides(spec, n)
     return Pencil(x @ lhs @ x.T, None if rhs is None else x @ rhs @ x.T, which, m - 1, pre)
 
-
-def solve_1d(pencil: Pencil, dims) -> Callable[[int], Projector1D]:
-    """Solve an assembled vector eigenproblem once for all of ``dims``
-    (see :func:`solve_pencil`, which also maps the basis back through any
-    PCA pre-basis).  Returns ``projector(d)``: the projector a fit for
-    ``d`` alone gives, or the exception it raises."""
-    prefix = solve_pencil(pencil, dims)
-    constraint = "orthonormal" if pencil.rhs is None else "b_orthonormal"
-    return lambda d: Projector1D(prefix(d)[1], constraint)

@@ -398,23 +398,25 @@ class Pencil:
     lift: np.ndarray | None = None
 
 
-def solve_pencil(pencil: Pencil, dims) -> Callable[[int], tuple[np.ndarray, np.ndarray, float, float]]:
+def solve_pencil(pencil: Pencil, dims) -> Callable[[int], tuple[np.ndarray, FitTrace]]:
     """Solve a pencil once for all of ``dims``.
 
     One half-step (see :func:`_half_step`) yields the pairs of the largest
-    valid dimension, and the returned ``prefix(d)`` gives, for each ``d``
-    of ``dims``, what a solve for ``d`` alone gives: ``(values, basis,
-    constraint defect, ridge shift)``, or the exception it raises.  A
-    dimension outside ``[1, max_dim]`` raises :class:`ParameterError` from
-    ``prefix``; a failure of the shared solve raises here.  The contract
-    checks are per prefix (see :func:`take_prefix`), so a column that
-    fails them fails every ``d`` that includes it and no smaller one.
+    valid dimension, and the returned ``fit(d)`` gives, for each ``d`` of
+    ``dims``, what a solve for ``d`` alone gives: its basis and its
+    one-step trace (the sum of the ``d`` values, one converged iteration,
+    the prefix's constraint defect and the ridge shift), or the exception
+    it raises.  A dimension outside ``[1, max_dim]`` raises
+    :class:`ParameterError` from ``fit``; a failure of the shared solve
+    raises here.  The contract checks are per prefix (see
+    :func:`take_prefix`), so a column that fails them fails every ``d``
+    that includes it and no smaller one.
     """
     order = pencil.lhs.shape[0]  # below max_dim only for a Gram lift
     valid = [d for d in dims if 1 <= d <= pencil.max_dim]
     pairs, shift = _half_step(pencil.lhs, pencil.rhs, pencil.which, min(max(valid), order)) if valid else (None, 0.0)
 
-    def prefix(d: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    def fit(d: int) -> tuple[np.ndarray, FitTrace]:
         if not 1 <= d <= pencil.max_dim:
             raise ParameterError(f"dimension must be in [1, {pencil.max_dim}], got {d}")
         k = min(d, order)
@@ -425,9 +427,9 @@ def solve_pencil(pencil: Pencil, dims) -> Callable[[int], tuple[np.ndarray, np.n
             basis = fix_signs(pencil.lift @ basis / np.sqrt(values))
         if pencil.pre is not None:
             basis = pencil.pre @ basis
-        return values, basis, float(pairs.defects[k - 1]), shift
+        return basis, FitTrace([float(np.sum(values))], 1, True, float(pairs.defects[k - 1]), shift)
 
-    return prefix
+    return fit
 
 
 def unilateral_pencil(x, spec: MethodSpec, side: str) -> Pencil:
@@ -481,13 +483,13 @@ def _coupled_sides(arr: np.ndarray, coupling: np.ndarray, mixed: np.ndarray, sid
     return [np.einsum("pjl,qjl->pq" if side == "left" else "ipl,iql->pq", mixed, arr) for side in sides]
 
 
-def _record(trace: FitTrace, solved: tuple[np.ndarray, np.ndarray, float, float]) -> np.ndarray:
-    """Add one half-step's ``(values, basis, constraint defect, ridge
-    shift)`` to ``trace``; return its basis."""
-    values, basis, defect, shift = solved
-    trace.objectives.append(float(np.sum(values)))
-    trace.max_constraint_defect = max(trace.max_constraint_defect, defect)
-    trace.ridge_shift = max(trace.ridge_shift, shift)
+def _record(trace: FitTrace, fitted: tuple[np.ndarray, FitTrace]) -> np.ndarray:
+    """Merge one half-step's one-step trace into ``trace``; return its
+    basis."""
+    basis, step = fitted
+    trace.objectives += step.objectives
+    trace.max_constraint_defect = max(trace.max_constraint_defect, step.max_constraint_defect)
+    trace.ridge_shift = max(trace.ridge_shift, step.ridge_shift)
     return basis
 
 
@@ -523,8 +525,7 @@ def solve_unilateral(x, spec: MethodSpec, side: str, dims) -> Callable[[int], tu
 
     Returns ``fit(d)``: the ``(ProjectorPair, FitTrace)`` a fit for ``d``
     alone gives, or the exception it raises.  One step is always optimal
-    here, so each trace reports a converged single step with its own
-    prefix's objective and constraint defect.
+    here, so the trace is the solve's own one-step trace.
     """
     s = _image_stack(x)
     pencil = unilateral_pencil(s, spec, side)
@@ -532,8 +533,7 @@ def solve_unilateral(x, spec: MethodSpec, side: str, dims) -> Callable[[int], tu
     constraint = "orthonormal" if pencil.rhs is None else "coupled"
 
     def fit(d: int) -> tuple[ProjectorPair, FitTrace]:
-        values, basis, defect, shift = prefix(d)
-        trace = FitTrace([float(np.sum(values))], 1, True, defect, shift)
+        basis, trace = prefix(d)
         if side == "left":
             return ProjectorPair(basis, np.eye(s.shape[2]), (constraint, "identity")), trace
         return ProjectorPair(np.eye(s.shape[1]), basis, ("identity", constraint)), trace
@@ -603,12 +603,11 @@ def solve_bilateral(
     x,
     spec: MethodSpec,
     max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
 ) -> Callable[[int], tuple[ProjectorPair, FitTrace]]:
     """Bilateral fits of an ``(n, m1, m2)`` stack, both factors at the same
     dimension.
 
-    Returns ``fit(d)``: what ``fit_method(x, spec, d, d, max_iter, tol)``
+    Returns ``fit(d)``: what ``fit_method(x, spec, d, d, max_iter)``
     gives, bit for bit, or the exception it raises.  An alternating fit
     starts from the first ``d`` identity columns, so each ``d`` runs its
     own alternation.  2D-LDA-R's single pass builds its row and column
@@ -619,7 +618,7 @@ def solve_bilateral(
     if _discriminant_repulsion(spec):
         single_pass = _single_pass(s, spec)
         return lambda d: single_pass(d, d)
-    return lambda d: fit_method(s, spec, d, d, max_iter, tol)
+    return lambda d: fit_method(s, spec, d, d, max_iter)
 
 
 def pre_process_2dpca(x, dims: tuple[int, int], max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, ProjectorPair]:

@@ -3,6 +3,7 @@
 For every (method, dimension, realization) cell the harness fits on a
 fresh per-realization train split, projects gallery and queries, scores a
 1-NN classifier, and aggregates mean/standard deviation over realizations.
+The whole config is checked against the dataset before any fit.
 
 The unit of work is a (method, realization) pair, one task in every
 mode: its split, training and query stacks and couplings are built once.
@@ -10,9 +11,11 @@ A unilateral or vector unit also assembles its eigenproblem once and
 solves it once, for the largest dimension, and projects the gallery and
 queries once; each dimension then takes a prefix, and one 1-NN scoring
 pass covers every prefix.  A bilateral unit fits each dimension on its
-own (2D-LDA-R's single pass shares its two pencils across them).  Units
-are independent and deterministic given the config, so they may run
-concurrently; results are reduced in sorted key order either way.
+own (2D-LDA-R's single pass shares its two pencils across them).  Every
+fitted cell holds a trace; a matrix cell holds a ``ProjectorPair`` and a
+vector cell its plain ``(m1 * m2, d)`` basis.  Units are independent and
+deterministic given the config, so they may run concurrently; results
+are reduced in sorted key order either way.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ import numpy as np
 
 from . import __version__
 from . import embed_1d, embed_2d, recognize
-from .datasets import ImageDataset, load_dataset, matrix_dataset, split_dataset, vector_dataset
-from .embed_1d import Projector1D
+from .datasets import ImageDataset, check_train_count, load_dataset, matrix_dataset, split_dataset, vector_dataset
 from .embed_2d import FitTrace, MethodSpec, ProjectorPair
 from .errors import ParameterError, Repel2dError
 
@@ -66,8 +68,10 @@ class ExperimentConfig:
     ``"bilateral"`` solves both factors at the same dimension.  Vector
     methods ignore it.  ``pre_dims`` optionally compresses the data by a
     bilateral 2D-PCA before fitting any matrix method other than
-    GLRAM/2D-PCA themselves.  Counts below 1, an empty ``methods`` or
-    ``dims`` and an unknown ``mode`` are rejected when the config is built.
+    GLRAM/2D-PCA themselves.  Counts below 1, a negative ``seed``, a
+    non-finite ``beta``, a ``bandwidth`` that is not finite and positive,
+    an empty ``methods`` or ``dims`` and an unknown ``mode`` are rejected
+    when the config is built.
     """
 
     dataset: str = ""
@@ -95,6 +99,12 @@ class ExperimentConfig:
             raise ParameterError("dims must name at least one dimension")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if self.beta is not None and not math.isfinite(self.beta):
+            raise ParameterError(f"beta must be finite, got {self.beta}")
+        if self.bandwidth is not None and not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ParameterError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
 
 
 @dataclass
@@ -136,6 +146,7 @@ def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
         for p, side in zip(cfg.pre_dims, (m1, m2)):
             if not 1 <= p <= side:
                 raise ParameterError(f"pre-dimension {p} must lie in [1, {side}]")
+    check_train_count(ds, cfg.train_per_class)
     classes = len(ds.class_names)
     n_train = cfg.train_per_class * classes
     if cfg.knn >= n_train and any(name.endswith("-R") for name in cfg.methods):
@@ -181,7 +192,7 @@ class Cell:
     """
 
     dim: int
-    projector: ProjectorPair | Projector1D | None = None
+    projector: ProjectorPair | np.ndarray | None = None
     trace: FitTrace | None = None
     seconds: float = math.nan
     error: float = math.nan
@@ -200,8 +211,8 @@ class UnitFit:
     cells: list[Cell]
 
 
-def _prepare_2d(cfg: ExperimentConfig, method: str, images: np.ndarray, labels: np.ndarray, dims: tuple[int, ...]):
-    """Couplings and, unilaterally, the pencil solved once for ``dims``
+def _prepare_2d(cfg: ExperimentConfig, method: str, images: np.ndarray, labels: np.ndarray):
+    """Couplings and, unilaterally, the pencil solved once for ``cfg.dims``
     (bilaterally, see :func:`embed_2d.solve_bilateral`); returns the spec
     and the per-dimension fit."""
     pre_pair = None
@@ -209,7 +220,7 @@ def _prepare_2d(cfg: ExperimentConfig, method: str, images: np.ndarray, labels: 
         images, pre_pair = embed_2d.pre_process_2dpca(images, cfg.pre_dims, cfg.max_iter)
     spec = embed_2d.method_matrices(method, images, labels, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
     if cfg.mode == "unilateral":
-        fit = embed_2d.solve_unilateral(images, spec, "right", dims)
+        fit = embed_2d.solve_unilateral(images, spec, "right", cfg.dims)
     else:
         fit = embed_2d.solve_bilateral(images, spec, cfg.max_iter)
 
@@ -220,9 +231,9 @@ def _prepare_2d(cfg: ExperimentConfig, method: str, images: np.ndarray, labels: 
     return spec, solve
 
 
-def _prepare_1d(cfg: ExperimentConfig, method: str, x: np.ndarray, labels: np.ndarray, dims: tuple[int, ...]):
+def _prepare_1d(cfg: ExperimentConfig, method: str, x: np.ndarray, labels: np.ndarray):
     """PCA pre-basis, graphs and side matrices of the labelled columns of
-    ``x``, solved once for ``dims``; returns the per-dimension fit."""
+    ``x``, solved once for ``cfg.dims``; returns the per-dimension fit."""
     pencil = embed_1d.vector_pencil(
         x,
         labels,
@@ -232,8 +243,7 @@ def _prepare_1d(cfg: ExperimentConfig, method: str, x: np.ndarray, labels: np.nd
         beta=cfg.beta,
         pca_predim=None if method == "PCA" else "auto",
     )
-    projector = embed_1d.solve_1d(pencil, dims)
-    return lambda d: (projector(d), None)
+    return embed_2d.solve_pencil(pencil, cfg.dims)
 
 
 def _nested(cfg: ExperimentConfig, method: str) -> bool:
@@ -245,15 +255,8 @@ def _nested(cfg: ExperimentConfig, method: str) -> bool:
     return not (_is_2d(method) and cfg.mode == "bilateral")
 
 
-def fit_unit(
-    cfg: ExperimentConfig,
-    ds: ImageDataset,
-    method: str,
-    realization: int,
-    dims: tuple[int, ...] | None = None,
-) -> UnitFit:
-    """Train one (method, realization) unit at each of ``dims`` (default
-    ``cfg.dims``).
+def fit_unit(cfg: ExperimentConfig, ds: ImageDataset, method: str, realization: int) -> UnitFit:
+    """Train one (method, realization) unit at each of ``cfg.dims``.
 
     The split, the training arrays, the couplings and -- for unilateral and
     vector fits -- the eigenproblem are built once, and that eigenproblem
@@ -267,23 +270,22 @@ def fit_unit(
     fails that cell only.  ``fit``, ``eval`` and ``bench`` all train
     through this function.
     """
-    dims = tuple(cfg.dims if dims is None else dims)
     train = test_idx = spec = None
     try:
         train_idx, test_idx = split_dataset(ds, cfg.train_per_class, cfg.seed, realization)
         started = time.perf_counter()
         if _is_2d(method):
             train = matrix_dataset(ds, train_idx)
-            spec, solve = _prepare_2d(cfg, method, *train, dims)
+            spec, solve = _prepare_2d(cfg, method, *train)
         else:
             train = vector_dataset(ds, train_idx)
-            solve = _prepare_1d(cfg, method, *train, dims)
+            solve = _prepare_1d(cfg, method, *train)
     except _CELL_FAILURES as exc:
-        return UnitFit(train, test_idx, spec, [Cell(d, failure=exc) for d in dims])
-    shared = (time.perf_counter() - started) / len(dims)
+        return UnitFit(train, test_idx, spec, [Cell(d, failure=exc) for d in cfg.dims])
+    shared = (time.perf_counter() - started) / len(cfg.dims)
 
     cells = []
-    for d in dims:
+    for d in cfg.dims:
         solve_started = time.perf_counter()
         try:
             projector, trace = solve(d)
@@ -294,13 +296,7 @@ def fit_unit(
     return UnitFit(train, test_idx, spec, cells)
 
 
-def run_cell(
-    cfg: ExperimentConfig,
-    ds: ImageDataset,
-    method: str,
-    realization: int,
-    dims: tuple[int, ...] | None = None,
-) -> list[Cell]:
+def run_cell(cfg: ExperimentConfig, ds: ImageDataset, method: str, realization: int) -> list[Cell]:
     """Fit one unit (see :func:`fit_unit`) and score each fitted dimension
     by 1-NN on the held-out images.
 
@@ -313,7 +309,7 @@ def run_cell(
     differ from a projection by the ``d``-column projector in the last
     bits.
     """
-    unit = fit_unit(cfg, ds, method, realization, dims)
+    unit = fit_unit(cfg, ds, method, realization)
     fitted = [cell for cell in unit.cells if cell.failure is None]
     if not fitted:
         return unit.cells
@@ -328,8 +324,8 @@ def run_cell(
         queries, truth = vector_dataset(ds, unit.test_idx)
 
         # projected samples (one per column) as a stack of 1 x d images
-        def project(projector):
-            return projector.transform(train).T[:, None, :], projector.transform(queries).T[:, None, :]
+        def project(basis):
+            return (basis.T @ train).T[:, None, :], (basis.T @ queries).T[:, None, :]
 
     if _nested(cfg, method):
         groups = [(max(fitted, key=lambda cell: cell.dim).projector, fitted)]
@@ -438,7 +434,6 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
     ds = dataset if dataset is not None else load_dataset(cfg.dataset, cfg.resize)
     _validate_config(cfg, ds)
 
-    dims = tuple(cfg.dims)
     tasks = [(method, r) for method in cfg.methods for r in range(cfg.realizations)]
 
     def task(unit):
@@ -447,7 +442,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
         method, r = unit
         return [
             (method, cell.dim, r, cell.error, cell.seconds, _failure_reason(cell.failure))
-            for cell in run_cell(cfg, ds, method, r, dims)
+            for cell in run_cell(cfg, ds, method, r)
         ]
 
     cpus = usable_cpus()

@@ -40,7 +40,7 @@ import scipy.linalg
 
 from repel2d import spectral
 from repel2d.datasets import matrix_dataset, split_dataset, vector_dataset
-from repel2d.embed_1d import Projector1D, solve_1d, vector_pencil
+from repel2d.embed_1d import vector_pencil
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
     FitTrace,
@@ -49,6 +49,7 @@ from repel2d.embed_2d import (
     _image_stack,
     _sym,
     method_matrices,
+    solve_pencil,
     solve_unilateral,
     unilateral_pencil,
 )
@@ -427,8 +428,8 @@ def half_step_at(lhs, rhs, which, d):
 
 def fit_at(cfg, ds, method, realization, d):
     """The unilateral (column side) or vector fit of one cell, solved for
-    its own ``d`` alone: ``(projector, FitTrace or None)``, or the cell's
-    failure raised.  Configs with ``pre_dims`` are not covered."""
+    its own ``d`` alone: ``(projector, FitTrace)``, or the cell's failure
+    raised.  Configs with ``pre_dims`` are not covered."""
     assert cfg.pre_dims is None
     train_idx, _ = split_dataset(ds, cfg.train_per_class, cfg.seed, realization)
     if method in METHOD_NAMES_2D:
@@ -457,17 +458,19 @@ def fit_at(cfg, ds, method, realization, d):
         if not 1 <= d <= x.shape[0]:
             raise ParameterError(f"PCA dimension out of range: {d}")
         if pencil.lift is None:
-            return Projector1D(eig_at(pencil.lhs, None, spectral.EigenSelection(d, "top"))[1], "orthonormal"), None
+            values, basis, defect = eig_at(pencil.lhs, None, spectral.EigenSelection(d, "top"))
+            return basis, FitTrace([float(np.sum(values))], 1, True, defect, 0.0)
         count = min(d, pencil.lhs.shape[0])
-        values, vectors, _ = eig_at(pencil.lhs, None, spectral.EigenSelection(count, "top"))
+        values, vectors, defect = eig_at(pencil.lhs, None, spectral.EigenSelection(count, "top"))
         if np.count_nonzero(values > max(values[0], 0.0) * 1e-12) < d:
             raise ParameterError(f"data rank too low for {d} components")
-        return Projector1D(spectral.fix_signs(pencil.lift @ vectors[:, :d] / np.sqrt(values[:d])), "orthonormal"), None
+        basis = spectral.fix_signs(pencil.lift @ vectors[:, :d] / np.sqrt(values[:d]))
+        return basis, FitTrace([float(np.sum(values[:d]))], 1, True, defect, 0.0)
     if d >= pencil.lhs.shape[0]:
         raise ParameterError(f"dimension {d} not below {pencil.lhs.shape[0]}")
-    basis = half_step_at(pencil.lhs, pencil.rhs, pencil.which, d)[1]
-    constraint = "orthonormal" if pencil.rhs is None else "b_orthonormal"
-    return Projector1D(basis if pencil.pre is None else pencil.pre @ basis, constraint), None
+    values, basis, defect, shift = half_step_at(pencil.lhs, pencil.rhs, pencil.which, d)
+    trace = FitTrace([float(np.sum(values))], 1, True, defect, shift)
+    return (basis if pencil.pre is None else pencil.pre @ basis), trace
 
 
 # One-line entry points: a single fit, solve or scoring through the path
@@ -480,8 +483,9 @@ def fit_unilateral(x, spec, side, d):
 
 
 def fit_1d(x, labels, method, d, **options):
-    """Vector fit for ``d`` alone (``options`` as for ``vector_pencil``)."""
-    return solve_1d(vector_pencil(x, labels, method, **options), (d,))(d)
+    """Vector fit for ``d`` alone (``options`` as for ``vector_pencil``):
+    ``(basis, FitTrace)``."""
+    return solve_pencil(vector_pencil(x, labels, method, **options), (d,))(d)
 
 
 def sym_eig(m, sel):

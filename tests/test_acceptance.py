@@ -216,10 +216,10 @@ def test_criterion_4_vector_shaped_reduction():
         for name2, name1 in pairs:
             spec = method_matrices(name2, *ds2)
             pair, trace = fit_unilateral(ds2[0], spec, "left", d)
-            proj = fit_1d(*vds, name1, d, bandwidth=spec.bandwidth)
+            basis_1d, _ = fit_1d(*vds, name1, d, bandwidth=spec.bandwidth)
             a = x @ spec.min_coupling @ x.T
             a = 0.5 * (a + a.T)
-            objective_1d = float(np.trace(proj.basis.T @ a @ proj.basis))
+            objective_1d = float(np.trace(basis_1d.T @ a @ basis_1d))
             objective_2d = trace.objectives[-1]
             # near-null objectives sit at the float64 noise floor of the two
             # evaluation orders, hence the small norm-scaled absolute term
@@ -234,7 +234,7 @@ def test_criterion_4_vector_shaped_reduction():
 
                 spectrum = scipy.linalg.eigh(a, 0.5 * (b + b.T), eigvals_only=True)
             if spectrum[d] - spectrum[d - 1] > 1e-8:
-                angle = subspace_angle(pair.row_basis, proj.basis)
+                angle = subspace_angle(pair.row_basis, basis_1d)
                 if angle > 1e-6:
                     violations.append((trial, name2, "angle", angle))
     report(4, "vector-shaped fits match 1D counterparts", violations, started, 30.0)

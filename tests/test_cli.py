@@ -527,6 +527,49 @@ class TestCountValidation:
         assert run_cli("bench", "--config", str(cfg), "--out", str(tmp_path / "res")) == 1
 
 
+class TestScalarValidation:
+    # a bad value fails when the config is built, in every command and
+    # from a flag or a file alike: one usage-error line, no traceback
+    @pytest.mark.parametrize("command", ["fit", "eval", "bench"])
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("seed", "-1", "seed must be >= 0"),
+            ("beta", "nan", "beta must be finite"),
+            ("beta", "inf", "beta must be finite"),
+            ("bandwidth", "nan", "bandwidth must be finite and > 0"),
+            ("bandwidth", "inf", "bandwidth must be finite and > 0"),
+            ("bandwidth", "0", "bandwidth must be finite and > 0"),
+            ("bandwidth", "-1", "bandwidth must be finite and > 0"),
+        ],
+        ids=["seed-negative", "beta-nan", "beta-inf", "bandwidth-nan", "bandwidth-inf", "bandwidth-zero",
+             "bandwidth-negative"],
+    )
+    def test_bad_value_is_a_usage_error(self, tmp_path, synthetic_dir, capsys, command, source, key, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {synthetic_dir}\n" + (f"{key} = {text}\n" if source == "file" else ""))
+        flag = ("--" + key, text) if source == "flag" else ()
+        out = tmp_path / "out"
+        code = run_cli(command, "--config", str(cfg), *flag, "--method", "2D-LPP-R", "--dims", "2",
+                       "--train-per-class", "4", "--realizations", "1", "--out", str(out))
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"usage error: {message}, got {float(text) if key != 'seed' else int(text)}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "eval", "bench"])
+    def test_train_count_at_class_size_is_a_usage_error(self, tmp_path, synthetic_dir, capsys, command):
+        # every class has 12 images; bench once reported this as a
+        # numerical failure after writing its outputs
+        out = tmp_path / "res"
+        code = run_cli(command, "--dataset", str(synthetic_dir), "--method", "2D-PCA", "--dims", "2",
+                       "--train-per-class", "12", "--realizations", "1", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: class 'c0' has 12 images; need > 12\n"
+        assert not (out / "results.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def blank_column_dir(tmp_path_factory, synthetic_ds):
     """The synthetic set with its last image column zeroed, on disk: its

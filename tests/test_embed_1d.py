@@ -4,14 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repel2d import graphs
 from repel2d.datasets import split_dataset, synthetic_confusable, vector_dataset
-from repel2d.embed_1d import (
-    METHOD_NAMES_1D,
-    Projector1D,
-    auto_predim,
-    scatter_matrices,
-    solve_1d,
-    vector_pencil,
-)
+from repel2d.embed_1d import METHOD_NAMES_1D, auto_predim, scatter_matrices, vector_pencil
+from repel2d.embed_2d import solve_pencil
 from repel2d.errors import DefinitenessError, ParameterError, ShapeError
 from repel2d.spectral import EigenSelection
 
@@ -67,41 +61,41 @@ class TestScatterMatrices:
 class TestPca:
     def test_two_points_span_difference(self):
         data = np.array([[0.0, 2.0], [0.0, 2.0], [1.0, 1.0]])
-        proj = fit_1d(data, [0, 1], "PCA", 1)
+        basis, _ = fit_1d(data, [0, 1], "PCA", 1)
         direction = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        overlap = abs(direction @ proj.basis[:, 0])
+        overlap = abs(direction @ basis[:, 0])
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_gram_trick_matches_direct(self):
         rng = np.random.default_rng(1)
         tall = rng.normal(size=(40, 8))  # m > n path
         wide = tall.T  # m < n path shares no code but same math on transposed data
-        proj = fit_1d(tall, np.arange(8), "PCA", 3)
+        basis, _ = fit_1d(tall, np.arange(8), "PCA", 3)
         centered = tall - tall.mean(axis=1, keepdims=True)
         ref_vals, ref_vecs = np.linalg.eigh(centered @ centered.T)
         ref = ref_vecs[:, -3:][:, ::-1]
         # compare subspaces
-        overlap = np.linalg.svd(proj.basis.T @ ref, compute_uv=False)
+        overlap = np.linalg.svd(basis.T @ ref, compute_uv=False)
         np.testing.assert_allclose(overlap, np.ones(3), atol=1e-8)
-        assert np.linalg.norm(proj.basis.T @ proj.basis - np.eye(3)) < 1e-10
+        assert np.linalg.norm(basis.T @ basis - np.eye(3)) < 1e-10
 
 
 class TestFit1d:
     @pytest.mark.parametrize("method", METHOD_NAMES_1D)
     def test_constraints_hold(self, method):
         x, labels = make_ds(2)
-        proj = fit_1d(x, labels, method, 2)
-        if proj.constraint == "orthonormal":
-            assert np.linalg.norm(proj.basis.T @ proj.basis - np.eye(2)) <= 1e-10
+        basis, _ = fit_1d(x, labels, method, 2)
+        if vector_pencil(x, labels, method).rhs is None:
+            assert np.linalg.norm(basis.T @ basis - np.eye(2)) <= 1e-10
         else:
             if method == "LPP":
                 g = graphs.build_label_graph(labels)
                 w = graphs.gaussian_weights(g, graphs.sq_distances(x.T))
                 b = x @ graphs.laplacian(w)[1] @ x.T
-                assert np.linalg.norm(proj.basis.T @ b @ proj.basis - np.eye(2)) <= 1e-8
+                assert np.linalg.norm(basis.T @ b @ basis - np.eye(2)) <= 1e-8
             elif method == "NPP":
                 b = x @ x.T
-                assert np.linalg.norm(proj.basis.T @ b @ proj.basis - np.eye(2)) <= 1e-8
+                assert np.linalg.norm(basis.T @ b @ basis - np.eye(2)) <= 1e-8
 
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
@@ -145,22 +139,22 @@ class TestFit1d:
     def test_beta_zero_repulsion_degenerates(self):
         ds = make_ds(3)
         for repulsed, base in (("OLPP-R", "OLPP"), ("ONPP-R", "ONPP")):
-            a = fit_1d(*ds, repulsed, 2, beta=0.0)
-            b = fit_1d(*ds, base, 2)
-            np.testing.assert_allclose(a.basis, b.basis, atol=1e-12)
+            a = fit_1d(*ds, repulsed, 2, beta=0.0)[0]
+            b = fit_1d(*ds, base, 2)[0]
+            np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_repulsion_variants_run(self):
         ds = make_ds(4, m=5, n=15, classes=3)
         for method in ("LDA-R", "OLPP-R", "ONPP-R"):
-            proj = fit_1d(*ds, method, 2)
-            assert proj.basis.shape == (5, 2)
-            assert np.all(np.isfinite(proj.basis))
+            basis, _ = fit_1d(*ds, method, 2)
+            assert basis.shape == (5, 2)
+            assert np.all(np.isfinite(basis))
 
     def test_pca_predim_composes(self):
         ds = make_ds(5, m=12, n=18, classes=3)
-        proj = fit_1d(*ds, "OLPP", 2, pca_predim=8)
-        assert proj.basis.shape == (12, 2)
-        assert np.linalg.norm(proj.basis.T @ proj.basis - np.eye(2)) <= 1e-10
+        basis, _ = fit_1d(*ds, "OLPP", 2, pca_predim=8)
+        assert basis.shape == (12, 2)
+        assert np.linalg.norm(basis.T @ basis - np.eye(2)) <= 1e-10
 
     def test_pca_predim_auto_keeps_lda_solvable(self):
         # more features than samples: plain LDA hits a singular within matrix
@@ -169,19 +163,19 @@ class TestFit1d:
         data[:3] += np.repeat(np.arange(3), 4) * 4.0
         labels = np.repeat(np.arange(3), 4)
         assert auto_predim(data.shape[1], np.unique(labels).size, data.shape[0]) == 9
-        proj = fit_1d(data, labels, "LDA", 2, pca_predim="auto")
-        assert proj.basis.shape == (30, 2)
+        basis, _ = fit_1d(data, labels, "LDA", 2, pca_predim="auto")
+        assert basis.shape == (30, 2)
 
     def test_lpp_b_orthonormal_after_predim(self):
         # the composed basis stays normalized against the original-space
         # degree matrix because the pre-basis has orthonormal columns
         data, labels = make_ds(7, m=10, n=18, classes=3)
-        proj = fit_1d(data, labels, "LPP", 2, pca_predim=8)
+        basis, _ = fit_1d(data, labels, "LPP", 2, pca_predim=8)
         g = graphs.build_label_graph(labels)
-        pre = fit_1d(data, labels, "PCA", 8).basis
+        pre = fit_1d(data, labels, "PCA", 8)[0]
         w = graphs.gaussian_weights(g, graphs.sq_distances((pre.T @ data).T))
         b = data @ graphs.laplacian(w)[1] @ data.T
-        assert np.linalg.norm(proj.basis.T @ b @ proj.basis - np.eye(2)) <= 1e-8
+        assert np.linalg.norm(basis.T @ b @ basis - np.eye(2)) <= 1e-8
 
 
 def objective_1d(ds, method, u, bandwidth=1.5):
@@ -214,8 +208,8 @@ def objective_1d(ds, method, u, bandwidth=1.5):
 )
 def test_d1_optimality_against_random_directions(method, sense):
     ds = make_ds(11, m=5, n=15, classes=3)
-    proj = fit_1d(*ds, method, 1, bandwidth=1.5)
-    u = proj.basis[:, 0]
+    basis, _ = fit_1d(*ds, method, 1, bandwidth=1.5)
+    u = basis[:, 0]
     u = u / np.linalg.norm(u)
     ours = objective_1d(ds, method, u)
     rng = np.random.default_rng(12)
@@ -249,10 +243,10 @@ class TestOneRidgePolicy:
         pencil = vector_pencil(*train, "LDA-R", pca_predim="auto")
         shifted = pre_shifted(pencil.rhs)
         assert shifted is not pencil.rhs  # the repair fires on this split
-        projector = solve_1d(pencil, (2, 4, 6))
+        fit = solve_pencil(pencil, (2, 4, 6))
         for d in (2, 4, 6):
             expected = pencil.pre @ gen_sym_eig(pencil.lhs, shifted, EigenSelection(d, "top"))[1]
-            np.testing.assert_array_equal(projector(d).basis, expected)
+            np.testing.assert_array_equal(fit(d)[0], expected)
 
     def test_lpp_singular_constraint_fits_through_ridge_retry(self):
         data, labels = make_ds(8)
@@ -262,6 +256,6 @@ class TestOneRidgePolicy:
         pencil = vector_pencil(*ds, "LPP")
         with pytest.raises(DefinitenessError):
             gen_sym_eig(pencil.lhs, pencil.rhs, EigenSelection(2, "bottom"))
-        proj = fit_1d(*ds, "LPP", 2)
-        assert proj.constraint == "b_orthonormal"
-        assert proj.basis.shape == (6, 2) and np.all(np.isfinite(proj.basis))
+        basis, trace = fit_1d(*ds, "LPP", 2)
+        assert pencil.rhs is not None and trace.ridge_shift > 0.0
+        assert basis.shape == (6, 2) and np.all(np.isfinite(basis))

@@ -123,9 +123,9 @@ class TestRunExperiment:
         seen = []
         run_cell = experiment.run_cell
 
-        def recording(cfg, ds, method, realization, dims=None):
-            seen.append((method, realization, dims))
-            return run_cell(cfg, ds, method, realization, dims)
+        def recording(cfg, ds, method, realization):
+            seen.append((method, realization, cfg.dims))
+            return run_cell(cfg, ds, method, realization)
 
         monkeypatch.setattr(experiment, "run_cell", recording)
         methods = ("2D-OLPP-R", "2D-LDA-R")
@@ -164,16 +164,25 @@ class TestRunExperiment:
             (dict(knn=16), dict(knn=15), "training-set size 16"),
             (dict(methods=("2D-OLPP-R", "2D-PCA", "2D-OLPP-R")), dict(methods=("2D-OLPP-R", "2D-PCA")), "named twice"),
             (dict(dims=(2, 3, 2)), dict(dims=(2, 3)), "dimension 2 is named twice"),
+            # every class has 12 images: a split must keep one out
+            (dict(train_per_class=12), dict(train_per_class=11), "class 'c0' has 12 images; need > 12"),
         ],
-        ids=["pre-dims-above-side", "pre-dims-zero", "knn-at-training-size", "method-twice", "dimension-twice"],
+        ids=[
+            "pre-dims-above-side",
+            "pre-dims-zero",
+            "knn-at-training-size",
+            "method-twice",
+            "dimension-twice",
+            "train-count-at-class-size",
+        ],
     )
     def test_config_error_caught_before_any_fit(self, synthetic_ds, monkeypatch, overrides, accepted, message):
         fitted = []
         run_cell = experiment.run_cell
 
-        def recording(cfg, ds, method, realization, dims=None):
+        def recording(cfg, ds, method, realization):
             fitted.append(method)
-            return run_cell(cfg, ds, method, realization, dims)
+            return run_cell(cfg, ds, method, realization)
 
         monkeypatch.setattr(experiment, "run_cell", recording)
         base = dict(methods=("2D-OLPP-R",), realizations=1)
@@ -198,6 +207,31 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match=message):
             experiment.ExperimentConfig(dataset="x", **{name: ()})
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("seed", -1, "seed must be >= 0"),
+            ("beta", math.nan, "beta must be finite"),
+            ("beta", math.inf, "beta must be finite"),
+            ("beta", -math.inf, "beta must be finite"),
+            ("bandwidth", math.nan, "bandwidth must be finite and > 0"),
+            ("bandwidth", math.inf, "bandwidth must be finite and > 0"),
+            ("bandwidth", 0.0, "bandwidth must be finite and > 0"),
+            ("bandwidth", -1.0, "bandwidth must be finite and > 0"),
+        ],
+        ids=["seed-negative", "beta-nan", "beta-inf", "beta-minus-inf", "bandwidth-nan", "bandwidth-inf",
+             "bandwidth-zero", "bandwidth-negative"],
+    )
+    def test_bad_seed_beta_or_bandwidth_rejected_when_built(self, name, value, message):
+        with pytest.raises(ParameterError, match=message):
+            small_cfg(**{name: value})
+
+    def test_negative_finite_beta_accepted(self, synthetic_ds):
+        # a negative repulsion strength turns repulsion into attraction; it
+        # is a valid setting, not a malformed one
+        cfg = small_cfg(methods=("2D-OLPP-R",), beta=-0.5, realizations=1)
+        assert not math.isnan(run_experiment(cfg, dataset=synthetic_ds).rows[0].mean_error)
+
 
 def independent_fit(cfg, ds, method, realization, d):
     """Fit one cell on its own, without any state shared across dimensions."""
@@ -207,13 +241,12 @@ def independent_fit(cfg, ds, method, realization, d):
         spec = method_matrices(method, train, labels, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
         pair, _ = fit_unilateral(train, spec, "right", d)
         return pair
-    return fit_1d(*vector_dataset(ds, train_idx), method, d, knn=cfg.knn, beta=cfg.beta, pca_predim="auto")
+    return fit_1d(*vector_dataset(ds, train_idx), method, d, knn=cfg.knn, beta=cfg.beta, pca_predim="auto")[0]
 
 
 def assert_same_projector(got, expected):
-    if hasattr(expected, "basis"):
-        np.testing.assert_array_equal(got.basis, expected.basis)
-        assert got.constraint == expected.constraint
+    if isinstance(expected, np.ndarray):
+        np.testing.assert_array_equal(got, expected)
     else:
         np.testing.assert_array_equal(got.row_basis, expected.row_basis)
         np.testing.assert_array_equal(got.col_basis, expected.col_basis)
@@ -293,8 +326,8 @@ class TestUnitReuse:
         clean = run_experiment(cfg, dataset=synthetic_ds)
         run_cell = experiment.run_cell
 
-        def failing_realization_0(cfg, ds, method, realization, dims=None):
-            cells = run_cell(cfg, ds, method, realization, dims)
+        def failing_realization_0(cfg, ds, method, realization):
+            cells = run_cell(cfg, ds, method, realization)
             if realization == 0:
                 for cell in cells:
                     cell.failure = NumericalQualityError("injected failure")
@@ -319,8 +352,21 @@ class TestUnitReuse:
             run_experiment(cfg, dataset=synthetic_ds)
         cells = fit_unit(cfg, synthetic_ds, "OLPP-R", 0).cells
         alone = fit_unit(replace(cfg, dims=(2,)), synthetic_ds, "OLPP-R", 0).cells
-        np.testing.assert_array_equal(cells[0].projector.basis, alone[0].projector.basis)
+        np.testing.assert_array_equal(cells[0].projector, alone[0].projector)
         assert isinstance(cells[1].failure, ParameterError)
+
+
+class TestVectorTrace:
+    @pytest.mark.parametrize("method", embed_1d.METHOD_NAMES_1D)
+    def test_every_fitted_vector_cell_has_a_one_step_trace(self, separable_ds, method):
+        # every vector method fits every cell on this set
+        cfg = small_cfg(methods=(method,), dims=(1, 2, 3), knn=3)
+        unit = fit_unit(cfg, separable_ds, method, 0)
+        assert all(cell.failure is None for cell in unit.cells)
+        for cell in unit.cells:
+            assert isinstance(cell.projector, np.ndarray) and cell.projector.shape == (36, cell.dim)
+            assert cell.trace.iterations == 1 and cell.trace.converged
+            assert len(cell.trace.objectives) == 1
 
 
 class TestSolveBilateral:
@@ -406,12 +452,11 @@ def assert_same_outcome(got, expected):
         return
     assert got.failure is None
     assert_same_projector(got.projector, expected.projector)
-    if expected.trace is not None:
-        assert got.trace.objectives == expected.trace.objectives
-        assert got.trace.ridge_shift == expected.trace.ridge_shift
-        # a prefix's defect comes from the Gram product over all solved
-        # columns, which may round differently in its last bits
-        assert got.trace.max_constraint_defect == pytest.approx(expected.trace.max_constraint_defect, abs=1e-13)
+    assert got.trace.objectives == expected.trace.objectives
+    assert got.trace.ridge_shift == expected.trace.ridge_shift
+    # a prefix's defect comes from the Gram product over all solved
+    # columns, which may round differently in its last bits
+    assert got.trace.max_constraint_defect == pytest.approx(expected.trace.max_constraint_defect, abs=1e-13)
 
 
 def oracle_cell(cfg, ds, method, d):
@@ -428,11 +473,11 @@ class TestNestedDimensions:
         cfg = small_cfg(methods=(method,), dims=NESTED_DIMS, train_per_class=6, realizations=1)
         unit = fit_unit(cfg, wide_ds, method, 0)
         for cell in unit.cells:
-            assert_same_outcome(cell, fit_unit(cfg, wide_ds, method, 0, (cell.dim,)).cells[0])
+            assert_same_outcome(cell, fit_unit(replace(cfg, dims=(cell.dim,)), wide_ds, method, 0).cells[0])
             assert_same_outcome(cell, oracle_cell(cfg, wide_ds, method, cell.dim))
         scored = run_cell(cfg, wide_ds, method, 0)
         for cell in scored:
-            alone = run_cell(cfg, wide_ds, method, 0, (cell.dim,))[0]
+            alone = run_cell(replace(cfg, dims=(cell.dim,)), wide_ds, method, 0)[0]
             assert type(cell.failure) is type(alone.failure)
             assert cell.error == alone.error or (math.isnan(cell.error) and math.isnan(alone.error))
 
@@ -461,7 +506,7 @@ class TestNestedDimensions:
             else:
                 assert isinstance(after.failure, NumericalQualityError)
                 assert "residual" in str(after.failure)
-            alone = fit_unit(cfg, wide_ds, method, 0, (after.dim,)).cells[0]
+            alone = fit_unit(replace(cfg, dims=(after.dim,)), wide_ds, method, 0).cells[0]
             assert type(alone.failure) is type(after.failure)
 
 
