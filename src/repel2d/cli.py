@@ -42,7 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+    # int() strips each token, so a token with inner whitespace ("1 0") fails
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
 def _pair(text: str) -> tuple[int, int]:

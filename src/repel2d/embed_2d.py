@@ -15,7 +15,10 @@ input space but belong to different classes.
 
 All fits alternate between the two factors: fixing one side reduces the
 trace objective to an ordinary (or generalized) symmetric eigenproblem of
-image-side order, solved for the bottom or top eigenvectors.
+image-side order, solved for the bottom or top eigenvectors.  One builder
+assembles every such subproblem, always for the stack's last mode: the
+row half-step projects the mode-swapped stack, so the mode it solves comes
+last there too.
 """
 
 from __future__ import annotations
@@ -264,13 +267,14 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
     return _sym(arr)
 
 
-# Every side matrix sum_{k,l} C[k, l] Z_k^T Z_l (or Z_k Z_l^T) is built by
-# GEMM on reshaped views of the C-contiguous (n, p, q) stack, which is
-# never copied: mixing the samples, G_k = sum_l C[k, l] Z_l, is one
-# (n x n) @ (n x pq) GEMM; the column side then contracts G with Z over
-# their adjacent (n, p) axes in a second GEMM, and the row side sums the
-# batched slice products Z_k G_k^T.  The alternating half-steps and the
-# one-sided pencils both use these.
+# Every side matrix is one builder's sum_{k,l} C[k, l] Z_k^T Z_l, the
+# subproblem of the last mode of a C-contiguous (n, p, q) stack, built by
+# GEMM on reshaped views that are never copied: mixing the samples,
+# G_k = sum_l C[k, l] Z_l, is one (n x n) @ (n x pq) GEMM, and contracting
+# G with Z over their adjacent (n, p) axes is a second.  The row factor's
+# subproblem is that of the mode-swapped stack (images transposed, made
+# contiguous once per fit), so the mode being solved is always last.  The
+# alternating half-steps and the one-sided pencils both use it.
 #
 # The one exception is 2D-LDA-R (see _discriminant_repulsion), whose
 # pencils _discriminant_pencils builds by einsum contractions over the
@@ -293,15 +297,10 @@ def _mix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     return (coupling @ z.reshape(n, -1)).reshape(z.shape)
 
 
-def _col_matrix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+def _side_matrix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     # sum_{k,l} C[k, l] Z_k^T Z_l
     n, p, q = z.shape
     return _sym(z.reshape(n * p, q).T @ _mix(z, coupling).reshape(n * p, q))
-
-
-def _row_matrix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    # sum_{k,l} C[k, l] Z_k Z_l^T
-    return _sym(np.matmul(z, _mix(z, coupling).transpose(0, 2, 1)).sum(axis=0))
 
 
 def _validate_dims(s: np.ndarray, d1: int, d2: int):
@@ -432,22 +431,21 @@ def solve_pencil(pencil: Pencil, dims) -> Callable[[int], tuple[np.ndarray, FitT
     return fit
 
 
-def unilateral_pencil(x, spec: MethodSpec, side: str) -> Pencil:
-    """Assemble the side matrices of a one-sided fit from the raw
-    ``(n, m1, m2)`` stack.
+def _last_mode_pencil(z: np.ndarray, sides: tuple[np.ndarray, np.ndarray | None, str]) -> Pencil:
+    """The pencil of the last mode of the ``(n, p, q)`` stack ``z`` for a
+    method's :func:`_solver_sides`."""
+    lhs, rhs, which = sides
+    side_lhs = _side_matrix(z, lhs)
+    return Pencil(side_lhs, None if rhs is None else _side_matrix(z, rhs), which, side_lhs.shape[0])
 
-    ``side="left"`` solves the row factor (column factor = identity);
-    ``side="right"`` solves the column factor.
-    """
-    if side not in ("left", "right"):
-        raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
+
+def unilateral_pencil(x, spec: MethodSpec) -> Pencil:
+    """Assemble the column factor's side matrices of a one-sided fit from
+    the raw ``(n, m1, m2)`` stack (the row factor is the identity)."""
     s = _image_stack(x)
     if _discriminant_repulsion(spec):
-        return _discriminant_pencils(s, spec, (side,))[0]
-    lhs, rhs, which = _solver_sides(spec, s.shape[0])
-    build = _row_matrix if side == "left" else _col_matrix
-    side_lhs = build(s, lhs)
-    return Pencil(side_lhs, None if rhs is None else build(s, rhs), which, side_lhs.shape[0])
+        return _discriminant_pencils(s, spec, ("right",))[0]
+    return _last_mode_pencil(s, _solver_sides(spec, s.shape[0]))
 
 
 def _discriminant_pencils(s: np.ndarray, spec: MethodSpec, sides=("left", "right")) -> tuple[Pencil, ...]:
@@ -517,10 +515,10 @@ def _single_pass(s: np.ndarray, spec: MethodSpec) -> Callable[[int, int], tuple[
     return fit
 
 
-def solve_unilateral(x, spec: MethodSpec, side: str, dims) -> Callable[[int], tuple[ProjectorPair, FitTrace]]:
+def solve_unilateral(x, spec: MethodSpec, dims) -> Callable[[int], tuple[ProjectorPair, FitTrace]]:
     """One-sided fits of an ``(n, m1, m2)`` stack at each of ``dims``: the
-    chosen factor's :func:`unilateral_pencil`, solved once (see
-    :func:`solve_pencil`), with the other factor pinned to an exact
+    column factor's :func:`unilateral_pencil`, solved once (see
+    :func:`solve_pencil`), with the row factor pinned to an exact
     identity.
 
     Returns ``fit(d)``: the ``(ProjectorPair, FitTrace)`` a fit for ``d``
@@ -528,14 +526,12 @@ def solve_unilateral(x, spec: MethodSpec, side: str, dims) -> Callable[[int], tu
     here, so the trace is the solve's own one-step trace.
     """
     s = _image_stack(x)
-    pencil = unilateral_pencil(s, spec, side)
+    pencil = unilateral_pencil(s, spec)
     prefix = solve_pencil(pencil, dims)
     constraint = "orthonormal" if pencil.rhs is None else "coupled"
 
     def fit(d: int) -> tuple[ProjectorPair, FitTrace]:
         basis, trace = prefix(d)
-        if side == "left":
-            return ProjectorPair(basis, np.eye(s.shape[2]), (constraint, "identity")), trace
         return ProjectorPair(np.eye(s.shape[1]), basis, ("identity", constraint)), trace
 
     return fit
@@ -560,14 +556,15 @@ def fit_method(
     two factors.
 
     Starting from the first ``d1`` identity columns as the row factor, it
-    alternately recomputes the column factor from the column side matrices
-    and then the row factor from the row side matrices, each a half-step
-    of the method's solver kind: the bottom or top eigenvectors of one
-    side matrix, orthonormal, or generalized against the constraint side
-    (ridge-shifted once if it is not definite).  Each half-step solves its
-    subproblem exactly, so the orthonormal fits' objective sequence is
-    monotone; iteration stops when the relative objective change between
-    full iterations drops below ``tol`` or ``max_iter`` is reached.
+    alternately recomputes the column factor from the row-projected stack
+    and then the row factor from the column-projected mode-swapped stack,
+    each a half-step of the method's solver kind: the bottom or top
+    eigenvectors of one side matrix, orthonormal, or generalized against
+    the constraint side (ridge-shifted once if it is not definite).  Each
+    half-step solves its subproblem exactly, so the orthonormal fits'
+    objective sequence is monotone; iteration stops when the relative
+    objective change between full iterations drops below ``tol`` or
+    ``max_iter`` is reached.
 
     The discriminant methods with repulsion active (``beta > 0``) do not
     alternate: their within-class side can lose definiteness under
@@ -579,23 +576,23 @@ def fit_method(
     _validate_dims(s, d1, d2)
     if _discriminant_repulsion(spec):
         return _single_pass(s, spec)(d1, d2)
-    lhs, rhs, which = _solver_sides(spec, s.shape[0])
+    sides = _solver_sides(spec, s.shape[0])
+    swapped = np.ascontiguousarray(s.transpose(0, 2, 1))
     trace = FitTrace()
 
-    def half_step(side_matrix, z, d):
-        pencil = Pencil(side_matrix(z, lhs), None if rhs is None else side_matrix(z, rhs), which, d)
-        return _record(trace, solve_pencil(pencil, (d,))(d))
+    def half_step(z, d):
+        return _record(trace, solve_pencil(_last_mode_pencil(z, sides), (d,))(d))
 
     u = np.eye(s.shape[1], d1)
     v = np.eye(s.shape[2], d2)
     for it in range(1, max_iter + 1):
-        v = half_step(_col_matrix, np.matmul(u.T, s), d2)
-        u = half_step(_row_matrix, np.matmul(s, v), d1)
+        v = half_step(np.matmul(u.T, s), d2)
+        u = half_step(np.matmul(v.T, swapped), d1)
         trace.iterations = it
         trace.converged = _converged(trace.objectives, tol)
         if trace.converged:
             break
-    constraint = "orthonormal" if rhs is None else "coupled"
+    constraint = "orthonormal" if sides[1] is None else "coupled"
     return ProjectorPair(u, v, (constraint, constraint)), trace
 
 

@@ -220,7 +220,7 @@ def _prepare_2d(cfg: ExperimentConfig, method: str, images: np.ndarray, labels: 
         images, pre_pair = embed_2d.pre_process_2dpca(images, cfg.pre_dims, cfg.max_iter)
     spec = embed_2d.method_matrices(method, images, labels, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
     if cfg.mode == "unilateral":
-        fit = embed_2d.solve_unilateral(images, spec, "right", cfg.dims)
+        fit = embed_2d.solve_unilateral(images, spec, cfg.dims)
     else:
         fit = embed_2d.solve_bilateral(images, spec, cfg.max_iter)
 

@@ -15,10 +15,11 @@ reader for the result CSV that ``emit_csv`` writes, and the
 per-dimension solve that one solve per unit must reproduce, starting
 from the pencil as the package assembles it.
 
-Last come one-line entry points for a single fit, solve or scoring
+Last come short entry points for a single fit, solve or scoring
 (``fit_unilateral``, ``fit_1d``, ``sym_eig``, ``gen_sym_eig``,
-``classify_batch``): each runs the path the sweep
-runs, for one dimension or one full-width prefix.
+``classify_batch``): each runs the path the sweep runs, for one
+dimension or one full-width prefix.  ``fit_unilateral`` also fits the
+row factor alone, which the sweep never does, on the mode-swapped stack.
 
 Storage convention
 ------------------
@@ -46,6 +47,8 @@ from repel2d.embed_2d import (
     FitTrace,
     ProjectorPair,
     _check_coupling,
+    _discriminant_pencils,
+    _discriminant_repulsion,
     _image_stack,
     _sym,
     method_matrices,
@@ -435,7 +438,7 @@ def fit_at(cfg, ds, method, realization, d):
     if method in METHOD_NAMES_2D:
         images, labels = matrix_dataset(ds, train_idx)
         spec = method_matrices(method, images, labels, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
-        pencil = unilateral_pencil(images, spec, "right")
+        pencil = unilateral_pencil(images, spec)
         if not 1 <= d <= pencil.lhs.shape[0]:
             raise ParameterError(f"d2 out of range: {d}")
         values, basis, defect, shift = half_step_at(pencil.lhs, pencil.rhs, pencil.which, d)
@@ -473,13 +476,32 @@ def fit_at(cfg, ds, method, realization, d):
     return (basis if pencil.pre is None else pencil.pre @ basis), trace
 
 
-# One-line entry points: a single fit, solve or scoring through the path
-# the sweep runs.
+# Entry points: a single fit, solve or scoring through the path the sweep
+# runs.
+
+
+def swap_modes(x):
+    """The mode-swapped stack: every image transposed, C-contiguous."""
+    return np.ascontiguousarray(np.transpose(_image_stack(x), (0, 2, 1)))
 
 
 def fit_unilateral(x, spec, side, d):
-    """One-sided fit for ``d`` alone: ``(ProjectorPair, FitTrace)``."""
-    return solve_unilateral(x, spec, side, (d,))(d)
+    """One-sided fit for ``d`` alone: ``(ProjectorPair, FitTrace)``.
+
+    ``side="right"`` solves the column factor, as the sweep does.
+    ``side="left"`` solves the row factor: the column fit of the
+    mode-swapped stack with the pair swapped back, or for 2D-LDA-R the
+    row pencil of its single pass.
+    """
+    assert side in ("left", "right")
+    if side == "right":
+        return solve_unilateral(x, spec, (d,))(d)
+    s = _image_stack(x)
+    if _discriminant_repulsion(spec):
+        basis, trace = solve_pencil(_discriminant_pencils(s, spec, ("left",))[0], (d,))(d)
+        return ProjectorPair(basis, np.eye(s.shape[2]), ("coupled", "identity")), trace
+    pair, trace = solve_unilateral(swap_modes(s), spec, (d,))(d)
+    return ProjectorPair(pair.col_basis, pair.row_basis, pair.constraints[::-1]), trace
 
 
 def fit_1d(x, labels, method, d, **options):

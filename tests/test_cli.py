@@ -66,7 +66,9 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["file", "flag"])
-    @pytest.mark.parametrize("key, text", [("seed", "abc"), ("beta", "x"), ("dims", "2,x"), ("pre_dims", "3")])
+    @pytest.mark.parametrize(
+        "key, text", [("seed", "abc"), ("beta", "x"), ("dims", "2,x"), ("pre_dims", "3"), ("dims", "1 0")]
+    )
     def test_malformed_value_is_a_usage_error_naming_its_key(self, tmp_path, synthetic_dir, capsys, source, key, text):
         # a file value and a flag go through the same converter
         cfg = tmp_path / "run.cfg"

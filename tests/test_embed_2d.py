@@ -13,14 +13,14 @@ from _oracles import (
     frobenius_norm,
     mode_product,
     row_subproblem_matrix,
+    swap_modes,
     sym_eig,
     trace_objective,
 )
 from repel2d import embed_2d, graphs
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
-    _col_matrix,
-    _row_matrix,
+    _side_matrix,
     _solver_sides,
     _discriminant_pencils,
     MethodSpec,
@@ -214,6 +214,9 @@ class TestSubproblemMatrices:
             assert np.linalg.eigvalsh(side).min() >= -1e-8
 
 
+PENCIL_ROUTE_DATA = [toy_dataset(11), toy_dataset(3, m1=12, m2=9, n=40, classes=4)]
+
+
 class TestPencilRoutes:
     """Which assembly builds each one-sided pencil.  Each check compares
     two runs of the same deterministic computation, so it holds on any
@@ -221,10 +224,17 @@ class TestPencilRoutes:
 
     @staticmethod
     def sides(name, side):
+        # the row factor's pencil ("left") is the column pencil of the
+        # mode-swapped stack, except 2D-LDA-R's, which its single pass builds
         images, labels = toy_dataset(11)
         spec = method_matrices(name, images, labels)
         lhs, rhs, _ = _solver_sides(spec, len(images))
-        pencil = unilateral_pencil(images, spec, side)
+        if side == "right":
+            pencil = unilateral_pencil(images, spec)
+        elif name == "2D-LDA-R":
+            pencil = _discriminant_pencils(images, spec, ("left",))[0]
+        else:
+            pencil = unilateral_pencil(swap_modes(images), spec)
         assert (pencil.rhs is None) == (rhs is None)
         return images, [(pencil.lhs, lhs)] + ([] if rhs is None else [(pencil.rhs, rhs)])
 
@@ -232,11 +242,25 @@ class TestPencilRoutes:
     @pytest.mark.parametrize("name", [m for m in METHOD_NAMES_2D if m != "2D-LDA-R"])
     def test_gemm_builds_the_pencil(self, name, side):
         x, sides = self.sides(name, side)
-        gemm = _row_matrix if side == "left" else _col_matrix
+        stack = swap_modes(x) if side == "left" else x
         einsum = row_subproblem_matrix if side == "left" else col_subproblem_matrix
         for built, coupling in sides:
-            np.testing.assert_array_equal(built, gemm(x, coupling))
+            np.testing.assert_array_equal(built, _side_matrix(stack, coupling))
             reference = einsum(x, None, coupling)
+            assert np.linalg.norm(built - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("ds", PENCIL_ROUTE_DATA, ids=["toy", "wide"])
+    @pytest.mark.parametrize("name", [m for m in METHOD_NAMES_2D if m != "2D-LDA-R"])
+    def test_row_half_step_builds_on_the_swapped_stack(self, name, ds):
+        # fit_method's row half-step: the column-projected mode-swapped
+        # stack through the one builder, against the einsum row route
+        images, labels = ds
+        lhs, rhs, _ = _solver_sides(method_matrices(name, images, labels), len(images))
+        v = np.linalg.qr(np.random.default_rng(12).normal(size=(images.shape[2], 3)))[0]
+        projected = np.matmul(v.T, swap_modes(images))
+        for coupling in (lhs,) if rhs is None else (lhs, rhs):
+            built = _side_matrix(projected, coupling)
+            reference = row_subproblem_matrix(images, v, coupling)
             assert np.linalg.norm(built - reference) <= 1e-12 * np.linalg.norm(reference)
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -246,7 +270,7 @@ class TestPencilRoutes:
         for built, coupling in sides:
             np.testing.assert_array_equal(built, einsum(x, None, coupling))
 
-    @pytest.mark.parametrize("ds", [toy_dataset(11), toy_dataset(3, m1=12, m2=9, n=40, classes=4)], ids=["toy", "wide"])
+    @pytest.mark.parametrize("ds", PENCIL_ROUTE_DATA, ids=["toy", "wide"])
     def test_single_pass_shares_one_mix_per_coupling(self, ds):
         # the row and column pencils of 2D-LDA-R's single pass share each
         # coupling's mixed tensor and still equal the einsum builders
@@ -568,12 +592,6 @@ class TestFitUnilateral:
             assert pair.sides == "right_only"
             np.testing.assert_array_equal(pair.row_basis, np.eye(images.shape[1]))
             assert trace.converged
-
-    def test_bad_side(self):
-        images, labels = toy_dataset(30)
-        spec = method_matrices("2D-PCA", images, labels)
-        with pytest.raises(ParameterError):
-            fit_unilateral(images, spec, "middle", 2)
 
 
 class TestPreProcess:

@@ -284,7 +284,7 @@ class TestUnitReuse:
         train, labels = matrix_dataset(blank_column_ds, split_dataset(blank_column_ds, 8, cfg.seed, 0)[0])
         spec = method_matrices("2D-LDA-R", train, labels)
         assert spec.solver == "gen_max"
-        pencil = unilateral_pencil(train, spec, "right")
+        pencil = unilateral_pencil(train, spec)
         with pytest.raises(DefinitenessError):  # so every solve below takes the ridge retry
             gen_sym_eig(pencil.lhs, pencil.rhs, EigenSelection(1, "top"))
         unit = fit_unit(cfg, blank_column_ds, "2D-LDA-R", 0)
@@ -297,8 +297,8 @@ class TestUnitReuse:
         clean = run_experiment(cfg, dataset=synthetic_ds)
         solve = embed_2d.solve_unilateral
 
-        def failing_at_3(x, spec, side, dims):
-            fit = solve(x, spec, side, dims)
+        def failing_at_3(x, spec, dims):
+            fit = solve(x, spec, dims)
 
             def fit_or_fail(d):
                 if d == 3:

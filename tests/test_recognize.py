@@ -285,7 +285,7 @@ class TestErrorRate:
     "entry",
     [
         lambda a: fit_method(a, MethodSpec("2D-PCA", None, centering_matrix(2), "orth_max"), 1, 1),
-        lambda a: unilateral_pencil(a, MethodSpec("2D-PCA", None, centering_matrix(2), "orth_max"), "right"),
+        lambda a: unilateral_pencil(a, MethodSpec("2D-PCA", None, centering_matrix(2), "orth_max")),
         lambda a: project_tensor(a, identity_pair(4, 3)),
         lambda a: classify_prefixes(np.ones((2, 4, 3)), a, np.arange(2), (1,)),
     ],
