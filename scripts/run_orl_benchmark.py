@@ -6,8 +6,10 @@ Expects a class-per-subdirectory PGM tree (e.g. the 40-subject set with 10
 images of 112x92 per subject), via --dataset or the REPEL2D_ORL_DIR
 environment variable.  The two headline cells (unilateral 2D-PCA at d=10,
 unilateral 2D-OLPP-R at d=18) are printed against their reference error
-rates of 5.10% and 3.20%.  The sweeps run one worker per usable CPU;
-results do not depend on the worker count.
+rates of 5.10% and 3.20%.  The sweeps run one worker per usable CPU.
+The BLAS thread count follows the worker count, so results do not depend
+on it except in the 2D-NPP and 2D-ONPP-R rows: those use LLE weights,
+whose bits depend on the thread count.
 """
 
 import argparse

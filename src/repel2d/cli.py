@@ -167,7 +167,8 @@ def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
         raise ParameterError(f"fit saves matrix-method projectors; got {method!r}")
     ds = load_dataset(cfg.dataset, cfg.resize)
     experiment._validate_config(cfg, ds)
-    unit = experiment.fit_unit(cfg, ds, method, 0)
+    with experiment._blas_threads_capped(experiment._blas_thread_limit(cfg)):
+        unit = experiment.fit_unit(cfg, ds, method, 0)
     cell = _or_raise(unit.cells[0])
     pair, trace = cell.projector, cell.trace
     out.mkdir(parents=True, exist_ok=True)
@@ -200,7 +201,8 @@ def _cmd_eval(cfg: experiment.ExperimentConfig, out: Path) -> int:
     method, d = _one_cell(cfg, "eval")
     ds = load_dataset(cfg.dataset, cfg.resize)
     experiment._validate_config(cfg, ds)
-    cell = _or_raise(experiment.run_cell(cfg, ds, method, 0)[0])
+    with experiment._blas_threads_capped(experiment._blas_thread_limit(cfg)):
+        cell = _or_raise(experiment.run_cell(cfg, ds, method, 0)[0])
     print(f"{method} {experiment._mode_label(cfg, method)} d={cell.dim} error={cell.error:.6g} fit_seconds={cell.seconds:.6g}")
     return 0
 

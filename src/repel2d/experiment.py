@@ -405,7 +405,8 @@ def _blas_threads_capped(limit: int | None):
     block see the cap, and blocks that overlap in time with different
     limits can leave a count lowered after both exit.  Yields
     ``{library: {"before": n, "during": m}}``, empty when no OpenBLAS is
-    loaded.
+    loaded.  ``bench``, ``fit`` and ``eval`` all run under it, with the
+    limit that :func:`_blas_thread_limit` gives their config.
     """
     controls = _openblas_thread_controls()
     saved = {name: get() for name, (get, _) in controls.items()}
@@ -419,6 +420,24 @@ def _blas_threads_capped(limit: int | None):
             controls[name][1](n)
 
 
+def _blas_thread_limit(cfg: ExperimentConfig) -> int | None:
+    """The OpenBLAS thread limit that ``bench``, ``fit`` and ``eval`` run
+    ``cfg`` under (see :func:`_blas_threads_capped`; ``None``: no cap).
+
+    A pool of ``jobs`` workers shares the usable CPUs: ``max(1, usable
+    CPUs // jobs)`` threads each.  A serial run takes one thread, since
+    these fits are too small to gain from a second one, unless it fits a
+    reconstruction-weight method (2D-NPP, 2D-ONPP, NPP, ONPP, with or
+    without ``-R``): the bits of its LLE weights, and of vector ONPP-R's
+    pencil, depend on the thread count, so such a run keeps the default.
+    """
+    if cfg.jobs > 1:
+        return max(1, usable_cpus() // cfg.jobs)
+    if any(name.removeprefix("2D-").removesuffix("-R") in ("NPP", "ONPP") for name in cfg.methods):
+        return None
+    return 1
+
+
 def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -> ResultTable:
     """Run the full protocol and aggregate per-cell errors.
 
@@ -429,7 +448,10 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
     is recorded as a failure and the run continues; aggregates are over
     the surviving realizations (NaN if none survive).
     ``mean_fit_seconds`` is amortized over the unit's dimensions (see
-    :class:`ResultRow`).
+    :class:`ResultRow`).  The run holds OpenBLAS to
+    :func:`_blas_thread_limit`'s count, one thread per worker unless it
+    fits a reconstruction-weight method serially, and the metadata records
+    each library's count before and during the run.
     """
     ds = dataset if dataset is not None else load_dataset(cfg.dataset, cfg.resize)
     _validate_config(cfg, ds)
@@ -446,7 +468,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
         ]
 
     cpus = usable_cpus()
-    with _blas_threads_capped(max(1, cpus // cfg.jobs) if cfg.jobs > 1 else None) as blas_threads:
+    with _blas_threads_capped(_blas_thread_limit(cfg)) as blas_threads:
         if cfg.jobs > 1:
             with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
                 outcomes = [cell for cells in pool.map(task, tasks) for cell in cells]

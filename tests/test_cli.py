@@ -222,6 +222,31 @@ class TestBenchAndSweep:
             name: {"before": n, "during": min(n, limit)} for name, n in now.items()
         }
 
+    @pytest.mark.parametrize(("method", "jobs"), [("2D-PCA", "1"), ("2D-PCA", "2"), ("2D-NPP", "1")])
+    def test_fit_eval_and_bench_share_one_blas_limit(self, tmp_path, synthetic_dir, monkeypatch, method, jobs):
+        seen = []
+        capped = experiment._blas_threads_capped
+
+        def recording(limit):
+            seen.append(limit)
+            return capped(limit)
+
+        monkeypatch.setattr(experiment, "_blas_threads_capped", recording)
+        for command in ("fit", "eval", "bench"):
+            code = run_cli(
+                command,
+                "--dataset", str(synthetic_dir),
+                "--method", method,
+                "--dims", "2",
+                "--train-per-class", "4",
+                "--realizations", "1",
+                "--jobs", jobs,
+                "--out", str(tmp_path / command),
+            )
+            assert code == 0
+        expected = {"1": 1, "2": max(1, usable_cpus() // 2)}[jobs] if method == "2D-PCA" else None
+        assert seen == [expected] * 3
+
     def test_sweep_also_writes_plotdata(self, tmp_path, synthetic_dir):
         out = tmp_path / "res"
         code = run_cli(

@@ -101,9 +101,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["unilateral", "bilateral"])
     def test_jobs_parallel_matches_serial(self, synthetic_ds, mode):
-        # the serial run keeps the default BLAS threads, the pooled one runs
-        # under the per-worker cap; a generalized (2D-LPP) and a
-        # ridge-repaired (2D-LDA-R) method ride along with the orthonormal ones
+        # the serial run holds one BLAS thread, the pooled one runs under
+        # the per-worker cap; a generalized (2D-LPP) and a ridge-repaired
+        # (2D-LDA-R) method ride along with the orthonormal ones
         methods = ("2D-PCA", "2D-OLPP-R", "2D-LPP", "2D-LDA-R")
         cfg_serial = small_cfg(methods=methods, mode=mode, dims=(2, 4), realizations=2)
         cfg_par = small_cfg(methods=methods, mode=mode, dims=(2, 4), realizations=2, jobs=4)
@@ -579,6 +579,23 @@ class TestBlasThreadCap:
         with experiment._blas_threads_capped(None) as threads:
             assert self.counts(controls) == before
         assert threads == {name: {"before": n, "during": n} for name, n in before.items()}
+
+    def test_serial_run_takes_one_thread(self, controls, synthetic_ds):
+        before = self.counts(controls)
+        table = run_experiment(small_cfg(methods=("2D-PCA", "OLPP-R"), realizations=1), dataset=synthetic_ds)
+        threads = table.metadata["execution"]["blas_threads"]
+        assert threads == {name: {"before": n, "during": 1} for name, n in before.items()}
+        assert self.counts(controls) == before
+
+    @pytest.mark.parametrize("method", ["2D-NPP", "2D-ONPP-R", "ONPP-R"])
+    def test_serial_reconstruction_weight_run_keeps_the_default(self, controls, synthetic_ds, method):
+        # the bits of LLE weights depend on the thread count, so one such
+        # method leaves the whole serial run uncapped
+        before = self.counts(controls)
+        table = run_experiment(small_cfg(methods=("2D-PCA", method), realizations=1), dataset=synthetic_ds)
+        threads = table.metadata["execution"]["blas_threads"]
+        assert threads == {name: {"before": n, "during": n} for name, n in before.items()}
+        assert self.counts(controls) == before
 
 
 class TestEmit:
