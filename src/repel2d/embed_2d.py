@@ -290,6 +290,16 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
 # That is the layout einsum gives its own output, so the sums and their
 # rounding are unchanged; the caller owns it because a tensor the helper
 # allocated would stay in the helper's malloc arena.
+#
+# What a bit-exact rewrite of these pencils would have to reproduce
+# (measured on the ORL-shaped perfbench data, seed 7):
+# - the "ipk,kl->ipl" mix equals a sequential, unfused sum over the samples
+#   k in index order, taken over the whole array; reading a C-contiguous
+#   copy of the stack instead of its (m1, m2, n) view keeps its bits;
+# - "ipl,iql->pq" equals a sequential sum over (i, l), i outermost, but its
+#   bits change when the stack operand is a C-contiguous copy;
+# - "pjl,qjl->pq" matches neither a sequential sum over (j, l) nor one GEMM
+#   on the (m1, m2 * n) reshapes.
 
 
 def _mix(z: np.ndarray, coupling: np.ndarray) -> np.ndarray:

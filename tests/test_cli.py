@@ -9,6 +9,8 @@ import pytest
 from repel2d import experiment
 from repel2d.cli import _build_parser, build_config, main, read_config
 from repel2d.datasets import ImageDataset, load_dataset, write_dataset_pgm
+from repel2d.embed_1d import METHOD_NAMES_1D
+from repel2d.embed_2d import METHOD_NAMES_2D
 from repel2d.errors import ParameterError
 from repel2d.experiment import CSV_HEADER, usable_cpus
 
@@ -132,6 +134,42 @@ class TestConfigFile:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error: dataset: ")
         assert not out.exists()
+
+
+class TestProtocolConfigs:
+    # the protocol files under configs/: a typo in a key or a method name
+    # fails here, not minutes into a sweep
+    CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+    PROTOCOLS = {
+        "orl.cfg": dict(
+            methods=("2D-PCA", "2D-LDA", "2D-LPP", "2D-NPP", "2D-LDA-R", "2D-OLPP-R", "2D-ONPP-R"),
+            dims=(2, 4, 6, 8, 10, 12, 14, 16, 18, 20),
+            train_per_class=5,
+            realizations=20,
+            seed=0,
+        ),
+        "synthetic.cfg": dict(
+            methods=("2D-PCA", "2D-LPP", "2D-OLPP", "2D-OLPP-R", "2D-ONPP-R", "2D-LDA", "2D-LDA-R"),
+            dims=(2, 4, 6),
+            train_per_class=10,
+            realizations=20,
+            seed=0,
+        ),
+    }
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda path: path.name)
+    def test_config_builds_with_known_methods(self, path):
+        assert "dataset" not in read_config(path)  # the command line names the tree
+        cfg, _ = bench_config("--config", str(path), "--dataset", "faces")
+        known = set(METHOD_NAMES_2D) | set(METHOD_NAMES_1D)
+        assert [name for name in cfg.methods if name not in known] == []
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_config_holds_exactly_its_protocol(self, name):
+        # every option the file leaves out keeps its default; the mode and
+        # the worker count come from the command line
+        cfg, _ = bench_config("--config", str(self.CONFIG_DIR / name), "--dataset", "faces")
+        assert cfg == experiment.ExperimentConfig(dataset="faces", **self.PROTOCOLS[name])
 
 
 class TestOneReaderPerOption:
