@@ -32,6 +32,7 @@ from repel2d.embed_2d import (
     lda_weight_matrix,
     method_matrices,
     pre_process_2dpca,
+    solve_bilateral,
     unilateral_pencil,
 )
 from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError, ShapeError
@@ -284,36 +285,52 @@ class TestPencilRoutes:
             np.testing.assert_array_equal(pencil.lhs, einsum(images, None, lhs))
             np.testing.assert_array_equal(pencil.rhs, einsum(images, None, rhs))
 
-    @pytest.mark.parametrize("sides", [("left",), ("right",), ("left", "right")])
+    @pytest.mark.parametrize("sides", [("left",), ("right",), ("left", "right"), "single pass"])
     def test_coupling_helper_is_joined(self, sides):
         # the rhs coupling's chain runs on a helper thread that never
-        # outlives the call, whichever sides are built
+        # outlives the call, whichever sides are built; the single pass
+        # builds its row pencil inside fit(d), whose helper is joined too
         images, labels = toy_dataset(11)
         spec = method_matrices("2D-LDA-R", images, labels)
         before = threading.active_count()
-        pencils = _discriminant_pencils(images, spec, sides)
+        if sides == "single pass":
+            fit = solve_bilateral(images, spec)
+            assert threading.active_count() == before
+            pair, trace = fit(2)  # the column solve passes, so the row pencil is built
+            assert len(trace.objectives) == 2
+            pencils, sides = (pair.row_basis, pair.col_basis), ("left", "right")
+        else:
+            pencils = _discriminant_pencils(images, spec, sides)
         assert threading.active_count() == before
         assert len(pencils) == len(sides)
 
-    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("deferred", [False, True], ids=["at-once", "deferred-row"])
+    def test_helper_exception_reaches_the_caller(self, monkeypatch, deferred):
+        # deferred-row: the helper fails in the single pass's row build,
+        # inside fit(d), after the column build has passed
         images, labels = toy_dataset(11)
         spec = method_matrices("2D-LDA-R", images, labels)
         caller = threading.get_ident()
         chain = embed_2d._coupled_sides
         threads = []
 
-        def failing_off_caller(*args):
+        def failing_off_caller(arr, coupling, mixed, sides):
             threads.append(threading.get_ident())
-            if threading.get_ident() != caller:
+            if threading.get_ident() != caller and "left" in sides:
                 raise NumericalQualityError("injected helper failure")
-            return chain(*args)
+            return chain(arr, coupling, mixed, sides)
 
         monkeypatch.setattr(embed_2d, "_coupled_sides", failing_off_caller)
         before = threading.active_count()
         with pytest.raises(NumericalQualityError, match="injected helper failure"):
-            _discriminant_pencils(images, spec)
+            if deferred:
+                solve_bilateral(images, spec)(2)
+            else:
+                _discriminant_pencils(images, spec)
         assert threading.active_count() == before
-        assert len(threads) == 2 and threads.count(caller) == 1
+        # each build runs the chain once on this thread and once on the helper
+        builds = 2 if deferred else 1
+        assert len(threads) == 2 * builds and threads.count(caller) == builds
 
 
 class TestTraceObjective:

@@ -429,6 +429,39 @@ class TestSolveBilateral:
             fitted += 1
         assert fitted
 
+    @pytest.mark.parametrize("per_class, column_passes", [(4, False), (8, True)])
+    def test_row_pencil_waits_for_a_column_solve(self, synthetic_ds, monkeypatch, per_class, column_passes):
+        # the row pencil (one "pjl,qjl->pq" einsum per coupling) is
+        # contracted the first time a column solve passes and reused for
+        # every later dimension; a unit whose column solves all fail never
+        # contracts it
+        train, labels = matrix_dataset(synthetic_ds, split_dataset(synthetic_ds, per_class, 0, 0)[0])
+        spec = method_matrices("2D-LDA-R", train, labels)
+        dims = (1, 2, 3, 4)
+        column = unilateral_pencil(train, spec)
+        for d in dims:
+            if column_passes:
+                embed_2d.solve_pencil(column, (d,))(d)
+            else:
+                with pytest.raises(NumericalQualityError):
+                    embed_2d.solve_pencil(column, (d,))(d)
+        subscripts = []
+        einsum = np.einsum
+
+        def spy(subs, *operands, **kwargs):
+            subscripts.append(subs)
+            return einsum(subs, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        fit = embed_2d.solve_bilateral(train, spec)
+        for d in dims:
+            try:
+                fit(d)
+            except experiment._CELL_FAILURES:
+                pass
+        assert subscripts.count("ipl,iql->pq") == 2
+        assert subscripts.count("pjl,qjl->pq") == (2 if column_passes else 0)
+
 
 NESTED_DIMS = tuple(range(2, 11))
 
