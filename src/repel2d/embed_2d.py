@@ -31,7 +31,7 @@ import numpy as np
 
 from . import graphs
 from .errors import DefinitenessError, ParameterError, RankError, ShapeError
-from .spectral import EigenPrefixes, EigenSelection, fix_signs, gen_sym_eig_prefixes, sym_eig_prefixes, take_prefix
+from .spectral import EigenPrefixes, fix_signs, gen_sym_eig_prefixes, sym_eig_prefixes, take_prefix
 
 __all__ = [
     "MethodSpec",
@@ -90,8 +90,8 @@ class MethodSpec:
     ``min_coupling`` is the matrix whose projected trace the method drives
     down, ``max_coupling`` the one it drives up (either may be absent,
     matching the method family).  ``bandwidth`` records the Gaussian
-    bandwidth actually used for the graph weights, ``beta`` and ``knn``
-    the repulsion parameters.
+    bandwidth actually used for the graph weights, ``beta`` the repulsion
+    strength.
     """
 
     name: str
@@ -99,7 +99,6 @@ class MethodSpec:
     max_coupling: np.ndarray | None
     solver: str
     beta: float = 0.0
-    knn: int = 0
     bandwidth: float | None = None
 
 
@@ -110,7 +109,8 @@ class ProjectorPair:
     ``constraints`` records, per side, which normalization holds:
     ``"orthonormal"``, ``"coupled"`` (normalized against the maximized /
     constraint side matrix), or ``"identity"`` (pinned to an exact
-    identity, not solved for).
+    identity, not solved for).  Only a one-sided fit's row factor is ever
+    pinned.
     """
 
     row_basis: np.ndarray
@@ -119,14 +119,10 @@ class ProjectorPair:
 
     @property
     def sides(self) -> str:
-        """Which factors were solved for: ``"left_only"`` / ``"right_only"``
-        when the other one is pinned to the identity, else ``"bilateral"``."""
+        """Which factors were solved for: ``"right_only"`` when only the row
+        factor is pinned to the identity, else ``"bilateral"``."""
         row, col = (c == "identity" for c in self.constraints)
-        if row and not col:
-            return "right_only"
-        if col and not row:
-            return "left_only"
-        return "bilateral"
+        return "right_only" if row and not col else "bilateral"
 
 
 @dataclass
@@ -247,7 +243,6 @@ def method_matrices(
         max_coupling=max_coupling,
         solver=_METHOD_TABLE[base],
         beta=float(beta),
-        knn=int(knn) if repulsion else 0,
         bandwidth=bandwidth,
     )
 
@@ -370,19 +365,18 @@ def _half_step(lhs: np.ndarray, rhs: np.ndarray | None, which: str, d: int) -> t
     prefixes' orthonormality defects are measured against the constraint
     actually solved with, so they are the fit's constraint defects.
     """
-    sel = EigenSelection(d, which)
     if rhs is None:
-        return sym_eig_prefixes(lhs, sel), 0.0
+        return sym_eig_prefixes(lhs, d, which), 0.0
     if which == "top" and np.linalg.norm(lhs) == 0.0:
         raise RankError("maximized-side subproblem matrix is identically zero")
     if np.linalg.norm(rhs) == 0.0:  # a ridge shift would be 0.0 and repair nothing
         raise DefinitenessError("constraint-side subproblem matrix is identically zero", 0.0)
     try:
-        return gen_sym_eig_prefixes(lhs, rhs, sel), 0.0
+        return gen_sym_eig_prefixes(lhs, rhs, d, which), 0.0
     except DefinitenessError as first:
         shift = abs(first.smallest_eigenvalue) + 1e-8 * float(np.linalg.norm(rhs))
         try:
-            return gen_sym_eig_prefixes(lhs, rhs + shift * np.eye(rhs.shape[0]), sel), shift
+            return gen_sym_eig_prefixes(lhs, rhs + shift * np.eye(rhs.shape[0]), d, which), shift
         except DefinitenessError as second:
             raise DefinitenessError(
                 f"constraint side not positive definite even after ridge shift {shift:.3e}: {second}",
@@ -687,12 +681,13 @@ def compose_pairs(outer: ProjectorPair, inner: ProjectorPair) -> ProjectorPair:
     """Compose a pre-processing pair with a downstream fit's pair.
 
     The result maps the original space directly to the final reduced
-    space: ``row = outer.row @ inner.row`` and likewise for columns.
+    space: ``row = outer.row @ inner.row`` and likewise for columns.  A
+    pinned inner row factor keeps the outer row's normalization.
     """
     if outer.row_basis.shape[1] != inner.row_basis.shape[0]:
         raise ShapeError("row bases do not chain")
     if outer.col_basis.shape[1] != inner.col_basis.shape[0]:
         raise ShapeError("column bases do not chain")
     row_c = outer.constraints[0] if inner.constraints[0] == "identity" else inner.constraints[0]
-    col_c = outer.constraints[1] if inner.constraints[1] == "identity" else inner.constraints[1]
-    return ProjectorPair(outer.row_basis @ inner.row_basis, outer.col_basis @ inner.col_basis, (row_c, col_c))
+    constraints = (row_c, inner.constraints[1])
+    return ProjectorPair(outer.row_basis @ inner.row_basis, outer.col_basis @ inner.col_basis, constraints)

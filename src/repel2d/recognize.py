@@ -18,7 +18,7 @@ __all__ = ["project_tensor", "classify_prefixes", "error_rate"]
 def project_tensor(x, pair: ProjectorPair) -> np.ndarray:
     """``row_basis^T @ X_k @ col_basis`` for every image of an
     ``(n, m1, m2)`` stack, one batched ``matmul`` per side, so image k of
-    the result is bit-identical to projecting image k alone.  A side
+    the result is bit-identical to projecting image k alone.  A row factor
     pinned to the identity (constraint ``"identity"``) is skipped;
     multiplying by it would be exact anyway."""
     stack = _image_stack(x)
@@ -27,12 +27,9 @@ def project_tensor(x, pair: ProjectorPair) -> np.ndarray:
             f"image shape {stack.shape[1:]} does not match projector "
             f"({pair.row_basis.shape[0]}, {pair.col_basis.shape[0]})"
         )
-    row_constraint, col_constraint = pair.constraints
-    if row_constraint != "identity":
+    if pair.constraints[0] != "identity":
         stack = np.matmul(pair.row_basis.T, stack)
-    if col_constraint != "identity":
-        stack = np.matmul(stack, pair.col_basis)
-    return stack
+    return np.matmul(stack, pair.col_basis)
 
 
 def _squared_distances(items: np.ndarray, query: np.ndarray) -> np.ndarray:

@@ -35,17 +35,7 @@ DEFINITENESS_FLOOR = 1e-10
 # allowed relative asymmetry of inputs before symmetrization
 SYMMETRY_TOL = 1e-10
 
-__all__ = ["EigenSelection", "EigenPrefixes", "fix_signs", "take_prefix", "sym_eig_prefixes", "gen_sym_eig_prefixes"]
-
-
-@dataclass(frozen=True)
-class EigenSelection:
-    """Which eigenpairs to return: ``count`` of them from the ``bottom``
-    (smallest eigenvalues, returned ascending) or ``top`` (largest,
-    returned descending)."""
-
-    count: int
-    which: str = "bottom"
+__all__ = ["EigenPrefixes", "fix_signs", "take_prefix", "sym_eig_prefixes", "gen_sym_eig_prefixes"]
 
 
 def _square_symmetrized(m, what: str) -> np.ndarray:
@@ -58,12 +48,11 @@ def _square_symmetrized(m, what: str) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-def _validated(sel: EigenSelection, order: int) -> EigenSelection:
-    if sel.which not in ("bottom", "top"):
-        raise ParameterError(f"selection must be 'bottom' or 'top', got {sel.which!r}")
-    if not 1 <= sel.count <= order:
-        raise ParameterError(f"selection count {sel.count} not in [1, {order}]")
-    return sel
+def _check_selection(count: int, which: str, order: int):
+    if which not in ("bottom", "top"):
+        raise ParameterError(f"selection must be 'bottom' or 'top', got {which!r}")
+    if not 1 <= count <= order:
+        raise ParameterError(f"selection count {count} not in [1, {order}]")
 
 
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -80,11 +69,11 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def _select(values: np.ndarray, vectors: np.ndarray, sel: EigenSelection):
-    if sel.which == "bottom":
-        idx = np.arange(sel.count)
+def _select(values: np.ndarray, vectors: np.ndarray, count: int, which: str):
+    if which == "bottom":
+        idx = np.arange(count)
     else:
-        idx = np.arange(len(values) - 1, len(values) - 1 - sel.count, -1)
+        idx = np.arange(len(values) - 1, len(values) - 1 - count, -1)
     return values[idx], vectors[:, idx]
 
 
@@ -146,18 +135,20 @@ def take_prefix(pairs: EigenPrefixes, d: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs.values[:d], pairs.vectors[:, :d].copy(order="K")
 
 
-def sym_eig_prefixes(m, sel: EigenSelection) -> EigenPrefixes:
-    """The selected eigenpairs of a symmetric matrix ``M``, with
-    orthonormal eigenvector columns.
+def sym_eig_prefixes(m, count: int, which: str) -> EigenPrefixes:
+    """The ``count`` eigenpairs of a symmetric matrix ``M`` from the
+    ``which`` end: ``"bottom"`` (smallest eigenvalues, returned ascending)
+    or ``"top"`` (largest, returned descending), with orthonormal
+    eigenvector columns.
 
     Each column must meet the residual bound ``|M v - lambda v| <= 1e-8
     |M|`` and each prefix ``V`` the orthonormality bound ``|V^T V - I| <=
     1e-10``; :func:`take_prefix` raises for the prefixes that do not.
     """
     ms = _square_symmetrized(m, "sym_eig input")
-    sel = _validated(sel, ms.shape[0])
+    _check_selection(count, which, ms.shape[0])
     values, vectors = np.linalg.eigh(ms)
-    values, vectors = _select(values, vectors, sel)
+    values, vectors = _select(values, vectors, count, which)
     vectors = fix_signs(vectors)
     m_norm = float(np.linalg.norm(ms))
     return EigenPrefixes(
@@ -171,9 +162,10 @@ def sym_eig_prefixes(m, sel: EigenSelection) -> EigenPrefixes:
     )
 
 
-def gen_sym_eig_prefixes(m, n, sel: EigenSelection) -> EigenPrefixes:
-    """The selected eigenpairs of the pencil ``M v = lambda N v`` for
-    symmetric ``M`` and symmetric positive definite ``N``.
+def gen_sym_eig_prefixes(m, n, count: int, which: str) -> EigenPrefixes:
+    """The ``count`` ``which`` eigenpairs (as for :func:`sym_eig_prefixes`)
+    of the pencil ``M v = lambda N v`` for symmetric ``M`` and symmetric
+    positive definite ``N``.
 
     ``N`` is accepted as positive definite when its smallest eigenvalue
     exceeds ``1e-10`` times its spectral radius; otherwise a
@@ -188,7 +180,7 @@ def gen_sym_eig_prefixes(m, n, sel: EigenSelection) -> EigenPrefixes:
     ns = _square_symmetrized(n, "gen_sym_eig right input")
     if ms.shape != ns.shape:
         raise ShapeError(f"matrix orders differ: {ms.shape} vs {ns.shape}")
-    sel = _validated(sel, ms.shape[0])
+    _check_selection(count, which, ms.shape[0])
 
     n_eigs = np.linalg.eigvalsh(ns)
     smallest = float(n_eigs[0])
@@ -205,7 +197,7 @@ def gen_sym_eig_prefixes(m, n, sel: EigenSelection) -> EigenPrefixes:
             f"generalized eigensolve failed on a near-singular constraint: {exc}",
             smallest,
         ) from exc
-    values, vectors = _select(values, vectors, sel)
+    values, vectors = _select(values, vectors, count, which)
     vectors = fix_signs(vectors)
 
     scale = float(np.linalg.norm(ms) + np.linalg.norm(ns))

@@ -379,12 +379,12 @@ def parse_result_csv(path) -> list[ResultRow]:
 # exactly its own d pairs and checked the contract over all d columns.
 
 
-def eig_at(m, n, sel):
+def eig_at(m, n, count, which="bottom"):
     """``sym_eig`` (``n`` is None) or ``gen_sym_eig`` as one solve for
-    ``sel.count`` pairs whose residual and orthonormality are checked over
+    ``count`` ``which`` pairs whose residual and orthonormality are checked over
     all of its columns at once.  Returns ``(values, vectors, defect)``."""
     ms = spectral._square_symmetrized(m, "left input")
-    sel = spectral._validated(sel, ms.shape[0])
+    spectral._check_selection(count, which, ms.shape[0])
     if n is None:
         values, vectors = np.linalg.eigh(ms)
         scale, limit = float(np.linalg.norm(ms)), spectral.ORTH_TOL
@@ -399,14 +399,14 @@ def eig_at(m, n, sel):
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise DefinitenessError(f"generalized eigensolve failed: {exc}", smallest) from exc
         scale, limit = float(np.linalg.norm(ms) + np.linalg.norm(ns)), spectral.GEN_ORTH_TOL
-    values, vectors = spectral._select(values, vectors, sel)
+    values, vectors = spectral._select(values, vectors, count, which)
     vectors = spectral.fix_signs(vectors)
     side = vectors if n is None else ns @ vectors
     residual = np.linalg.norm(ms @ vectors - side * values, axis=0)
     if np.any(residual > spectral.RESIDUAL_TOL * max(scale, 1e-300)):
         raise NumericalQualityError(f"residual {residual.max():.3e}")
     gram = vectors.T @ vectors if n is None else vectors.T @ ns @ vectors
-    defect = float(np.linalg.norm(gram - np.eye(sel.count)))
+    defect = float(np.linalg.norm(gram - np.eye(count)))
     if defect > limit:
         raise NumericalQualityError(f"orthonormality defect {defect:.3e}")
     return values, vectors, defect
@@ -415,18 +415,17 @@ def eig_at(m, n, sel):
 def half_step_at(lhs, rhs, which, d):
     """One half-step for exactly ``d`` pairs, with the one ridge retry:
     ``(values, basis, constraint defect, ridge shift)``."""
-    sel = spectral.EigenSelection(d, which)
     if rhs is None:
-        return (*eig_at(lhs, None, sel), 0.0)
+        return (*eig_at(lhs, None, d, which), 0.0)
     if which == "top" and np.linalg.norm(lhs) == 0.0:
         raise RankError("maximized side is identically zero")
     if np.linalg.norm(rhs) == 0.0:
         raise DefinitenessError("constraint side is identically zero", 0.0)
     try:
-        return (*eig_at(lhs, rhs, sel), 0.0)
+        return (*eig_at(lhs, rhs, d, which), 0.0)
     except DefinitenessError as first:
         shift = abs(first.smallest_eigenvalue) + 1e-8 * float(np.linalg.norm(rhs))
-        return (*eig_at(lhs, rhs + shift * np.eye(rhs.shape[0]), sel), shift)
+        return (*eig_at(lhs, rhs + shift * np.eye(rhs.shape[0]), d, which), shift)
 
 
 def fit_at(cfg, ds, method, realization, d):
@@ -461,10 +460,10 @@ def fit_at(cfg, ds, method, realization, d):
         if not 1 <= d <= x.shape[0]:
             raise ParameterError(f"PCA dimension out of range: {d}")
         if pencil.lift is None:
-            values, basis, defect = eig_at(pencil.lhs, None, spectral.EigenSelection(d, "top"))
+            values, basis, defect = eig_at(pencil.lhs, None, d, "top")
             return basis, FitTrace([float(np.sum(values))], 1, True, defect, 0.0)
         count = min(d, pencil.lhs.shape[0])
-        values, vectors, defect = eig_at(pencil.lhs, None, spectral.EigenSelection(count, "top"))
+        values, vectors, defect = eig_at(pencil.lhs, None, count, "top")
         if np.count_nonzero(values > max(values[0], 0.0) * 1e-12) < d:
             raise ParameterError(f"data rank too low for {d} components")
         basis = spectral.fix_signs(pencil.lift @ vectors[:, :d] / np.sqrt(values[:d]))
@@ -510,14 +509,15 @@ def fit_1d(x, labels, method, d, **options):
     return solve_pencil(vector_pencil(x, labels, method, **options), (d,))(d)
 
 
-def sym_eig(m, sel):
-    """All ``sel.count`` checked eigenpairs of a symmetric matrix."""
-    return spectral.take_prefix(spectral.sym_eig_prefixes(m, sel), sel.count)
+def sym_eig(m, count, which="bottom"):
+    """All ``count`` checked ``which`` eigenpairs of a symmetric matrix."""
+    return spectral.take_prefix(spectral.sym_eig_prefixes(m, count, which), count)
 
 
-def gen_sym_eig(m, n, sel):
-    """All ``sel.count`` checked eigenpairs of a symmetric-definite pencil."""
-    return spectral.take_prefix(spectral.gen_sym_eig_prefixes(m, n, sel), sel.count)
+def gen_sym_eig(m, n, count, which="bottom"):
+    """All ``count`` checked ``which`` eigenpairs of a symmetric-definite
+    pencil."""
+    return spectral.take_prefix(spectral.gen_sym_eig_prefixes(m, n, count, which), count)
 
 
 def classify_batch(queries, gallery, gallery_labels):

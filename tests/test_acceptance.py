@@ -28,7 +28,6 @@ from repel2d.embed_2d import (
     lda_weight_matrix,
     method_matrices,
 )
-from repel2d.spectral import EigenSelection
 from _oracles import (
     Tensor3,
     as_tensor,
@@ -325,7 +324,7 @@ def test_criterion_8_eigensolver_contracts():
         m = rng.normal(size=(order, order)) * rng.uniform(0.1, 10.0)
         m = 0.5 * (m + m.T)
         d = int(rng.integers(1, order + 1))
-        values, vectors = sym_eig(m, EigenSelection(d, "bottom" if trial % 2 else "top"))
+        values, vectors = sym_eig(m, d, "bottom" if trial % 2 else "top")
         resid = np.linalg.norm(m @ vectors - vectors * values, axis=0).max()
         if resid > 1e-8 * np.linalg.norm(m):
             violations.append((trial, "sym", resid))
@@ -336,7 +335,7 @@ def test_criterion_8_eigensolver_contracts():
         half = rng.normal(size=(order, order))
         nmat = half @ half.T + order * np.eye(order)
         d = int(rng.integers(1, order + 1))
-        values, vectors = gen_sym_eig(m, nmat, EigenSelection(d, "bottom"))
+        values, vectors = gen_sym_eig(m, nmat, d, "bottom")
         resid = np.linalg.norm(m @ vectors - (nmat @ vectors) * values, axis=0).max()
         if resid > 1e-8 * (np.linalg.norm(m) + np.linalg.norm(nmat)):
             violations.append((trial, "gen", resid))
@@ -345,7 +344,7 @@ def test_criterion_8_eigensolver_contracts():
         m = 0.5 * (m + m.T)
         half = rng.normal(size=(3, 3))
         nmat = half @ half.T + 3 * np.eye(3)
-        got, _ = gen_sym_eig(m, nmat, EigenSelection(3, "bottom"))
+        got, _ = gen_sym_eig(m, nmat, 3, "bottom")
         want = pencil_eigenvalues_3x3(m, nmat)
         if np.max(np.abs(got - want)) > 1e-8 * max(1.0, np.max(np.abs(want))):
             violations.append((trial, "cubic", got, want))

@@ -148,6 +148,17 @@ class TestProtocolConfigs:
             realizations=20,
             seed=0,
         ),
+        "repulsion.cfg": dict(
+            methods=tuple(
+                name
+                for base in ("2D-OLPP", "2D-ONPP", "2D-LPP", "2D-NPP", "2D-LDA", "OLPP", "ONPP", "LDA")
+                for name in (base, f"{base}-R")
+            ),
+            dims=(2, 4, 6),
+            train_per_class=10,
+            realizations=20,
+            seed=0,
+        ),
         "synthetic.cfg": dict(
             methods=("2D-PCA", "2D-LPP", "2D-OLPP", "2D-OLPP-R", "2D-ONPP-R", "2D-LDA", "2D-LDA-R"),
             dims=(2, 4, 6),

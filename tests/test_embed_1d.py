@@ -7,7 +7,6 @@ from repel2d.datasets import split_dataset, synthetic_confusable, vector_dataset
 from repel2d.embed_1d import METHOD_NAMES_1D, auto_predim, scatter_matrices, vector_pencil
 from repel2d.embed_2d import solve_pencil
 from repel2d.errors import DefinitenessError, ParameterError, ShapeError
-from repel2d.spectral import EigenSelection
 
 from _oracles import fit_1d, gen_sym_eig
 
@@ -245,7 +244,7 @@ class TestOneRidgePolicy:
         assert shifted is not pencil.rhs  # the repair fires on this split
         fit = solve_pencil(pencil, (2, 4, 6))
         for d in (2, 4, 6):
-            expected = pencil.pre @ gen_sym_eig(pencil.lhs, shifted, EigenSelection(d, "top"))[1]
+            expected = pencil.pre @ gen_sym_eig(pencil.lhs, shifted, d, "top")[1]
             np.testing.assert_array_equal(fit(d)[0], expected)
 
     def test_lpp_singular_constraint_fits_through_ridge_retry(self):
@@ -255,7 +254,7 @@ class TestOneRidgePolicy:
         ds = data, labels
         pencil = vector_pencil(*ds, "LPP")
         with pytest.raises(DefinitenessError):
-            gen_sym_eig(pencil.lhs, pencil.rhs, EigenSelection(2, "bottom"))
+            gen_sym_eig(pencil.lhs, pencil.rhs, 2, "bottom")
         basis, trace = fit_1d(*ds, "LPP", 2)
         assert pencil.rhs is not None and trace.ridge_shift > 0.0
         assert basis.shape == (6, 2) and np.all(np.isfinite(basis))

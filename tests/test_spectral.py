@@ -12,7 +12,6 @@ from repel2d.errors import (
 )
 from repel2d.spectral import (
     EigenPrefixes,
-    EigenSelection,
     fix_signs,
     gen_sym_eig_prefixes,
     sym_eig_prefixes,
@@ -32,18 +31,18 @@ def random_spd(rng, n):
 
 class TestSymEig:
     def test_diagonal_bottom(self):
-        values, vectors = sym_eig(np.diag([3.0, 1.0, 2.0]), EigenSelection(1, "bottom"))
+        values, vectors = sym_eig(np.diag([3.0, 1.0, 2.0]), 1, "bottom")
         assert values[0] == pytest.approx(1.0)
         np.testing.assert_allclose(np.abs(vectors[:, 0]), [0, 1, 0], atol=1e-12)
 
     def test_identity_any_selection(self):
         for which in ("bottom", "top"):
-            values, _ = sym_eig(np.eye(4), EigenSelection(3, which))
+            values, _ = sym_eig(np.eye(4), 3, which)
             np.testing.assert_allclose(values, np.ones(3))
 
     def test_two_by_two_hand_oracle(self):
         # characteristic polynomial of [[2,1],[1,2]] gives roots 1 and 3
-        values, vectors = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]), EigenSelection(1, "bottom"))
+        values, vectors = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]), 1, "bottom")
         assert values[0] == pytest.approx(1.0, rel=1e-12)
         expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
         assert min(
@@ -53,8 +52,8 @@ class TestSymEig:
     def test_sorted_orders(self):
         rng = np.random.default_rng(0)
         m = random_symmetric(rng, 6)
-        bottom, _ = sym_eig(m, EigenSelection(4, "bottom"))
-        top, _ = sym_eig(m, EigenSelection(4, "top"))
+        bottom, _ = sym_eig(m, 4, "bottom")
+        top, _ = sym_eig(m, 4, "top")
         assert np.all(np.diff(bottom) >= 0)
         assert np.all(np.diff(top) <= 0)
         assert bottom[0] == pytest.approx(top[-1] if len(top) == 6 else bottom[0])
@@ -64,15 +63,15 @@ class TestSymEig:
         for _ in range(25):
             n = rng.integers(2, 12)
             m = random_symmetric(rng, int(n), scale=10.0)
-            values, vectors = sym_eig(m, EigenSelection(int(n), "bottom"))
+            values, vectors = sym_eig(m, int(n), "bottom")
             assert np.linalg.norm(m @ vectors - vectors * values) <= 1e-8 * np.linalg.norm(m)
             assert np.linalg.norm(vectors.T @ vectors - np.eye(int(n))) <= 1e-10
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(2)
         m = random_symmetric(rng, 5)
-        _, v1 = sym_eig(m, EigenSelection(5, "bottom"))
-        _, v2 = sym_eig(m.copy(), EigenSelection(5, "bottom"))
+        _, v1 = sym_eig(m, 5, "bottom")
+        _, v2 = sym_eig(m.copy(), 5, "bottom")
         np.testing.assert_array_equal(v1, v2)
         for col in range(5):
             lead = np.argmax(np.abs(v1[:, col]))
@@ -80,31 +79,31 @@ class TestSymEig:
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ContractError):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), EigenSelection(1))
+            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
 
     def test_bad_selection(self):
         with pytest.raises(ParameterError):
-            sym_eig(np.eye(3), EigenSelection(0))
+            sym_eig(np.eye(3), 0)
         with pytest.raises(ParameterError):
-            sym_eig(np.eye(3), EigenSelection(4))
+            sym_eig(np.eye(3), 4)
         with pytest.raises(ParameterError):
-            sym_eig(np.eye(3), EigenSelection(1, "middle"))
+            sym_eig(np.eye(3), 1, "middle")
         with pytest.raises(ShapeError):
-            sym_eig(np.ones((2, 3)), EigenSelection(1))
+            sym_eig(np.ones((2, 3)), 1)
 
 
 class TestGenSymEig:
     def test_identity_constraint_reduces_to_sym(self):
         rng = np.random.default_rng(3)
         m = random_symmetric(rng, 5)
-        sv, svec = sym_eig(m, EigenSelection(3, "bottom"))
-        gv, gvec = gen_sym_eig(m, np.eye(5), EigenSelection(3, "bottom"))
+        sv, svec = sym_eig(m, 3, "bottom")
+        gv, gvec = gen_sym_eig(m, np.eye(5), 3, "bottom")
         np.testing.assert_allclose(gv, sv, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(np.abs(gvec), np.abs(svec), atol=1e-8)
 
     def test_diagonal_pair(self):
         values, vectors = gen_sym_eig(
-            np.diag([4.0, 1.0]), np.diag([2.0, 1.0]), EigenSelection(1, "bottom")
+            np.diag([4.0, 1.0]), np.diag([2.0, 1.0]), 1, "bottom"
         )
         assert values[0] == pytest.approx(1.0)
         np.testing.assert_allclose(vectors[:, 0], [0.0, 1.0], atol=1e-12)
@@ -115,7 +114,7 @@ class TestGenSymEig:
             m = random_symmetric(rng, 3, scale=3.0)
             n = random_spd(rng, 3)
             expected = pencil_eigenvalues_3x3(m, n)
-            values, _ = gen_sym_eig(m, n, EigenSelection(3, "bottom"))
+            values, _ = gen_sym_eig(m, n, 3, "bottom")
             np.testing.assert_allclose(values, expected, rtol=1e-8, atol=1e-8)
 
     def test_residuals_and_n_orthonormality(self):
@@ -125,7 +124,7 @@ class TestGenSymEig:
             m = random_symmetric(rng, order, scale=5.0)
             n = random_spd(rng, order)
             d = int(rng.integers(1, order + 1))
-            values, vectors = gen_sym_eig(m, n, EigenSelection(d, "bottom"))
+            values, vectors = gen_sym_eig(m, n, d, "bottom")
             scale = np.linalg.norm(m) + np.linalg.norm(n)
             assert np.linalg.norm(m @ vectors - (n @ vectors) * values) <= 1e-8 * scale
             assert np.linalg.norm(vectors.T @ n @ vectors - np.eye(d)) <= 1e-8
@@ -134,18 +133,18 @@ class TestGenSymEig:
         m = np.eye(2)
         indefinite = np.diag([1.0, -0.5])
         with pytest.raises(DefinitenessError) as info:
-            gen_sym_eig(m, indefinite, EigenSelection(1))
+            gen_sym_eig(m, indefinite, 1)
         assert info.value.smallest_eigenvalue == pytest.approx(-0.5)
 
     def test_singular_constraint_rejected(self):
         with pytest.raises(DefinitenessError):
-            gen_sym_eig(np.eye(2), np.diag([1.0, 0.0]), EigenSelection(1))
+            gen_sym_eig(np.eye(2), np.diag([1.0, 0.0]), 1)
 
     def test_top_selection_descending(self):
         rng = np.random.default_rng(6)
         m = random_symmetric(rng, 5)
         n = random_spd(rng, 5)
-        values, _ = gen_sym_eig(m, n, EigenSelection(3, "top"))
+        values, _ = gen_sym_eig(m, n, 3, "top")
         assert np.all(np.diff(values) <= 0)
 
 
@@ -161,8 +160,8 @@ def test_property_reproducible_and_within_bounds(order, seed):
     rng = np.random.default_rng(seed)
     m = random_symmetric(rng, order, scale=4.0)
     d = int(rng.integers(1, order + 1))
-    v1 = sym_eig(m, EigenSelection(d, "bottom"))
-    v2 = sym_eig(m, EigenSelection(d, "bottom"))
+    v1 = sym_eig(m, d, "bottom")
+    v2 = sym_eig(m, d, "bottom")
     np.testing.assert_array_equal(v1[0], v2[0])
     np.testing.assert_array_equal(v1[1], v2[1])
 
@@ -174,11 +173,10 @@ class TestPrefixes:
         rng = np.random.default_rng(9)
         m = random_symmetric(rng, 12)
         n = random_spd(rng, 12) if generalized else None
-        sel = EigenSelection(8, which)
-        pairs = gen_sym_eig_prefixes(m, n, sel) if generalized else sym_eig_prefixes(m, sel)
+        pairs = gen_sym_eig_prefixes(m, n, 8, which) if generalized else sym_eig_prefixes(m, 8, which)
         for d in range(1, 9):
             values, vectors = take_prefix(pairs, d)
-            ref_values, ref_vectors, ref_defect = eig_at(m, n, EigenSelection(d, which))
+            ref_values, ref_vectors, ref_defect = eig_at(m, n, d, which)
             np.testing.assert_array_equal(values, ref_values)
             np.testing.assert_array_equal(vectors, ref_vectors)
             # products with the basis round by its memory layout
