@@ -52,23 +52,18 @@ __all__ = [
     "compose_pairs",
 ]
 
-SOLVER_ORTH_MIN = "orth_min"
-SOLVER_ORTH_MAX = "orth_max"
-SOLVER_GEN_MIN = "gen_min"
-SOLVER_GEN_MAX = "gen_max"
-
 DEFAULT_MAX_ITER = 5
 DEFAULT_TOL = 1e-6
 
-# method name -> solver
+# method name -> which end of its eigenproblem it keeps (see MethodSpec)
 _METHOD_TABLE = {
-    "GLRAM": SOLVER_ORTH_MAX,
-    "2D-PCA": SOLVER_ORTH_MAX,
-    "2D-OLPP": SOLVER_ORTH_MIN,
-    "2D-LPP": SOLVER_GEN_MIN,
-    "2D-ONPP": SOLVER_ORTH_MIN,
-    "2D-NPP": SOLVER_GEN_MIN,
-    "2D-LDA": SOLVER_GEN_MAX,
+    "GLRAM": "top",
+    "2D-PCA": "top",
+    "2D-OLPP": "bottom",
+    "2D-LPP": "bottom",
+    "2D-ONPP": "bottom",
+    "2D-NPP": "bottom",
+    "2D-LDA": "top",
 }
 
 METHOD_NAMES_2D = tuple(_METHOD_TABLE) + tuple(f"{m}-R" for m in _METHOD_TABLE if m not in ("GLRAM", "2D-PCA"))
@@ -85,19 +80,21 @@ def _image_stack(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method name resolved to its coupling matrices and solver.
+    """A method name resolved to its coupling matrices and the end of its
+    eigenproblem that it keeps.
 
-    ``min_coupling`` is the matrix whose projected trace the method drives
-    down, ``max_coupling`` the one it drives up (either may be absent,
-    matching the method family).  ``bandwidth`` records the Gaussian
-    bandwidth actually used for the graph weights, ``beta`` the repulsion
-    strength.
+    ``which`` is ``"bottom"`` for a method that drives the projected trace
+    of ``min_coupling`` down, ``"top"`` for one that drives that of
+    ``max_coupling`` up.  The other coupling, when present, is the
+    constraint the factors are normalized against; absent, they are
+    orthonormal.  ``bandwidth`` records the Gaussian bandwidth actually
+    used for the graph weights, ``beta`` the repulsion strength.
     """
 
     name: str
     min_coupling: np.ndarray | None
     max_coupling: np.ndarray | None
-    solver: str
+    which: str
     beta: float = 0.0
     bandwidth: float | None = None
 
@@ -241,7 +238,7 @@ def method_matrices(
         name=name,
         min_coupling=min_coupling,
         max_coupling=max_coupling,
-        solver=_METHOD_TABLE[base],
+        which=_METHOD_TABLE[base],
         beta=float(beta),
         bandwidth=bandwidth,
     )
@@ -253,7 +250,7 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 def _check_coupling(c, n: int, what: str) -> np.ndarray:
     if c is None:
-        raise ParameterError(f"method spec lacks the {what} coupling required by this solver")
+        raise ParameterError(f"method spec lacks its {what} coupling")
     arr = np.asarray(c, dtype=np.float64)
     if arr.shape != (n, n):
         raise ShapeError(f"{what} coupling must be {n}x{n}, got {arr.shape}")
@@ -320,36 +317,32 @@ def _validate_dims(s: np.ndarray, d1: int, d2: int):
 
 
 def _solver_sides(spec: MethodSpec, n: int) -> tuple[np.ndarray, np.ndarray | None, str]:
-    """A method's solver kind as ``(lhs coupling, rhs coupling or None, which)``.
+    """A method's eigenproblem as ``(lhs coupling, rhs coupling or None, which)``.
 
     Every solve of the method takes the ``which`` eigenvectors of the side
-    matrix built from ``lhs``, generalized against the one built from
-    ``rhs`` when there is one.  The orthonormal solvers keep the bottom of
-    the minimized or the top of the maximized coupling; the generalized
-    ones minimize against the maximized coupling or, for the discriminant
-    methods, maximize against the minimized one.
+    matrix built from ``lhs``, the spec's objective coupling, generalized
+    against the one built from ``rhs``, its other coupling, when it has
+    one.  A ``"top"`` solve against a constraint (the discriminant
+    methods) rejects a zero between-class coupling.
     """
-    if spec.solver == SOLVER_ORTH_MIN:
-        return _check_coupling(spec.min_coupling, n, "sample"), None, "bottom"
-    if spec.solver == SOLVER_ORTH_MAX:
-        return _check_coupling(spec.max_coupling, n, "sample"), None, "top"
-    if spec.solver not in (SOLVER_GEN_MIN, SOLVER_GEN_MAX):
-        raise ParameterError(f"unknown solver {spec.solver!r}")
-    a = _check_coupling(spec.min_coupling, n, "minimized")
-    b = _check_coupling(spec.max_coupling, n, "maximized")
-    if spec.solver == SOLVER_GEN_MIN:
-        return a, b, "bottom"
-    if np.linalg.norm(b) == 0.0:
+    if spec.which not in ("bottom", "top"):
+        raise ParameterError(f"unknown eigenvector end {spec.which!r}: expected 'bottom' or 'top'")
+    lhs, rhs = spec.min_coupling, spec.max_coupling
+    if spec.which == "top":
+        lhs, rhs = rhs, lhs
+    lhs = _check_coupling(lhs, n, "objective")
+    rhs = None if rhs is None else _check_coupling(rhs, n, "constraint")
+    if spec.which == "top" and rhs is not None and np.linalg.norm(lhs) == 0.0:
         raise RankError("between-class coupling is identically zero (single class?)")
-    return b, a, "top"
+    return lhs, rhs, spec.which
 
 
 def _discriminant_repulsion(spec: MethodSpec) -> bool:
-    """Whether a method is 2D-LDA-R with its repulsion active (``beta >
-    0``): its within-class constraint side can lose definiteness, so it
-    fits in a single pass of two one-sided pencils (see
-    :func:`_single_pass`)."""
-    return spec.solver == SOLVER_GEN_MAX and spec.beta > 0.0
+    """Whether a method is 2D-LDA-R with its repulsion active (a ``"top"``
+    solve against a constraint, ``beta > 0``): its within-class constraint
+    side can lose definiteness, so it fits in a single pass of two
+    one-sided pencils (see :func:`_single_pass`)."""
+    return spec.which == "top" and spec.min_coupling is not None and spec.beta > 0.0
 
 
 def _half_step(lhs: np.ndarray, rhs: np.ndarray | None, which: str, d: int) -> tuple[EigenPrefixes, float]:
@@ -598,7 +591,7 @@ def fit_method(
     Starting from the first ``d1`` identity columns as the row factor, it
     alternately recomputes the column factor from the row-projected stack
     and then the row factor from the column-projected mode-swapped stack,
-    each a half-step of the method's solver kind: the bottom or top
+    each a half-step of the method's eigenproblem: the ``which``
     eigenvectors of one side matrix, orthonormal, or generalized against
     the constraint side (ridge-shifted once if it is not definite).  Each
     half-step solves its subproblem exactly, so the orthonormal fits'
@@ -672,7 +665,7 @@ def pre_process_2dpca(x, dims: tuple[int, int], max_iter: int = DEFAULT_MAX_ITER
     s = _image_stack(x)
     p1, p2 = dims
     _validate_dims(s, p1, p2)
-    spec = MethodSpec("2D-PCA", None, centering_matrix(s.shape[0]), SOLVER_ORTH_MAX)
+    spec = MethodSpec("2D-PCA", None, centering_matrix(s.shape[0]), "top")
     pair, _ = fit_method(s, spec, p1, p2, max_iter)
     return np.matmul(np.matmul(pair.row_basis.T, s), pair.col_basis), pair
 

@@ -181,7 +181,7 @@ def test_criterion_3_alternating_monotone_orthonormal():
         arr = rng.normal(size=(m1, m2, n))
         coupling = rng.normal(size=(n, n))
         coupling = 0.5 * (coupling + coupling.T)
-        spec = MethodSpec("2D-OLPP", coupling, None, "orth_min")
+        spec = MethodSpec("2D-OLPP", coupling, None, "bottom")
         _, trace = fit_method(np.moveaxis(arr, 2, 0), spec, d1, d2, max_iter=5, tol=0.0)
         objs = trace.objectives
         for i in range(len(objs) - 1):
@@ -260,7 +260,7 @@ def test_criterion_6_glram_identity_and_recovery():
         d1 = int(rng.integers(1, m1))
         d2 = int(rng.integers(1, m2))
         x = np.moveaxis(rng.normal(size=(m1, m2, n)), 2, 0)
-        spec = MethodSpec("GLRAM", None, np.eye(n), "orth_max")
+        spec = MethodSpec("GLRAM", None, np.eye(n), "top")
         pair, _ = fit_method(x, spec, d1, d2)
         u, v = pair.row_basis, pair.col_basis
         direct = sum(

@@ -133,7 +133,7 @@ class TestMethodMatrices:
                 assert r_spec.max_coupling is None
             else:
                 np.testing.assert_array_equal(r_spec.max_coupling, b_spec.max_coupling)
-            assert r_spec.solver == b_spec.solver
+            assert r_spec.which == b_spec.which
 
     def test_default_betas(self):
         assert default_beta("2D-LDA-R") == 0.2
@@ -360,7 +360,7 @@ class TestTraceObjective:
 class TestFitOrthonormal:
     def test_zero_coupling_converges_first_iteration(self):
         images, labels = toy_dataset(11)
-        spec = MethodSpec("2D-OLPP", np.zeros((len(images), len(images))), None, "orth_min")
+        spec = MethodSpec("2D-OLPP", np.zeros((len(images), len(images))), None, "bottom")
         pair, trace = fit_method(images, spec, 2, 2)
         assert trace.converged and trace.iterations == 1
         assert all(obj == 0.0 for obj in trace.objectives)
@@ -371,7 +371,7 @@ class TestFitOrthonormal:
             arr = rng.normal(size=(6, 5, 10))
             coupling = rng.normal(size=(10, 10))
             coupling = 0.5 * (coupling + coupling.T)
-            spec = MethodSpec("2D-OLPP", coupling, None, "orth_min")
+            spec = MethodSpec("2D-OLPP", coupling, None, "bottom")
             pair, trace = fit_method(np.moveaxis(arr, 2, 0), spec, 3, 2, max_iter=6, tol=0.0)
             objs = trace.objectives
             scale = max(1.0, max(abs(o) for o in objs))
@@ -384,7 +384,7 @@ class TestFitOrthonormal:
             arr = rng.normal(size=(5, 4, 9))
             coupling = rng.normal(size=(9, 9))
             coupling = 0.5 * (coupling + coupling.T)
-            spec = MethodSpec("GLRAM", None, coupling, "orth_max")
+            spec = MethodSpec("GLRAM", None, coupling, "top")
             _, trace = fit_method(np.moveaxis(arr, 2, 0), spec, 2, 2, max_iter=6, tol=0.0)
             objs = trace.objectives
             scale = max(1.0, max(abs(o) for o in objs))
@@ -409,7 +409,7 @@ class TestFitOrthonormal:
         cores = rng.normal(size=(2, 3, 9))
         slices = [u0 @ cores[:, :, k] @ v0.T for k in range(9)]
         x = np.stack(slices)
-        spec = MethodSpec("GLRAM", None, np.eye(9), "orth_max")
+        spec = MethodSpec("GLRAM", None, np.eye(9), "top")
         pair, trace = fit_method(x, spec, 2, 3, max_iter=3)
         y = mode_product(mode_product(as_tensor(x), pair.row_basis.T, 1), pair.col_basis.T, 2)
         recon_error = frobenius_norm(as_tensor(x)) ** 2 - frobenius_norm(y) ** 2
@@ -454,8 +454,8 @@ class TestFitGeneralized:
         x = np.stack(slices)
         coupling = rng.normal(size=(n, n))
         coupling = 0.5 * (coupling + coupling.T)
-        gen_spec = MethodSpec("2D-NPP", coupling, np.eye(n), "gen_min")
-        orth_spec = MethodSpec("2D-ONPP", coupling, None, "orth_min")
+        gen_spec = MethodSpec("2D-NPP", coupling, np.eye(n), "bottom")
+        orth_spec = MethodSpec("2D-ONPP", coupling, None, "bottom")
         pair_gen, _ = fit_unilateral(x, gen_spec, "right", 2)
         pair_orth, _ = fit_unilateral(x, orth_spec, "right", 2)
         np.testing.assert_allclose(pair_gen.col_basis, pair_orth.col_basis, atol=1e-8)
@@ -475,7 +475,7 @@ class TestFitGeneralized:
 
     def test_ridge_failure_aborts_with_diagnostic(self):
         images, labels = toy_dataset(19)
-        spec = MethodSpec("2D-LPP", np.eye(len(images)), np.zeros((len(images), len(images))), "gen_min")
+        spec = MethodSpec("2D-LPP", np.eye(len(images)), np.zeros((len(images), len(images))), "bottom")
         with pytest.raises(DefinitenessError):
             fit_method(images, spec, 2, 2)
 

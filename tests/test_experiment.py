@@ -7,8 +7,8 @@ import pytest
 
 from repel2d import embed_1d, embed_2d, experiment, spectral
 from repel2d.datasets import ImageDataset, matrix_dataset, split_dataset, synthetic_confusable, vector_dataset
-from repel2d.embed_2d import method_matrices, unilateral_pencil
-from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError
+from repel2d.embed_2d import MethodSpec, fit_method, method_matrices, unilateral_pencil
+from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError
 from repel2d.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -264,14 +264,14 @@ def blank_column_ds(synthetic_ds):
 
 class TestUnitReuse:
     @pytest.mark.parametrize(
-        "method, solver",
-        [("2D-PCA", "orth_max"), ("2D-OLPP-R", "orth_min"), ("2D-LPP", "gen_min"), ("OLPP-R", None)],
+        "method, which",
+        [("2D-PCA", "top"), ("2D-OLPP-R", "bottom"), ("2D-LPP", "bottom"), ("OLPP-R", None)],
     )
-    def test_shared_pencil_matches_independent_fits(self, synthetic_ds, method, solver):
+    def test_shared_pencil_matches_independent_fits(self, synthetic_ds, method, which):
         cfg = small_cfg(methods=(method,), dims=(2, 3, 5), train_per_class=8)
-        if solver is not None:
+        if which is not None:
             train, labels = matrix_dataset(synthetic_ds, split_dataset(synthetic_ds, 8, cfg.seed, 1)[0])
-            assert method_matrices(method, train, labels).solver == solver
+            assert method_matrices(method, train, labels).which == which
         unit = fit_unit(cfg, synthetic_ds, method, 1)
         assert [cell.dim for cell in unit.cells] == [2, 3, 5]
         for cell in unit.cells:
@@ -282,7 +282,7 @@ class TestUnitReuse:
         cfg = small_cfg(methods=("2D-LDA-R",), dims=(1, 3, 6), train_per_class=8)
         train, labels = matrix_dataset(blank_column_ds, split_dataset(blank_column_ds, 8, cfg.seed, 0)[0])
         spec = method_matrices("2D-LDA-R", train, labels)
-        assert spec.solver == "gen_max"
+        assert spec.which == "top"
         pencil = unilateral_pencil(train, spec)
         with pytest.raises(DefinitenessError):  # so every solve below takes the ridge retry
             gen_sym_eig(pencil.lhs, pencil.rhs, 1, "top")
@@ -562,6 +562,53 @@ class TestRidgeShift:
                 assert cell.trace.ridge_shift > 0.0
             else:
                 assert cell.trace.ridge_shift == 0.0
+
+
+@pytest.fixture(scope="module")
+def one_class_ds(synthetic_ds):
+    """The synthetic set's class 0 alone: no between-class scatter."""
+    keep = synthetic_ds.labels == 0
+    return ImageDataset("one-class", synthetic_ds.images[keep], synthetic_ds.labels[keep], synthetic_ds.class_names[:1])
+
+
+class TestSingleClass:
+    # a discriminant method has nothing to maximize, on every route; the
+    # others fit, and with one class every probe is classified correctly
+    @pytest.mark.parametrize("mode", ["unilateral", "bilateral"])
+    @pytest.mark.parametrize(
+        "method, fits",
+        [
+            ("2D-PCA", True),
+            ("2D-LPP", True),
+            ("2D-OLPP-R", True),
+            ("OLPP-R", True),
+            ("2D-LDA", False),
+            ("2D-LDA-R", False),
+            ("LDA", False),
+            ("LDA-R", False),
+        ],
+    )
+    def test_every_route_fits_or_records_a_rank_error(self, one_class_ds, mode, method, fits):
+        cfg = small_cfg(methods=(method,), mode=mode, dims=(2,), knn=2)
+        (cell,) = run_cell(cfg, one_class_ds, method, 0)
+        if fits:
+            assert cell.failure is None
+            assert cell.error == 0.0
+        else:
+            assert isinstance(cell.failure, RankError)
+
+    def test_unknown_which_fails_before_any_side_matrix(self, one_class_ds, monkeypatch):
+        images = one_class_ds.images[:4]
+        spec = MethodSpec("2D-NPP", np.eye(4), np.eye(4), "middle")
+
+        def no_side_matrix(*args):
+            raise AssertionError("a side matrix was built")
+
+        monkeypatch.setattr(embed_2d, "_side_matrix", no_side_matrix)
+        with pytest.raises(ParameterError, match="'middle'"):
+            unilateral_pencil(images, spec)
+        with pytest.raises(ParameterError, match="'middle'"):
+            fit_method(images, spec, 2, 2)
 
 
 class TestBlasThreadCap:

@@ -284,8 +284,8 @@ class TestErrorRate:
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda a: fit_method(a, MethodSpec("2D-PCA", None, centering_matrix(2), "orth_max"), 1, 1),
-        lambda a: unilateral_pencil(a, MethodSpec("2D-PCA", None, centering_matrix(2), "orth_max")),
+        lambda a: fit_method(a, MethodSpec("2D-PCA", None, centering_matrix(2), "top"), 1, 1),
+        lambda a: unilateral_pencil(a, MethodSpec("2D-PCA", None, centering_matrix(2), "top")),
         lambda a: project_tensor(a, identity_pair(4, 3)),
         lambda a: classify_prefixes(np.ones((2, 4, 3)), a, np.arange(2), (1,)),
     ],
