@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graphs
-from .errors import DefinitenessError, ParameterError, RankError, ShapeError
+from .errors import ContractError, DefinitenessError, ParameterError, RankError, ShapeError
 from .spectral import EigenPrefixes, fix_signs, gen_sym_eig_prefixes, sym_eig_prefixes, take_prefix
 
 __all__ = [
@@ -138,7 +138,10 @@ class FitTrace:
 
 def centering_matrix(n: int) -> np.ndarray:
     """The idempotent mean-removing matrix ``I - (1/n) e e^T``."""
-    return np.eye(n) - np.full((n, n), 1.0 / n)
+    # bit for bit np.eye(n) - np.full((n, n), 1.0 / n), in one array
+    c = np.full((n, n), -(1.0 / n))
+    np.fill_diagonal(c, 1.0 - 1.0 / n)
+    return c
 
 
 def lda_weight_matrix(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +159,10 @@ def lda_weight_matrix(labels) -> tuple[np.ndarray, np.ndarray]:
     for value in np.unique(lab):
         members = np.nonzero(lab == value)[0]
         w[np.ix_(members, members)] = 1.0 / members.size
-    return w, np.eye(n) - w
+    # bit for bit np.eye(n) - w, without the identity
+    s = np.subtract(0.0, w)
+    np.fill_diagonal(s, 1.0 - np.diagonal(w))
+    return w, s
 
 
 def default_beta(name: str) -> float:
@@ -189,6 +195,14 @@ def method_matrices(
     coupling.  A single bandwidth (given, or the mean squared label-edge
     distance) is used throughout, and the squared distances between the
     flattened samples are computed once for all of these graph pieces.
+
+    The couplings grow with the square of ``n``, so the build holds no
+    more than about three ``(n, n)`` float arrays at once: the repulsion
+    Laplacian and the base weights are built while the distances live,
+    which are then dropped; each Laplacian and reconstruction penalty is
+    formed in its weight buffer and the repulsion is subtracted in place,
+    every step bit for bit the plain expression.  Like the ``graphs``
+    functions, it never mutates its arguments.
     """
     labels = np.asarray(labels)
     n = np.shape(samples)[0]
@@ -201,6 +215,9 @@ def method_matrices(
     if beta is None:
         beta = default_beta(name)
     repel = repulsion and beta != 0.0
+    min_coupling: np.ndarray | None = None
+    max_coupling: np.ndarray | None = None
+    repulsion_lap: np.ndarray | None = None
     # only the graph methods and active repulsion need the label graph, and
     # only Gaussian weights need the distances and the bandwidth
     if base not in ("GLRAM", "2D-PCA", "2D-LDA") or repel:
@@ -210,29 +227,34 @@ def method_matrices(
             sq_dist = graphs.sq_distances(points)
             if bandwidth is None:
                 bandwidth = graphs.default_bandwidth(label_graph, sq_dist)
+            if repel:
+                repulsion_lap = graphs.repulsion_laplacian(label_graph, sq_dist, knn, bandwidth)
+            if base in ("2D-OLPP", "2D-LPP"):
+                min_coupling = graphs.gaussian_weights(label_graph, sq_dist, bandwidth)
+            del sq_dist
 
-    min_coupling: np.ndarray | None = None
-    max_coupling: np.ndarray | None = None
     if base == "GLRAM":
         max_coupling = np.eye(n)
     elif base == "2D-PCA":
         max_coupling = centering_matrix(n)
     elif base in ("2D-OLPP", "2D-LPP"):
-        # the degrees are 2D-LPP's constraint; 2D-OLPP drops them at once,
-        # since the repulsion graph below needs room for its own n x n arrays
-        min_coupling, max_coupling = graphs.laplacian(graphs.gaussian_weights(label_graph, sq_dist, bandwidth))
-        if base == "2D-OLPP":
-            max_coupling = None
+        # D - W in the weight buffer; the degrees are only 2D-LPP's constraint
+        degree = graphs._into_laplacian(min_coupling)
+        if base == "2D-LPP":
+            max_coupling = np.diag(degree)
     elif base in ("2D-ONPP", "2D-NPP"):
-        min_coupling = graphs.reconstruction_penalty(graphs.lle_weights(label_graph, points))
+        min_coupling = graphs._into_penalty(graphs.lle_weights(label_graph, points))
         if base == "2D-NPP":
             max_coupling = np.eye(n)
     else:  # 2D-LDA
         min_coupling = lda_weight_matrix(labels)[1]
-        max_coupling = centering_matrix(n) - min_coupling
+        max_coupling = centering_matrix(n)
+        max_coupling -= min_coupling
 
-    if repel:
-        min_coupling = min_coupling - beta * graphs.repulsion_laplacian(label_graph, sq_dist, knn, bandwidth)
+    if repulsion_lap is not None:
+        # bit for bit min_coupling - beta * repulsion_lap
+        repulsion_lap *= beta
+        min_coupling -= repulsion_lap
 
     return MethodSpec(
         name=name,
@@ -245,17 +267,28 @@ def method_matrices(
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    # bit for bit 0.5 * (m + m.T), in one array
+    s = m + m.T
+    s *= 0.5
+    return s
 
 
 def _check_coupling(c, n: int, what: str) -> np.ndarray:
+    """``c`` as a float64 ``(n, n)`` coupling, symmetrized.
+
+    An exactly symmetric ``c``, as every coupling the package builds is,
+    comes back as is: :func:`_sym` would reproduce it bit for bit.  One
+    asymmetric beyond a relative ``1e-10`` raises :class:`ContractError`.
+    """
     if c is None:
         raise ParameterError(f"method spec lacks its {what} coupling")
     arr = np.asarray(c, dtype=np.float64)
     if arr.shape != (n, n):
         raise ShapeError(f"{what} coupling must be {n}x{n}, got {arr.shape}")
+    if np.array_equal(arr, arr.T):
+        return arr
     if np.linalg.norm(arr - arr.T) > 1e-10 * max(1.0, np.linalg.norm(arr)):
-        raise ShapeError(f"{what} coupling must be symmetric")
+        raise ContractError(f"{what} coupling must be symmetric")
     return _sym(arr)
 
 
@@ -322,8 +355,8 @@ def _solver_sides(spec: MethodSpec, n: int) -> tuple[np.ndarray, np.ndarray | No
     Every solve of the method takes the ``which`` eigenvectors of the side
     matrix built from ``lhs``, the spec's objective coupling, generalized
     against the one built from ``rhs``, its other coupling, when it has
-    one.  A ``"top"`` solve against a constraint (the discriminant
-    methods) rejects a zero between-class coupling.
+    one.  A zero between-class coupling (a single class) gives an exactly
+    zero side matrix, which :func:`_half_step` rejects on every route.
     """
     if spec.which not in ("bottom", "top"):
         raise ParameterError(f"unknown eigenvector end {spec.which!r}: expected 'bottom' or 'top'")
@@ -332,8 +365,6 @@ def _solver_sides(spec: MethodSpec, n: int) -> tuple[np.ndarray, np.ndarray | No
         lhs, rhs = rhs, lhs
     lhs = _check_coupling(lhs, n, "objective")
     rhs = None if rhs is None else _check_coupling(rhs, n, "constraint")
-    if spec.which == "top" and rhs is not None and np.linalg.norm(lhs) == 0.0:
-        raise RankError("between-class coupling is identically zero (single class?)")
     return lhs, rhs, spec.which
 
 

@@ -311,8 +311,23 @@ def run_cell(cfg: ExperimentConfig, ds: ImageDataset, method: str, realization: 
     its full width.  A matrix product rounds by its width, so a slice can
     differ from a projection by the ``d``-column projector in the last
     bits.
+
+    The unit's couplings, ``(n, n)`` arrays, are released before any
+    projection: scoring reads none of them.
     """
     unit = fit_unit(cfg, ds, method, realization)
+    # the spec, and the fit's frames and closures that a failure's traceback
+    # keeps alive (fit_unit's frame holds the spec), are the couplings' last
+    # references; a cell failure is reported by its class and message only,
+    # so every traceback along its chain goes
+    unit.spec = None
+    for cell in unit.cells:
+        pending = [cell.failure]
+        while pending:
+            exc = pending.pop()
+            if exc is not None and exc.__traceback__ is not None:
+                exc.__traceback__ = None
+                pending += [exc.__cause__, exc.__context__]
     fitted = [cell for cell in unit.cells if cell.failure is None]
     if not fitted:
         return unit.cells

@@ -12,6 +12,16 @@ weights, the repulsion Laplacian) take the ``(n, n)`` squared-distance
 matrix of :func:`sq_distances` instead of the points, so a caller builds
 it once and shares it among them.  Reconstruction weights need the
 points themselves.
+
+Two rules keep the ``(n, n)`` arrays, whose memory grows with the square
+of the sample count, in check:
+
+* no public function mutates its arguments;
+* no function holds more than about three ``(n, n)`` float arrays at
+  once.  Each Laplacian and reconstruction penalty is formed inside its
+  weight buffer (a copy of the argument, for the public functions) by
+  :func:`_into_laplacian` and :func:`_into_penalty`, bit for bit what the
+  dense ``D - W`` and ``I - W`` give.
 """
 
 from __future__ import annotations
@@ -190,13 +200,27 @@ def _solve_local_gram(gram: np.ndarray, rhs: np.ndarray, force_ridge: bool = Fal
 def laplacian(weights) -> tuple[np.ndarray, np.ndarray]:
     """Laplacian ``L = D - W`` of symmetric weights, with the diagonal
     degree matrix ``D`` of their row sums: returns ``(L, D)``."""
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.array(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"weights must be square, got shape {w.shape}")
+    return w, np.diag(_into_laplacian(w))
+
+
+def _into_laplacian(w: np.ndarray) -> np.ndarray:
+    """Overwrite symmetric float64 weights ``w`` with their Laplacian
+    ``D - W``; return the degrees (the row sums).
+
+    Bit for bit the dense ``D - W``: off the diagonal, ``0.0 - w`` is what
+    it subtracts from D's ``+0.0`` (a zero weight becomes ``+0.0``), and on
+    it ``d - w_ii``.
+    """
     if np.any(w != w.T):
         raise ContractError("laplacian requires symmetric weights")
-    degree = np.diag(w.sum(axis=1))
-    return degree - w, degree
+    degree = w.sum(axis=1)
+    diagonal = degree - np.diagonal(w)
+    np.subtract(0.0, w, out=w)
+    np.fill_diagonal(w, diagonal)
+    return degree
 
 
 def repulsion_laplacian(label_adjacency, sq_dist, knn: int, t: float | None = None) -> np.ndarray:
@@ -210,14 +234,25 @@ def repulsion_laplacian(label_adjacency, sq_dist, knn: int, t: float | None = No
     label = _adjacency(label_adjacency, d2.shape[0])
     if t is None:
         t = default_bandwidth(label, d2)
-    return laplacian(gaussian_weights(build_knn_graph(d2, knn) & ~label, d2, t))[0]
+    w = gaussian_weights(build_knn_graph(d2, knn) & ~label, d2, t)
+    _into_laplacian(w)
+    return w
 
 
 def reconstruction_penalty(weights) -> np.ndarray:
     """The matrix ``(I - W)^T (I - W)`` that plays the Laplacian's role for
     reconstruction-weight methods."""
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.array(weights, dtype=np.float64, order="C")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"weights must be square, got shape {w.shape}")
-    m = np.eye(w.shape[0]) - w
-    return m.T @ m
+    return _into_penalty(w)
+
+
+def _into_penalty(w: np.ndarray) -> np.ndarray:
+    """:func:`reconstruction_penalty` of square float64 weights ``w``,
+    forming ``I - W`` inside ``w`` (which it overwrites) bit for bit:
+    ``0.0 - w`` off the diagonal, ``1.0 - w_ii`` on it."""
+    diagonal = 1.0 - np.diagonal(w)
+    np.subtract(0.0, w, out=w)
+    np.fill_diagonal(w, diagonal)
+    return w.T @ w

@@ -13,7 +13,10 @@ small references for the eigensolver and subspace checks, the per-query
 1-NN rule that ``classify_prefixes`` must reproduce at every prefix, a
 reader for the result CSV that ``emit_csv`` writes, and the
 per-dimension solve that one solve per unit must reproduce, starting
-from the pencil as the package assembles it.
+from the pencil as the package assembles it.  The coupling oracles build
+every method's ``(n, n)`` couplings by the plain expressions, one fresh
+array per operation, which the package's in-place build must reproduce
+bit for bit.
 
 Last come short entry points for a single fit, solve or scoring
 (``fit_unilateral``, ``fit_1d``, ``sym_eig``, ``gen_sym_eig``,
@@ -39,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from repel2d import spectral
+from repel2d import graphs, spectral
 from repel2d.datasets import matrix_dataset, split_dataset, vector_dataset
 from repel2d.embed_1d import vector_pencil
 from repel2d.embed_2d import (
@@ -51,6 +54,8 @@ from repel2d.embed_2d import (
     _discriminant_repulsion,
     _image_stack,
     _sym,
+    default_beta,
+    lda_weight_matrix,
     method_matrices,
     solve_pencil,
     solve_unilateral,
@@ -473,6 +478,73 @@ def fit_at(cfg, ds, method, realization, d):
     values, basis, defect, shift = half_step_at(pencil.lhs, pencil.rhs, pencil.which, d)
     trace = FitTrace([float(np.sum(values))], 1, True, defect, shift)
     return (basis if pencil.pre is None else pencil.pre @ basis), trace
+
+
+# Coupling oracles: each (n, n) array as the plain expression builds it,
+# with a fresh array per operation.
+
+
+def assert_bitwise(got, expected):
+    """Equal arrays with equal sign bits, so a -0.0 against a +0.0 shows."""
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+def centering_oracle(n):
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def lda_within_oracle(labels):
+    """``I - W`` of the label-graph weights ``w_ij = 1/n_k``."""
+    w, _ = lda_weight_matrix(labels)
+    return np.eye(w.shape[0]) - w
+
+
+def laplacian_oracle(w):
+    """``(D - W, D)`` with the dense degree matrix ``D``."""
+    degree = np.diag(w.sum(axis=1))
+    return degree - w, degree
+
+
+def repulsion_laplacian_oracle(label_graph, sq_dist, knn, t):
+    return laplacian_oracle(graphs.gaussian_weights(graphs.build_knn_graph(sq_dist, knn) & ~label_graph, sq_dist, t))[0]
+
+
+def penalty_oracle(w):
+    m = np.eye(w.shape[0]) - w
+    return m.T @ m
+
+
+def coupling_oracle(name, samples, labels, knn=6, beta=None, bandwidth=None):
+    """``(min_coupling, max_coupling)`` of ``method_matrices`` (``None``
+    for an absent one)."""
+    labels = np.asarray(labels)
+    n = labels.size
+    repulsion = name.endswith("-R")
+    base = name[:-2] if repulsion else name
+    beta = default_beta(name) if beta is None else beta
+    points = np.reshape(samples, (n, -1), order="F")
+    label_graph = graphs.build_label_graph(labels)
+    sq_dist = graphs.sq_distances(points)
+    if bandwidth is None:
+        bandwidth = graphs.default_bandwidth(label_graph, sq_dist)
+    low = high = None
+    if base == "GLRAM":
+        high = np.eye(n)
+    elif base == "2D-PCA":
+        high = centering_oracle(n)
+    elif base in ("2D-OLPP", "2D-LPP"):
+        low, degree = laplacian_oracle(graphs.gaussian_weights(label_graph, sq_dist, bandwidth))
+        high = degree if base == "2D-LPP" else None
+    elif base in ("2D-ONPP", "2D-NPP"):
+        low = penalty_oracle(graphs.lle_weights(label_graph, points))
+        high = np.eye(n) if base == "2D-NPP" else None
+    else:
+        low = lda_within_oracle(labels)
+        high = centering_oracle(n) - low
+    if repulsion and beta != 0.0:
+        low = low - beta * repulsion_laplacian_oracle(label_graph, sq_dist, knn, bandwidth)
+    return low, high
 
 
 # Entry points: a single fit, solve or scoring through the path the sweep

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,15 @@ import pytest
 from _oracles import (
     Tensor3,
     as_tensor,
+    assert_bitwise,
+    centering_oracle,
     classify_1nn,
     col_subproblem_matrix,
+    coupling_oracle,
     fit_1d,
     fit_unilateral,
     frobenius_norm,
+    lda_within_oracle,
     mode_product,
     row_subproblem_matrix,
     swap_modes,
@@ -18,8 +23,10 @@ from _oracles import (
     trace_objective,
 )
 from repel2d import embed_2d, graphs
+from repel2d.datasets import synthetic_confusable
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
+    _check_coupling,
     _side_matrix,
     _solver_sides,
     _discriminant_pencils,
@@ -35,7 +42,7 @@ from repel2d.embed_2d import (
     solve_bilateral,
     unilateral_pencil,
 )
-from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError, ShapeError
+from repel2d.errors import ContractError, DefinitenessError, NumericalQualityError, ParameterError, RankError, ShapeError
 
 
 def toy_dataset(seed=0, m1=5, m2=4, n=12, classes=3, spread=2.0, noise=0.5):
@@ -156,6 +163,98 @@ class TestMethodMatrices:
         # a vector data matrix passes its samples as rows, not columns
         with pytest.raises(ShapeError, match="one label per sample"):
             method_matrices("2D-OLPP", images.reshape(len(images), -1, order="F").T, labels)
+
+
+# (images, labels, method_matrices options): n = 8 puts 64 bytes between
+# the rows of every coupling; a tiny bandwidth underflows edge weights to 0
+COUPLING_CASES = [
+    (*toy_dataset(21, n=8, classes=2), dict(knn=3)),
+    (*toy_dataset(22, m1=8, m2=8, n=8, classes=4), dict(beta=0.3)),
+    (*toy_dataset(23, n=15), dict(knn=4, bandwidth=1e-3)),
+    (*toy_dataset(24, m1=3, m2=8, n=24, classes=4), dict(knn=5, beta=1.7, bandwidth=2.5)),
+]
+
+
+class TestInPlaceCouplings:
+    """``method_matrices`` builds its couplings in place; each must equal
+    the plain expression of ``_oracles.coupling_oracle`` bit for bit, and
+    the solver must take it as it is."""
+
+    @pytest.mark.parametrize("case", range(len(COUPLING_CASES)))
+    @pytest.mark.parametrize("name", METHOD_NAMES_2D)
+    def test_couplings_match_the_plain_expressions(self, name, case):
+        images, labels, options = COUPLING_CASES[case]
+        spec = method_matrices(name, images, labels, **options)
+        low, high = coupling_oracle(name, images, labels, **options)
+        for got, expected in ((spec.min_coupling, low), (spec.max_coupling, high)):
+            assert (got is None) == (expected is None)
+            if expected is not None:
+                assert_bitwise(got, expected)
+        lhs, rhs, which = _solver_sides(spec, len(images))
+        objective, constraint = spec.min_coupling, spec.max_coupling
+        if which == "top":
+            objective, constraint = constraint, objective
+        # every coupling is exactly symmetric, so symmetrizing would not move a bit
+        assert lhs is objective
+        assert rhs is constraint
+        assert_bitwise(lhs, 0.5 * (objective + objective.T))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64])
+    def test_centering_matrix(self, n):
+        assert_bitwise(centering_matrix(n), centering_oracle(n))
+
+    @pytest.mark.parametrize("labels", [[0] * 8, [0, 1] * 4, [0, 0, 1, 1, 2, 2, 3, 3], [5, 1, 5, 2, 2, 1, 5, 0, 0], [3]])
+    def test_lda_within_coupling(self, labels):
+        assert_bitwise(lda_weight_matrix(labels)[1], lda_within_oracle(labels))
+
+    def test_samples_and_labels_untouched(self):
+        images, labels, options = COUPLING_CASES[3]
+        before = images.copy(), labels.copy()
+        for name in METHOD_NAMES_2D:
+            method_matrices(name, images, labels, **options)
+        assert_bitwise(images, before[0])
+        np.testing.assert_array_equal(labels, before[1])
+
+
+@pytest.fixture(scope="module")
+def large_n():
+    ds = synthetic_confusable(150)
+    return ds.images, ds.labels
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES_2D)
+def test_coupling_build_holds_at_most_three_and_a_half_arrays(large_n, name):
+    # the traced peak of building a method's couplings and handing them to
+    # the solver, at n = 600, in units of one (n, n) float64 array
+    images, labels = large_n
+    n = len(labels)
+    tracemalloc.start()
+    try:
+        spec = method_matrices(name, images, labels)
+        _solver_sides(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * n * 8) <= 3.5
+
+
+class TestCheckCoupling:
+    def test_exactly_symmetric_comes_back_as_is(self):
+        c = graphs.sq_distances(np.random.default_rng(31).normal(size=(8, 3)))
+        assert _check_coupling(c, 8, "objective") is c
+
+    def test_asymmetry_within_tolerance_is_symmetrized(self):
+        c = graphs.sq_distances(np.random.default_rng(32).normal(size=(8, 3)))
+        c[0, 1] += 1e-13 * np.linalg.norm(c)
+        checked = _check_coupling(c, 8, "objective")
+        assert_bitwise(checked, 0.5 * (c + c.T))
+        np.testing.assert_array_equal(checked, checked.T)
+
+    def test_asymmetry_beyond_tolerance_raises(self):
+        c = np.eye(8)
+        c[0, 1] = 1e-6
+        with pytest.raises(ContractError, match="constraint coupling must be symmetric"):
+            _check_coupling(c, 8, "constraint")
 
 
 class TestSubproblemMatrices:

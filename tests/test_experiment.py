@@ -1,11 +1,12 @@
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repel2d import embed_1d, embed_2d, experiment, spectral
+from repel2d import embed_1d, embed_2d, experiment, recognize, spectral
 from repel2d.datasets import ImageDataset, matrix_dataset, split_dataset, synthetic_confusable, vector_dataset
 from repel2d.embed_2d import MethodSpec, fit_method, method_matrices, unilateral_pencil
 from repel2d.errors import DefinitenessError, NumericalQualityError, ParameterError, RankError
@@ -491,6 +492,19 @@ def assert_same_outcome(got, expected):
     assert got.trace.max_constraint_defect == pytest.approx(expected.trace.max_constraint_defect, abs=1e-13)
 
 
+def bent_fifth_column(fix_signs):
+    """``fix_signs`` with column 5 of every basis bent off its eigenvector,
+    so that column breaks the residual bound; d = 2..4 never hold it."""
+
+    def bent(vectors):
+        v = fix_signs(vectors)
+        if v.shape[1] >= 5:
+            v[0, 4] += 1e-3
+        return v
+
+    return bent
+
+
 def oracle_cell(cfg, ds, method, d):
     try:
         projector, trace = fit_at(cfg, ds, method, 0, d)
@@ -521,15 +535,7 @@ class TestNestedDimensions:
         # breaks the residual bound; d = 2..4 never hold it
         cfg = small_cfg(methods=(method,), dims=NESTED_DIMS, train_per_class=6, realizations=1)
         clean = run_cell(cfg, wide_ds, method, 0)
-        fix_signs = spectral.fix_signs
-
-        def bent_fifth_column(vectors):
-            v = fix_signs(vectors)
-            if v.shape[1] >= 5:
-                v[0, 4] += 1e-3
-            return v
-
-        monkeypatch.setattr(spectral, "fix_signs", bent_fifth_column)
+        monkeypatch.setattr(spectral, "fix_signs", bent_fifth_column(spectral.fix_signs))
         broken = run_cell(cfg, wide_ds, method, 0)
         for before, after in zip(clean, broken):
             if after.dim < 5:
@@ -540,6 +546,60 @@ class TestNestedDimensions:
                 assert "residual" in str(after.failure)
             alone = fit_unit(replace(cfg, dims=(after.dim,)), wide_ds, method, 0).cells[0]
             assert type(alone.failure) is type(after.failure)
+
+
+class TestCouplingsReleased:
+    # scoring holds no reference to the unit's (n, n) couplings, also when
+    # a failed cell's traceback reaches the frames that built them
+
+    @staticmethod
+    def tracked_couplings(monkeypatch):
+        """Weak references to every coupling ``method_matrices`` builds."""
+        built = []
+        method_matrices = embed_2d.method_matrices
+
+        def kept_spec(*args, **kwargs):
+            spec = method_matrices(*args, **kwargs)
+            built.extend(weakref.ref(c) for c in (spec.min_coupling, spec.max_coupling) if c is not None)
+            return spec
+
+        monkeypatch.setattr(embed_2d, "method_matrices", kept_spec)
+        return built
+
+    @pytest.mark.parametrize("bent", [False, True])
+    @pytest.mark.parametrize("mode", ["unilateral", "bilateral"])
+    @pytest.mark.parametrize("method", ["2D-OLPP-R", "2D-LDA-R"])
+    def test_before_scoring(self, wide_ds, monkeypatch, method, mode, bent):
+        built = self.tracked_couplings(monkeypatch)
+        classify_prefixes = recognize.classify_prefixes
+
+        def checked_classify(*args):
+            assert built and all(ref() is None for ref in built)
+            return classify_prefixes(*args)
+
+        monkeypatch.setattr(recognize, "classify_prefixes", checked_classify)
+        if bent:
+            monkeypatch.setattr(spectral, "fix_signs", bent_fifth_column(spectral.fix_signs))
+        cfg = small_cfg(methods=(method,), mode=mode, dims=NESTED_DIMS, train_per_class=6, realizations=1)
+        cells = run_cell(cfg, wide_ds, method, 0)
+        assert any(cell.failure is None for cell in cells)
+        if bent:
+            assert any(cell.failure is not None for cell in cells)
+
+    @pytest.mark.parametrize("mode", ["unilateral", "bilateral"])
+    def test_after_a_failed_ridge_retry(self, wide_ds, monkeypatch, mode):
+        # both solves of the ridge retry fail, so every cell's failure
+        # chains the first one, each with its own traceback
+        built = self.tracked_couplings(monkeypatch)
+
+        def indefinite(*args):
+            raise DefinitenessError("constraint not positive definite", -1.0)
+
+        monkeypatch.setattr(embed_2d, "gen_sym_eig_prefixes", indefinite)
+        cfg = small_cfg(methods=("2D-LDA-R",), mode=mode, dims=NESTED_DIMS, train_per_class=6, realizations=1)
+        cells = run_cell(cfg, wide_ds, "2D-LDA-R", 0)
+        assert all(isinstance(cell.failure.__cause__, DefinitenessError) for cell in cells)
+        assert built and all(ref() is None for ref in built)
 
 
 class TestRidgeShift:
@@ -596,6 +656,14 @@ class TestSingleClass:
             assert cell.error == 0.0
         else:
             assert isinstance(cell.failure, RankError)
+
+    def test_one_message_on_every_route(self, one_class_ds):
+        messages = set()
+        for mode in ("unilateral", "bilateral"):
+            for method in ("2D-LDA", "2D-LDA-R", "LDA", "LDA-R"):
+                cfg = small_cfg(methods=(method,), mode=mode, dims=(2,), knn=2)
+                messages.add(str(run_cell(cfg, one_class_ds, method, 0)[0].failure))
+        assert messages == {"maximized-side subproblem matrix is identically zero"}
 
     def test_unknown_which_fails_before_any_side_matrix(self, one_class_ds, monkeypatch):
         images = one_class_ds.images[:4]

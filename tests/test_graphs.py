@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import assert_bitwise, laplacian_oracle, penalty_oracle, repulsion_laplacian_oracle
+from repel2d import graphs
 from repel2d.errors import ContractError, ParameterError, ShapeError
 from repel2d.graphs import (
     build_knn_graph,
@@ -313,6 +315,85 @@ def test_reconstruction_penalty_centering_case():
     w = np.full((n, n), 1.0 / n)
     j = np.eye(n) - w
     np.testing.assert_allclose(reconstruction_penalty(w), j, atol=1e-12)
+
+
+# (n, p, classes, k, bandwidth): n = 8 puts 64 bytes between the rows of
+# every (n, n) array; a tiny bandwidth underflows edge weights to 0
+IN_PLACE_CASES = [(8, 3, 2, 3, None), (8, 8, 4, 5, 1e-3), (13, 2, 3, 4, 0.7), (40, 5, 4, 6, None)]
+
+
+class TestInPlaceBuilds:
+    """The Laplacians and penalties built in their weight buffer equal the
+    plain expressions bit for bit, also for a nonzero diagonal."""
+
+    @staticmethod
+    def case(n, p, classes, seed):
+        rng = np.random.default_rng(seed)
+        labels = np.arange(n) % classes
+        return build_label_graph(labels), rng.normal(size=(n, p))
+
+    @pytest.mark.parametrize("n, p, classes, k, t", IN_PLACE_CASES)
+    def test_repulsion_laplacian(self, n, p, classes, k, t):
+        label, pts = self.case(n, p, classes, n)
+        d2 = sq_distances(pts)
+        t = default_bandwidth(label, d2) if t is None else t
+        assert_bitwise(repulsion_laplacian(label, d2, k, t), repulsion_laplacian_oracle(label, d2, k, t))
+
+    @pytest.mark.parametrize("n, p, classes, k, t", IN_PLACE_CASES)
+    def test_laplacian_in_the_weight_buffer(self, n, p, classes, k, t):
+        label, pts = self.case(n, p, classes, n + 1)
+        d2 = sq_distances(pts)
+        for adjacency in (label, build_knn_graph(d2, k)):
+            weights = gaussian_weights(adjacency, d2, t)
+            for w in (weights, weights + np.diag(np.linspace(-0.5, 1.0, n))):
+                lap, degree = laplacian_oracle(w)
+                public_lap, public_degree = laplacian(w)
+                assert_bitwise(public_lap, lap)
+                assert_bitwise(public_degree, degree)
+                np.testing.assert_array_equal(graphs._into_laplacian(w), np.diag(degree))
+                assert_bitwise(w, lap)
+
+    def test_laplacian_in_place_rejects_asymmetric_weights(self):
+        w = np.array([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ContractError):
+            graphs._into_laplacian(w)
+
+    @pytest.mark.parametrize("n, p, classes, k, t", IN_PLACE_CASES)
+    def test_penalty_in_the_weight_buffer(self, n, p, classes, k, t):
+        label, pts = self.case(n, p, classes, n + 2)
+        lle = lle_weights(label, pts)
+        for w in (lle, lle + np.diag(np.linspace(-0.5, 1.0, n))):
+            expected = penalty_oracle(w)
+            assert_bitwise(reconstruction_penalty(w), expected)
+            assert_bitwise(graphs._into_penalty(w), expected)
+
+
+def test_public_functions_leave_their_arguments_untouched():
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(8, 3))
+    labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+    label = build_label_graph(labels)
+    d2 = sq_distances(pts)
+    w = gaussian_weights(label, d2)
+    lle = lle_weights(label, pts)
+    calls = [
+        (sq_distances, (pts,)),
+        (build_knn_graph, (d2, 3)),
+        (build_label_graph, (labels,)),
+        (default_bandwidth, (label, d2)),
+        (gaussian_weights, (label, d2, 0.5)),
+        (lle_weights, (label, pts)),
+        (laplacian, (w,)),
+        (repulsion_laplacian, (label, d2, 3)),
+        (reconstruction_penalty, (lle,)),
+    ]
+    assert {f.__name__ for f, _ in calls} == set(graphs.__all__)
+    for func, args in calls:
+        before = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        func(*args)
+        for arg, kept in zip(args, before):
+            if isinstance(arg, np.ndarray):
+                assert_bitwise(arg, kept)
 
 
 @settings(max_examples=30, deadline=None)
