@@ -116,7 +116,7 @@ def vector_pencil(
         if method == "LDA-R":
             label_graph = graphs.build_label_graph(labels)
             rep = graphs.repulsion_laplacian(label_graph, graphs.sq_distances(x.T), knn, bandwidth)
-            sw = sw - (default_beta("2D-LDA-R") if beta is None else beta) * (x @ rep @ x.T)
+            sw = sw - (default_beta(method) if beta is None else beta) * (x @ rep @ x.T)
         return Pencil(sb, sw, "top", m - 1, pre)
 
     spec = method_matrices("2D-" + method, x.T, labels, knn=knn, beta=beta, bandwidth=bandwidth)

@@ -166,11 +166,12 @@ def lda_weight_matrix(labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_beta(name: str) -> float:
-    """Repulsion strength defaults: modest for the discriminant variant,
-    0.5 elsewhere, 0 for methods without repulsion."""
+    """Repulsion strength defaults, alike for a 2D method and its vector
+    counterpart: modest for the discriminant variant, 0.5 elsewhere, 0 for
+    methods without repulsion."""
     if not name.endswith("-R"):
         return 0.0
-    return 0.2 if name == "2D-LDA-R" else 0.5
+    return 0.2 if name.removeprefix("2D-") == "LDA-R" else 0.5
 
 
 def method_matrices(
@@ -302,22 +303,21 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
 # alternating half-steps and the one-sided pencils both use it.
 #
 # The one exception is 2D-LDA-R (see _discriminant_repulsion), whose
-# pencils _discriminant_builder builds by einsum contractions over the
+# pencils _discriminant_pencil builds by einsum contractions over the
 # stack's (m1, m2, n) view, for their rounding: that ridge-repaired pencil
 # can sit at the edge of its residual contract (on one ORL-shaped split
 # the top eigenpair's residual is 1.57x the tolerance with the einsum sums
 # and 0.96x with the GEMM ones), so re-associating its sums would change
-# which fits fail.  Its two couplings' chains (the mix, then the asked-for
-# side contractions) run at once, the lhs one on the calling thread and the
-# rhs one on a helper thread (einsum releases the GIL).  The result is exact:
+# which fits fail.  Its two couplings' chains (the mix, then the side's
+# contraction) run at once, the lhs one on the calling thread and the rhs
+# one on a helper thread (einsum releases the GIL).  The result is exact:
 # each chain makes the same einsum calls on the same operands as a serial
-# build, and mixes into a C-contiguous buffer that the caller allocates.
-# That is the layout einsum gives its own output, so the sums and their
-# rounding are unchanged; the caller owns it because a tensor the helper
-# allocated would stay in the helper's malloc arena.  The mixed buffers
-# outlive the first build, so a side asked for later (the single pass's
-# row pencil, built once a column solve succeeds) is contracted from the
-# same operands, on the same two threads, with the same bits.
+# build, and mixes into a C-contiguous buffer that the calling thread
+# allocates.  That is the layout einsum gives its own output, so the sums
+# and their rounding are unchanged; the calling thread allocates it because
+# a tensor the helper allocated would stay in the helper's malloc arena.
+# Each call mixes afresh into buffers it drops on return, so a pencil's
+# bits do not depend on which pencils were built before it.
 #
 # What a bit-exact rewrite of these pencils would have to reproduce
 # (measured on the ORL-shaped perfbench data, seed 7):
@@ -475,63 +475,33 @@ def unilateral_pencil(x, spec: MethodSpec) -> Pencil:
     the raw ``(n, m1, m2)`` stack (the row factor is the identity)."""
     s = _image_stack(x)
     if _discriminant_repulsion(spec):
-        return _discriminant_pencils(s, spec, ("right",))[0]
+        return _discriminant_pencil(s, spec, "right")
     return _last_mode_pencil(s, _solver_sides(spec, s.shape[0]))
 
 
-def _discriminant_pencils(s: np.ndarray, spec: MethodSpec, sides=("left", "right")) -> tuple[Pencil, ...]:
-    """2D-LDA-R's pencils from the uncompressed stack ``s``, one per entry
-    of ``sides``, built at once (see :func:`_discriminant_builder`)."""
-    return _discriminant_builder(s, spec)(sides)
-
-
-def _discriminant_builder(s: np.ndarray, spec: MethodSpec) -> Callable[[tuple[str, ...]], tuple[Pencil, ...]]:
-    """2D-LDA-R's pencil builder for the uncompressed stack ``s``, the
-    package's only einsum assembly (see the comment above :func:`_mix`).
-
-    Returns ``build(sides)``, which gives one pencil per entry of ``sides``
-    (the row pencil for ``"left"``, the column one for ``"right"``).  Each
-    coupling mixes the samples once, ``sum_k Z(i,p,k) C[k, l]`` over the
-    stack's ``(m1, m2, n)`` view, in the first call that succeeds; every
-    call contracts the mixed tensors with the stack for its ``sides``
-    only, so a side that is never asked for is never contracted.  In each
-    call the rhs coupling's chain runs on a helper thread while this
-    thread runs the lhs one, and the pencils are bit-identical to a serial
-    build.  The helper is joined before each call returns, and an
-    exception it raises reaches the caller.  The two mixed tensors live as
-    long as ``build``.
-    """
+def _discriminant_pencil(s: np.ndarray, spec: MethodSpec, side: str) -> Pencil:
+    """2D-LDA-R's row (``"left"``) or column (``"right"``) pencil from the
+    uncompressed stack ``s``, by einsum sums over its ``(m1, m2, n)`` view
+    (see the comment above :func:`_mix`).  The helper thread that runs the
+    rhs coupling's chain is joined before the call returns, and an
+    exception it raises reaches the caller."""
     lhs, rhs, which = _solver_sides(spec, s.shape[0])
     arr = np.moveaxis(s, 0, 2)
+    contraction = "pjl,qjl->pq" if side == "left" else "ipl,iql->pq"
+
+    def chain(coupling: np.ndarray, mixed: np.ndarray) -> np.ndarray:
+        np.einsum("ipk,kl->ipl", arr, coupling, out=mixed)
+        return np.einsum(contraction, mixed, arr)
+
     # C-contiguous, as einsum's own output.  Two blocks: one block of twice
     # the size raised a bilateral ORL-shaped sweep's peak RSS by 8 MB (glibc
-    # malloc, two worker threads), while two left it flat.  Both outlive the
-    # first build: a single pass keeps them until its row pencil is built,
-    # so on ORL-shaped data until the unit's fits end
+    # malloc, two worker threads), while two left it flat
     lhs_mixed, rhs_mixed = np.empty(arr.shape), np.empty(arr.shape)
-    mixed = False
-
-    def build(sides: tuple[str, ...]) -> tuple[Pencil, ...]:
-        nonlocal mixed
-        lhs_mix, rhs_mix = (None, None) if mixed else (lhs, rhs)
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            pending = helper.submit(_coupled_sides, arr, rhs_mix, rhs_mixed, sides)
-            lhs_sides = _coupled_sides(arr, lhs_mix, lhs_mixed, sides)
-            rhs_sides = pending.result()
-        mixed = True
-        return tuple(Pencil(_sym(a), _sym(b), which, a.shape[0]) for a, b in zip(lhs_sides, rhs_sides))
-
-    return build
-
-
-def _coupled_sides(arr: np.ndarray, coupling: np.ndarray | None, mixed: np.ndarray, sides) -> list[np.ndarray]:
-    """One coupling's einsum chain for :func:`_discriminant_builder`: mix
-    the ``(m1, m2, n)`` stack into the buffer ``mixed`` (unless
-    ``coupling`` is None: the buffer holds the mix already), then
-    contract it with the stack for each of ``sides`` (unsymmetrized)."""
-    if coupling is not None:
-        np.einsum("ipk,kl->ipl", arr, coupling, out=mixed)
-    return [np.einsum("pjl,qjl->pq" if side == "left" else "ipl,iql->pq", mixed, arr) for side in sides]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(chain, rhs, rhs_mixed)
+        a = chain(lhs, lhs_mixed)
+        b = pending.result()
+    return Pencil(_sym(a), _sym(b), which, a.shape[0])
 
 
 def _record(trace: FitTrace, fitted: tuple[np.ndarray, FitTrace]) -> np.ndarray:
@@ -545,34 +515,31 @@ def _record(trace: FitTrace, fitted: tuple[np.ndarray, FitTrace]) -> np.ndarray:
 
 
 def _single_pass(s: np.ndarray, spec: MethodSpec) -> Callable[[int, int], tuple[ProjectorPair, FitTrace]]:
-    """2D-LDA-R's single pass over the uncompressed stack ``s``: its column
-    pencil, built here, and its row pencil, built the first time a column
-    solve succeeds (see :func:`_discriminant_builder`); each is built once.
+    """2D-LDA-R's single pass over the uncompressed stack ``s``.
 
     Returns ``fit(d1, d2)``, which solves the column pencil for ``d2`` and
     then the row pencil for ``d1`` (see :func:`solve_pencil`); its trace
     holds the column objective and then the row one, as an alternating
-    fit's first iteration would.  A fit whose column solve fails never
-    reaches the row side, so the row pencil waits for one that passes: on
-    ORL-shaped data none does, and its contraction is the costliest of the
-    build.  The two mixed tensors are kept until the row pencil is built.
-    Each call solves for its own dimensions: these pencils' residuals are
-    rounding noise at the size of their contract's bound, so the first
-    ``d`` pairs of a wider solve can fail a check that a solve for ``d``
-    passes.
+    fit's first iteration would.  The column pencil is built here, once
+    for every ``fit``.  The row pencil is deferred: a fit whose column
+    solve fails never reaches the row side, so the row pencil is built in
+    the first ``fit`` whose column solve succeeds and reused by every
+    later one.  On ORL-shaped data no column solve succeeds, and the row
+    contraction is the costliest of the build.  Each call solves for its
+    own dimensions: these pencils' residuals are rounding noise at the
+    size of their contract's bound, so the first ``d`` pairs of a wider
+    solve can fail a check that a solve for ``d`` passes.
     """
-    build = _discriminant_builder(s, spec)
-    (col_pencil,) = build(("right",))
+    col_pencil = _discriminant_pencil(s, spec, "right")
     row_pencil = None
 
     def fit(d1: int, d2: int) -> tuple[ProjectorPair, FitTrace]:
-        nonlocal build, row_pencil
+        nonlocal row_pencil
         _validate_dims(s, d1, d2)
         trace = FitTrace(iterations=1, converged=True)
         v = _record(trace, solve_pencil(col_pencil, (d2,))(d2))
         if row_pencil is None:
-            (row_pencil,) = build(("left",))
-            build = None  # releases the mixed tensors
+            row_pencil = _discriminant_pencil(s, spec, "left")
         u = _record(trace, solve_pencil(row_pencil, (d1,))(d1))
         return ProjectorPair(u, v, ("coupled", "coupled")), trace
 
@@ -634,8 +601,7 @@ def fit_method(
     alternate: their within-class side can lose definiteness under
     iteration, so a single pass computes the row and column factors
     independently from the uncompressed stack, each as a one-sided fit,
-    column first; the row pencil is built only if the column solve
-    succeeds (see :func:`_single_pass`).
+    column first (see :func:`_single_pass`).
     """
     s = _image_stack(x)
     _validate_dims(s, d1, d2)
@@ -672,10 +638,8 @@ def solve_bilateral(
     Returns ``fit(d)``: what ``fit_method(x, spec, d, d, max_iter)``
     gives, bit for bit, or the exception it raises.  An alternating fit
     starts from the first ``d`` identity columns, so each ``d`` runs its
-    own alternation.  2D-LDA-R's single pass builds its column pencil
-    here, once for every ``d``, and its row pencil in the first ``fit(d)``
-    whose column solve succeeds, then reused by every later ``d`` (see
-    :func:`_single_pass`).
+    own alternation.  2D-LDA-R's single pass shares its two pencils
+    across every ``d`` (see :func:`_single_pass`).
     """
     s = _image_stack(x)
     if _discriminant_repulsion(spec):

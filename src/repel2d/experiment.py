@@ -11,8 +11,8 @@ A unilateral or vector unit also assembles its eigenproblem once and
 solves it once, for the largest dimension, and projects the gallery and
 queries once; each dimension then takes a prefix, and one 1-NN scoring
 pass covers every prefix.  A bilateral unit fits each dimension on its
-own (2D-LDA-R's single pass shares its two pencils across them, the row
-one built by the first cell whose column solve succeeds).  Every
+own (2D-LDA-R's single pass shares its two pencils across them, see
+``embed_2d._single_pass``).  Every
 fitted cell holds a trace; a matrix cell holds a ``ProjectorPair`` and a
 vector cell its plain ``(m1 * m2, d)`` basis.  Units are independent and
 deterministic given the config, so they may run concurrently; results
@@ -118,8 +118,9 @@ class ResultRow:
     2D-LDA-R's bilateral single pass, its column pencil) divided by the
     number of dimensions the unit covers, plus that cell's own work (a
     bilateral fit or its pair of pencil solves, or taking its prefix of
-    the shared solve).  2D-LDA-R's row pencil is not amortized: it is
-    built, and counted, in the first cell whose column solve succeeds.
+    the shared solve).  2D-LDA-R's deferred row pencil (see
+    ``embed_2d._single_pass``) is not amortized: it counts in the cell
+    that builds it.
     """
 
     method: str
@@ -265,13 +266,12 @@ def fit_unit(cfg: ExperimentConfig, ds: ImageDataset, method: str, realization: 
     is solved once, for the largest dimension; each dimension then takes
     the first ``d`` eigenvectors.  Bilateral fits alternate from a start
     that depends on the dimension, so they share the couplings (and
-    2D-LDA-R's single pass its column pencil, and its row pencil from the
-    first dimension whose column solve succeeds) and run their own
-    solves.  A failure in the shared part fails every dimension.  The
-    eigensolver's contract is checked per prefix, so a failing eigenvector
-    fails the dimensions that include it, and a failure in one
-    dimension's own work fails that cell only.  ``fit``, ``eval`` and
-    ``bench`` all train through this function.
+    2D-LDA-R's single pass its two pencils, see ``embed_2d._single_pass``)
+    and run their own solves.  A failure in the shared part fails every
+    dimension.  The eigensolver's contract is checked per prefix, so a
+    failing eigenvector fails the dimensions that include it, and a
+    failure in one dimension's own work fails that cell only.  ``fit``,
+    ``eval`` and ``bench`` all train through this function.
     """
     train = test_idx = spec = None
     try:

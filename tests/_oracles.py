@@ -7,7 +7,7 @@ these independent implementations check it (criterion 1, the trace
 objectives, the reconstruction identities).  The einsum side-matrix
 builders ``col_subproblem_matrix`` and ``row_subproblem_matrix`` are the
 independent assembly route that the package's pencils are compared
-against (GEMM sums, and 2D-LDA-R's shared-mix einsum sums; which route
+against (GEMM sums, and 2D-LDA-R's einsum sums; which route
 builds each pencil is pinned in ``test_embed_2d.py``).  After them come
 small references for the eigensolver and subspace checks, the per-query
 1-NN rule that ``classify_prefixes`` must reproduce at every prefix, a
@@ -22,7 +22,7 @@ Last come short entry points for a single fit, solve or scoring
 (``fit_unilateral``, ``fit_1d``, ``sym_eig``, ``gen_sym_eig``,
 ``classify_batch``): each runs the path the sweep runs, for one
 dimension or one full-width prefix.  ``fit_unilateral`` also fits the
-row factor alone, which the sweep never does, on the mode-swapped stack.
+row factor alone, which the sweep never does.
 
 Storage convention
 ------------------
@@ -50,7 +50,7 @@ from repel2d.embed_2d import (
     FitTrace,
     ProjectorPair,
     _check_coupling,
-    _discriminant_pencils,
+    _discriminant_pencil,
     _discriminant_repulsion,
     _image_stack,
     _sym,
@@ -557,22 +557,22 @@ def swap_modes(x):
 
 
 def fit_unilateral(x, spec, side, d):
-    """One-sided fit for ``d`` alone: ``(ProjectorPair, FitTrace)``.
+    """One-sided fit for ``d`` alone.
 
-    ``side="right"`` solves the column factor, as the sweep does.
-    ``side="left"`` solves the row factor: the column fit of the
-    mode-swapped stack with the pair swapped back, or for 2D-LDA-R the
-    row pencil of its single pass.
+    ``side="right"`` solves the column factor, as the sweep does, and
+    gives ``(ProjectorPair, FitTrace)`` with the row factor pinned.
+    ``side="left"`` solves the row factor alone and gives
+    ``(row basis, FitTrace)``: the column fit of the mode-swapped stack,
+    or for 2D-LDA-R the row pencil of its single pass.
     """
     assert side in ("left", "right")
     if side == "right":
         return solve_unilateral(x, spec, (d,))(d)
     s = _image_stack(x)
     if _discriminant_repulsion(spec):
-        basis, trace = solve_pencil(_discriminant_pencils(s, spec, ("left",))[0], (d,))(d)
-        return ProjectorPair(basis, np.eye(s.shape[2]), ("coupled", "identity")), trace
+        return solve_pencil(_discriminant_pencil(s, spec, "left"), (d,))(d)
     pair, trace = solve_unilateral(swap_modes(s), spec, (d,))(d)
-    return ProjectorPair(pair.col_basis, pair.row_basis, pair.constraints[::-1]), trace
+    return pair.col_basis, trace
 
 
 def fit_1d(x, labels, method, d, **options):

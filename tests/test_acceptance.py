@@ -214,7 +214,7 @@ def test_criterion_4_vector_shaped_reduction():
         vds = x, labels
         for name2, name1 in pairs:
             spec = method_matrices(name2, *ds2)
-            pair, trace = fit_unilateral(ds2[0], spec, "left", d)
+            row_basis, trace = fit_unilateral(ds2[0], spec, "left", d)
             basis_1d, _ = fit_1d(*vds, name1, d, bandwidth=spec.bandwidth)
             a = x @ spec.min_coupling @ x.T
             a = 0.5 * (a + a.T)
@@ -233,7 +233,7 @@ def test_criterion_4_vector_shaped_reduction():
 
                 spectrum = scipy.linalg.eigh(a, 0.5 * (b + b.T), eigvals_only=True)
             if spectrum[d] - spectrum[d - 1] > 1e-8:
-                angle = subspace_angle(pair.row_basis, basis_1d)
+                angle = subspace_angle(row_basis, basis_1d)
                 if angle > 1e-6:
                     violations.append((trial, name2, "angle", angle))
     report(4, "vector-shaped fits match 1D counterparts", violations, started, 30.0)

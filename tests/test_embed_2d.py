@@ -22,14 +22,14 @@ from _oracles import (
     sym_eig,
     trace_objective,
 )
-from repel2d import embed_2d, graphs
+from repel2d import graphs
 from repel2d.datasets import synthetic_confusable
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
     _check_coupling,
     _side_matrix,
     _solver_sides,
-    _discriminant_pencils,
+    _discriminant_pencil,
     MethodSpec,
     ProjectorPair,
     centering_matrix,
@@ -144,6 +144,7 @@ class TestMethodMatrices:
 
     def test_default_betas(self):
         assert default_beta("2D-LDA-R") == 0.2
+        assert default_beta("LDA-R") == 0.2
         assert default_beta("2D-OLPP-R") == 0.5
         assert default_beta("2D-PCA") == 0.0
 
@@ -322,19 +323,20 @@ class TestPencilRoutes:
     machine and at any BLAS thread count."""
 
     @staticmethod
-    def sides(name, side):
+    def sides(name, side, ds=PENCIL_ROUTE_DATA[0]):
         # the row factor's pencil ("left") is the column pencil of the
         # mode-swapped stack, except 2D-LDA-R's, which its single pass builds
-        images, labels = toy_dataset(11)
+        images, labels = ds
         spec = method_matrices(name, images, labels)
-        lhs, rhs, _ = _solver_sides(spec, len(images))
+        lhs, rhs, which = _solver_sides(spec, len(images))
         if side == "right":
             pencil = unilateral_pencil(images, spec)
         elif name == "2D-LDA-R":
-            pencil = _discriminant_pencils(images, spec, ("left",))[0]
+            pencil = _discriminant_pencil(images, spec, "left")
         else:
             pencil = unilateral_pencil(swap_modes(images), spec)
         assert (pencil.rhs is None) == (rhs is None)
+        assert (pencil.which, pencil.max_dim) == (which, images.shape[1 if side == "left" else 2])
         return images, [(pencil.lhs, lhs)] + ([] if rhs is None else [(pencil.rhs, rhs)])
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -364,30 +366,21 @@ class TestPencilRoutes:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_discriminant_repulsion_keeps_the_einsum_sums(self, side):
-        x, sides = self.sides("2D-LDA-R", side)
-        einsum = row_subproblem_matrix if side == "left" else col_subproblem_matrix
-        for built, coupling in sides:
-            np.testing.assert_array_equal(built, einsum(x, None, coupling))
-
-    @pytest.mark.parametrize("ds", PENCIL_ROUTE_DATA, ids=["toy", "wide"])
-    def test_single_pass_shares_one_mix_per_coupling(self, ds):
-        # the row and column pencils of 2D-LDA-R's single pass share each
-        # coupling's mixed tensor and still equal the einsum builders
-        images, labels = ds
-        spec = method_matrices("2D-LDA-R", images, labels)
-        lhs, rhs, which = _solver_sides(spec, len(images))
-        row, col = _discriminant_pencils(images, spec)
-        _, m1, m2 = images.shape
-        for pencil, einsum, side in ((row, row_subproblem_matrix, m1), (col, col_subproblem_matrix, m2)):
-            assert (pencil.which, pencil.max_dim) == (which, side)
-            np.testing.assert_array_equal(pencil.lhs, einsum(images, None, lhs))
-            np.testing.assert_array_equal(pencil.rhs, einsum(images, None, rhs))
+        # each of 2D-LDA-R's pencils, built from its own mix of the
+        # samples, equals the einsum builder (sides() checks which and
+        # max_dim)
+        for ds in PENCIL_ROUTE_DATA:
+            x, sides = self.sides("2D-LDA-R", side, ds)
+            einsum = row_subproblem_matrix if side == "left" else col_subproblem_matrix
+            for built, coupling in sides:
+                np.testing.assert_array_equal(built, einsum(x, None, coupling))
 
     @pytest.mark.parametrize("sides", [("left",), ("right",), ("left", "right"), "single pass"])
     def test_coupling_helper_is_joined(self, sides):
         # the rhs coupling's chain runs on a helper thread that never
-        # outlives the call, whichever sides are built; the single pass
-        # builds its row pencil inside fit(d), whose helper is joined too
+        # outlives the call, for either side and for both in turn; the
+        # single pass builds its row pencil inside fit(d), whose helper is
+        # joined too
         images, labels = toy_dataset(11)
         spec = method_matrices("2D-LDA-R", images, labels)
         before = threading.active_count()
@@ -398,7 +391,7 @@ class TestPencilRoutes:
             assert len(trace.objectives) == 2
             pencils, sides = (pair.row_basis, pair.col_basis), ("left", "right")
         else:
-            pencils = _discriminant_pencils(images, spec, sides)
+            pencils = [_discriminant_pencil(images, spec, side) for side in sides]
         assert threading.active_count() == before
         assert len(pencils) == len(sides)
 
@@ -409,26 +402,45 @@ class TestPencilRoutes:
         images, labels = toy_dataset(11)
         spec = method_matrices("2D-LDA-R", images, labels)
         caller = threading.get_ident()
-        chain = embed_2d._coupled_sides
+        einsum = np.einsum
         threads = []
 
-        def failing_off_caller(arr, coupling, mixed, sides):
-            threads.append(threading.get_ident())
-            if threading.get_ident() != caller and "left" in sides:
+        def failing_off_caller(subscripts, *operands, **kwargs):
+            if subscripts == "ipk,kl->ipl":  # a chain starts with its mix
+                threads.append(threading.get_ident())
+            if threading.get_ident() != caller and subscripts == "pjl,qjl->pq":
                 raise NumericalQualityError("injected helper failure")
-            return chain(arr, coupling, mixed, sides)
+            return einsum(subscripts, *operands, **kwargs)
 
-        monkeypatch.setattr(embed_2d, "_coupled_sides", failing_off_caller)
+        monkeypatch.setattr(np, "einsum", failing_off_caller)
         before = threading.active_count()
         with pytest.raises(NumericalQualityError, match="injected helper failure"):
             if deferred:
                 solve_bilateral(images, spec)(2)
             else:
-                _discriminant_pencils(images, spec)
+                _discriminant_pencil(images, spec, "left")
         assert threading.active_count() == before
         # each build runs the chain once on this thread and once on the helper
         builds = 2 if deferred else 1
         assert len(threads) == 2 * builds and threads.count(caller) == builds
+
+    @pytest.mark.parametrize("row_built", [False, True], ids=["set-up", "row-built"])
+    def test_single_pass_holds_no_mix(self, row_built):
+        # a mix buffer is as large as the (m1, m2, n) stack: the single
+        # pass holds none once set up, nor once a fit has built its row
+        # pencil, only the pencils themselves
+        images, labels = PENCIL_ROUTE_DATA[1]
+        spec = method_matrices("2D-LDA-R", images, labels)
+        tracemalloc.start()
+        try:
+            fit = solve_bilateral(images, spec)
+            fitted = fit(2) if row_built else None
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        if row_built:
+            assert len(fitted[1].objectives) == 2
+        assert held < images.nbytes
 
 
 class TestTraceObjective:
@@ -669,8 +681,7 @@ class TestFitUnilateral:
     def test_left_solved_matches_column_covariance_oracle(self):
         images, labels = toy_dataset(26)
         spec = method_matrices("2D-PCA", images, labels)
-        pair, _ = fit_unilateral(images, spec, "left", 3)
-        np.testing.assert_array_equal(pair.col_basis, np.eye(images.shape[2]))
+        row_basis, _ = fit_unilateral(images, spec, "left", 3)
         mean = images.mean(axis=0)
         cov = np.zeros((images.shape[1],) * 2)
         for k in range(len(images)):
@@ -679,7 +690,7 @@ class TestFitUnilateral:
         values = np.linalg.eigvalsh(cov)[::-1]
         _, expected = sym_eig(cov, 3, "top")
         if values[2] - values[3] > 1e-8:
-            assert subspace_angle(pair.row_basis, expected) < 1e-6
+            assert subspace_angle(row_basis, expected) < 1e-6
         # the solved side matrix is exactly the column covariance
         built = row_subproblem_matrix(images, np.eye(images.shape[2]), spec.max_coupling)
         np.testing.assert_allclose(built, cov, rtol=1e-10)
@@ -687,8 +698,8 @@ class TestFitUnilateral:
     def test_full_dimension_lossless(self):
         images, labels = toy_dataset(27)
         spec = method_matrices("2D-PCA", images, labels)
-        pair, _ = fit_unilateral(images, spec, "left", images.shape[1])
-        y = mode_product(mode_product(as_tensor(images), pair.row_basis.T, 1), pair.col_basis.T, 2)
+        row_basis, _ = fit_unilateral(images, spec, "left", images.shape[1])
+        y = mode_product(as_tensor(images), row_basis.T, 1)
         assert frobenius_norm(y) == pytest.approx(frobenius_norm(as_tensor(images)), rel=1e-10)
 
     def test_repeat_calls_identical(self):

@@ -422,7 +422,7 @@ class TestSolveBilateral:
                     fit(d)
                 continue
             pair, trace = fit(d)
-            np.testing.assert_array_equal(pair.row_basis, left.row_basis)
+            np.testing.assert_array_equal(pair.row_basis, left)
             np.testing.assert_array_equal(pair.col_basis, right.col_basis)
             assert trace.objectives == right_trace.objectives + left_trace.objectives
             assert trace.ridge_shift == max(right_trace.ridge_shift, left_trace.ridge_shift)
