@@ -115,7 +115,10 @@ def vector_pencil(
         sw, sb = scatter_matrices(x, labels)
         if method == "LDA-R":
             label_graph = graphs.build_label_graph(labels)
-            rep = graphs.repulsion_laplacian(label_graph, graphs.sq_distances(x.T), knn, bandwidth)
+            sq_dist = graphs.sq_distances(x.T)
+            if bandwidth is None:
+                bandwidth = graphs.default_bandwidth(label_graph, sq_dist)
+            rep = graphs.repulsion_laplacian(label_graph, sq_dist, knn, bandwidth)
             sw = sw - (default_beta(method) if beta is None else beta) * (x @ rep @ x.T)
         return Pencil(sb, sw, "top", m - 1, pre)
 

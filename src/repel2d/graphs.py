@@ -19,9 +19,8 @@ of the sample count, in check:
 * no public function mutates its arguments;
 * no function holds more than about three ``(n, n)`` float arrays at
   once.  Each Laplacian and reconstruction penalty is formed inside its
-  weight buffer (a copy of the argument, for the public functions) by
-  :func:`_into_laplacian` and :func:`_into_penalty`, bit for bit what the
-  dense ``D - W`` and ``I - W`` give.
+  weight buffer by :func:`_into_laplacian` and :func:`_into_penalty`, bit
+  for bit what the dense ``D - W`` and ``I - W`` give.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ __all__ = [
     "gaussian_weights",
     "default_bandwidth",
     "lle_weights",
-    "laplacian",
     "repulsion_laplacian",
-    "reconstruction_penalty",
 ]
 
 LLE_RIDGE = 1e-6
@@ -47,8 +44,6 @@ LLE_RIDGE = 1e-6
 
 def _points_matrix(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     if pts.ndim != 2:
         raise ShapeError(f"points must form an (n, p) array, got shape {pts.shape}")
     return pts
@@ -63,8 +58,7 @@ def _adjacency(adjacency, n: int) -> np.ndarray:
 
 def sq_distances(points) -> np.ndarray:
     """Squared Euclidean distances between the rows of an ``(n, p)``
-    point array (a 1-d array is ``n`` points on a line), with a zero
-    diagonal and no negative entries."""
+    point array, with a zero diagonal and no negative entries."""
     pts = _points_matrix(points)
     sq = np.sum(pts * pts, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
@@ -133,16 +127,11 @@ def default_bandwidth(adjacency, sq_dist) -> float:
     return mean if mean > 0.0 else 1.0
 
 
-def gaussian_weights(adjacency, sq_dist, t: float | None = None) -> np.ndarray:
+def gaussian_weights(adjacency, sq_dist, t: float) -> np.ndarray:
     """Weight each edge ``(i, j)`` by ``exp(-sq_dist[i, j] / t)``, zero
-    off the edges.
-
-    ``t=None`` selects :func:`default_bandwidth`.
-    """
+    off the edges."""
     d2 = _distance_matrix(sq_dist)
     adj = _adjacency(adjacency, d2.shape[0])
-    if t is None:
-        t = default_bandwidth(adj, d2)
     if t <= 0:
         raise ParameterError(f"Gaussian bandwidth must be positive, got {t}")
     w = d2 / -t
@@ -197,15 +186,6 @@ def _solve_local_gram(gram: np.ndarray, rhs: np.ndarray, force_ridge: bool = Fal
     return np.linalg.solve(gram + ridge * np.eye(k), rhs)
 
 
-def laplacian(weights) -> tuple[np.ndarray, np.ndarray]:
-    """Laplacian ``L = D - W`` of symmetric weights, with the diagonal
-    degree matrix ``D`` of their row sums: returns ``(L, D)``."""
-    w = np.array(weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"weights must be square, got shape {w.shape}")
-    return w, np.diag(_into_laplacian(w))
-
-
 def _into_laplacian(w: np.ndarray) -> np.ndarray:
     """Overwrite symmetric float64 weights ``w`` with their Laplacian
     ``D - W``; return the degrees (the row sums).
@@ -223,33 +203,20 @@ def _into_laplacian(w: np.ndarray) -> np.ndarray:
     return degree
 
 
-def repulsion_laplacian(label_adjacency, sq_dist, knn: int, t: float | None = None) -> np.ndarray:
+def repulsion_laplacian(label_adjacency, sq_dist, knn: int, t: float) -> np.ndarray:
     """Laplacian of the repulsion graph: the ``knn`` nearest-neighbor
     edges minus the label edges, so it joins only close points of
-    different classes, with Gaussian weights of bandwidth ``t``.
-
-    ``t=None`` selects the :func:`default_bandwidth` of the label graph.
-    """
+    different classes, with Gaussian weights of bandwidth ``t``."""
     d2 = _distance_matrix(sq_dist)
     label = _adjacency(label_adjacency, d2.shape[0])
-    if t is None:
-        t = default_bandwidth(label, d2)
     w = gaussian_weights(build_knn_graph(d2, knn) & ~label, d2, t)
     _into_laplacian(w)
     return w
 
 
-def reconstruction_penalty(weights) -> np.ndarray:
-    """The matrix ``(I - W)^T (I - W)`` that plays the Laplacian's role for
-    reconstruction-weight methods."""
-    w = np.array(weights, dtype=np.float64, order="C")
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"weights must be square, got shape {w.shape}")
-    return _into_penalty(w)
-
-
 def _into_penalty(w: np.ndarray) -> np.ndarray:
-    """:func:`reconstruction_penalty` of square float64 weights ``w``,
+    """The matrix ``(I - W)^T (I - W)`` that plays the Laplacian's role for
+    reconstruction-weight methods, of square float64 weights ``w``,
     forming ``I - W`` inside ``w`` (which it overwrites) bit for bit:
     ``0.0 - w`` off the diagonal, ``1.0 - w_ii`` on it."""
     diagonal = 1.0 - np.diagonal(w)

@@ -1,9 +1,9 @@
 """Portable graymap reading and writing.
 
-Handles the ASCII (``P2``) and binary (``P5``) variants, header comments,
+Reads the ASCII (``P2``) and binary (``P5``) variants, header comments,
 and 1- or 2-byte samples (big-endian when maxval > 255).  Pixels are
-returned scaled to [0, 1] as float64.  Other raster formats should be
-converted to PGM up front.
+returned scaled to [0, 1] as float64.  Writes 8-bit binary ``P5``.  Other
+raster formats should be converted to PGM up front.
 """
 
 from __future__ import annotations
@@ -88,23 +88,14 @@ def read_pgm(path) -> np.ndarray:
     return (values / maxval).reshape(height, width)
 
 
-def write_pgm(path, image, maxval: int = 255, binary: bool = True):
-    """Write an array of [0, 1] values as a PGM file."""
+def write_pgm(path, image):
+    """Write an array of [0, 1] values as an 8-bit binary PGM file."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ParameterError(f"image must be 2-d, got shape {img.shape}")
-    if not 0 < maxval < 65536:
-        raise ParameterError(f"maxval must be in [1, 65535], got {maxval}")
-    quantized = np.clip(np.rint(img * maxval), 0, maxval).astype(np.uint16)
     height, width = img.shape
-    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n"
-    path = Path(path)
-    if binary:
-        dtype = ">u2" if maxval > 255 else np.uint8
-        path.write_bytes(header.encode("ascii") + quantized.astype(dtype).tobytes())
-    else:
-        body = "\n".join(" ".join(str(v) for v in row) for row in quantized.tolist())
-        path.write_text(header + body + "\n", encoding="ascii")
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + np.clip(np.rint(img * 255), 0, 255).astype(np.uint8).tobytes())
 
 
 @lru_cache(maxsize=32)

@@ -11,7 +11,8 @@ against (GEMM sums, and 2D-LDA-R's einsum sums; which route
 builds each pencil is pinned in ``test_embed_2d.py``).  After them come
 small references for the eigensolver and subspace checks, the per-query
 1-NN rule that ``classify_prefixes`` must reproduce at every prefix, a
-reader for the result CSV that ``emit_csv`` writes, and the
+reader for the result CSV that ``emit_csv`` writes, a PGM writer for the
+formats the package reads but does not write, and the
 per-dimension solve that one solve per unit must reproduce, starting
 from the pencil as the package assembles it.  The coupling oracles build
 every method's ``(n, n)`` couplings by the plain expressions, one fresh
@@ -377,6 +378,20 @@ def parse_result_csv(path) -> list[ResultRow]:
         method, mode, dim, mean, std, secs = line.split(",")
         rows.append(ResultRow(method, mode, int(dim), float(mean), float(std), float(secs)))
     return rows
+
+
+def write_pgm_fixture(path, image, maxval=255, binary=True):
+    """Write an array of [0, 1] values as a PGM file: binary ``P5`` or
+    ASCII ``P2``, with 2-byte big-endian samples when ``maxval > 255``.
+    ``read_pgm`` decodes all four; the package writes only 8-bit ``P5``."""
+    quantized = np.clip(np.rint(np.asarray(image, dtype=np.float64) * maxval), 0, maxval).astype(np.uint16)
+    height, width = quantized.shape
+    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n"
+    if binary:
+        Path(path).write_bytes(header.encode("ascii") + quantized.astype(">u2" if maxval > 255 else np.uint8).tobytes())
+    else:
+        body = "\n".join(" ".join(str(v) for v in row) for row in quantized.tolist())
+        Path(path).write_text(header + body + "\n", encoding="ascii")
 
 
 # The per-dimension solve: before each unilateral or vector unit was solved

@@ -244,7 +244,7 @@ def test_criterion_5_centering_equals_uniform_reconstruction():
     violations = []
     for n in (3, 8, 17):
         w = np.full((n, n), 1.0 / n)
-        middle = graphs.reconstruction_penalty(w)
+        middle = graphs._into_penalty(w)
         gap = float(np.max(np.abs(middle - centering_matrix(n))))
         if gap > 1e-12:
             violations.append((n, gap))

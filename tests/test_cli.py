@@ -14,7 +14,7 @@ from repel2d.embed_2d import METHOD_NAMES_2D
 from repel2d.errors import ParameterError
 from repel2d.experiment import CSV_HEADER, usable_cpus
 
-from _oracles import parse_result_csv
+from _oracles import parse_result_csv, write_pgm_fixture
 
 
 def run_cli(*argv):
@@ -333,6 +333,40 @@ class TestBenchAndSweep:
             return "\n".join(",".join(line.split(",")[:5]) for line in path.read_text().splitlines())
 
         assert strip_timing(outs[0]) == strip_timing(outs[1])
+
+
+def write_fixture_tree(ds, root, **form):
+    """``write_dataset_pgm``'s class-per-directory layout, in any PGM form
+    that ``write_pgm_fixture`` writes."""
+    for c, name in enumerate(ds.class_names):
+        (root / name).mkdir(parents=True)
+        for j, i in enumerate(np.flatnonzero(ds.labels == c)):
+            write_pgm_fixture(root / name / f"img_{j:03d}.pgm", ds.images[i], **form)
+    return root
+
+
+def test_bench_reads_every_pgm_form(tmp_path, synthetic_ds):
+    # the same 8-bit samples as ASCII and as binary files give the same
+    # errors; 16-bit samples run too
+    forms = {"p2": {"binary": False}, "p5": {}, "p5-16": {"maxval": 65535}}
+    errors = {}
+    for name, form in forms.items():
+        out = tmp_path / f"res-{name}"
+        code = run_cli(
+            "bench",
+            "--dataset", str(write_fixture_tree(synthetic_ds, tmp_path / name, **form)),
+            "--method", "2D-PCA,2D-LPP,OLPP-R",
+            "--dims", "2,4",
+            "--train-per-class", "4",
+            "--realizations", "2",
+            "--out", str(out),
+        )
+        assert code == 0
+        lines = (out / "results.csv").read_text().splitlines()
+        assert len(lines) == 1 + 6
+        assert "nan" not in "\n".join(lines)
+        errors[name] = [",".join(line.split(",")[:5]) for line in lines]
+    assert errors["p2"] == errors["p5"]
 
 
 class TestFitEval:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import as_tensor, matricize
+from _oracles import as_tensor, matricize, write_pgm_fixture
 from repel2d import graphs
 from repel2d.datasets import (
     ImageDataset,
@@ -22,16 +22,18 @@ class TestPgm:
         rng = np.random.default_rng(0)
         img = rng.uniform(size=(5, 7))
         path = tmp_path / "img.pgm"
-        write_pgm(path, img, maxval=255, binary=True)
+        write_pgm(path, img)
         back = read_pgm(path)
         assert back.shape == (5, 7)
         np.testing.assert_allclose(back, img, atol=0.5 / 255)
+        write_pgm_fixture(tmp_path / "fixture.pgm", img)
+        assert path.read_bytes() == (tmp_path / "fixture.pgm").read_bytes()
 
     def test_ascii_roundtrip_16bit(self, tmp_path):
         rng = np.random.default_rng(1)
         img = rng.uniform(size=(3, 4))
         path = tmp_path / "img.pgm"
-        write_pgm(path, img, maxval=65535, binary=False)
+        write_pgm_fixture(path, img, maxval=65535, binary=False)
         np.testing.assert_allclose(read_pgm(path), img, atol=0.5 / 65535)
 
     def test_binary_16bit_big_endian(self, tmp_path):
@@ -93,13 +95,13 @@ class TestLoadDataset:
             cdir = root / f"class{c}"
             cdir.mkdir(parents=True)
             for j in range(per_class):
-                write_pgm(cdir / f"im{j}.pgm", rng.uniform(size=shape), binary=(j % 2 == 0))
+                write_pgm_fixture(cdir / f"im{j}.pgm", rng.uniform(size=shape), binary=(j % 2 == 0))
 
     def test_loads_expected_counts_and_values(self, tmp_path):
         root = tmp_path / "toy"
         (root / "a").mkdir(parents=True)
         (root / "b").mkdir()
-        write_pgm(root / "a" / "x.pgm", np.array([[0.0, 1.0], [0.5, 0.25]]), binary=False)
+        write_pgm_fixture(root / "a" / "x.pgm", np.array([[0.0, 1.0], [0.5, 0.25]]), binary=False)
         write_pgm(root / "a" / "y.pgm", np.zeros((2, 2)))
         write_pgm(root / "b" / "x.pgm", np.ones((2, 2)))
         write_pgm(root / "b" / "y.pgm", np.full((2, 2), 0.5))

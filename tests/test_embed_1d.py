@@ -8,7 +8,15 @@ from repel2d.embed_1d import METHOD_NAMES_1D, auto_predim, scatter_matrices, vec
 from repel2d.embed_2d import solve_pencil
 from repel2d.errors import DefinitenessError, ParameterError, ShapeError
 
-from _oracles import fit_1d, gen_sym_eig
+from _oracles import assert_bitwise, fit_1d, gen_sym_eig, laplacian_oracle, penalty_oracle
+
+
+def default_gaussian(labels, points):
+    """Label-graph Gaussian weights at the default bandwidth, as a fit
+    without a bandwidth builds them."""
+    g = graphs.build_label_graph(labels)
+    sq_dist = graphs.sq_distances(points)
+    return graphs.gaussian_weights(g, sq_dist, graphs.default_bandwidth(g, sq_dist))
 
 
 def make_ds(seed=0, m=6, n=18, classes=3):
@@ -88,9 +96,7 @@ class TestFit1d:
             assert np.linalg.norm(basis.T @ basis - np.eye(2)) <= 1e-10
         else:
             if method == "LPP":
-                g = graphs.build_label_graph(labels)
-                w = graphs.gaussian_weights(g, graphs.sq_distances(x.T))
-                b = x @ graphs.laplacian(w)[1] @ x.T
+                b = x @ laplacian_oracle(default_gaussian(labels, x.T))[1] @ x.T
                 assert np.linalg.norm(basis.T @ b @ basis - np.eye(2)) <= 1e-8
             elif method == "NPP":
                 b = x @ x.T
@@ -115,9 +121,7 @@ class TestFit1d:
         data = np.array(
             [[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
         )
-        g = graphs.build_label_graph(np.array([0, 0, 0, 0]))
-        weighted = graphs.gaussian_weights(g, graphs.sq_distances(data.T))
-        lap = graphs.laplacian(weighted)[0]
+        lap = laplacian_oracle(default_gaussian(np.array([0, 0, 0, 0]), data.T))[0]
         centering = np.eye(4) - np.full((4, 4), 0.25)
         middle_olpp = data @ lap @ data.T
         middle_pca = data @ centering @ data.T
@@ -132,7 +136,7 @@ class TestFit1d:
     def test_onpp_uniform_weights_give_centering_middle(self):
         n = 5
         w = np.full((n, n), 1.0 / n)
-        middle = graphs.reconstruction_penalty(w)
+        middle = penalty_oracle(w)
         np.testing.assert_allclose(middle, np.eye(n) - w, atol=1e-12)
 
     def test_beta_zero_repulsion_degenerates(self):
@@ -141,6 +145,17 @@ class TestFit1d:
             a = fit_1d(*ds, repulsed, 2, beta=0.0)[0]
             b = fit_1d(*ds, base, 2)[0]
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_lda_r_default_bandwidth_from_label_graph(self):
+        # no bandwidth: the label graph's default, on the (compressed) data
+        x, labels = make_ds(8, m=20, n=18, classes=3)
+        for predim in (None, "auto"):
+            pencil = vector_pencil(x, labels, "LDA-R", pca_predim=predim)
+            points = x.T if pencil.pre is None else (pencil.pre.T @ x).T
+            t = graphs.default_bandwidth(graphs.build_label_graph(labels), graphs.sq_distances(points))
+            explicit = vector_pencil(x, labels, "LDA-R", bandwidth=t, pca_predim=predim)
+            assert_bitwise(pencil.lhs, explicit.lhs)
+            assert_bitwise(pencil.rhs, explicit.rhs)
 
     def test_repulsion_variants_run(self):
         ds = make_ds(4, m=5, n=15, classes=3)
@@ -170,10 +185,8 @@ class TestFit1d:
         # degree matrix because the pre-basis has orthonormal columns
         data, labels = make_ds(7, m=10, n=18, classes=3)
         basis, _ = fit_1d(data, labels, "LPP", 2, pca_predim=8)
-        g = graphs.build_label_graph(labels)
         pre = fit_1d(data, labels, "PCA", 8)[0]
-        w = graphs.gaussian_weights(g, graphs.sq_distances((pre.T @ data).T))
-        b = data @ graphs.laplacian(w)[1] @ data.T
+        b = data @ laplacian_oracle(default_gaussian(labels, (pre.T @ data).T))[1] @ data.T
         assert np.linalg.norm(basis.T @ b @ basis - np.eye(2)) <= 1e-8
 
 
@@ -185,14 +198,14 @@ def objective_1d(ds, method, u, bandwidth=1.5):
         return u @ centered @ centered.T @ u
     if method in ("LPP", "OLPP"):
         weighted = graphs.gaussian_weights(g, graphs.sq_distances(x.T), bandwidth)
-        lap, degree = graphs.laplacian(weighted)
+        lap, degree = laplacian_oracle(weighted)
         num = u @ x @ lap @ x.T @ u
         if method == "OLPP":
             return num
         return num / (u @ x @ degree @ x.T @ u)
     if method in ("NPP", "ONPP"):
         recon = graphs.lle_weights(g, x.T)
-        h = graphs.reconstruction_penalty(recon)
+        h = penalty_oracle(recon)
         num = u @ x @ h @ x.T @ u
         if method == "ONPP":
             return num

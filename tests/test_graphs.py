@@ -10,9 +10,7 @@ from repel2d.graphs import (
     build_label_graph,
     default_bandwidth,
     gaussian_weights,
-    laplacian,
     lle_weights,
-    reconstruction_penalty,
     repulsion_laplacian,
     sq_distances,
 )
@@ -28,6 +26,17 @@ def _repulsion_edges(labels, pts, k) -> set[tuple[int, int]]:
     """The repulsion graph's edges, read off its Laplacian (unit bandwidth,
     so no weight of these small examples underflows)."""
     return _edges(repulsion_laplacian(build_label_graph(labels), sq_distances(pts), k, t=1.0) != 0.0)
+
+
+def _laplacian(weights) -> tuple[np.ndarray, np.ndarray]:
+    """``(D - W, degrees)``, built by ``_into_laplacian`` in a copy of the weights."""
+    lap = np.array(weights, dtype=np.float64)
+    return lap, graphs._into_laplacian(lap)
+
+
+def _gaussian(adjacency, d2) -> np.ndarray:
+    """Gaussian weights at the adjacency's default bandwidth."""
+    return gaussian_weights(adjacency, d2, default_bandwidth(adjacency, d2))
 
 
 def _knn_row_loop(points, k) -> np.ndarray:
@@ -82,7 +91,7 @@ class TestGraphInvariants:
         rng = np.random.default_rng(seed)
         pts = _points_with_duplicates(rng, n, 2)
         for adj in (build_label_graph(rng.integers(0, 3, size=n)), build_knn_graph(sq_distances(pts), int(rng.integers(1, n)))):
-            w = gaussian_weights(adj, sq_distances(pts))
+            w = _gaussian(adj, sq_distances(pts))
             assert not w[~adj].any()
 
 
@@ -121,7 +130,7 @@ class TestKnnGraph:
         d2 = sq_distances(np.random.default_rng(3).normal(size=(9, 2)))
         before = d2.copy()
         build_knn_graph(d2, 3)
-        repulsion_laplacian(build_label_graph(np.arange(9) % 3), d2, 3)
+        repulsion_laplacian(build_label_graph(np.arange(9) % 3), d2, 3, 1.0)
         np.testing.assert_array_equal(d2, before)
 
     def test_ties_cut_at_kth_distance(self):
@@ -223,18 +232,27 @@ class TestLleWeights:
                 assert ours <= np.linalg.norm(pts[i] - cand @ pts[nbrs]) + 1e-9
 
 
+@pytest.mark.parametrize("shape", [(6,), (6, 2, 1)], ids=["1-d", "3-d"])
+def test_points_must_form_a_matrix(shape):
+    pts = np.zeros(shape)
+    with pytest.raises(ShapeError, match=r"\(n, p\) array"):
+        sq_distances(pts)
+    with pytest.raises(ShapeError, match=r"\(n, p\) array"):
+        lle_weights(np.ones((6, 6), dtype=bool), pts)
+
+
 class TestLaplacian:
     def test_single_edge(self):
         adj = np.array([[False, True], [True, False]])
-        lap, degree = laplacian(3.0 * adj.astype(float))
+        lap, degree = _laplacian(3.0 * adj.astype(float))
         np.testing.assert_allclose(lap, [[3.0, -3.0], [-3.0, 3.0]])
-        np.testing.assert_allclose(degree, np.diag([3.0, 3.0]))
+        np.testing.assert_allclose(degree, [3.0, 3.0])
 
     def test_ones_in_kernel(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(8, 3))
         d2 = sq_distances(pts)
-        lap, _ = laplacian(gaussian_weights(build_knn_graph(d2, 3), d2))
+        lap, _ = _laplacian(_gaussian(build_knn_graph(d2, 3), d2))
         np.testing.assert_allclose(lap @ np.ones(8), np.zeros(8), atol=1e-12)
 
     def test_psd_via_eigensolver_oracle(self):
@@ -242,14 +260,14 @@ class TestLaplacian:
         for _ in range(10):
             pts = rng.normal(size=(9, 2))
             d2 = sq_distances(pts)
-            w = gaussian_weights(build_knn_graph(d2, 3), d2)
-            eigs = np.linalg.eigvalsh(laplacian(w)[0])
+            w = _gaussian(build_knn_graph(d2, 3), d2)
+            eigs = np.linalg.eigvalsh(_laplacian(w)[0])
             assert eigs.min() >= -1e-10
 
     def test_asymmetric_rejected(self):
         w = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ContractError):
-            laplacian(w)
+            _laplacian(w)
 
 
 class TestRepulsionGraph:
@@ -271,7 +289,7 @@ class TestRepulsionGraph:
 
     def test_vertex_count_mismatch(self):
         with pytest.raises(ShapeError):
-            repulsion_laplacian(build_label_graph([0, 0]), sq_distances(np.zeros((3, 1))), 1)
+            repulsion_laplacian(build_label_graph([0, 0]), sq_distances(np.zeros((3, 1))), 1, 1.0)
 
     def test_disjoint_from_label_edges(self):
         rng = np.random.default_rng(5)
@@ -298,23 +316,16 @@ class TestRepulsionLaplacian:
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(10, 4))
         labels = rng.integers(0, 2, size=10)
-        lap = repulsion_laplacian(build_label_graph(labels), sq_distances(pts), 3)
+        label, d2 = build_label_graph(labels), sq_distances(pts)
+        lap = repulsion_laplacian(label, d2, 3, default_bandwidth(label, d2))
         np.testing.assert_allclose(lap @ np.ones(10), np.zeros(10), atol=1e-12)
-
-    def test_default_bandwidth_from_label_graph(self):
-        rng = np.random.default_rng(7)
-        d2 = sq_distances(rng.normal(size=(12, 3)))
-        label = build_label_graph(rng.integers(0, 3, size=12))
-        np.testing.assert_array_equal(
-            repulsion_laplacian(label, d2, 4), repulsion_laplacian(label, d2, 4, default_bandwidth(label, d2))
-        )
 
 
 def test_reconstruction_penalty_centering_case():
     n = 6
     w = np.full((n, n), 1.0 / n)
     j = np.eye(n) - w
-    np.testing.assert_allclose(reconstruction_penalty(w), j, atol=1e-12)
+    np.testing.assert_allclose(graphs._into_penalty(w), j, atol=1e-12)
 
 
 # (n, p, classes, k, bandwidth): n = 8 puts 64 bytes between the rows of
@@ -344,12 +355,9 @@ class TestInPlaceBuilds:
         label, pts = self.case(n, p, classes, n + 1)
         d2 = sq_distances(pts)
         for adjacency in (label, build_knn_graph(d2, k)):
-            weights = gaussian_weights(adjacency, d2, t)
+            weights = _gaussian(adjacency, d2) if t is None else gaussian_weights(adjacency, d2, t)
             for w in (weights, weights + np.diag(np.linspace(-0.5, 1.0, n))):
                 lap, degree = laplacian_oracle(w)
-                public_lap, public_degree = laplacian(w)
-                assert_bitwise(public_lap, lap)
-                assert_bitwise(public_degree, degree)
                 np.testing.assert_array_equal(graphs._into_laplacian(w), np.diag(degree))
                 assert_bitwise(w, lap)
 
@@ -364,7 +372,6 @@ class TestInPlaceBuilds:
         lle = lle_weights(label, pts)
         for w in (lle, lle + np.diag(np.linspace(-0.5, 1.0, n))):
             expected = penalty_oracle(w)
-            assert_bitwise(reconstruction_penalty(w), expected)
             assert_bitwise(graphs._into_penalty(w), expected)
 
 
@@ -374,8 +381,6 @@ def test_public_functions_leave_their_arguments_untouched():
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
     label = build_label_graph(labels)
     d2 = sq_distances(pts)
-    w = gaussian_weights(label, d2)
-    lle = lle_weights(label, pts)
     calls = [
         (sq_distances, (pts,)),
         (build_knn_graph, (d2, 3)),
@@ -383,9 +388,7 @@ def test_public_functions_leave_their_arguments_untouched():
         (default_bandwidth, (label, d2)),
         (gaussian_weights, (label, d2, 0.5)),
         (lle_weights, (label, pts)),
-        (laplacian, (w,)),
-        (repulsion_laplacian, (label, d2, 3)),
-        (reconstruction_penalty, (lle,)),
+        (repulsion_laplacian, (label, d2, 3, 0.5)),
     ]
     assert {f.__name__ for f, _ in calls} == set(graphs.__all__)
     for func, args in calls:
@@ -405,10 +408,10 @@ def test_property_graph_invariants(n, seed):
     k = int(rng.integers(1, n))
     label_graph = build_label_graph(labels)
     d2 = sq_distances(pts)
-    rep = repulsion_laplacian(label_graph, d2, k)
+    rep = repulsion_laplacian(label_graph, d2, k, default_bandwidth(label_graph, d2))
     # the repulsion Laplacian is zero on every label edge
     assert not rep[label_graph].any()
-    for lap in (laplacian(gaussian_weights(build_knn_graph(d2, k), d2))[0], rep):
+    for lap in (_laplacian(_gaussian(build_knn_graph(d2, k), d2))[0], rep):
         assert np.abs(lap.sum(axis=1)).max() <= 1e-12
         np.testing.assert_array_equal(lap, lap.T)
         assert np.linalg.eigvalsh(lap).min() >= -1e-10
