@@ -379,15 +379,16 @@ def _discriminant_repulsion(spec: MethodSpec) -> bool:
 def _half_step(lhs: np.ndarray, rhs: np.ndarray | None, which: str, d: int) -> tuple[EigenPrefixes, float]:
     """Solve one side-matrix pair for its ``which`` ``d`` eigenpairs.
 
-    Returns the checked eigenpairs, whose every prefix :func:`take_prefix`
-    turns into the result of a solve for that many pairs, and the ridge
-    shift.  Without a constraint side the basis is orthonormal.  With one,
-    a constraint that fails the definiteness check is ridge-shifted once
-    and the solve retried (the shift is 0.0 when none was needed); a
-    second failure propagates with the diagnostics chained.  An
-    identically zero constraint is rejected before any solve.  The
-    prefixes' orthonormality defects are measured against the constraint
-    actually solved with, so they are the fit's constraint defects.
+    Returns the eigenpairs, whose every prefix :func:`take_prefix` turns
+    into the result of a solve for that many pairs (each ``d`` is checked
+    as a solve for ``d`` alone), and the ridge shift.  Without a
+    constraint side the basis is orthonormal.  With one, a constraint that
+    fails the definiteness check is ridge-shifted once and the solve
+    retried (the shift is 0.0 when none was needed); a second failure
+    propagates with the diagnostics chained.  An identically zero
+    constraint is rejected before any solve.  The pairs keep the
+    constraint actually solved with, so a prefix's orthonormality defect
+    is the fit's constraint defect.
     """
     if rhs is None:
         return sym_eig_prefixes(lhs, d, which), 0.0
@@ -438,9 +439,9 @@ def solve_pencil(pencil: Pencil, dims) -> Callable[[int], tuple[np.ndarray, FitT
     the prefix's constraint defect and the ridge shift), or the exception
     it raises.  A dimension outside ``[1, max_dim]`` raises
     :class:`ParameterError` from ``fit``; a failure of the shared solve
-    raises here.  The contract checks are per prefix (see
-    :func:`take_prefix`), so a column that fails them fails every ``d``
-    that includes it and no smaller one.
+    raises here.  Each ``d`` is checked as a solve for ``d`` alone (see
+    :func:`take_prefix`), so ``fit(d)`` passes or fails, bit for bit, as
+    that solve does.
     """
     order = pencil.lhs.shape[0]  # below max_dim only for a Gram lift
     valid = [d for d in dims if 1 <= d <= pencil.max_dim]
@@ -450,14 +451,14 @@ def solve_pencil(pencil: Pencil, dims) -> Callable[[int], tuple[np.ndarray, FitT
         if not 1 <= d <= pencil.max_dim:
             raise ParameterError(f"dimension must be in [1, {pencil.max_dim}], got {d}")
         k = min(d, order)
-        values, basis = take_prefix(pairs, k)
+        values, basis, defect = take_prefix(pairs, k)
         if pencil.lift is not None:
             if np.count_nonzero(values > max(values[0], 0.0) * 1e-12) < d:
                 raise ParameterError(f"data rank too low for {d} principal components")
             basis = fix_signs(pencil.lift @ basis / np.sqrt(values))
         if pencil.pre is not None:
             basis = pencil.pre @ basis
-        return basis, FitTrace([float(np.sum(values))], 1, True, float(pairs.defects[k - 1]), shift)
+        return basis, FitTrace([float(np.sum(values))], 1, True, defect, shift)
 
     return fit
 
@@ -526,9 +527,9 @@ def _single_pass(s: np.ndarray, spec: MethodSpec) -> Callable[[int, int], tuple[
     the first ``fit`` whose column solve succeeds and reused by every
     later one.  On ORL-shaped data no column solve succeeds, and the row
     contraction is the costliest of the build.  Each call solves for its
-    own dimensions: these pencils' residuals are rounding noise at the
-    size of their contract's bound, so the first ``d`` pairs of a wider
-    solve can fail a check that a solve for ``d`` passes.
+    own dimensions; each ``d`` is checked as a solve for ``d`` alone, so
+    the first ``d`` pairs of a shared wider solve would give the same
+    bits.
     """
     col_pencil = _discriminant_pencil(s, spec, "right")
     row_pencil = None

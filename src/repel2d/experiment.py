@@ -268,10 +268,10 @@ def fit_unit(cfg: ExperimentConfig, ds: ImageDataset, method: str, realization: 
     that depends on the dimension, so they share the couplings (and
     2D-LDA-R's single pass its two pencils, see ``embed_2d._single_pass``)
     and run their own solves.  A failure in the shared part fails every
-    dimension.  The eigensolver's contract is checked per prefix, so a
-    failing eigenvector fails the dimensions that include it, and a
-    failure in one dimension's own work fails that cell only.  ``fit``,
-    ``eval`` and ``bench`` all train through this function.
+    dimension.  Each ``d`` is checked as a solve for ``d`` alone, so a
+    cell passes or fails as a fit for its own ``d`` does, and a failure in
+    one dimension's own work fails that cell only.  ``fit``, ``eval`` and
+    ``bench`` all train through this function.
     """
     train = test_idx = spec = None
     try:

@@ -6,10 +6,10 @@ symmetrized, results carry a deterministic sign convention, and residual
 and orthogonality bounds are verified after each solve.  A violated bound
 raises instead of silently degrading the calling algorithm.
 
-A solve for ``count`` pairs serves every smaller count too: the two
-solvers check the residual per column and the orthonormality per prefix,
-and :func:`take_prefix` hands out the first ``d`` pairs, raising for
-exactly the prefixes whose check fails.
+A solve for ``count`` pairs serves every smaller count too: selection
+and the sign fix act column by column, and :func:`take_prefix` hands out
+the first ``d`` pairs and checks them as a solve for ``d`` alone checks
+its own, so each ``d`` passes or fails as that solve would.
 """
 
 from __future__ import annotations
@@ -79,60 +79,54 @@ def _select(values: np.ndarray, vectors: np.ndarray, count: int, which: str):
 
 @dataclass(frozen=True)
 class EigenPrefixes:
-    """The selected eigenpairs of one solve with their contract checks,
-    column by column.
-
-    ``values`` and ``vectors`` hold the ``count`` pairs in selection
-    order.  ``residuals[k]`` is column k's eigen residual and
-    ``defects[k]`` the orthonormality defect of the first ``k + 1``
-    columns; each breaks the contract above its ``*_limit``.  Selection
-    and the sign fix act column by column, so the first ``d`` pairs are
-    the pairs a solve for ``d`` returns; :func:`take_prefix` applies that
-    solve's checks.  The residuals and defects come from products over all
-    ``count`` columns, which may round differently in the last bits than
-    the same products over ``d`` columns.
+    """The selected, sign-fixed eigenpairs of one solve: ``values`` and
+    ``vectors`` hold the ``count`` pairs in selection order, ``m`` is the
+    symmetrized objective side and ``n`` the symmetrized constraint side
+    actually solved with (``None`` for a standard solve).  Selection and
+    the sign fix act column by column, so the first ``d`` pairs are the
+    pairs a solve for ``d`` returns, and :func:`take_prefix` checks them
+    as that solve would.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    residuals: np.ndarray
-    residual_limit: float
-    defects: np.ndarray
-    defect_limit: float
-    generalized: bool
+    m: np.ndarray
+    n: np.ndarray | None
 
 
-def _prefix_defects(gram: np.ndarray) -> np.ndarray:
-    """Frobenius distance from the identity of every leading block of ``gram``."""
-    return np.array([np.linalg.norm(gram[:d, :d] - np.eye(d)) for d in range(1, gram.shape[0] + 1)])
-
-
-def take_prefix(pairs: EigenPrefixes, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``d`` eigenpairs of a solve, ``(values, vectors)``, as a
-    solve for ``d`` pairs returns them (values ascending for ``bottom``,
-    descending for ``top``).  Raises :class:`NumericalQualityError` when
-    one of the ``d`` columns exceeds the residual bound or the ``d``
-    columns together exceed the orthonormality bound of
-    :func:`sym_eig_prefixes` or :func:`gen_sym_eig_prefixes`, so a column
-    that fails fails every prefix that holds it and no shorter one.
+def take_prefix(pairs: EigenPrefixes, d: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The first ``d`` eigenpairs of a solve and their orthonormality
+    defect, ``(values, vectors, defect)``, as a solve for ``d`` pairs
+    returns them (values ascending for ``bottom``, descending for
+    ``top``).  Each ``d`` is checked as a solve for ``d`` alone: raises
+    :class:`NumericalQualityError` when one of the ``d`` columns exceeds
+    the residual bound or the ``d`` columns together exceed the
+    orthonormality bound of :func:`sym_eig_prefixes` or
+    :func:`gen_sym_eig_prefixes`.
     """
     count = pairs.values.shape[0]
     if not 1 <= d <= count:
         raise ParameterError(f"prefix {d} not in [1, {count}]")
-    residual = pairs.residuals[:d]
-    if np.any(residual > pairs.residual_limit):
-        if pairs.generalized:
+    # a copy in the solve's own memory order: products with the basis
+    # round by its layout
+    values, vectors = pairs.values[:d], pairs.vectors[:, :d].copy(order="K")
+    m, n = pairs.m, pairs.n
+    generalized = n is not None
+    side = n @ vectors if generalized else vectors
+    residual = np.linalg.norm(m @ vectors - side * values, axis=0)
+    scale = float(np.linalg.norm(m) + np.linalg.norm(n)) if generalized else float(np.linalg.norm(m))
+    if np.any(residual > RESIDUAL_TOL * max(scale, 1e-300)):
+        if generalized:
             raise NumericalQualityError(
                 f"generalized residual {residual.max():.3e} exceeds {RESIDUAL_TOL:.0e} * (|M|+|N|)"
             )
         raise NumericalQualityError(f"eigen residual {residual.max():.3e} exceeds {RESIDUAL_TOL:.0e} * |M|")
-    orth = pairs.defects[d - 1]
-    if orth > pairs.defect_limit:
-        what = "N-orthonormality" if pairs.generalized else "eigenvector orthonormality"
-        raise NumericalQualityError(f"{what} defect {orth:.3e}")
-    # a copy in the solve's own memory order: products with the basis
-    # round by its layout
-    return pairs.values[:d], pairs.vectors[:, :d].copy(order="K")
+    gram = vectors.T @ n @ vectors if generalized else vectors.T @ vectors
+    defect = float(np.linalg.norm(gram - np.eye(d)))
+    if defect > (GEN_ORTH_TOL if generalized else ORTH_TOL):
+        what = "N-orthonormality" if generalized else "eigenvector orthonormality"
+        raise NumericalQualityError(f"{what} defect {defect:.3e}")
+    return values, vectors, defect
 
 
 def sym_eig_prefixes(m, count: int, which: str) -> EigenPrefixes:
@@ -141,25 +135,15 @@ def sym_eig_prefixes(m, count: int, which: str) -> EigenPrefixes:
     or ``"top"`` (largest, returned descending), with orthonormal
     eigenvector columns.
 
-    Each column must meet the residual bound ``|M v - lambda v| <= 1e-8
-    |M|`` and each prefix ``V`` the orthonormality bound ``|V^T V - I| <=
-    1e-10``; :func:`take_prefix` raises for the prefixes that do not.
+    :func:`take_prefix` checks the first ``d`` columns ``V`` against the
+    residual bound ``|M v - lambda v| <= 1e-8 |M|`` per column and the
+    orthonormality bound ``|V^T V - I| <= 1e-10``.
     """
     ms = _square_symmetrized(m, "sym_eig input")
     _check_selection(count, which, ms.shape[0])
     values, vectors = np.linalg.eigh(ms)
     values, vectors = _select(values, vectors, count, which)
-    vectors = fix_signs(vectors)
-    m_norm = float(np.linalg.norm(ms))
-    return EigenPrefixes(
-        values,
-        vectors,
-        np.linalg.norm(ms @ vectors - vectors * values, axis=0),
-        RESIDUAL_TOL * max(m_norm, 1e-300),
-        _prefix_defects(vectors.T @ vectors),
-        ORTH_TOL,
-        generalized=False,
-    )
+    return EigenPrefixes(values, fix_signs(vectors), ms, None)
 
 
 def gen_sym_eig_prefixes(m, n, count: int, which: str) -> EigenPrefixes:
@@ -170,11 +154,10 @@ def gen_sym_eig_prefixes(m, n, count: int, which: str) -> EigenPrefixes:
     ``N`` is accepted as positive definite when its smallest eigenvalue
     exceeds ``1e-10`` times its spectral radius; otherwise a
     :class:`DefinitenessError` carrying that smallest eigenvalue is raised
-    here, for every prefix, so callers can apply their own repair.  Each
-    column must meet the residual bound ``|M v - lambda N v| <= 1e-8
-    (|M| + |N|)`` and each prefix ``V`` must be N-orthonormal, ``|V^T N V
-    - I| <= 1e-8``; :func:`take_prefix` raises for the prefixes that do
-    not.
+    here, for every prefix, so callers can apply their own repair.
+    :func:`take_prefix` checks the first ``d`` columns ``V`` against the
+    residual bound ``|M v - lambda N v| <= 1e-8 (|M| + |N|)`` per column
+    and the N-orthonormality bound ``|V^T N V - I| <= 1e-8``.
     """
     ms = _square_symmetrized(m, "gen_sym_eig left input")
     ns = _square_symmetrized(n, "gen_sym_eig right input")
@@ -198,15 +181,4 @@ def gen_sym_eig_prefixes(m, n, count: int, which: str) -> EigenPrefixes:
             smallest,
         ) from exc
     values, vectors = _select(values, vectors, count, which)
-    vectors = fix_signs(vectors)
-
-    scale = float(np.linalg.norm(ms) + np.linalg.norm(ns))
-    return EigenPrefixes(
-        values,
-        vectors,
-        np.linalg.norm(ms @ vectors - (ns @ vectors) * values, axis=0),
-        RESIDUAL_TOL * max(scale, 1e-300),
-        _prefix_defects(vectors.T @ ns @ vectors),
-        GEN_ORTH_TOL,
-        generalized=True,
-    )
+    return EigenPrefixes(values, fix_signs(vectors), ms, ns)

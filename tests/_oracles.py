@@ -598,13 +598,13 @@ def fit_1d(x, labels, method, d, **options):
 
 def sym_eig(m, count, which="bottom"):
     """All ``count`` checked ``which`` eigenpairs of a symmetric matrix."""
-    return spectral.take_prefix(spectral.sym_eig_prefixes(m, count, which), count)
+    return spectral.take_prefix(spectral.sym_eig_prefixes(m, count, which), count)[:2]
 
 
 def gen_sym_eig(m, n, count, which="bottom"):
     """All ``count`` checked ``which`` eigenpairs of a symmetric-definite
     pencil."""
-    return spectral.take_prefix(spectral.gen_sym_eig_prefixes(m, n, count, which), count)
+    return spectral.take_prefix(spectral.gen_sym_eig_prefixes(m, n, count, which), count)[:2]
 
 
 def classify_batch(queries, gallery, gallery_labels):

@@ -462,11 +462,20 @@ class TestFitEval:
         np.testing.assert_array_equal(saved["col_basis"], scored[0].col_basis)
 
 
-    @pytest.mark.parametrize("method, extra", [("2D-LPP", ()), ("2D-OLPP-R", ("--pre-dims", "6,5"))])
+    @pytest.mark.parametrize(
+        "method, extra",
+        [
+            ("2D-LPP", ("--train-per-class", "4")),
+            ("2D-OLPP-R", ("--train-per-class", "4", "--pre-dims", "6,5")),
+            # a ridge-repaired pencil, whose residuals sit at the edge of the
+            # eigensolver's contract
+            ("2D-LDA-R", ("--train-per-class", "8")),
+        ],
+    )
     def test_fit_saves_the_projector_a_wider_sweep_trains(self, tmp_path, synthetic_dir, method, extra):
         # every subcommand trains the same projector: a bench cell at d = 3
         # comes out of one solve for d = 5 and must equal what fit saves
-        common = ("--dataset", str(synthetic_dir), "--method", method, "--mode", "uni", "--train-per-class", "4", *extra)
+        common = ("--dataset", str(synthetic_dir), "--method", method, "--mode", "uni", *extra)
         out = tmp_path / "fit"
         assert run_cli("fit", *common, "--dims", "3", "--out", str(out)) == 0
         saved = np.load(out / "projector.npz")

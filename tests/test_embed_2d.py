@@ -23,7 +23,7 @@ from _oracles import (
     trace_objective,
 )
 from repel2d import graphs
-from repel2d.datasets import synthetic_confusable
+from repel2d.datasets import matrix_dataset, split_dataset, synthetic_confusable
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
     _check_coupling,
@@ -40,6 +40,7 @@ from repel2d.embed_2d import (
     method_matrices,
     pre_process_2dpca,
     solve_bilateral,
+    solve_pencil,
     unilateral_pencil,
 )
 from repel2d.errors import ContractError, DefinitenessError, NumericalQualityError, ParameterError, RankError, ShapeError
@@ -675,6 +676,26 @@ class TestFitDiscriminant:
         red_spec = method_matrices("2D-LDA", reduced, labels)
         pair, _ = fit_method(reduced, red_spec, 1, 1)
         assert np.all(np.isfinite(pair.row_basis))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_wider_solve_fits_each_dimension_as_its_own_solve(self, synthetic_ds, side):
+        # 2D-LDA-R's ridge-repaired pencils have residuals at the size of
+        # their contract's bound: at this split the row pencil's d = 1
+        # passes by a margin that products over more columns round away
+        train_idx, _ = split_dataset(synthetic_ds, 8, 0, 0)
+        images, labels = matrix_dataset(synthetic_ds, train_idx)
+        pencil = _discriminant_pencil(images, method_matrices("2D-LDA-R", images, labels), side)
+
+        def outcome(fit, d):
+            try:
+                basis, trace = fit(d)
+            except NumericalQualityError as exc:
+                return str(exc)
+            return basis.tobytes(), basis.flags.f_contiguous, trace
+
+        wide = solve_pencil(pencil, (1, 2, 3, 6))
+        for d in (1, 2, 3):
+            assert outcome(wide, d) == outcome(solve_pencil(pencil, (d,)), d)
 
 
 class TestFitUnilateral:

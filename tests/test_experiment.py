@@ -487,9 +487,7 @@ def assert_same_outcome(got, expected):
     assert_same_projector(got.projector, expected.projector)
     assert got.trace.objectives == expected.trace.objectives
     assert got.trace.ridge_shift == expected.trace.ridge_shift
-    # a prefix's defect comes from the Gram product over all solved
-    # columns, which may round differently in its last bits
-    assert got.trace.max_constraint_defect == pytest.approx(expected.trace.max_constraint_defect, abs=1e-13)
+    assert got.trace.max_constraint_defect == expected.trace.max_constraint_defect
 
 
 def bent_fifth_column(fix_signs):

@@ -264,11 +264,6 @@ class TestLaplacian:
             eigs = np.linalg.eigvalsh(_laplacian(w)[0])
             assert eigs.min() >= -1e-10
 
-    def test_asymmetric_rejected(self):
-        w = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ContractError):
-            _laplacian(w)
-
 
 class TestRepulsionGraph:
     """The repulsion edges (kNN edges minus label edges), read off the

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from repel2d.errors import (
     ShapeError,
 )
 from repel2d.spectral import (
-    EigenPrefixes,
     fix_signs,
     gen_sym_eig_prefixes,
     sym_eig_prefixes,
@@ -175,22 +176,36 @@ class TestPrefixes:
         n = random_spd(rng, 12) if generalized else None
         pairs = gen_sym_eig_prefixes(m, n, 8, which) if generalized else sym_eig_prefixes(m, 8, which)
         for d in range(1, 9):
-            values, vectors = take_prefix(pairs, d)
+            values, vectors, defect = take_prefix(pairs, d)
             ref_values, ref_vectors, ref_defect = eig_at(m, n, d, which)
             np.testing.assert_array_equal(values, ref_values)
             np.testing.assert_array_equal(vectors, ref_vectors)
             # products with the basis round by its memory layout
             assert vectors.flags.f_contiguous == ref_vectors.flags.f_contiguous
-            assert pairs.defects[d - 1] == pytest.approx(ref_defect, abs=1e-13)
+            assert defect == ref_defect
 
+    @pytest.mark.parametrize("generalized", [False, True])
     @pytest.mark.parametrize(
-        "residuals, defects, message",
-        [([0.0, 0.0, 2.0, 0.0], [0.0] * 4, "residual"), ([0.0] * 4, [0.0, 0.0, 1.0, 1.0], "orthonormality")],
+        "offset, scale, message",
+        [
+            # column 3 off its eigenvector: the residual breaks
+            (1e-3, 1.0, "residual"),
+            # column 3 still an eigenvector, but not of unit length
+            (0.0, 1 + 1e-3, "orthonormality"),
+        ],
+        ids=["off-eigenvector", "off-unit-length"],
     )
-    def test_a_failing_column_fails_the_prefixes_holding_it(self, residuals, defects, message):
-        pairs = EigenPrefixes(np.arange(4.0), np.eye(4), np.array(residuals), 1.0, np.array(defects), 0.5, False)
+    def test_a_failing_column_fails_the_prefixes_holding_it(self, offset, scale, message, generalized):
+        rng = np.random.default_rng(4)
+        m = random_symmetric(rng, 6)
+        n = random_spd(rng, 6)
+        pairs = gen_sym_eig_prefixes(m, n, 4, "bottom") if generalized else sym_eig_prefixes(m, 4, "bottom")
+        vectors = pairs.vectors.copy()
+        vectors[0, 2] += offset
+        vectors[:, 2] *= scale
+        bent = replace(pairs, vectors=vectors)
         for d in (1, 2):
-            np.testing.assert_array_equal(take_prefix(pairs, d)[1], np.eye(4)[:, :d])
+            np.testing.assert_array_equal(take_prefix(bent, d)[1], pairs.vectors[:, :d])
         for d in (3, 4):
             with pytest.raises(NumericalQualityError, match=message):
-                take_prefix(pairs, d)
+                take_prefix(bent, d)
