@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import graphs
-from .embed_2d import Pencil, _solver_sides, default_beta, method_matrices, solve_pencil
+from .embed_2d import DEFAULT_KNN, Pencil, _solver_sides, default_beta, method_matrices, solve_pencil
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -76,7 +76,7 @@ def vector_pencil(
     labels,
     method: str,
     *,
-    knn: int = 6,
+    knn: int = DEFAULT_KNN,
     bandwidth: float | None = None,
     beta: float | None = None,
     pca_predim: int | str | None = None,

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graphs
-from .errors import ContractError, DefinitenessError, ParameterError, RankError, ShapeError
-from .spectral import EigenPrefixes, fix_signs, gen_sym_eig_prefixes, sym_eig_prefixes, take_prefix
+from .errors import ContractError, ParameterError, ShapeError
+from .spectral import eig_prefixes, fix_signs, take_prefix
 
 __all__ = [
     "MethodSpec",
@@ -52,6 +52,7 @@ __all__ = [
     "compose_pairs",
 ]
 
+DEFAULT_KNN = 6
 DEFAULT_MAX_ITER = 5
 DEFAULT_TOL = 1e-6
 
@@ -179,7 +180,7 @@ def method_matrices(
     samples,
     labels,
     *,
-    knn: int = 6,
+    knn: int = DEFAULT_KNN,
     beta: float | None = None,
     bandwidth: float | None = None,
 ) -> MethodSpec:
@@ -356,7 +357,8 @@ def _solver_sides(spec: MethodSpec, n: int) -> tuple[np.ndarray, np.ndarray | No
     matrix built from ``lhs``, the spec's objective coupling, generalized
     against the one built from ``rhs``, its other coupling, when it has
     one.  A zero between-class coupling (a single class) gives an exactly
-    zero side matrix, which :func:`_half_step` rejects on every route.
+    zero side matrix, which :func:`~repel2d.spectral.eig_prefixes` rejects
+    on every route.
     """
     if spec.which not in ("bottom", "top"):
         raise ParameterError(f"unknown eigenvector end {spec.which!r}: expected 'bottom' or 'top'")
@@ -374,39 +376,6 @@ def _discriminant_repulsion(spec: MethodSpec) -> bool:
     side can lose definiteness, so it fits in a single pass of two
     one-sided pencils (see :func:`_single_pass`)."""
     return spec.which == "top" and spec.min_coupling is not None and spec.beta > 0.0
-
-
-def _half_step(lhs: np.ndarray, rhs: np.ndarray | None, which: str, d: int) -> tuple[EigenPrefixes, float]:
-    """Solve one side-matrix pair for its ``which`` ``d`` eigenpairs.
-
-    Returns the eigenpairs, whose every prefix :func:`take_prefix` turns
-    into the result of a solve for that many pairs (each ``d`` is checked
-    as a solve for ``d`` alone), and the ridge shift.  Without a
-    constraint side the basis is orthonormal.  With one, a constraint that
-    fails the definiteness check is ridge-shifted once and the solve
-    retried (the shift is 0.0 when none was needed); a second failure
-    propagates with the diagnostics chained.  An identically zero
-    constraint is rejected before any solve.  The pairs keep the
-    constraint actually solved with, so a prefix's orthonormality defect
-    is the fit's constraint defect.
-    """
-    if rhs is None:
-        return sym_eig_prefixes(lhs, d, which), 0.0
-    if which == "top" and np.linalg.norm(lhs) == 0.0:
-        raise RankError("maximized-side subproblem matrix is identically zero")
-    if np.linalg.norm(rhs) == 0.0:  # a ridge shift would be 0.0 and repair nothing
-        raise DefinitenessError("constraint-side subproblem matrix is identically zero", 0.0)
-    try:
-        return gen_sym_eig_prefixes(lhs, rhs, d, which), 0.0
-    except DefinitenessError as first:
-        shift = abs(first.smallest_eigenvalue) + 1e-8 * float(np.linalg.norm(rhs))
-        try:
-            return gen_sym_eig_prefixes(lhs, rhs + shift * np.eye(rhs.shape[0]), d, which), shift
-        except DefinitenessError as second:
-            raise DefinitenessError(
-                f"constraint side not positive definite even after ridge shift {shift:.3e}: {second}",
-                second.smallest_eigenvalue,
-            ) from first
 
 
 @dataclass(frozen=True)
@@ -432,20 +401,20 @@ class Pencil:
 def solve_pencil(pencil: Pencil, dims) -> Callable[[int], tuple[np.ndarray, FitTrace]]:
     """Solve a pencil once for all of ``dims``.
 
-    One half-step (see :func:`_half_step`) yields the pairs of the largest
-    valid dimension, and the returned ``fit(d)`` gives, for each ``d`` of
-    ``dims``, what a solve for ``d`` alone gives: its basis and its
-    one-step trace (the sum of the ``d`` values, one converged iteration,
-    the prefix's constraint defect and the ridge shift), or the exception
-    it raises.  A dimension outside ``[1, max_dim]`` raises
-    :class:`ParameterError` from ``fit``; a failure of the shared solve
-    raises here.  Each ``d`` is checked as a solve for ``d`` alone (see
-    :func:`take_prefix`), so ``fit(d)`` passes or fails, bit for bit, as
-    that solve does.
+    One solve (see :func:`~repel2d.spectral.eig_prefixes`) yields the
+    pairs of the largest valid dimension, and the returned ``fit(d)``
+    gives, for each ``d`` of ``dims``, what a solve for ``d`` alone gives:
+    its basis and its one-step trace (the sum of the ``d`` values, one
+    converged iteration, the prefix's constraint defect and the solve's
+    ridge shift), or the exception it raises.  A dimension outside
+    ``[1, max_dim]`` raises :class:`ParameterError` from ``fit``; a
+    failure of the shared solve raises here.  Each ``d`` is checked as a
+    solve for ``d`` alone (see :func:`take_prefix`), so ``fit(d)`` passes
+    or fails, bit for bit, as that solve does.
     """
     order = pencil.lhs.shape[0]  # below max_dim only for a Gram lift
     valid = [d for d in dims if 1 <= d <= pencil.max_dim]
-    pairs, shift = _half_step(pencil.lhs, pencil.rhs, pencil.which, min(max(valid), order)) if valid else (None, 0.0)
+    pairs = eig_prefixes(pencil.lhs, pencil.rhs, min(max(valid), order), pencil.which) if valid else None
 
     def fit(d: int) -> tuple[np.ndarray, FitTrace]:
         if not 1 <= d <= pencil.max_dim:
@@ -458,7 +427,7 @@ def solve_pencil(pencil: Pencil, dims) -> Callable[[int], tuple[np.ndarray, FitT
             basis = fix_signs(pencil.lift @ basis / np.sqrt(values))
         if pencil.pre is not None:
             basis = pencil.pre @ basis
-        return basis, FitTrace([float(np.sum(values))], 1, True, defect, shift)
+        return basis, FitTrace([float(np.sum(values))], 1, True, defect, pairs.shift)
 
     return fit
 

@@ -82,11 +82,11 @@ class ExperimentConfig:
     train_per_class: int = 5
     realizations: int = 20
     seed: int = 0
-    knn: int = 6
+    knn: int = embed_2d.DEFAULT_KNN
     beta: float | None = None
     bandwidth: float | None = None
     pre_dims: tuple[int, int] | None = None
-    max_iter: int = 5
+    max_iter: int = embed_2d.DEFAULT_MAX_ITER
     jobs: int = 1
     resize: tuple[int, int] | None = None
 

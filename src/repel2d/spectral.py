@@ -1,10 +1,12 @@
 """Dense symmetric and symmetric-definite eigensolvers.
 
-Every eigendecomposition in the package funnels through the two solvers
-here so that the numerical contract lives in one place: inputs are
-symmetrized, results carry a deterministic sign convention, and residual
-and orthogonality bounds are verified after each solve.  A violated bound
-raises instead of silently degrading the calling algorithm.
+Every eigendecomposition in the package funnels through the one solver
+here, :func:`eig_prefixes`, so that the numerical contract lives in one
+place: inputs are symmetrized, a constraint side that is not definite is
+ridge-shifted once and the shift recorded, results carry a deterministic
+sign convention, and residual and orthogonality bounds are verified after
+each solve.  A violated bound raises instead of silently degrading the
+calling algorithm.
 
 A solve for ``count`` pairs serves every smaller count too: selection
 and the sign fix act column by column, and :func:`take_prefix` hands out
@@ -14,7 +16,7 @@ its own, so each ``d`` passes or fails as that solve would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +26,7 @@ from .errors import (
     DefinitenessError,
     NumericalQualityError,
     ParameterError,
+    RankError,
     ShapeError,
 )
 
@@ -35,7 +38,7 @@ DEFINITENESS_FLOOR = 1e-10
 # allowed relative asymmetry of inputs before symmetrization
 SYMMETRY_TOL = 1e-10
 
-__all__ = ["EigenPrefixes", "fix_signs", "take_prefix", "sym_eig_prefixes", "gen_sym_eig_prefixes"]
+__all__ = ["EigenPrefixes", "fix_signs", "take_prefix", "eig_prefixes"]
 
 
 def _square_symmetrized(m, what: str) -> np.ndarray:
@@ -82,16 +85,18 @@ class EigenPrefixes:
     """The selected, sign-fixed eigenpairs of one solve: ``values`` and
     ``vectors`` hold the ``count`` pairs in selection order, ``m`` is the
     symmetrized objective side and ``n`` the symmetrized constraint side
-    actually solved with (``None`` for a standard solve).  Selection and
-    the sign fix act column by column, so the first ``d`` pairs are the
-    pairs a solve for ``d`` returns, and :func:`take_prefix` checks them
-    as that solve would.
+    actually solved with (``None`` for a standard solve), ``shift`` the
+    ridge shift added to it (0.0 if none).  Selection and the sign fix act
+    column by column, so the first ``d`` pairs are the pairs a solve for
+    ``d`` returns, and :func:`take_prefix` checks them as that solve
+    would.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     m: np.ndarray
     n: np.ndarray | None
+    shift: float = 0.0
 
 
 def take_prefix(pairs: EigenPrefixes, d: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -101,8 +106,7 @@ def take_prefix(pairs: EigenPrefixes, d: int) -> tuple[np.ndarray, np.ndarray, f
     ``top``).  Each ``d`` is checked as a solve for ``d`` alone: raises
     :class:`NumericalQualityError` when one of the ``d`` columns exceeds
     the residual bound or the ``d`` columns together exceed the
-    orthonormality bound of :func:`sym_eig_prefixes` or
-    :func:`gen_sym_eig_prefixes`.
+    orthonormality bound of :func:`eig_prefixes`.
     """
     count = pairs.values.shape[0]
     if not 1 <= d <= count:
@@ -129,36 +133,51 @@ def take_prefix(pairs: EigenPrefixes, d: int) -> tuple[np.ndarray, np.ndarray, f
     return values, vectors, defect
 
 
-def sym_eig_prefixes(m, count: int, which: str) -> EigenPrefixes:
-    """The ``count`` eigenpairs of a symmetric matrix ``M`` from the
-    ``which`` end: ``"bottom"`` (smallest eigenvalues, returned ascending)
-    or ``"top"`` (largest, returned descending), with orthonormal
-    eigenvector columns.
-
-    :func:`take_prefix` checks the first ``d`` columns ``V`` against the
-    residual bound ``|M v - lambda v| <= 1e-8 |M|`` per column and the
-    orthonormality bound ``|V^T V - I| <= 1e-10``.
-    """
-    ms = _square_symmetrized(m, "sym_eig input")
-    _check_selection(count, which, ms.shape[0])
-    values, vectors = np.linalg.eigh(ms)
-    values, vectors = _select(values, vectors, count, which)
-    return EigenPrefixes(values, fix_signs(vectors), ms, None)
-
-
-def gen_sym_eig_prefixes(m, n, count: int, which: str) -> EigenPrefixes:
-    """The ``count`` ``which`` eigenpairs (as for :func:`sym_eig_prefixes`)
-    of the pencil ``M v = lambda N v`` for symmetric ``M`` and symmetric
+def eig_prefixes(m, n, count: int, which: str) -> EigenPrefixes:
+    """The ``count`` ``which`` eigenpairs, ``"bottom"`` (smallest, returned
+    ascending) or ``"top"`` (largest, descending), of a symmetric ``M``
+    (``n=None``) or of the pencil ``M v = lambda N v`` for symmetric
     positive definite ``N``.
 
-    ``N`` is accepted as positive definite when its smallest eigenvalue
-    exceeds ``1e-10`` times its spectral radius; otherwise a
-    :class:`DefinitenessError` carrying that smallest eigenvalue is raised
-    here, for every prefix, so callers can apply their own repair.
-    :func:`take_prefix` checks the first ``d`` columns ``V`` against the
-    residual bound ``|M v - lambda N v| <= 1e-8 (|M| + |N|)`` per column
-    and the N-orthonormality bound ``|V^T N V - I| <= 1e-8``.
+    ``N`` is definite when its smallest eigenvalue exceeds ``1e-10``
+    times its spectral radius.  One that is not is ridge-shifted once by
+    ``|lambda_min| + 1e-8 |N|`` and solved again, and the result records
+    the shift (0.0 if none); a second failure raises
+    :class:`DefinitenessError` with the first chained.  A pencil whose
+    ``N`` is identically zero (:class:`DefinitenessError`), or whose ``M``
+    is and is solved for ``"top"`` (:class:`RankError`), is rejected
+    before any solve.  :func:`take_prefix` checks the first ``d`` columns
+    ``V``: the residual ``|M v - lambda v| <= 1e-8 |M|`` per column and
+    ``|V^T V - I| <= 1e-10``, or ``|M v - lambda N v| <= 1e-8 (|M| + |N|)``
+    and ``|V^T N V - I| <= 1e-8`` for a pencil.
     """
+    if n is None:
+        ms = _square_symmetrized(m, "sym_eig input")
+        _check_selection(count, which, ms.shape[0])
+        values, vectors = np.linalg.eigh(ms)
+        values, vectors = _select(values, vectors, count, which)
+        return EigenPrefixes(values, fix_signs(vectors), ms, None)
+    if which == "top" and np.linalg.norm(m) == 0.0:
+        raise RankError("maximized-side subproblem matrix is identically zero")
+    if np.linalg.norm(n) == 0.0:  # a ridge shift would be 0.0 and repair nothing
+        raise DefinitenessError("constraint-side subproblem matrix is identically zero", 0.0)
+    try:
+        return _gen_eig_prefixes(m, n, count, which)
+    except DefinitenessError as first:
+        shift = abs(first.smallest_eigenvalue) + 1e-8 * float(np.linalg.norm(n))
+        try:
+            return replace(_gen_eig_prefixes(m, n + shift * np.eye(len(n)), count, which), shift=shift)
+        except DefinitenessError as second:
+            raise DefinitenessError(
+                f"constraint side not positive definite even after ridge shift {shift:.3e}: {second}",
+                second.smallest_eigenvalue,
+            ) from first
+
+
+def _gen_eig_prefixes(m, n, count: int, which: str) -> EigenPrefixes:
+    """The unshifted generalized solve of :func:`eig_prefixes`: raises
+    :class:`DefinitenessError` carrying the smallest eigenvalue of ``N``
+    when ``N`` fails the definiteness floor or the solve breaks down."""
     ms = _square_symmetrized(m, "gen_sym_eig left input")
     ns = _square_symmetrized(n, "gen_sym_eig right input")
     if ms.shape != ns.shape:

@@ -22,8 +22,10 @@ bit for bit.
 Last come short entry points for a single fit, solve or scoring
 (``fit_unilateral``, ``fit_1d``, ``sym_eig``, ``gen_sym_eig``,
 ``classify_batch``): each runs the path the sweep runs, for one
-dimension or one full-width prefix.  ``fit_unilateral`` also fits the
-row factor alone, which the sweep never does.
+dimension or one full-width prefix (``gen_sym_eig`` without the ridge
+retry, so that a test can see a constraint fail the definiteness
+floor).  ``fit_unilateral`` also fits the row factor alone, which the
+sweep never does.
 
 Storage convention
 ------------------
@@ -598,13 +600,14 @@ def fit_1d(x, labels, method, d, **options):
 
 def sym_eig(m, count, which="bottom"):
     """All ``count`` checked ``which`` eigenpairs of a symmetric matrix."""
-    return spectral.take_prefix(spectral.sym_eig_prefixes(m, count, which), count)[:2]
+    return spectral.take_prefix(spectral.eig_prefixes(m, None, count, which), count)[:2]
 
 
 def gen_sym_eig(m, n, count, which="bottom"):
     """All ``count`` checked ``which`` eigenpairs of a symmetric-definite
-    pencil."""
-    return spectral.take_prefix(spectral.gen_sym_eig_prefixes(m, n, count, which), count)[:2]
+    pencil, by the generalized solve alone: a constraint that fails the
+    definiteness floor raises here, without the ridge retry."""
+    return spectral.take_prefix(spectral._gen_eig_prefixes(m, n, count, which), count)[:2]
 
 
 def classify_batch(queries, gallery, gallery_labels):

@@ -1,8 +1,11 @@
 """The package's public surface: each module's ``__all__`` names exactly
 the functions and classes that the module defines without a leading
 underscore, so a name left behind by a deletion, or a new public
-definition left out of ``__all__``, fails here."""
+definition left out of ``__all__``, fails here.  And ``spectral`` is the
+one eigensolver chokepoint: no other module imports scipy or calls an
+eigensolver."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -24,4 +27,33 @@ def test_all_lists_exactly_the_public_definitions():
             if public and obj.__module__ == module.__name__ and name not in listed:
                 problems.append(f"{info.name}.{name} is public but not in __all__")
     assert "spectral" in checked
+    assert problems == []
+
+
+EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+
+def test_eigensolves_stay_in_spectral():
+    scanned, problems = [], []
+    for info in pkgutil.iter_modules(repel2d.__path__):
+        if info.name == "spectral":
+            continue
+        path = importlib.import_module(f"repel2d.{info.name}").__file__
+        scanned.append(info.name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                imported = []
+            problems += [f"{info.name}:{node.lineno} imports {name}" for name in imported if name.split(".")[0] == "scipy"]
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in EIGENSOLVERS:
+                    problems.append(f"{info.name}:{node.lineno} calls {name}")
+    assert "embed_2d" in scanned and "embed_1d" in scanned
     assert problems == []

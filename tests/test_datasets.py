@@ -143,6 +143,20 @@ class TestLoadDataset:
             load_dataset(root)
 
 
+class TestLabels:
+    # every label names a class: a label past the names would read as an
+    # empty class in the split, and a negative one would reach bincount
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 0, 0, 5, 5, 5], [0, 0, 0, -1, -1, -1]],
+        ids=["past-the-names", "negative"],
+    )
+    def test_label_outside_the_class_names_rejected(self, labels):
+        images = np.zeros((6, 2, 2))
+        with pytest.raises(DataError, match=r"labels must lie in \[0, 2\)"):
+            ImageDataset("x", images, labels, ("a", "b"))
+
+
 class TestSplit:
     def make(self, per_class=10, classes=2):
         rng = np.random.default_rng(4)

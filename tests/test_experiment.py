@@ -593,7 +593,7 @@ class TestCouplingsReleased:
         def indefinite(*args):
             raise DefinitenessError("constraint not positive definite", -1.0)
 
-        monkeypatch.setattr(embed_2d, "gen_sym_eig_prefixes", indefinite)
+        monkeypatch.setattr(spectral, "_gen_eig_prefixes", indefinite)
         cfg = small_cfg(methods=("2D-LDA-R",), mode=mode, dims=NESTED_DIMS, train_per_class=6, realizations=1)
         cells = run_cell(cfg, wide_ds, "2D-LDA-R", 0)
         assert all(isinstance(cell.failure.__cause__, DefinitenessError) for cell in cells)

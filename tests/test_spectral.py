@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import eig_at, gen_sym_eig, pencil_eigenvalues_3x3, sym_eig
+from _oracles import eig_at, gen_sym_eig, half_step_at, pencil_eigenvalues_3x3, sym_eig
+from repel2d import spectral
 from repel2d.errors import (
     ContractError,
     DefinitenessError,
     NumericalQualityError,
     ParameterError,
+    RankError,
     ShapeError,
 )
-from repel2d.spectral import (
-    fix_signs,
-    gen_sym_eig_prefixes,
-    sym_eig_prefixes,
-    take_prefix,
-)
+from repel2d.spectral import eig_prefixes, fix_signs, take_prefix
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -174,7 +171,7 @@ class TestPrefixes:
         rng = np.random.default_rng(9)
         m = random_symmetric(rng, 12)
         n = random_spd(rng, 12) if generalized else None
-        pairs = gen_sym_eig_prefixes(m, n, 8, which) if generalized else sym_eig_prefixes(m, 8, which)
+        pairs = eig_prefixes(m, n, 8, which)
         for d in range(1, 9):
             values, vectors, defect = take_prefix(pairs, d)
             ref_values, ref_vectors, ref_defect = eig_at(m, n, d, which)
@@ -199,7 +196,7 @@ class TestPrefixes:
         rng = np.random.default_rng(4)
         m = random_symmetric(rng, 6)
         n = random_spd(rng, 6)
-        pairs = gen_sym_eig_prefixes(m, n, 4, "bottom") if generalized else sym_eig_prefixes(m, 4, "bottom")
+        pairs = eig_prefixes(m, n if generalized else None, 4, "bottom")
         vectors = pairs.vectors.copy()
         vectors[0, 2] += offset
         vectors[:, 2] *= scale
@@ -209,3 +206,91 @@ class TestPrefixes:
         for d in (3, 4):
             with pytest.raises(NumericalQualityError, match=message):
                 take_prefix(bent, d)
+
+
+class TestRidgeRetry:
+    """The public entry's own repair: a constraint that fails the
+    definiteness floor is shifted once and solved again."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # every generalized solve the entry makes, by its constraint
+        calls = []
+        solve = spectral._gen_eig_prefixes
+
+        def counted(m, n, count, which):
+            calls.append(np.array(n, copy=True))
+            return solve(m, n, count, which)
+
+        monkeypatch.setattr(spectral, "_gen_eig_prefixes", counted)
+        return calls
+
+    @staticmethod
+    def semidefinite_pencil():
+        # the bottom pairs stay clear of N's null direction, so the
+        # repaired solve passes its residual contract
+        rng = np.random.default_rng(11)
+        return random_spd(rng, 6), np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 0.0])
+
+    def test_semidefinite_constraint_is_retried_once(self, solves):
+        m, n = self.semidefinite_pencil()
+        pairs = eig_prefixes(m, n, 3, "bottom")
+        smallest = float(np.linalg.eigvalsh(n)[0])
+        shift = abs(smallest) + 1e-8 * float(np.linalg.norm(n))
+        assert len(solves) == 2
+        np.testing.assert_array_equal(solves[0], n)
+        assert pairs.shift == shift > 0.0
+        np.testing.assert_array_equal(pairs.n, n + shift * np.eye(6))
+
+    def test_repaired_pairs_are_the_oracle_half_steps(self):
+        m, n = self.semidefinite_pencil()
+        pairs = eig_prefixes(m, n, 3, "bottom")
+        for d in (1, 2, 3):
+            values, vectors, defect = take_prefix(pairs, d)
+            ref_values, ref_vectors, ref_defect, ref_shift = half_step_at(m, n, "bottom", d)
+            np.testing.assert_array_equal(values, ref_values)
+            np.testing.assert_array_equal(vectors, ref_vectors)
+            assert defect == ref_defect
+            assert pairs.shift == ref_shift
+
+    @pytest.mark.parametrize("generalized", [False, True])
+    def test_no_shift_without_a_repair(self, solves, generalized):
+        rng = np.random.default_rng(12)
+        m = random_symmetric(rng, 5)
+        n = random_spd(rng, 5) if generalized else None
+        pairs = eig_prefixes(m, n, 3, "top")
+        assert pairs.shift == 0.0
+        assert len(solves) == (1 if generalized else 0)
+        if generalized:
+            np.testing.assert_array_equal(pairs.n, n)
+
+    def test_zero_constraint_rejected_before_any_solve(self, solves):
+        with pytest.raises(DefinitenessError, match="constraint-side subproblem matrix is identically zero") as info:
+            eig_prefixes(np.eye(3), np.zeros((3, 3)), 1, "bottom")
+        assert info.value.smallest_eigenvalue == 0.0
+        assert solves == []
+
+    def test_zero_maximized_side_rejected_before_any_solve(self, solves):
+        with pytest.raises(RankError, match="maximized-side subproblem matrix is identically zero"):
+            eig_prefixes(np.zeros((3, 3)), np.eye(3), 1, "top")
+        assert solves == []
+
+    def test_second_failure_chains_the_first(self, monkeypatch):
+        m, n = self.semidefinite_pencil()
+        solve = spectral._gen_eig_prefixes
+        first = []
+
+        def failing_retry(m, n, count, which):
+            if first:
+                raise DefinitenessError("still not definite", -2.0)
+            try:
+                return solve(m, n, count, which)
+            except DefinitenessError as exc:
+                first.append(exc)
+                raise
+
+        monkeypatch.setattr(spectral, "_gen_eig_prefixes", failing_retry)
+        with pytest.raises(DefinitenessError, match="even after ridge shift") as info:
+            eig_prefixes(m, n, 3, "bottom")
+        assert info.value.__cause__ is first[0]
+        assert info.value.smallest_eigenvalue == -2.0
