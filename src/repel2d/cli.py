@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import embed_2d, experiment
-from .datasets import load_dataset
 from .errors import (
     ContractError,
     DataError,
@@ -161,20 +160,12 @@ def _one_cell(cfg: experiment.ExperimentConfig, command: str) -> tuple[str, int]
     return cfg.methods[0], cfg.dims[0]
 
 
-def _on_first_split(cfg: experiment.ExperimentConfig, method: str, train):
-    """``train(cfg, ds, method, 0)`` on the loaded, checked dataset under
-    ``bench``'s BLAS thread limit: how both ``fit`` and ``eval`` train."""
-    ds = load_dataset(cfg.dataset, cfg.resize)
-    experiment._validate_config(cfg, ds)
-    with experiment._blas_threads_capped(experiment._blas_thread_limit(cfg)):
-        return train(cfg, ds, method, 0)
-
-
 def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
     method, d = _one_cell(cfg, "fit")
     if method not in embed_2d.METHOD_NAMES_2D:
         raise ParameterError(f"fit saves matrix-method projectors; got {method!r}")
-    unit = _on_first_split(cfg, method, experiment.fit_unit)
+    with experiment.session(cfg) as (ds, _):
+        unit = experiment.fit_unit(cfg, ds, method, 0)
     cell = _or_raise(unit.cells[0])
     pair, trace = cell.projector, cell.trace
     out.mkdir(parents=True, exist_ok=True)
@@ -205,8 +196,9 @@ def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
 
 def _cmd_eval(cfg: experiment.ExperimentConfig, out: Path) -> int:
     method, _ = _one_cell(cfg, "eval")
-    cell = _or_raise(_on_first_split(cfg, method, experiment.run_cell)[0])
-    print(f"{method} {experiment._mode_label(cfg, method)} d={cell.dim} error={cell.error:.6g} fit_seconds={cell.seconds:.6g}")
+    with experiment.session(cfg) as (ds, _):
+        cell = _or_raise(experiment.run_cell(cfg, ds, method, 0)[0])
+    print(f"{method} {experiment.mode_label(cfg, method)} d={cell.dim} error={cell.error:.6g} fit_seconds={cell.seconds:.6g}")
     return 0
 
 

@@ -52,6 +52,8 @@ class ImageDataset:
             raise DataError(f"dataset {self.name!r} needs a non-empty (n, m1, m2) image stack")
         if lab.shape != (imgs.shape[0],):
             raise DataError("need one label per image")
+        if not np.array_equal(lab, self.labels):
+            raise DataError("labels must be whole numbers")
         if np.any((lab < 0) | (lab >= len(self.class_names))):
             raise DataError(f"labels must lie in [0, {len(self.class_names)}), one per class name")
         object.__setattr__(self, "images", imgs)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import graphs
 from .errors import ContractError, ParameterError, ShapeError
-from .spectral import eig_prefixes, fix_signs, take_prefix
+from .spectral import SYMMETRY_TOL, eig_prefixes, fix_signs, take_prefix
 
 __all__ = [
     "MethodSpec",
@@ -280,7 +280,7 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
 
     An exactly symmetric ``c``, as every coupling the package builds is,
     comes back as is: :func:`_sym` would reproduce it bit for bit.  One
-    asymmetric beyond a relative ``1e-10`` raises :class:`ContractError`.
+    asymmetric beyond a relative ``SYMMETRY_TOL`` raises :class:`ContractError`.
     """
     if c is None:
         raise ParameterError(f"method spec lacks its {what} coupling")
@@ -289,7 +289,7 @@ def _check_coupling(c, n: int, what: str) -> np.ndarray:
         raise ShapeError(f"{what} coupling must be {n}x{n}, got {arr.shape}")
     if np.array_equal(arr, arr.T):
         return arr
-    if np.linalg.norm(arr - arr.T) > 1e-10 * max(1.0, np.linalg.norm(arr)):
+    if np.linalg.norm(arr - arr.T) > SYMMETRY_TOL * max(1.0, np.linalg.norm(arr)):
         raise ContractError(f"{what} coupling must be symmetric")
     return _sym(arr)
 
@@ -571,8 +571,10 @@ def fit_method(
     alternate: their within-class side can lose definiteness under
     iteration, so a single pass computes the row and column factors
     independently from the uncompressed stack, each as a one-sided fit,
-    column first (see :func:`_single_pass`).
+    column first (see :func:`_single_pass`).  ``max_iter`` must be >= 1.
     """
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     s = _image_stack(x)
     _validate_dims(s, d1, d2)
     if _discriminant_repulsion(spec):
@@ -609,8 +611,10 @@ def solve_bilateral(
     gives, bit for bit, or the exception it raises.  An alternating fit
     starts from the first ``d`` identity columns, so each ``d`` runs its
     own alternation.  2D-LDA-R's single pass shares its two pencils
-    across every ``d`` (see :func:`_single_pass`).
+    across every ``d`` (see :func:`_single_pass`).  ``max_iter`` must be >= 1.
     """
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     s = _image_stack(x)
     if _discriminant_repulsion(spec):
         single_pass = _single_pass(s, spec)

@@ -15,8 +15,8 @@ own (2D-LDA-R's single pass shares its two pencils across them, see
 ``embed_2d._single_pass``).  Every
 fitted cell holds a trace; a matrix cell holds a ``ProjectorPair`` and a
 vector cell its plain ``(m1 * m2, d)`` basis.  Units are independent and
-deterministic given the config, so they may run concurrently; results
-are reduced in sorted key order either way.
+deterministic given the config, so they may run concurrently; their
+outcomes are gathered in task order either way.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ __all__ = [
     "Cell",
     "UnitFit",
     "run_experiment",
+    "session",
+    "mode_label",
     "usable_cpus",
     "fit_unit",
     "run_cell",
@@ -214,39 +216,31 @@ class UnitFit:
     cells: list[Cell]
 
 
-def _prepare_2d(cfg: ExperimentConfig, method: str, images: np.ndarray, labels: np.ndarray):
-    """Couplings and, unilaterally, the pencil solved once for ``cfg.dims``
-    (bilaterally, see :func:`embed_2d.solve_bilateral`); returns the spec
-    and the per-dimension fit."""
+def _prepare(cfg: ExperimentConfig, method: str, samples: np.ndarray, labels: np.ndarray):
+    """The couplings of one unit's training data and its eigenproblem,
+    solved once for ``cfg.dims``: unilaterally and for vector methods
+    (after the PCA pre-basis), see :func:`embed_2d.solve_pencil`;
+    bilaterally, see :func:`embed_2d.solve_bilateral`.  Returns the spec
+    (``None`` for a vector method) and the per-dimension fit."""
+    if not _is_2d(method):
+        pencil = embed_1d.vector_pencil(
+            samples, labels, method, knn=cfg.knn, bandwidth=cfg.bandwidth, beta=cfg.beta, pca_predim="auto"
+        )
+        return None, embed_2d.solve_pencil(pencil, cfg.dims)
     pre_pair = None
     if _pre_compressed(cfg, method):
-        images, pre_pair = embed_2d.pre_process_2dpca(images, cfg.pre_dims, cfg.max_iter)
-    spec = embed_2d.method_matrices(method, images, labels, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
+        samples, pre_pair = embed_2d.pre_process_2dpca(samples, cfg.pre_dims, cfg.max_iter)
+    spec = embed_2d.method_matrices(method, samples, labels, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
     if cfg.mode == "unilateral":
-        fit = embed_2d.solve_unilateral(images, spec, cfg.dims)
+        fit = embed_2d.solve_unilateral(samples, spec, cfg.dims)
     else:
-        fit = embed_2d.solve_bilateral(images, spec, cfg.max_iter)
+        fit = embed_2d.solve_bilateral(samples, spec, cfg.max_iter)
 
     def solve(d):
         pair, trace = fit(d)
         return (pair if pre_pair is None else embed_2d.compose_pairs(pre_pair, pair)), trace
 
     return spec, solve
-
-
-def _prepare_1d(cfg: ExperimentConfig, method: str, x: np.ndarray, labels: np.ndarray):
-    """PCA pre-basis, graphs and side matrices of the labelled columns of
-    ``x``, solved once for ``cfg.dims``; returns the per-dimension fit."""
-    pencil = embed_1d.vector_pencil(
-        x,
-        labels,
-        method,
-        knn=cfg.knn,
-        bandwidth=cfg.bandwidth,
-        beta=cfg.beta,
-        pca_predim=None if method == "PCA" else "auto",
-    )
-    return embed_2d.solve_pencil(pencil, cfg.dims)
 
 
 def _nested(cfg: ExperimentConfig, method: str) -> bool:
@@ -277,12 +271,8 @@ def fit_unit(cfg: ExperimentConfig, ds: ImageDataset, method: str, realization: 
     try:
         train_idx, test_idx = split_dataset(ds, cfg.train_per_class, cfg.seed, realization)
         started = time.perf_counter()
-        if _is_2d(method):
-            train = matrix_dataset(ds, train_idx)
-            spec, solve = _prepare_2d(cfg, method, *train)
-        else:
-            train = vector_dataset(ds, train_idx)
-            solve = _prepare_1d(cfg, method, *train)
+        train = (matrix_dataset if _is_2d(method) else vector_dataset)(ds, train_idx)
+        spec, solve = _prepare(cfg, method, *train)
     except _CELL_FAILURES as exc:
         return UnitFit(train, test_idx, spec, [Cell(d, failure=exc) for d in cfg.dims])
     shared = (time.perf_counter() - started) / len(cfg.dims)
@@ -332,15 +322,11 @@ def run_cell(cfg: ExperimentConfig, ds: ImageDataset, method: str, realization: 
     if not fitted:
         return unit.cells
     train, train_labels = unit.train
+    queries, truth = (matrix_dataset if _is_2d(method) else vector_dataset)(ds, unit.test_idx)
     if _is_2d(method):
-        queries, truth = matrix_dataset(ds, unit.test_idx)
-
         def project(pair):
             return recognize.project_tensor(train, pair), recognize.project_tensor(queries, pair)
-
     else:
-        queries, truth = vector_dataset(ds, unit.test_idx)
-
         # projected samples (one per column) as a stack of 1 x d images
         def project(basis):
             return (basis.T @ train).T[:, None, :], (basis.T @ queries).T[:, None, :]
@@ -423,7 +409,7 @@ def _blas_threads_capped(limit: int | None):
     block see the cap, and blocks that overlap in time with different
     limits can leave a count lowered after both exit.  Yields
     ``{library: {"before": n, "during": m}}``, empty when no OpenBLAS is
-    loaded.  ``bench``, ``fit`` and ``eval`` all run under it, with the
+    loaded.  :func:`session` runs every subcommand under it, with the
     limit that :func:`_blas_thread_limit` gives their config.
     """
     controls = _openblas_thread_controls()
@@ -456,6 +442,25 @@ def _blas_thread_limit(cfg: ExperimentConfig) -> int | None:
     return 1
 
 
+@contextmanager
+def session(cfg: ExperimentConfig, dataset: ImageDataset | None = None):
+    """Set up one run of ``cfg``: load its dataset unless ``dataset`` is
+    given, check the config against it, and hold OpenBLAS to
+    :func:`_blas_thread_limit`'s count for the block.  Yields ``(ds,
+    blas_threads)``, as :func:`_blas_threads_capped` yields the latter;
+    ``bench``, ``sweep``, ``fit`` and ``eval`` all run inside it."""
+    ds = dataset if dataset is not None else load_dataset(cfg.dataset, cfg.resize)
+    _validate_config(cfg, ds)
+    with _blas_threads_capped(_blas_thread_limit(cfg)) as blas_threads:
+        yield ds, blas_threads
+
+
+def mode_label(cfg: ExperimentConfig, method: str) -> str:
+    """The mode a result of ``method`` is labelled with: ``cfg.mode`` for
+    a matrix method, ``"vector"`` for a vector method, which ignores it."""
+    return cfg.mode if _is_2d(method) else "vector"
+
+
 def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -> ResultTable:
     """Run the full protocol and aggregate per-cell errors.
 
@@ -466,14 +471,16 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
     is recorded as a failure and the run continues; aggregates are over
     the surviving realizations (NaN if none survive).
     ``mean_fit_seconds`` is amortized over the unit's dimensions (see
-    :class:`ResultRow`).  The run holds OpenBLAS to
-    :func:`_blas_thread_limit`'s count, one thread per worker unless it
-    fits a reconstruction-weight method serially, and the metadata records
-    each library's count before and during the run.
+    :class:`ResultRow`).  The run sets up in :func:`session`, so OpenBLAS
+    is held to :func:`_blas_thread_limit`'s count, one thread per worker
+    unless it fits a reconstruction-weight method serially, and the
+    metadata records each library's count before and during the run.
     """
-    ds = dataset if dataset is not None else load_dataset(cfg.dataset, cfg.resize)
-    _validate_config(cfg, ds)
-
+    # one record per (method, dimension) in config order; the outcomes are
+    # read in task order, so each record's realizations ascend
+    records = {
+        (m, d): {"realizations": [], "errors": [], "seconds": [], "failures": []} for m in cfg.methods for d in cfg.dims
+    }
     tasks = [(method, r) for method in cfg.methods for r in range(cfg.realizations)]
 
     def task(unit):
@@ -481,47 +488,40 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
         # a failure's traceback holds) outlives its task
         method, r = unit
         return [
-            (method, cell.dim, r, cell.error, cell.seconds, _failure_reason(cell.failure))
+            (cell.dim, cell.error, cell.seconds, _failure_reason(cell.failure))
             for cell in run_cell(cfg, ds, method, r)
         ]
 
-    cpus = usable_cpus()
-    with _blas_threads_capped(_blas_thread_limit(cfg)) as blas_threads:
+    with session(cfg, dataset) as (ds, blas_threads):
         if cfg.jobs > 1:
             with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                outcomes = [cell for cells in pool.map(task, tasks) for cell in cells]
+                outcomes = list(pool.map(task, tasks))
         else:
-            outcomes = [cell for unit in tasks for cell in task(unit)]
+            outcomes = [task(unit) for unit in tasks]
 
-    logs: dict[tuple[str, str, int], dict] = {}
-    for method, dim, r, err, secs, failure in sorted(outcomes, key=lambda o: o[:3]):
-        mode = _mode_label(cfg, method)
-        record = logs.setdefault(
-            (method, mode, dim), {"realizations": [], "errors": [], "seconds": [], "failures": []}
-        )
-        if failure is None:
-            record["realizations"].append(r)
-            record["errors"].append(err)
-            record["seconds"].append(secs)
-        else:
-            record["failures"].append({"realization": r, "reason": failure})
+    for (method, r), cells in zip(tasks, outcomes):
+        for dim, err, secs, failure in cells:
+            record = records[(method, dim)]
+            if failure is None:
+                record["realizations"].append(r)
+                record["errors"].append(err)
+                record["seconds"].append(secs)
+            else:
+                record["failures"].append({"realization": r, "reason": failure})
 
     table = ResultTable()
-    for method in cfg.methods:
-        mode = _mode_label(cfg, method)
-        for dim in cfg.dims:
-            record = logs[(method, mode, dim)]
-            errors = record["errors"]
-            table.rows.append(
-                ResultRow(
-                    method=method,
-                    mode=mode,
-                    dimension=dim,
-                    mean_error=float(np.mean(errors)) if errors else math.nan,
-                    std_error=float(np.std(errors)) if errors else math.nan,
-                    mean_fit_seconds=float(np.mean(record["seconds"])) if errors else math.nan,
-                )
+    for (method, dim), record in records.items():
+        errors = record["errors"]
+        table.rows.append(
+            ResultRow(
+                method=method,
+                mode=mode_label(cfg, method),
+                dimension=dim,
+                mean_error=float(np.mean(errors)) if errors else math.nan,
+                std_error=float(np.std(errors)) if errors else math.nan,
+                mean_fit_seconds=float(np.mean(record["seconds"])) if errors else math.nan,
             )
+        )
     table.metadata = {
         "artifact_version": __version__,
         "dataset": str(cfg.dataset) or ds.name,
@@ -529,16 +529,10 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
         "classes": len(ds.class_names),
         "config": _jsonable_config(cfg),
         "bandwidth_rule": "mean squared label-edge distance, shared with repulsion weights",
-        "execution": {"jobs": cfg.jobs, "usable_cpus": cpus, "blas_threads": blas_threads},
-        "per_cell": {
-            f"{m}|{mo}|{d}": rec for (m, mo, d), rec in sorted(logs.items())
-        },
+        "execution": {"jobs": cfg.jobs, "usable_cpus": usable_cpus(), "blas_threads": blas_threads},
+        "per_cell": {f"{m}|{mode_label(cfg, m)}|{d}": rec for (m, d), rec in records.items()},
     }
     return table
-
-
-def _mode_label(cfg: ExperimentConfig, method: str) -> str:
-    return cfg.mode if _is_2d(method) else "vector"
 
 
 def _jsonable_config(cfg: ExperimentConfig) -> dict:

@@ -474,7 +474,7 @@ def fit_at(cfg, ds, method, realization, d):
         knn=cfg.knn,
         bandwidth=cfg.bandwidth,
         beta=cfg.beta,
-        pca_predim=None if method == "PCA" else "auto",
+        pca_predim="auto",
     )
     if d < 1:
         raise ParameterError(f"dimension below 1: {d}")

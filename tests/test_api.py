@@ -1,9 +1,9 @@
 """The package's public surface: each module's ``__all__`` names exactly
 the functions and classes that the module defines without a leading
 underscore, so a name left behind by a deletion, or a new public
-definition left out of ``__all__``, fails here.  And ``spectral`` is the
+definition left out of ``__all__``, fails here.  ``spectral`` is the
 one eigensolver chokepoint: no other module imports scipy or calls an
-eigensolver."""
+eigensolver.  And ``cli`` reads no private name of another module."""
 
 import ast
 import importlib
@@ -56,4 +56,20 @@ def test_eigensolves_stay_in_spectral():
                 if name in EIGENSOLVERS:
                     problems.append(f"{info.name}:{node.lineno} calls {name}")
     assert "embed_2d" in scanned and "embed_1d" in scanned
+    assert problems == []
+
+
+
+def test_cli_reads_only_public_names_of_other_modules():
+    path = importlib.import_module("repel2d.cli").__file__
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    modules = {info.name for info in pkgutil.iter_modules(repel2d.__path__)} - {"cli"}
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("repel2d")):
+            problems += [f"cli:{node.lineno} imports {alias.name}" for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_"):
+                problems.append(f"cli:{node.lineno} reads {node.value.id}.{node.attr}")
     assert problems == []

@@ -156,6 +156,14 @@ class TestLabels:
         with pytest.raises(DataError, match=r"labels must lie in \[0, 2\)"):
             ImageDataset("x", images, labels, ("a", "b"))
 
+    def test_fractional_labels_rejected(self):
+        # an int64 cast would truncate these to [0, 0, 1, 1]
+        images = np.zeros((4, 2, 2))
+        with pytest.raises(DataError, match="labels must be whole numbers"):
+            ImageDataset("x", images, [0.5, 0.9, 1.2, 1.7], ("a", "b"))
+        for whole in ([0.0, 0.0, 1.0, 1.0], [False, False, True, True]):
+            assert ImageDataset("x", images, whole, ("a", "b")).labels.tolist() == [0, 0, 1, 1]
+
 
 class TestSplit:
     def make(self, per_class=10, classes=2):

@@ -22,7 +22,7 @@ from _oracles import (
     sym_eig,
     trace_objective,
 )
-from repel2d import graphs
+from repel2d import embed_2d, graphs
 from repel2d.datasets import matrix_dataset, split_dataset, synthetic_confusable
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
@@ -825,3 +825,27 @@ def test_fit_method_dispatch_covers_all():
         assert pair.row_basis.shape == (5, 2)
         assert pair.col_basis.shape == (4, 2)
         assert trace.iterations >= 1
+
+
+@pytest.mark.parametrize(
+    ("method", "entry"),
+    [
+        ("2D-PCA", lambda x, spec: fit_method(x, spec, 2, 2, max_iter=0)),
+        ("2D-LDA-R", lambda x, spec: fit_method(x, spec, 2, 2, max_iter=0)),
+        ("2D-PCA", lambda x, spec: solve_bilateral(x, spec, max_iter=0)),
+        ("2D-LDA-R", lambda x, spec: solve_bilateral(x, spec, max_iter=0)),
+        ("2D-PCA", lambda x, spec: pre_process_2dpca(x, (3, 3), max_iter=0)),
+    ],
+    ids=["fit_method", "fit_method-single-pass", "solve_bilateral", "solve_bilateral-single-pass", "pre_process_2dpca"],
+)
+def test_bilateral_entries_reject_max_iter_below_one(monkeypatch, method, entry):
+    # without the check each would return, or compress by, the unsolved start
+    images, labels = toy_dataset(36, n=15)
+    spec = method_matrices(method, images, labels, knn=4)
+
+    def no_solve(*args):
+        raise AssertionError("a pencil was solved")
+
+    monkeypatch.setattr(embed_2d, "solve_pencil", no_solve)
+    with pytest.raises(ParameterError, match="max_iter must be >= 1, got 0"):
+        entry(images, spec)

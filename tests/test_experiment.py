@@ -18,8 +18,10 @@ from repel2d.experiment import (
     emit_csv,
     emit_plotdata,
     fit_unit,
+    mode_label,
     run_cell,
     run_experiment,
+    session,
     write_metadata,
 )
 
@@ -677,17 +679,18 @@ class TestSingleClass:
             fit_method(images, spec, 2, 2)
 
 
-class TestBlasThreadCap:
-    @pytest.fixture
-    def controls(self):
-        controls = experiment._openblas_thread_controls()
-        if not controls:
-            pytest.skip("no OpenBLAS library is loaded in this process")
-        saved = {name: get() for name, (get, _) in controls.items()}
-        yield controls
-        for name, (_, set_) in controls.items():
-            set_(saved[name])
+@pytest.fixture
+def controls():
+    controls = experiment._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library is loaded in this process")
+    saved = {name: get() for name, (get, _) in controls.items()}
+    yield controls
+    for name, (_, set_) in controls.items():
+        set_(saved[name])
 
+
+class TestBlasThreadCap:
     @staticmethod
     def counts(controls):
         return {name: get() for name, (get, _) in controls.items()}
@@ -741,6 +744,38 @@ class TestBlasThreadCap:
         threads = table.metadata["execution"]["blas_threads"]
         assert threads == {name: {"before": n, "during": n} for name, n in before.items()}
         assert self.counts(controls) == before
+
+
+class TestSession:
+    def test_a_given_dataset_is_not_loaded(self, synthetic_ds, monkeypatch):
+        def no_load(*args):
+            raise AssertionError("session loaded a dataset it was given")
+
+        monkeypatch.setattr(experiment, "load_dataset", no_load)
+        with session(small_cfg(), synthetic_ds) as (ds, _):
+            assert ds is synthetic_ds
+
+    def test_invalid_config_raises_before_the_cap(self, synthetic_ds, monkeypatch):
+        def no_cap(limit):
+            raise AssertionError("OpenBLAS was capped before the config was checked")
+
+        monkeypatch.setattr(experiment, "_blas_threads_capped", no_cap)
+        with pytest.raises(ParameterError, match="exceeds image side limit"):
+            with session(small_cfg(dims=(999,)), synthetic_ds):
+                raise AssertionError("the block ran")
+
+    def test_counts_restored_after_an_exception(self, controls, synthetic_ds):
+        TestBlasThreadCap.set_all(controls, 2)
+        with pytest.raises(RuntimeError, match="inside"):
+            with session(small_cfg(), synthetic_ds) as (_, threads):
+                assert TestBlasThreadCap.counts(controls) == dict.fromkeys(controls, 1)
+                assert threads == dict.fromkeys(controls, {"before": 2, "during": 1})
+                raise RuntimeError("inside")
+        assert TestBlasThreadCap.counts(controls) == dict.fromkeys(controls, 2)
+
+    def test_mode_label(self):
+        cfg = small_cfg(methods=("2D-PCA", "PCA"), mode="bilateral")
+        assert [mode_label(cfg, name) for name in cfg.methods] == ["bilateral", "vector"]
 
 
 class TestEmit:
