@@ -212,7 +212,7 @@ def _cmd_bench(cfg: experiment.ExperimentConfig, out: Path, plots: bool) -> int:
     print(f"wrote {csv_path}")
     failed = False
     for row in table.rows:
-        record = table.metadata["per_cell"][f"{row.method}|{row.mode}|{row.dimension}"]
+        record = table.record(row)
         if not record["errors"]:
             failed = True
             where = f"{row.method} {row.mode} d={row.dimension}"

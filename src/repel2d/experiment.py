@@ -71,10 +71,10 @@ class ExperimentConfig:
     ``"bilateral"`` solves both factors at the same dimension.  Vector
     methods ignore it.  ``pre_dims`` optionally compresses the data by a
     bilateral 2D-PCA before fitting any matrix method other than
-    GLRAM/2D-PCA themselves.  Counts below 1, a negative ``seed``, a
-    non-finite ``beta``, a ``bandwidth`` that is not finite and positive,
-    an empty ``methods`` or ``dims`` and an unknown ``mode`` are rejected
-    when the config is built.
+    GLRAM/2D-PCA themselves.  Counts below 1, a ``resize`` side below 1, a
+    negative ``seed``, a non-finite ``beta``, a ``bandwidth`` that is not
+    finite and positive, an empty ``methods`` or ``dims`` and an unknown
+    ``mode`` are rejected when the config is built.
     """
 
     dataset: str = ""
@@ -96,6 +96,8 @@ class ExperimentConfig:
         for name in ("train_per_class", "realizations", "knn", "max_iter", "jobs"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.resize is not None and min(self.resize) < 1:
+            raise ParameterError(f"resize sides must be >= 1, got {self.resize}")
         if not self.methods:
             raise ParameterError("methods must name at least one method")
         if not self.dims:
@@ -133,10 +135,18 @@ class ResultRow:
     mean_fit_seconds: float
 
 
+def _cell_key(row: ResultRow) -> str:
+    return f"{row.method}|{row.mode}|{row.dimension}"
+
+
 @dataclass
 class ResultTable:
     rows: list[ResultRow] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+
+    def record(self, row: ResultRow) -> dict:
+        """``row``'s ``per_cell`` log: survivors, errors, seconds, failures."""
+        return self.metadata["per_cell"][_cell_key(row)]
 
 
 def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
@@ -530,7 +540,7 @@ def run_experiment(cfg: ExperimentConfig, dataset: ImageDataset | None = None) -
         "config": _jsonable_config(cfg),
         "bandwidth_rule": "mean squared label-edge distance, shared with repulsion weights",
         "execution": {"jobs": cfg.jobs, "usable_cpus": usable_cpus(), "blas_threads": blas_threads},
-        "per_cell": {f"{m}|{mode_label(cfg, m)}|{d}": rec for (m, d), rec in records.items()},
+        "per_cell": {_cell_key(row): rec for row, rec in zip(table.rows, records.values())},
     }
     return table
 

@@ -1,13 +1,17 @@
 """Portable graymap reading and writing.
 
-Reads the ASCII (``P2``) and binary (``P5``) variants, header comments,
-and 1- or 2-byte samples (big-endian when maxval > 255).  Pixels are
-returned scaled to [0, 1] as float64.  Writes 8-bit binary ``P5``.  Other
-raster formats should be converted to PGM up front.
+Reads ASCII (``P2``) and binary (``P5``) graymaps with 1- or 2-byte samples
+(big-endian when maxval > 255), scaled to [0, 1] as float64.  ``_HEADER`` is
+the header grammar: the magic, then width, height and maxval in decimal, each
+after whitespace bytes or ``#`` comment lines; then optional comment lines and
+exactly one whitespace byte before the raster.  A field has at most 19 digits
+past its leading zeros, which keeps ``int`` inside Python's digit limit.
+Writes 8-bit binary ``P5``.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,34 +21,7 @@ from .errors import DataError, ParameterError
 
 __all__ = ["read_pgm", "write_pgm", "block_resize"]
 
-
-def _header_tokens(data: bytes, path, count: int):
-    """Yield ``count`` whitespace-separated header tokens, skipping ``#``
-    comments, and return the offset one byte past the last delimiter."""
-    tokens = []
-    pos = 0
-    while len(tokens) < count:
-        if pos >= len(data):
-            raise DataError(f"{path}: truncated graymap header")
-        byte = data[pos : pos + 1]
-        if byte == b"#":
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                raise DataError(f"{path}: unterminated comment in header")
-            pos = nl + 1
-        elif byte.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace() and data[end : end + 1] != b"#":
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-            if len(tokens) == count:
-                # exactly one whitespace byte separates maxval from raster
-                if pos < len(data) and data[pos : pos + 1].isspace():
-                    pos += 1
-    return tokens, pos
+_HEADER = re.compile(rb"P[25]" + rb"(?:\s|#[^\n]*\n)+0*(\d{1,19})" * 3 + rb"(?:#[^\n]*\n)*\s")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -54,20 +31,18 @@ def read_pgm(path) -> np.ndarray:
         data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: cannot read file: {exc}") from exc
-    if len(data) < 2:
-        raise DataError(f"{path}: not a graymap file")
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise DataError(f"{path}: unsupported magic {magic!r}; expected P2 or P5")
-    try:
-        tokens, pos = _header_tokens(data[2:], path, 3)
-        width, height, maxval = (int(t) for t in tokens)
-    except (ValueError, DataError) as exc:
-        raise DataError(f"{path}: malformed graymap header ({exc})") from exc
+    header = _HEADER.match(data)
+    if header is None:
+        raise DataError(f"{path}: malformed graymap header")
+    width = int(header[1])
+    height = int(header[2])
+    maxval = int(header[3])
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
         raise DataError(f"{path}: invalid graymap dimensions {width}x{height} maxval {maxval}")
-    pos += 2  # account for the magic bytes
-
+    pos = header.end()
     n = width * height
     if magic == b"P5":
         bytes_per = 2 if maxval > 255 else 1
@@ -105,15 +80,11 @@ def _interval_weights(src: int, dst: int) -> np.ndarray:
 
     Built once per ``(src, dst)`` pair and shared by every later call, so
     the array is read-only."""
-    weights = np.zeros((dst, src))
     step = src / dst
-    for i in range(dst):
-        lo, hi = i * step, (i + 1) * step
-        for j in range(int(np.floor(lo)), min(int(np.ceil(hi)), src)):
-            overlap = min(hi, j + 1) - max(lo, j)
-            if overlap > 0:
-                weights[i, j] = overlap
-    weights /= step
+    edges = np.arange(dst + 1) * step
+    cells = np.arange(src)
+    overlap = np.minimum(edges[1:, None], cells + 1) - np.maximum(edges[:-1, None], cells)
+    weights = overlap.clip(min=0) / step
     weights.setflags(write=False)
     return weights
 

@@ -12,7 +12,8 @@ builds each pencil is pinned in ``test_embed_2d.py``).  After them come
 small references for the eigensolver and subspace checks, the per-query
 1-NN rule that ``classify_prefixes`` must reproduce at every prefix, a
 reader for the result CSV that ``emit_csv`` writes, a PGM writer for the
-formats the package reads but does not write, and the
+formats the package reads but does not write, the cell-by-cell loop that
+the resize weights must reproduce bit for bit, and the
 per-dimension solve that one solve per unit must reproduce, starting
 from the pencil as the package assembles it.  The coupling oracles build
 every method's ``(n, n)`` couplings by the plain expressions, one fresh
@@ -394,6 +395,22 @@ def write_pgm_fixture(path, image, maxval=255, binary=True):
     else:
         body = "\n".join(" ".join(str(v) for v in row) for row in quantized.tolist())
         Path(path).write_text(header + body + "\n", encoding="ascii")
+
+
+def interval_weights_loop(src, dst):
+    """``pgm._interval_weights`` cell by cell: for each destination
+    interval ``[i, i + 1) * src / dst``, its overlap with each source cell
+    it touches, divided by the interval length."""
+    weights = np.zeros((dst, src))
+    step = src / dst
+    for i in range(dst):
+        lo, hi = i * step, (i + 1) * step
+        for j in range(int(np.floor(lo)), min(int(np.ceil(hi)), src)):
+            overlap = min(hi, j + 1) - max(lo, j)
+            if overlap > 0:
+                weights[i, j] = overlap
+    weights /= step
+    return weights
 
 
 # The per-dimension solve: before each unilateral or vector unit was solved

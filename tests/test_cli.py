@@ -614,6 +614,24 @@ class TestExitCodes:
         for line, d in zip(lines, (2, 3)):
             assert f"2D-LDA unilateral d={d}" in line and "DefinitenessError" in line
 
+    def test_vector_row_without_survivors_is_a_numerical_failure(self, tmp_path, synthetic_dir, capsys):
+        # vector LDA-R fails at this split while PCA reports; the failure
+        # line names the row (not the exception class, which another BLAS
+        # may round differently)
+        code = run_cli(
+            "bench",
+            "--dataset", str(synthetic_dir),
+            "--method", "LDA-R,PCA",
+            "--dims", "2",
+            "--train-per-class", "4",
+            "--realizations", "2",
+            "--out", str(tmp_path / "res"),
+        )
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: no realization of LDA-R vector d=2 survived: ")
+
     def test_numerical_error_exit_code(self, synthetic_dir):
         # one training image per class makes every discriminant fit abort
         code = run_cli(
@@ -639,6 +657,15 @@ class TestCountValidation:
         assert code == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0,5", "-3,5", "5,0"])
+    def test_resize_side_below_one_is_a_usage_error(self, tmp_path, capsys, value):
+        # rejected when the config is built, before the (missing) tree is read
+        out = tmp_path / "res"
+        code = run_cli("bench", "--dataset", str(tmp_path / "nowhere"), f"--resize={value}", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: resize sides must be >= 1")
+        assert not out.exists()
 
     def test_zero_in_config_file_is_not_replaced_by_default(self, tmp_path, synthetic_dir):
         cfg = tmp_path / "run.cfg"

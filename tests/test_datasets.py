@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import as_tensor, matricize, write_pgm_fixture
+from _oracles import as_tensor, assert_bitwise, interval_weights_loop, matricize, write_pgm_fixture
 from repel2d import graphs
 from repel2d.datasets import (
     ImageDataset,
@@ -14,7 +14,7 @@ from repel2d.datasets import (
 )
 from repel2d.embed_2d import method_matrices
 from repel2d.errors import DataError, ParameterError
-from repel2d.pgm import block_resize, read_pgm, write_pgm
+from repel2d.pgm import _interval_weights, block_resize, read_pgm, write_pgm
 
 
 class TestPgm:
@@ -69,6 +69,56 @@ class TestPgm:
         bad_magic.write_bytes(b"P6\n1 1\n255\n\x01\x02\x03")
         with pytest.raises(DataError):
             read_pgm(bad_magic)
+
+    @pytest.mark.parametrize(
+        "data, pixels",
+        [
+            (b"P5#m\n2#w\n1#h\n255#x\n\n\x07\x09", [[7, 9]]),
+            (b"P5\n1#c\n1\n255\n\x07", [[7]]),
+            (b"P2\r\n2\t1\r\n255\r\n7\t9\r\n", [[7, 9]]),
+            (b"P5\t2\t1\t255\t\x07\x09", [[7, 9]]),
+            (b"P5\n2 1\n255\n\n ", [[10, 32]]),
+            (b"P5\n1 1\n255#c\n\n\x07", [[7]]),
+            (b"P5\n0002 " + b"0" * 30 + b"1\n00255\n\x07\x09", [[7, 9]]),
+        ],
+        ids=["comment-in-every-gap", "comment-after-field", "crlf-and-tab", "tab", "whitespace-valued-raster",
+             "comment-then-delimiter-after-maxval", "leading-zeros"],
+    )
+    def test_header_grammar_accepts(self, tmp_path, data, pixels):
+        # exactly one whitespace byte ends the header, so a P5 raster may
+        # start with a whitespace-valued sample; a comment after maxval is
+        # skipped when that byte follows it
+        path = tmp_path / "img.pgm"
+        path.write_bytes(data)
+        np.testing.assert_array_equal(read_pgm(path), np.array(pixels) / 255)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P5\n2 1\n",
+            b"P5\n2 1 # no newline",
+            b"P5\n+1 1\n255\n\x07",
+            b"P5\n1_0 1\n255\n" + bytes(10),
+            b"P5\nx 1\n255\n\x07",
+            b"P51 1\n255\n\x07",
+            b"P5\n1 1\n255#c\n\x07",
+            b"P5\n1 1\n255",
+            b"",
+            b"P5\n" + b"9" * 5000 + b" 1\n255\n\x07",
+        ],
+        ids=["truncated", "unterminated-comment", "signed", "underscore", "not-a-number", "no-separator-after-magic",
+             "comment-into-raster", "maxval-at-end", "empty", "beyond-int-digit-limit"],
+    )
+    def test_header_grammar_rejects(self, tmp_path, data):
+        path = tmp_path / "broken.pgm"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="broken.pgm"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("src", [1, 2, 3, 5, 7, 46, 92, 112])
+    @pytest.mark.parametrize("dst", [1, 2, 3, 4, 23, 46, 56, 100, 129])
+    def test_interval_weights_match_the_cell_loop(self, src, dst):
+        assert_bitwise(_interval_weights(src, dst), interval_weights_loop(src, dst))
 
     def test_resize_constant_stays_constant(self):
         img = np.full((4, 4), 0.6)
