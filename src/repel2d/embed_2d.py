@@ -194,9 +194,10 @@ def method_matrices(
     samples, each flattened column-major, take the edges that join
     different classes, weight them with the same Gaussian bandwidth, and
     subtract ``beta`` times the resulting Laplacian from the minimized
-    coupling.  A single bandwidth (given, or the mean squared label-edge
-    distance) is used throughout, and the squared distances between the
-    flattened samples are computed once for all of these graph pieces.
+    coupling; a method without ``-R`` ignores ``beta`` and records 0.0.
+    A single bandwidth (given, or the mean squared label-edge distance) is
+    used throughout, and the squared distances between the flattened
+    samples are computed once for all of these graph pieces.
 
     The couplings grow with the square of ``n``, so the build holds no
     more than about three ``(n, n)`` float arrays at once: the repulsion
@@ -214,9 +215,9 @@ def method_matrices(
     base = name[:-2] if repulsion else name
     if base not in _METHOD_TABLE or (repulsion and base in ("GLRAM", "2D-PCA")):
         raise ParameterError(f"unknown method name {name!r}")
-    if beta is None:
+    if beta is None or not repulsion:
         beta = default_beta(name)
-    repel = repulsion and beta != 0.0
+    repel = beta != 0.0
     min_coupling: np.ndarray | None = None
     max_coupling: np.ndarray | None = None
     repulsion_lap: np.ndarray | None = None

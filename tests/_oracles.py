@@ -247,35 +247,6 @@ def matricize(a: Tensor3, mode: int, ordering: str = "forward") -> np.ndarray:
     return moved.reshape(moved.shape[0], moved.shape[1] * moved.shape[2], order="F")
 
 
-def dematricize(mat, dims: tuple[int, int, int], mode: int, ordering: str = "forward") -> Tensor3:
-    """Inverse of :func:`matricize` for the given original extents."""
-    m = np.asarray(mat, dtype=np.float64)
-    perm = _perm_for(mode, ordering)
-    shape = tuple(dims[p] for p in perm)
-    if m.shape != (shape[0], shape[1] * shape[2]):
-        raise ShapeError(
-            f"matrix shape {m.shape} does not match dims {dims} for mode {mode}"
-        )
-    cube = m.reshape(shape, order="F")
-    inv = np.argsort(perm)
-    return Tensor3(np.transpose(cube, inv))
-
-
-def matricize4_paired(b: Tensor4) -> np.ndarray:
-    """Unfold a fourth-order tensor pairing modes (1,2) as rows, (3,4) as columns.
-
-    The result has shape (I*J, K*H) with ``b[i,j,k,h]`` at row
-    ``p = i + (j-1)*I`` and column ``q = k + (h-1)*K`` (one-based).  For
-    extents (I, J, I, J) the matrix trace of the unfolding equals
-    :func:`tensor_trace`.
-    """
-    db = b.data if isinstance(b, Tensor4) else np.asarray(b, dtype=np.float64)
-    if db.ndim != 4:
-        raise ShapeError(f"expected a fourth-order tensor, got shape {db.shape}")
-    i, j, k, h = db.shape
-    return db.reshape(i * j, k * h, order="F")
-
-
 def as_tensor(stack) -> Tensor3:
     """The ``(m1, m2, n)`` tensor whose k-th frontal slice is image k of an
     ``(n, m1, m2)`` stack."""

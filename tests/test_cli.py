@@ -1,5 +1,8 @@
 import json
 import re
+import shutil
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import pytest
 
 from repel2d import experiment
 from repel2d.cli import _build_parser, build_config, main, read_config
-from repel2d.datasets import ImageDataset, load_dataset, write_dataset_pgm
+from repel2d.datasets import ImageDataset, load_dataset, synthetic_confusable, write_dataset_pgm
 from repel2d.embed_1d import METHOD_NAMES_1D
 from repel2d.embed_2d import METHOD_NAMES_2D
 from repel2d.errors import ParameterError
@@ -182,6 +185,39 @@ class TestProtocolConfigs:
         cfg, _ = bench_config("--config", str(self.CONFIG_DIR / name), "--dataset", "faces")
         assert cfg == experiment.ExperimentConfig(dataset="faces", **self.PROTOCOLS[name])
 
+    @pytest.mark.parametrize(
+        "command, name, mode, failing",
+        [
+            ("sweep", "synthetic.cfg", "unilateral", {"2D-LDA-R"}),
+            ("sweep", "synthetic.cfg", "bilateral", {"2D-LDA-R"}),
+            ("bench", "orl.cfg", "unilateral", {"2D-LDA-R"}),
+            ("bench", "repulsion.cfg", "unilateral", {"2D-LDA-R", "LDA-R"}),
+        ],
+        ids=["synthetic-uni", "synthetic-bi", "orl", "repulsion"],
+    )
+    def test_protocol_runs_at_one_small_cell(self, tmp_path, synthetic_dir, capsys, command, name, mode, failing):
+        # at 4 training images per class every 2D-LDA-R cell fails (ROADMAP
+        # item 2), and so does vector LDA-R's; every other method reports
+        out = tmp_path / "res"
+        code = run_cli(
+            command,
+            "--config", str(self.CONFIG_DIR / name),
+            "--dataset", str(synthetic_dir),
+            "--mode", mode,
+            "--train-per-class", "4",
+            "--realizations", "1",
+            "--dims", "2",
+            "--out", str(out),
+        )
+        assert code == 3
+        methods = self.PROTOCOLS[name]["methods"]
+        assert sorted(row.method for row in parse_result_csv(out / "results.csv")) == sorted(methods)
+        if command == "sweep":
+            assert sorted(p.name for p in (out / "plotdata").iterdir()) == sorted(f"{m}_{mode}.dat" for m in methods)
+        named = {re.match(r"numerical failure: no realization of (\S+) ", line)[1]
+                 for line in capsys.readouterr().err.splitlines()}
+        assert named == failing
+
 
 class TestOneReaderPerOption:
     # a non-default text for every option, and the value it reads as
@@ -243,8 +279,11 @@ class TestBenchAndSweep:
         text = (out / "results.csv").read_text()
         assert text.splitlines()[0] == CSV_HEADER
         assert len(text.splitlines()) == 1 + 4
+        assert "nan" not in text
         meta = json.loads((out / "results.meta.json").read_text())
         assert meta["config"]["realizations"] == 2
+        # a serial run without a reconstruction-weight method takes one thread
+        assert all(v["during"] == 1 for v in meta["execution"]["blas_threads"].values())
         assert not (out / "plotdata").exists()
 
     def test_pooled_bench_records_blas_threads(self, tmp_path, synthetic_dir):
@@ -261,6 +300,9 @@ class TestBenchAndSweep:
             "--out", str(out),
         )
         assert code == 0
+        text = (out / "results.csv").read_text()
+        assert len(text.splitlines()) == 1 + 4
+        assert "nan" not in text
         execution = json.loads((out / "results.meta.json").read_text())["execution"]
         assert execution["jobs"] == 2
         assert execution["usable_cpus"] == usable_cpus()
@@ -311,6 +353,67 @@ class TestBenchAndSweep:
         series = out / "plotdata" / "2D-PCA_unilateral.dat"
         assert series.exists()
         assert len(series.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("mode", ["uni", "bi"])
+    def test_pre_dims_bench_runs_every_coupling(self, tmp_path, synthetic_dir, mode):
+        # 2D-LPP and 2D-OLPP-R fit after the 2D-PCA pre-compression, GLRAM
+        # (with its own coupling) and 2D-PCA on the raw images
+        out = tmp_path / "res"
+        code = run_cli(
+            "bench",
+            "--dataset", str(synthetic_dir),
+            "--method", "GLRAM,2D-PCA,2D-LPP,2D-OLPP-R",
+            "--mode", mode,
+            "--dims", "2,3",
+            "--pre-dims", "6,6",
+            "--train-per-class", "4",
+            "--realizations", "2",
+            "--out", str(out),
+        )
+        assert code == 0
+        text = (out / "results.csv").read_text()
+        assert len(text.splitlines()) == 1 + 8
+        assert "nan" not in text
+
+    def test_single_pass_bench_reports_every_dimension(self, tmp_path, synthetic_dir):
+        # bilateral 2D-LDA-R at 8 training images per class: its row pencil
+        # is built in one cell and reused by the later dimensions
+        out = tmp_path / "res"
+        code = run_cli(
+            "bench",
+            "--dataset", str(synthetic_dir),
+            "--method", "2D-LDA-R",
+            "--mode", "bi",
+            "--dims", "1,2,3",
+            "--train-per-class", "8",
+            "--realizations", "3",
+            "--out", str(out),
+        )
+        assert code == 0
+        text = (out / "results.csv").read_text()
+        assert len(text.splitlines()) == 1 + 3
+        assert "nan" not in text
+
+    def test_large_n_bench(self, tmp_path):
+        # 150 training images per class of synthetic_confusable(300) build
+        # every coupling at n = 600; the error values are not checked, as
+        # another BLAS may round them differently
+        root = tmp_path / "large"
+        write_dataset_pgm(synthetic_confusable(300), root)
+        out = tmp_path / "res"
+        code = run_cli(
+            "bench",
+            "--dataset", str(root),
+            "--method", "2D-OLPP-R,2D-ONPP-R,2D-LDA-R",
+            "--dims", "2,4",
+            "--train-per-class", "150",
+            "--realizations", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        text = (out / "results.csv").read_text()
+        assert len(text.splitlines()) == 1 + 6
+        assert "nan" not in text
 
     def test_determinism_modulo_timing(self, tmp_path, synthetic_dir):
         outs = []
@@ -428,6 +531,77 @@ class TestFitEval:
         assert arrays["col_basis"].shape == (8, 3)
         meta = json.loads((out / "projector.json").read_text())
         assert meta["method"] == "2D-OLPP" and meta["dimension"] == 3
+        assert meta["sides"] == "bilateral"
+
+    @pytest.mark.parametrize(
+        "mode, extra, sides, row_side",
+        [("uni", (), "right_only", 8), ("bi", ("--pre-dims", "6,6"), "bilateral", 2)],
+        ids=["unilateral", "bilateral-pre-dims"],
+    )
+    def test_fit_records_the_solved_sides(self, tmp_path, synthetic_dir, mode, extra, sides, row_side):
+        # a pre-compressed fit saves its bases composed back to the 8x8 images
+        out = tmp_path / "fit"
+        code = run_cli(
+            "fit",
+            "--dataset", str(synthetic_dir),
+            "--method", "2D-LPP",
+            "--mode", mode,
+            "--dims", "2",
+            "--train-per-class", "4",
+            *extra,
+            "--out", str(out),
+        )
+        assert code == 0
+        arrays = np.load(out / "projector.npz")
+        assert arrays["row_basis"].shape == (8, row_side)
+        assert arrays["col_basis"].shape == (8, 2)
+        assert json.loads((out / "projector.json").read_text())["sides"] == sides
+
+    def test_single_pass_fit_saves_both_objectives(self, tmp_path, synthetic_dir):
+        # at 8 training images per class 2D-LDA-R's column solve passes at
+        # d = 1, so its single pass also builds its deferred row pencil
+        out = tmp_path / "fit"
+        code = run_cli(
+            "fit",
+            "--dataset", str(synthetic_dir),
+            "--method", "2D-LDA-R",
+            "--mode", "bi",
+            "--dims", "1",
+            "--train-per-class", "8",
+            "--out", str(out),
+        )
+        assert code == 0
+        meta = json.loads((out / "projector.json").read_text())
+        assert meta["sides"] == "bilateral"
+        assert len(meta["objectives"]) == 2
+
+    def test_fit_records_no_beta_for_a_method_without_repulsion(self, tmp_path, synthetic_dir):
+        out = tmp_path / "fit"
+        code = run_cli(
+            "fit",
+            "--dataset", str(synthetic_dir),
+            "--method", "2D-PCA",
+            "--beta", "0.3",
+            "--dims", "2",
+            "--train-per-class", "4",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "projector.json").read_text())["beta"] == 0.0
+
+    def test_eval_prints_the_error_of_the_bench_row(self, tmp_path, synthetic_dir, capsys):
+        # unilateral 2D-LDA-R's ridge-repaired pencil sits at the edge of the
+        # eigensolver's contract; bench takes each d from one solve for
+        # d = 6, eval solves for d alone, and both print the same error
+        common = ("--dataset", str(synthetic_dir), "--method", "2D-LDA-R", "--train-per-class", "8")
+        out = tmp_path / "res"
+        assert run_cli("bench", *common, "--dims", "1,2,3,6", "--realizations", "1", "--out", str(out)) == 0
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()]
+        errors = {row[2]: row[3] for row in rows}
+        capsys.readouterr()
+        for d in ("1", "2", "3"):
+            assert run_cli("eval", *common, "--dims", d) == 0
+            assert capsys.readouterr().out.startswith(f"2D-LDA-R unilateral d={d} error={errors[d]} ")
 
 
     def test_fit_honours_pre_dims_and_matches_eval(self, tmp_path, synthetic_dir, monkeypatch):
@@ -632,6 +806,35 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("numerical failure: no realization of LDA-R vector d=2 survived: ")
 
+    def test_one_class_tree_fails_only_the_discriminant(self, tmp_path, synthetic_ds, capsys):
+        # one class leaves 2D-LDA no between-class scatter to maximize, while
+        # 2D-PCA still reports
+        one = synthetic_ds.labels == 0
+        root = tmp_path / "one"
+        write_dataset_pgm(
+            ImageDataset("one-class", synthetic_ds.images[one], synthetic_ds.labels[one], synthetic_ds.class_names[:1]),
+            root,
+        )
+        out = tmp_path / "res"
+        code = run_cli(
+            "bench",
+            "--dataset", str(root),
+            "--method", "2D-PCA,2D-LDA",
+            "--dims", "2",
+            "--train-per-class", "4",
+            "--realizations", "1",
+            "--out", str(out),
+        )
+        assert code == 3
+        rows = parse_result_csv(out / "results.csv")
+        assert sorted((r.method, r.mode, r.dimension, np.isnan(r.mean_error)) for r in rows) == [
+            ("2D-LDA", "unilateral", 2, True),
+            ("2D-PCA", "unilateral", 2, False),
+        ]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.match(r"numerical failure: .* of 2D-LDA .*RankError", lines[0])
+
     def test_numerical_error_exit_code(self, synthetic_dir):
         # one training image per class makes every discriminant fit abort
         code = run_cli(
@@ -741,3 +944,27 @@ def test_fit_records_ridge_shift(tmp_path, blank_column_dir, method, repaired):
     assert code == 0
     shift = json.loads((out / "projector.json").read_text())["ridge_shift"]
     assert shift > 0.0 if repaired else shift == 0.0
+
+
+def test_console_script(tmp_path, synthetic_dir):
+    # the installed [project.scripts] entry point (the module when the
+    # package is not installed): its exit codes and stderr prefixes, and no
+    # traceback on the way out
+    script = shutil.which("repel2d")
+    command = [script] if script else [sys.executable, "-m", "repel2d.cli"]
+
+    def bench(out, *argv):
+        common = ("--dataset", str(synthetic_dir), "--dims", "2", "--realizations", "1", "--out", str(out))
+        result = subprocess.run([*command, "bench", *common, *argv], capture_output=True, text=True)
+        assert "Traceback" not in result.stderr
+        return result
+
+    ok = bench(tmp_path / "ok", "--method", "2D-PCA", "--train-per-class", "4")
+    assert ok.returncode == 0, ok.stderr
+    rows = parse_result_csv(tmp_path / "ok" / "results.csv")
+    assert [(r.method, r.dimension) for r in rows] == [("2D-PCA", 2)] and not np.isnan(rows[0].mean_error)
+    usage = bench(tmp_path / "usage", "--method", "2D-PCA", "--train-per-class", "4", "--seed", "-1")
+    assert usage.returncode == 1 and usage.stderr.startswith("usage error: ")
+    assert not (tmp_path / "usage").exists()
+    failure = bench(tmp_path / "failure", "--method", "2D-LDA", "--train-per-class", "1")
+    assert failure.returncode == 3 and failure.stderr.startswith("numerical failure: ")

@@ -190,6 +190,17 @@ class TestFit1d:
         assert np.linalg.norm(basis.T @ b @ basis - np.eye(2)) <= 1e-8
 
 
+@pytest.mark.parametrize("method", [m for m in METHOD_NAMES_1D if m != "PCA"])
+def test_vector_pencil_stops_one_below_the_pre_dimension(method):
+    # m features after the PCA pre-compression leave at most m - 1 directions
+    data, labels = make_ds(8, m=12, n=18, classes=3)
+    m = 8
+    pencil = vector_pencil(data, labels, method, pca_predim=m)
+    assert pencil.max_dim == m - 1
+    with pytest.raises(ParameterError, match=rf"dimension must be in \[1, {m - 1}\], got {m}"):
+        solve_pencil(pencil, (1,))(m)
+
+
 def objective_1d(ds, method, u, bandwidth=1.5):
     x, labels = ds
     g = graphs.build_label_graph(labels)

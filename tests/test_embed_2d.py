@@ -131,6 +131,25 @@ class TestMethodMatrices:
         assert spec.max_coupling is None
         assert spec.bandwidth == pytest.approx(t)
 
+    def test_coincident_label_edges_give_the_unit_bandwidth(self):
+        # every label edge joins coincident points, so the mean squared edge
+        # distance is 0 and the bandwidth falls back to 1.0; at knn = 5 every
+        # pair across the two classes is a repulsion edge of weight exp(-d2)
+        images = np.zeros((6, 2, 2))
+        images[3:, 0, 0] = 0.5  # squared distance 0.25 across the classes
+        labels = np.repeat([0, 1], 3)
+        spec = method_matrices("2D-OLPP-R", images, labels, knn=5, beta=0.5)
+        assert spec.bandwidth == 1.0
+        same = labels[:, None] == labels[None, :]
+        label_weights = same - np.eye(6)
+        repulsion_weights = np.where(same, 0.0, np.exp(-0.25 / 1.0))
+
+        def laplacian(w):
+            return np.diag(w.sum(axis=1)) - w
+
+        expected = laplacian(label_weights) - 0.5 * laplacian(repulsion_weights)
+        np.testing.assert_allclose(spec.min_coupling, expected, rtol=0, atol=1e-15)
+
     def test_beta_zero_degenerates_to_base(self):
         images, labels = toy_dataset(4, n=15)
         for name in ("2D-NPP-R", "2D-OLPP-R", "2D-LPP-R", "2D-ONPP-R", "2D-LDA-R"):
@@ -656,6 +675,23 @@ class TestFitDiscriminant:
         pair, _ = fit_method(images, spec, 2, 2)
         np.testing.assert_array_equal(pair_r.row_basis, pair.row_basis)
         np.testing.assert_array_equal(pair_r.col_basis, pair.col_basis)
+
+    @pytest.mark.parametrize("mode", ["unilateral", "bilateral"])
+    def test_beta_does_not_reach_lda(self, mode):
+        # 2D-LDA drops a given beta, so it keeps its own pencil (unilateral)
+        # and its alternation (bilateral), not 2D-LDA-R's single pass
+        images, labels = toy_dataset(0)
+        given = method_matrices("2D-LDA", images, labels, beta=0.3)
+        default = method_matrices("2D-LDA", images, labels)
+        assert given.beta == default.beta == 0.0
+
+        def fit(spec):
+            return fit_unilateral(images, spec, "right", 2) if mode == "unilateral" else fit_method(images, spec, 2, 2)
+
+        (pair, trace), (pair_default, trace_default) = fit(given), fit(default)
+        assert_bitwise(pair.row_basis, pair_default.row_basis)
+        assert_bitwise(pair.col_basis, pair_default.col_basis)
+        assert trace == trace_default
 
     def test_repulsion_single_independent_iteration(self):
         images, labels = toy_dataset(24, n=18, noise=1.0)

@@ -7,11 +7,9 @@ from _oracles import (
     Tensor3,
     Tensor4,
     contracted_product_33,
-    dematricize,
     frobenius_norm,
     inner_product,
     matricize,
-    matricize4_paired,
     mode_product,
     tensor_trace,
 )
@@ -240,15 +238,6 @@ class TestMatricize:
                 for k in range(K):
                     assert m3[k, i + j * I] == a[i, j, k]
 
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    @pytest.mark.parametrize("ordering", ["forward", "backward"])
-    def test_round_trip(self, mode, ordering):
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(3, 4, 2))
-        mat = matricize(Tensor3(a), mode, ordering)
-        back = dematricize(mat, (3, 4, 2), mode, ordering)
-        np.testing.assert_array_equal(back.data, a)
-
     def test_forward_index_maps_all_modes(self):
         rng = np.random.default_rng(14)
         a = rng.normal(size=(2, 3, 4))
@@ -278,28 +267,6 @@ class TestMatricize:
                     assert m3[k, j + i * J] == a[i, j, k]
 
 
-class TestMatricize4:
-    def test_scalar(self):
-        b = Tensor4(np.full((1, 1, 1, 1), 3.0))
-        np.testing.assert_array_equal(matricize4_paired(b), [[3.0]])
-
-    def test_trace_equality(self):
-        rng = np.random.default_rng(16)
-        b = Tensor4(rng.normal(size=(3, 2, 3, 2)))
-        assert np.trace(matricize4_paired(b)) == pytest.approx(tensor_trace(b), rel=1e-12)
-
-    def test_index_map(self):
-        rng = np.random.default_rng(17)
-        arr = rng.normal(size=(2, 3, 2, 3))
-        mat = matricize4_paired(Tensor4(arr))
-        I, J, K, H = arr.shape
-        for i in range(I):
-            for j in range(J):
-                for k in range(K):
-                    for h in range(H):
-                        assert mat[i + j * I, k + h * K] == arr[i, j, k, h]
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_tensors())
 def test_property_trace_norm_identity(arr):
@@ -321,16 +288,6 @@ def test_property_same_mode_products_compose(arr, seed):
         chained = mode_product(mode_product(t, m, mode), n, mode)
         direct = mode_product(t, n @ m, mode)
         np.testing.assert_allclose(chained.data, direct.data, rtol=1e-12, atol=1e-12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_tensors(max_side=3))
-def test_property_matricize_bijection(arr):
-    t = Tensor3(arr)
-    for mode in (1, 2, 3):
-        for ordering in ("forward", "backward"):
-            back = dematricize(matricize(t, mode, ordering), arr.shape, mode, ordering)
-            np.testing.assert_array_equal(back.data, arr)
 
 
 @settings(max_examples=40, deadline=None)
