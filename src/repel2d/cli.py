@@ -162,7 +162,7 @@ def _one_cell(cfg: experiment.ExperimentConfig, command: str) -> tuple[str, int]
 
 def _cmd_fit(cfg: experiment.ExperimentConfig, out: Path) -> int:
     method, d = _one_cell(cfg, "fit")
-    if method not in embed_2d.METHOD_NAMES_2D:
+    if method in embed_2d.METHODS and not embed_2d.METHODS[method].matrix:
         raise ParameterError(f"fit saves matrix-method projectors; got {method!r}")
     with experiment.session(cfg) as (ds, _):
         unit = experiment.fit_unit(cfg, ds, method, 0)

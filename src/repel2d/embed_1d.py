@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import graphs
-from .embed_2d import DEFAULT_KNN, Pencil, _solver_sides, default_beta, method_matrices, solve_pencil
+from .embed_2d import DEFAULT_KNN, METHODS, Pencil, _solver_sides, method_matrices, solve_pencil
 from .errors import ParameterError, ShapeError
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "auto_predim",
 ]
 
-METHOD_NAMES_1D = ("PCA", "LDA", "LPP", "OLPP", "NPP", "ONPP", "LDA-R", "OLPP-R", "ONPP-R")
+METHOD_NAMES_1D = tuple(name for name, method in METHODS.items() if not method.matrix)
 
 
 def scatter_matrices(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +87,7 @@ def vector_pencil(
 
     ``knn``, ``bandwidth`` and ``beta`` are the repulsion-graph neighbor
     count, the Gaussian bandwidth (data-driven when omitted) and the
-    repulsion strength (0.5 by default, 0.2 for LDA-R).  A set
+    repulsion strength (the row's default in ``METHODS`` when omitted).  A set
     ``pca_predim`` first compresses with PCA to that many dimensions
     (``"auto"`` selects ``min(n - c, m)``, see :func:`auto_predim`); the
     target dimension then counts dimensions after the compression, and
@@ -99,7 +99,8 @@ def vector_pencil(
         raise ShapeError(f"need an (m, n) data matrix and one label per column, got {x.shape} and {labels.shape}")
     if method not in METHOD_NAMES_1D:
         raise ParameterError(f"unknown method name {method!r}")
-    if method == "PCA":
+    row = METHODS[method]
+    if row.base == "2D-PCA":
         return _pca_pencil(x)
 
     pre = None
@@ -109,20 +110,20 @@ def vector_pencil(
         x = pre.T @ x
 
     m, n = x.shape
-    if method in ("LDA", "LDA-R"):
+    if row.base == "2D-LDA":
         # the scatter sums stand in for x S x^T and x (J - S) x^T: the same
         # matrices, summed in an order whose rounding the results rest on
         sw, sb = scatter_matrices(x, labels)
-        if method == "LDA-R":
+        if row.beta != 0.0:
             label_graph = graphs.build_label_graph(labels)
             sq_dist = graphs.sq_distances(x.T)
             if bandwidth is None:
                 bandwidth = graphs.default_bandwidth(label_graph, sq_dist)
             rep = graphs.repulsion_laplacian(label_graph, sq_dist, knn, bandwidth)
-            sw = sw - (default_beta(method) if beta is None else beta) * (x @ rep @ x.T)
+            sw = sw - (row.beta if beta is None else beta) * (x @ rep @ x.T)
         return Pencil(sb, sw, "top", m - 1, pre)
 
-    spec = method_matrices("2D-" + method, x.T, labels, knn=knn, beta=beta, bandwidth=bandwidth)
+    spec = method_matrices(method, x.T, labels, knn=knn, beta=beta, bandwidth=bandwidth)
     lhs, rhs, which = _solver_sides(spec, n)
     return Pencil(x @ lhs @ x.T, None if rhs is None else x @ rhs @ x.T, which, m - 1, pre)
 

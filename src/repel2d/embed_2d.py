@@ -38,10 +38,11 @@ __all__ = [
     "ProjectorPair",
     "FitTrace",
     "Pencil",
+    "Method",
+    "METHODS",
     "METHOD_NAMES_2D",
     "centering_matrix",
     "lda_weight_matrix",
-    "default_beta",
     "method_matrices",
     "solve_pencil",
     "unilateral_pencil",
@@ -56,18 +57,48 @@ DEFAULT_KNN = 6
 DEFAULT_MAX_ITER = 5
 DEFAULT_TOL = 1e-6
 
-# method name -> which end of its eigenproblem it keeps (see MethodSpec)
-_METHOD_TABLE = {
-    "GLRAM": "top",
-    "2D-PCA": "top",
-    "2D-OLPP": "bottom",
-    "2D-LPP": "bottom",
-    "2D-ONPP": "bottom",
-    "2D-NPP": "bottom",
-    "2D-LDA": "top",
+@dataclass(frozen=True)
+class Method:
+    """A row of :data:`METHODS`, all that a method name means: ``base``, the
+    2D method whose couplings it builds; ``matrix``, whether it fits image
+    matrices (else vectors); ``which`` (see :class:`MethodSpec`); ``beta``,
+    its default repulsion (0.0: none); ``pre_compressed``, whether it fits
+    on a PCA pre-compression; ``weights``, its label-graph weights, if any
+    (``"gaussian"`` or ``"reconstruction"``)."""
+
+    base: str
+    matrix: bool
+    which: str
+    beta: float = 0.0
+    pre_compressed: bool = True
+    weights: str | None = None
+
+
+METHODS = {
+    "GLRAM": Method("GLRAM", True, "top", pre_compressed=False),
+    "2D-PCA": Method("2D-PCA", True, "top", pre_compressed=False),
+    "2D-OLPP": Method("2D-OLPP", True, "bottom", weights="gaussian"),
+    "2D-LPP": Method("2D-LPP", True, "bottom", weights="gaussian"),
+    "2D-ONPP": Method("2D-ONPP", True, "bottom", weights="reconstruction"),
+    "2D-NPP": Method("2D-NPP", True, "bottom", weights="reconstruction"),
+    "2D-LDA": Method("2D-LDA", True, "top"),
+    "2D-OLPP-R": Method("2D-OLPP", True, "bottom", 0.5, weights="gaussian"),
+    "2D-LPP-R": Method("2D-LPP", True, "bottom", 0.5, weights="gaussian"),
+    "2D-ONPP-R": Method("2D-ONPP", True, "bottom", 0.5, weights="reconstruction"),
+    "2D-NPP-R": Method("2D-NPP", True, "bottom", 0.5, weights="reconstruction"),
+    "2D-LDA-R": Method("2D-LDA", True, "top", 0.2),
+    "PCA": Method("2D-PCA", False, "top", pre_compressed=False),
+    "LDA": Method("2D-LDA", False, "top"),
+    "LPP": Method("2D-LPP", False, "bottom", weights="gaussian"),
+    "OLPP": Method("2D-OLPP", False, "bottom", weights="gaussian"),
+    "NPP": Method("2D-NPP", False, "bottom", weights="reconstruction"),
+    "ONPP": Method("2D-ONPP", False, "bottom", weights="reconstruction"),
+    "LDA-R": Method("2D-LDA", False, "top", 0.2),
+    "OLPP-R": Method("2D-OLPP", False, "bottom", 0.5, weights="gaussian"),
+    "ONPP-R": Method("2D-ONPP", False, "bottom", 0.5, weights="reconstruction"),
 }
 
-METHOD_NAMES_2D = tuple(_METHOD_TABLE) + tuple(f"{m}-R" for m in _METHOD_TABLE if m not in ("GLRAM", "2D-PCA"))
+METHOD_NAMES_2D = tuple(name for name, method in METHODS.items() if method.matrix)
 
 
 def _image_stack(x) -> np.ndarray:
@@ -166,15 +197,6 @@ def lda_weight_matrix(labels) -> tuple[np.ndarray, np.ndarray]:
     return w, s
 
 
-def default_beta(name: str) -> float:
-    """Repulsion strength defaults, alike for a 2D method and its vector
-    counterpart: modest for the discriminant variant, 0.5 elsewhere, 0 for
-    methods without repulsion."""
-    if not name.endswith("-R"):
-        return 0.0
-    return 0.2 if name.removeprefix("2D-") == "LDA-R" else 0.5
-
-
 def method_matrices(
     name: str,
     samples,
@@ -184,7 +206,8 @@ def method_matrices(
     beta: float | None = None,
     bandwidth: float | None = None,
 ) -> MethodSpec:
-    """Resolve a method name to its coupling matrices for ``samples``, any
+    """Resolve a method name (a vector one to its ``base``'s, see
+    :data:`METHODS`) to its coupling matrices for ``samples``, any
     ``(n, ...)`` array, with one class label per sample.
 
     Graph-based methods build their weights from the supervised label
@@ -194,7 +217,7 @@ def method_matrices(
     samples, each flattened column-major, take the edges that join
     different classes, weight them with the same Gaussian bandwidth, and
     subtract ``beta`` times the resulting Laplacian from the minimized
-    coupling; a method without ``-R`` ignores ``beta`` and records 0.0.
+    coupling; a method without repulsion ignores ``beta`` and records 0.0.
     A single bandwidth (given, or the mean squared label-edge distance) is
     used throughout, and the squared distances between the flattened
     samples are computed once for all of these graph pieces.
@@ -211,28 +234,28 @@ def method_matrices(
     n = np.shape(samples)[0]
     if labels.shape != (n,):
         raise ShapeError(f"need one label per sample: {labels.shape} labels for {n} samples")
-    repulsion = name.endswith("-R")
-    base = name[:-2] if repulsion else name
-    if base not in _METHOD_TABLE or (repulsion and base in ("GLRAM", "2D-PCA")):
+    method = METHODS.get(name)
+    if method is None:
         raise ParameterError(f"unknown method name {name!r}")
-    if beta is None or not repulsion:
-        beta = default_beta(name)
+    base = method.base
+    if beta is None or method.beta == 0.0:
+        beta = method.beta
     repel = beta != 0.0
     min_coupling: np.ndarray | None = None
     max_coupling: np.ndarray | None = None
     repulsion_lap: np.ndarray | None = None
     # only the graph methods and active repulsion need the label graph, and
     # only Gaussian weights need the distances and the bandwidth
-    if base not in ("GLRAM", "2D-PCA", "2D-LDA") or repel:
+    if method.weights is not None or repel:
         points = np.reshape(samples, (n, -1), order="F")
         label_graph = graphs.build_label_graph(labels)
-        if base in ("2D-OLPP", "2D-LPP") or repel:
+        if method.weights == "gaussian" or repel:
             sq_dist = graphs.sq_distances(points)
             if bandwidth is None:
                 bandwidth = graphs.default_bandwidth(label_graph, sq_dist)
             if repel:
                 repulsion_lap = graphs.repulsion_laplacian(label_graph, sq_dist, knn, bandwidth)
-            if base in ("2D-OLPP", "2D-LPP"):
+            if method.weights == "gaussian":
                 min_coupling = graphs.gaussian_weights(label_graph, sq_dist, bandwidth)
             del sq_dist
 
@@ -263,7 +286,7 @@ def method_matrices(
         name=name,
         min_coupling=min_coupling,
         max_coupling=max_coupling,
-        which=_METHOD_TABLE[base],
+        which=method.which,
         beta=float(beta),
         bandwidth=bandwidth,
     )

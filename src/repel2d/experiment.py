@@ -150,9 +150,8 @@ class ResultTable:
 
 
 def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
-    known = set(embed_2d.METHOD_NAMES_2D) | set(embed_1d.METHOD_NAMES_1D)
     for i, name in enumerate(cfg.methods):
-        if name not in known:
+        if name not in embed_2d.METHODS:
             raise ParameterError(f"unknown method {name!r}")
         if name in cfg.methods[:i]:
             raise ParameterError(f"method {name!r} is named twice")
@@ -164,7 +163,7 @@ def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
     check_train_count(ds, cfg.train_per_class)
     classes = len(ds.class_names)
     n_train = cfg.train_per_class * classes
-    if cfg.knn >= n_train and any(name.endswith("-R") for name in cfg.methods):
+    if cfg.knn >= n_train and any(embed_2d.METHODS[name].beta != 0.0 for name in cfg.methods):
         raise ParameterError(f"knn {cfg.knn} must be below the training-set size {n_train}")
     # the PCA pre-dimension every vector method but PCA fits in
     predim = embed_1d.auto_predim(n_train, classes, m1 * m2)
@@ -174,23 +173,18 @@ def _validate_config(cfg: ExperimentConfig, ds: ImageDataset):
         if d in cfg.dims[:i]:
             raise ParameterError(f"dimension {d} is named twice")
         for name in cfg.methods:
-            if name in embed_2d.METHOD_NAMES_2D:
-                side1, side2 = cfg.pre_dims if _pre_compressed(cfg, name) else (m1, m2)
+            method = embed_2d.METHODS[name]
+            if method.matrix:
+                side1, side2 = cfg.pre_dims if cfg.pre_dims is not None and method.pre_compressed else (m1, m2)
                 limit = side2 if cfg.mode == "unilateral" else min(side1, side2)
                 if d > limit:
                     raise ParameterError(f"dimension {d} exceeds image side limit {limit}")
-            elif name != "PCA" and d >= predim:
+            elif method.pre_compressed and d >= predim:
                 raise ParameterError(f"{name} dimension {d} must be below the PCA pre-dimension {predim}")
 
 
 def _is_2d(name: str) -> bool:
     return name in embed_2d.METHOD_NAMES_2D
-
-
-def _pre_compressed(cfg: ExperimentConfig, method: str) -> bool:
-    """Whether a matrix method fits on the ``pre_dims`` 2D-PCA compression:
-    every one does when ``pre_dims`` is set, except GLRAM and 2D-PCA."""
-    return cfg.pre_dims is not None and method not in ("GLRAM", "2D-PCA")
 
 
 # Failures recorded against a cell instead of aborting the run.
@@ -238,7 +232,7 @@ def _prepare(cfg: ExperimentConfig, method: str, samples: np.ndarray, labels: np
         )
         return None, embed_2d.solve_pencil(pencil, cfg.dims)
     pre_pair = None
-    if _pre_compressed(cfg, method):
+    if cfg.pre_dims is not None and embed_2d.METHODS[method].pre_compressed:
         samples, pre_pair = embed_2d.pre_process_2dpca(samples, cfg.pre_dims, cfg.max_iter)
     spec = embed_2d.method_matrices(method, samples, labels, knn=cfg.knn, beta=cfg.beta, bandwidth=cfg.bandwidth)
     if cfg.mode == "unilateral":
@@ -442,12 +436,13 @@ def _blas_thread_limit(cfg: ExperimentConfig) -> int | None:
     CPUs // jobs)`` threads each.  A serial run takes one thread, since
     these fits are too small to gain from a second one, unless it fits a
     reconstruction-weight method (2D-NPP, 2D-ONPP, NPP, ONPP, with or
-    without ``-R``): the bits of its LLE weights, and of vector ONPP-R's
-    pencil, depend on the thread count, so such a run keeps the default.
+    without ``-R``; its ``weights`` in ``embed_2d.METHODS``): the bits of
+    its LLE weights, and of vector ONPP-R's pencil, depend on the thread
+    count, so such a run keeps the default.
     """
     if cfg.jobs > 1:
         return max(1, usable_cpus() // cfg.jobs)
-    if any(name.removeprefix("2D-").removesuffix("-R") in ("NPP", "ONPP") for name in cfg.methods):
+    if any(embed_2d.METHODS[name].weights == "reconstruction" for name in cfg.methods):
         return None
     return 1
 

@@ -51,6 +51,7 @@ from repel2d.datasets import matrix_dataset, split_dataset, vector_dataset
 from repel2d.embed_1d import vector_pencil
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
+    METHODS,
     FitTrace,
     ProjectorPair,
     _check_coupling,
@@ -58,7 +59,6 @@ from repel2d.embed_2d import (
     _discriminant_repulsion,
     _image_stack,
     _sym,
-    default_beta,
     lda_weight_matrix,
     method_matrices,
     solve_pencil,
@@ -527,7 +527,7 @@ def coupling_oracle(name, samples, labels, knn=6, beta=None, bandwidth=None):
     n = labels.size
     repulsion = name.endswith("-R")
     base = name[:-2] if repulsion else name
-    beta = default_beta(name) if beta is None else beta
+    beta = METHODS[name].beta if beta is None else beta
     points = np.reshape(samples, (n, -1), order="F")
     label_graph = graphs.build_label_graph(labels)
     sq_dist = graphs.sq_distances(points)

@@ -3,7 +3,9 @@ the functions and classes that the module defines without a leading
 underscore, so a name left behind by a deletion, or a new public
 definition left out of ``__all__``, fails here.  ``spectral`` is the
 one eigensolver chokepoint: no other module imports scipy or calls an
-eigensolver.  And ``cli`` reads no private name of another module."""
+eigensolver.  ``cli`` reads no private name of another module.  And
+``experiment`` and ``cli`` ask ``embed_2d.METHODS`` what a method name
+means instead of parsing it or comparing it with a literal name."""
 
 import ast
 import importlib
@@ -11,6 +13,7 @@ import inspect
 import pkgutil
 
 import repel2d
+from repel2d.embed_2d import METHODS
 
 
 def test_all_lists_exactly_the_public_definitions():
@@ -59,7 +62,6 @@ def test_eigensolves_stay_in_spectral():
     assert problems == []
 
 
-
 def test_cli_reads_only_public_names_of_other_modules():
     path = importlib.import_module("repel2d.cli").__file__
     with open(path, encoding="utf-8") as fh:
@@ -72,4 +74,31 @@ def test_cli_reads_only_public_names_of_other_modules():
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
             if node.attr.startswith("_"):
                 problems.append(f"cli:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert problems == []
+
+
+NAME_PARSERS = {"endswith", "removeprefix", "removesuffix"}
+NAME_TESTS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def _method_literals(node) -> bool:
+    """Whether ``node`` is a string literal naming a method, or a tuple,
+    list or set of such literals."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(_method_literals(elt) for elt in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in METHODS
+
+
+def test_experiment_and_cli_read_method_names_from_the_table():
+    problems = []
+    for name in ("experiment", "cli"):
+        path = importlib.import_module(f"repel2d.{name}").__file__
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in NAME_PARSERS:
+                problems.append(f"{name}:{node.lineno} calls {node.func.attr}")
+            elif isinstance(node, ast.Compare) and any(isinstance(op, NAME_TESTS) for op in node.ops):
+                if any(_method_literals(operand) for operand in [node.left, *node.comparators]):
+                    problems.append(f"{name}:{node.lineno} compares with a method name")
     assert problems == []

@@ -498,8 +498,9 @@ class TestFitEval:
         [
             (("eval", "bench"), "LPP", "60", "LPP dimension 60 must be below the PCA pre-dimension 12"),
             (("fit", "eval", "bench"), "2D-OLPP", "9", "dimension 9 exceeds image side limit 8"),
+            (("fit", "eval", "bench"), "3D-PCA", "2", "unknown method '3D-PCA'"),
         ],
-        ids=["vector-predim", "image-side"],
+        ids=["vector-predim", "image-side", "unknown-method"],
     )
     def test_fit_and_eval_check_the_config_as_bench_does(
         self, tmp_path, synthetic_dir, capsys, commands, method, dims, message

@@ -86,6 +86,19 @@ class TestPca:
         np.testing.assert_allclose(overlap, np.ones(3), atol=1e-8)
         assert np.linalg.norm(basis.T @ basis - np.eye(3)) < 1e-10
 
+    def test_gram_lift_keeps_a_direction_of_relative_variance_1e_9(self):
+        # 6 centered samples in 20-d: variances 16, 4 and 1.6e-8 along
+        # three axes, so the third sits 1e-9 below the first, well above
+        # the lift's rank threshold of 1e-12
+        coords = np.array(
+            [[2.0, -2.0, 2.0, -2.0, 0.0, 0.0], [1.0, 1.0, -1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, -1.0]]
+        )
+        coords[2] *= np.sqrt(8e-9)
+        x = np.eye(20)[:, :3] @ coords + 0.5
+        basis, trace = fit_1d(x, np.arange(6), "PCA", 3)
+        np.testing.assert_allclose(trace.objectives, [16.0 + 4.0 + 1.6e-8], rtol=1e-12)
+        np.testing.assert_allclose(np.abs(basis), np.eye(20)[:, :3], atol=1e-6)
+
 
 class TestFit1d:
     @pytest.mark.parametrize("method", METHOD_NAMES_1D)

@@ -26,7 +26,9 @@ from repel2d import embed_2d, graphs
 from repel2d.datasets import matrix_dataset, split_dataset, synthetic_confusable
 from repel2d.embed_2d import (
     METHOD_NAMES_2D,
+    METHODS,
     _check_coupling,
+    _converged,
     _side_matrix,
     _solver_sides,
     _discriminant_pencil,
@@ -34,7 +36,6 @@ from repel2d.embed_2d import (
     ProjectorPair,
     centering_matrix,
     compose_pairs,
-    default_beta,
     fit_method,
     lda_weight_matrix,
     method_matrices,
@@ -163,10 +164,10 @@ class TestMethodMatrices:
             assert r_spec.which == b_spec.which
 
     def test_default_betas(self):
-        assert default_beta("2D-LDA-R") == 0.2
-        assert default_beta("LDA-R") == 0.2
-        assert default_beta("2D-OLPP-R") == 0.5
-        assert default_beta("2D-PCA") == 0.0
+        assert METHODS["2D-LDA-R"].beta == 0.2
+        assert METHODS["LDA-R"].beta == 0.2
+        assert METHODS["2D-OLPP-R"].beta == 0.5
+        assert METHODS["2D-PCA"].beta == 0.0
 
     def test_unknown_name(self):
         images, labels = toy_dataset(5)
@@ -572,6 +573,27 @@ class TestFitOrthonormal:
             full = trace.objectives[1::2]
             change = abs(full[-1] - full[-2])
             assert change <= 1e-6 * max(1.0, abs(full[-2]))
+
+
+class TestStoppingRule:
+    """The alternation's stopping test and iteration count at their edges."""
+
+    def test_a_change_of_exactly_tol_stops(self):
+        assert _converged([1.0, 1.5], 0.5)
+
+    def test_later_steps_compare_full_steps(self):
+        # the last full step repeats the first (5.0); the half-step before
+        # it (9.0) is far away
+        assert _converged([1.0, 5.0, 9.0, 5.0], 1e-12)
+
+    @pytest.mark.parametrize("max_iter", [3, 5])
+    def test_an_unconverged_fit_runs_max_iter_iterations(self, max_iter):
+        ds = synthetic_confusable(6)
+        spec = method_matrices("2D-LPP", ds.images, ds.labels)
+        _, trace = fit_method(ds.images, spec, 3, 3, max_iter=max_iter, tol=1e-300)
+        assert not trace.converged
+        assert trace.iterations == max_iter
+        assert len(trace.objectives) == 2 * max_iter
 
 
 class TestFitGeneralized:

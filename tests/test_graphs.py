@@ -210,6 +210,37 @@ class TestLleWeights:
         w = lle_weights(g, pts)
         np.testing.assert_allclose(w.sum(axis=1), np.ones(10), atol=1e-10)
 
+    def test_singular_neighbourhoods_take_the_relative_ridge(self):
+        # 6 points per class in 2-d: each point's 5 neighbours give a local
+        # Gram matrix of rank 2, which only the ridge 1e-6 * tr(G) / k solves
+        rng = np.random.default_rng(3)
+        labels = np.repeat([0, 1], 6)
+        pts = rng.normal(size=(12, 2))
+        adj = build_label_graph(labels)
+        expected = np.zeros((12, 12))
+        for i in range(12):
+            nbrs = np.nonzero(adj[i])[0]
+            diffs = pts[i] - pts[nbrs]
+            gram = diffs @ diffs.T
+            sol = np.linalg.solve(gram + 1e-6 * (np.trace(gram) / 5) * np.eye(5), np.ones(5))
+            expected[i, nbrs] = sol / sol.sum()
+        assert_bitwise(lle_weights(adj, pts), expected)
+
+    def test_full_rank_neighbourhoods_take_the_plain_solve(self):
+        # 4 neighbours in 5-d at a scale of 1e3: the weights before
+        # normalization sum to about 1e-6, far from any ridge trigger
+        rng = np.random.default_rng(4)
+        labels = np.repeat([0, 1], 5)
+        pts = 1e3 * rng.normal(size=(10, 5))
+        adj = build_label_graph(labels)
+        expected = np.zeros((10, 10))
+        for i in range(10):
+            nbrs = np.nonzero(adj[i])[0]
+            diffs = pts[i] - pts[nbrs]
+            sol = np.linalg.solve(diffs @ diffs.T, np.ones(4))
+            expected[i, nbrs] = sol / sol.sum()
+        assert_bitwise(lle_weights(adj, pts), expected)
+
     def test_isolated_vertex_rejected(self):
         adj = np.zeros((2, 2), dtype=bool)
         with pytest.raises(ParameterError):

@@ -294,3 +294,28 @@ class TestRidgeRetry:
             eig_prefixes(m, n, 3, "bottom")
         assert info.value.__cause__ is first[0]
         assert info.value.smallest_eigenvalue == -2.0
+
+
+class TestContractBoundaries:
+    """Inputs just past each bound of the solve contract, so that a bound
+    moved by a factor of ten no longer holds."""
+
+    def test_residual_just_over_the_bound_fails(self):
+        # residual 5e-8 against RESIDUAL_TOL * |M| = 1e-8 * sqrt(5)
+        v = np.array([[1.0], [5e-8]])
+        pairs = spectral.EigenPrefixes(np.array([1.0]), v / np.linalg.norm(v), np.diag([1.0, 2.0]), None)
+        with pytest.raises(NumericalQualityError, match="residual"):
+            take_prefix(pairs, 1)
+
+    def test_orthonormality_defect_just_over_the_bound_fails(self):
+        # exact eigenvectors (residual 0), defect 1e-9 against ORTH_TOL 1e-10
+        vectors = np.eye(3)[:, :2]
+        vectors[:, 0] *= 1 + 5e-10
+        pairs = spectral.EigenPrefixes(np.array([1.0, 2.0]), vectors, np.diag([1.0, 2.0, 3.0]), None)
+        with pytest.raises(NumericalQualityError, match="orthonormality"):
+            take_prefix(pairs, 2)
+
+    def test_definiteness_floor_sits_between_5e_11_and_5e_10(self):
+        # lambda_min / rho of the constraint against DEFINITENESS_FLOOR 1e-10
+        assert eig_prefixes(np.diag([1.0, 2.0]), np.diag([1.0, 5e-10]), 1, "bottom").shift == 0.0
+        assert eig_prefixes(np.diag([1.0, 2.0]), np.diag([1.0, 5e-11]), 1, "bottom").shift > 0.0
