@@ -156,9 +156,18 @@ def matrix_dataset(ds: ImageDataset, indices) -> tuple[np.ndarray, np.ndarray]:
 def vector_dataset(ds: ImageDataset, indices) -> tuple[np.ndarray, np.ndarray]:
     """The images of a dataset at ``indices`` as vector data for the 1D
     methods: an ``(m1 * m2, n)`` matrix holding each image flattened
-    column-major in one column, and the labels."""
+    column-major in one column, and the labels.
+
+    The matrix is C-contiguous and is the only copy made: it is filled
+    image by image, because a fancy index (or ``np.take``) into its
+    transposed view would hold a second full-size array.
+    """
     idx = np.asarray(indices)
-    return ds.images[idx].reshape(len(idx), -1, order="F").T, ds.labels[idx]
+    m1, m2 = ds.image_shape
+    samples = np.empty((m2, m1, idx.size))
+    for j, i in enumerate(idx):
+        samples[:, :, j] = ds.images[i].T
+    return samples.reshape(m1 * m2, idx.size), ds.labels[idx]
 
 
 def synthetic_confusable(n_per_class: int = 24, seed: int = 0) -> ImageDataset:

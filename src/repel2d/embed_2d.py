@@ -448,7 +448,9 @@ def solve_pencil(pencil: Pencil, dims) -> Callable[[int], tuple[np.ndarray, FitT
         if pencil.lift is not None:
             if np.count_nonzero(values > max(values[0], 0.0) * 1e-12) < d:
                 raise ParameterError(f"data rank too low for {d} principal components")
-            basis = fix_signs(pencil.lift @ basis / np.sqrt(values))
+            basis = pencil.lift @ basis
+            basis /= np.sqrt(values)
+            fix_signs(basis)
         if pencil.pre is not None:
             basis = pencil.pre @ basis
         return basis, FitTrace([float(np.sum(values))], 1, True, defect, pairs.shift)

@@ -307,7 +307,9 @@ def run_cell(cfg: ExperimentConfig, ds: ImageDataset, method: str, realization: 
     bits.
 
     The unit's couplings, ``(n, n)`` arrays, are released before any
-    projection: scoring reads none of them.
+    projection: scoring reads none of them.  Its training samples are
+    released once the gallery is projected, before the query samples are
+    built, so the two are never held together.
     """
     unit = fit_unit(cfg, ds, method, realization)
     # the spec, and the fit's frames and closures that a failure's traceback
@@ -326,22 +328,33 @@ def run_cell(cfg: ExperimentConfig, ds: ImageDataset, method: str, realization: 
     if not fitted:
         return unit.cells
     train, train_labels = unit.train
-    queries, truth = (matrix_dataset if _is_2d(method) else vector_dataset)(ds, unit.test_idx)
     if _is_2d(method):
-        def project(pair):
-            return recognize.project_tensor(train, pair), recognize.project_tensor(queries, pair)
+        def project(pair, samples):
+            return recognize.project_tensor(samples, pair)
     else:
         # projected samples (one per column) as a stack of 1 x d images
-        def project(basis):
-            return (basis.T @ train).T[:, None, :], (basis.T @ queries).T[:, None, :]
+        def project(basis, samples):
+            return (basis.T @ samples).T[:, None, :]
 
     if _nested(cfg, method):
         groups = [(max(fitted, key=lambda cell: cell.dim).projector, fitted)]
     else:
         groups = [(cell.projector, [cell]) for cell in fitted]
+    galleries = []
     for projector, cells in groups:
         try:
-            gallery, probes = project(projector)
+            galleries.append(project(projector, train))
+        except _CELL_FAILURES as exc:
+            galleries.append(None)
+            for cell in cells:
+                cell.failure = exc
+    unit.train = train = None
+    queries, truth = (matrix_dataset if _is_2d(method) else vector_dataset)(ds, unit.test_idx)
+    for (projector, cells), gallery in zip(groups, galleries):
+        if gallery is None:
+            continue
+        try:
+            probes = project(projector, queries)
             predicted = recognize.classify_prefixes(probes, gallery, train_labels, [cell.dim for cell in cells])
             errors = [recognize.error_rate(labels, truth) for labels in predicted]
         except _CELL_FAILURES as exc:

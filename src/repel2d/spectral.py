@@ -59,17 +59,17 @@ def _check_selection(count: int, which: str, order: int):
 
 
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip column signs so each column's largest-magnitude entry is positive.
+    """Flip column signs so each column's largest-magnitude entry is
+    positive, in place, and return ``vectors``.
 
     Ties resolve to the first maximal entry, which makes results stable
     across runs and comparable against hand-computed references.
     """
-    v = np.array(vectors, dtype=np.float64, copy=True)
-    for col in range(v.shape[1]):
-        lead = int(np.argmax(np.abs(v[:, col])))
-        if v[lead, col] < 0:
-            v[:, col] = -v[:, col]
-    return v
+    for col in range(vectors.shape[1]):
+        lead = int(np.argmax(np.abs(vectors[:, col])))
+        if vectors[lead, col] < 0:
+            vectors[:, col] = -vectors[:, col]
+    return vectors
 
 
 def _select(values: np.ndarray, vectors: np.ndarray, count: int, which: str):

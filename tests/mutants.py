@@ -93,6 +93,27 @@ MUTANTS = (
         "the PCA Gram lift keeps every direction above 1e-12 of the largest variance",
     ),
     Mutant(
+        "gram-lift-count",
+        "embed_2d.py",
+        "max(values[0], 0.0) * 1e-12) < d:",
+        "max(values[0], 0.0) * 1e-12) < d - 1:",
+        "the PCA Gram lift refuses more components than the data's rank",
+    ),
+    Mutant(
+        "gram-lift-in-place",
+        "embed_2d.py",
+        "basis /= np.sqrt(values)",
+        "basis = basis / np.sqrt(values)",
+        "the PCA Gram lift scales its (m, d) basis in place",
+    ),
+    Mutant(
+        "sign-fix-in-place",
+        "spectral.py",
+        "    for col in range(vectors.shape[1]):",
+        "    vectors = vectors.copy()\n    for col in range(vectors.shape[1]):",
+        "the sign fix flips the array it is given",
+    ),
+    Mutant(
         "lle-ridge",
         "graphs.py",
         "LLE_RIDGE = 1e-6",
@@ -107,6 +128,34 @@ MUTANTS = (
         "an LLE row is ridged again only when its plain weights sum to zero",
     ),
     Mutant(
+        "vector-one-copy",
+        "datasets.py",
+        "samples = np.empty((m2, m1, idx.size))",
+        'samples = np.empty((m2, m1, idx.size), order="F")',
+        "a vector data matrix is built in one copy",
+    ),
+    Mutant(
+        "vector-layout",
+        "datasets.py",
+        "return samples.reshape(m1 * m2, idx.size), ds.labels[idx]",
+        "return np.asfortranarray(samples.reshape(m1 * m2, idx.size)), ds.labels[idx]",
+        "a vector data matrix is C-contiguous: products with it round by its layout",
+    ),
+    Mutant(
+        "vector-flatten-order",
+        "datasets.py",
+        "samples[:, :, j] = ds.images[i].T",
+        "samples[:, :, j] = ds.images[i]",
+        "a vector data column is its image flattened column-major",
+    ),
+    Mutant(
+        "train-released",
+        "experiment.py",
+        "unit.train = train = None",
+        "unit.train = None",
+        "a unit's training samples are released before its query samples are built",
+    ),
+    Mutant(
         "lle-plain-residual",
         "graphs.py",
         "resid <= 1e-8 * max(1.0, np.linalg.norm(rhs))",
@@ -118,17 +167,22 @@ MUTANTS = (
 )
 
 
+def matches(mutant: Mutant, src: Path = ROOT / "src") -> bool:
+    """Whether the text ``mutant`` replaces occurs exactly once in its
+    module under ``src``."""
+    return (src / "repel2d" / mutant.module).read_text(encoding="utf-8").count(mutant.old) == 1
+
+
 def run_suite(mutant: Mutant) -> bool | None:
-    """Whether tier-1 fails with ``mutant`` applied; ``None`` when its text
-    does not occur exactly once in its module."""
+    """Whether tier-1 fails with ``mutant`` applied; ``None`` when it does
+    not match its module (see :func:`matches`)."""
     with tempfile.TemporaryDirectory(prefix="repel2d-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        path = src / "repel2d" / mutant.module
-        text = path.read_text(encoding="utf-8")
-        if text.count(mutant.old) != 1:
+        if not matches(mutant, src):
             return None
-        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        path = src / "repel2d" / mutant.module
+        path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
         inherited = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), inherited])))
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", str(ROOT / "tests")]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,19 @@ class TestStackLayout:
         loop = np.stack([ds.images[i].reshape(-1, order="F") for i in idx], axis=1)
         np.testing.assert_array_equal(data, loop)
         assert data.strides == loop.strides
+
+    def test_vector_dataset_makes_one_copy(self, split):
+        # the traced peak of building a vector data matrix, in units of the
+        # matrix: a fancy index, or a reshape that copies, would add a
+        # second one
+        ds, idx = split
+        tracemalloc.start()
+        try:
+            data = vector_dataset(ds, idx)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / data.nbytes <= 1.1
 
 
 class TestSynthetic:

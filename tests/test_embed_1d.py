@@ -99,6 +99,17 @@ class TestPca:
         np.testing.assert_allclose(trace.objectives, [16.0 + 4.0 + 1.6e-8], rtol=1e-12)
         np.testing.assert_allclose(np.abs(basis), np.eye(20)[:, :3], atol=1e-6)
 
+    def test_gram_lift_fits_the_data_rank_and_no_more(self):
+        # 8 samples in 30-d on an affine 3-flat: the centered data has rank
+        # 3, so the lift yields 3 components and refuses a fourth
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 8)) + rng.normal(size=(30, 1))
+        fit = solve_pencil(vector_pencil(x, np.arange(8), "PCA"), (3, 4))
+        basis, _ = fit(3)
+        assert np.linalg.norm(basis.T @ basis - np.eye(3)) < 1e-10
+        with pytest.raises(ParameterError, match="data rank too low"):
+            fit(4)
+
 
 class TestFit1d:
     @pytest.mark.parametrize("method", METHOD_NAMES_1D)

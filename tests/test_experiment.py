@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -600,6 +601,50 @@ class TestCouplingsReleased:
         cells = run_cell(cfg, wide_ds, "2D-LDA-R", 0)
         assert all(isinstance(cell.failure.__cause__, DefinitenessError) for cell in cells)
         assert built and all(ref() is None for ref in built)
+
+
+class TestUnitWorkingSet:
+    @pytest.mark.parametrize(
+        "method, mode", [("OLPP-R", "unilateral"), ("2D-OLPP-R", "unilateral"), ("2D-OLPP-R", "bilateral")]
+    )
+    def test_training_samples_go_before_the_queries_are_built(self, wide_ds, monkeypatch, method, mode):
+        built = []
+
+        def tracked(build):
+            def build_and_track(ds, indices):
+                assert all(ref() is None for ref in built)
+                samples, labels = build(ds, indices)
+                built.append(weakref.ref(samples))
+                return samples, labels
+
+            return build_and_track
+
+        monkeypatch.setattr(experiment, "matrix_dataset", tracked(matrix_dataset))
+        monkeypatch.setattr(experiment, "vector_dataset", tracked(vector_dataset))
+        cfg = small_cfg(methods=(method,), mode=mode, dims=(2, 4), train_per_class=6, realizations=1)
+        cells = run_cell(cfg, wide_ds, method, 0)
+        assert len(built) == 2 and all(cell.failure is None for cell in cells)
+
+    def test_gram_route_vector_unit_holds_at_most_three_sample_matrices(self):
+        # the traced peak of a vector unit on the Gram route (1920 pixels,
+        # 40 training images), in units of its (m, n) training matrix: the
+        # matrix, its centered copy and the (m, n - c) lift of the PCA
+        # pre-basis, measured at 2.92; a second lift-sized buffer reaches 3.7
+        rng = np.random.default_rng(3)
+        labels = np.repeat(np.arange(10), 8)
+        images = rng.normal(size=(10, 48, 40))[labels] + rng.normal(size=(80, 48, 40))
+        images = (images - images.min()) / (images.max() - images.min())
+        ds = ImageDataset("tall", images, labels, tuple(f"c{c}" for c in range(10)))
+        cfg = small_cfg(methods=("OLPP-R",), dims=(2, 4), train_per_class=4, realizations=1)
+        run_cell(cfg, ds, "OLPP-R", 0)  # leaves no first-call allocation inside the trace
+        tracemalloc.start()
+        try:
+            cells = run_cell(cfg, ds, "OLPP-R", 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(cell.failure is None for cell in cells)
+        assert peak / (48 * 40 * 40 * 8) <= 3.2
 
 
 class TestRidgeShift:

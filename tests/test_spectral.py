@@ -152,6 +152,12 @@ def test_fix_signs_tie_prefers_first_max():
     assert fixed[0, 0] > 0 and fixed[0, 1] > 0
 
 
+def test_fix_signs_flips_its_argument_in_place():
+    v = np.array([[1.0, -3.0], [-2.0, 1.0]])
+    assert fix_signs(v) is v
+    np.testing.assert_array_equal(v, [[-1.0, 3.0], [2.0, -1.0]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1))
 def test_property_reproducible_and_within_bounds(order, seed):
